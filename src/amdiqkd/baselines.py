@@ -15,7 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .stats import binary_entropy, chernoff_expected, chernoff_observed, sampling_correction
+from .stats import binary_entropy, expected_lower, expected_upper, i0m1, no_click
+from .stats import observed_lower, observed_upper, sampling_correction
 
 __all__ = [
     "MdiParams",
@@ -97,49 +98,27 @@ def mdi_observables(params: MdiParams, n_pulses: float) -> MdiObservables:
             kb = params.intensities_b[kb_lab] * params.eta_b
             weight = n_prime * params.probs_a[ka_lab] * params.probs_b[kb_lab]
             x = math.sqrt(ka * kb)
-            half = math.exp(-(ka + kb) / 2.0)
-            bessel = float(np.i0(x))
+            bessel_m1 = i0m1(x)
 
             # errors: both bright pulses land in one bin (interference term);
             # the empty partner bin then clicks on a dark count.  Correct
             # events put one pulse per bin, no dark needed.
-            scale = (1.0 - p_d) ** 2 * half
-            interference = bessel - (1.0 - p_d) * half
-            split = (1.0 - (1.0 - p_d) * math.exp(-ka / 2.0)) * (
-                1.0 - (1.0 - p_d) * math.exp(-kb / 2.0)
-            )
+            y_both, click_both = no_click((ka + kb) / 2.0, p_d)
+            scale = (1.0 - p_d) * y_both
+            interference = bessel_m1 + click_both
+            split = no_click(ka / 2.0, p_d)[1] * no_click(kb / 2.0, p_d)[1]
             n_z[(ka_lab, kb_lab)] = weight * scale * (p_d * interference + split)
             m_z[(ka_lab, kb_lab)] = weight * scale * p_d * interference
 
-            y = (1.0 - p_d) * math.exp(-(ka + kb) / 4.0)
-            bessel_half = float(np.i0(x / 2.0))
+            y, click = no_click((ka + kb) / 4.0, p_d)
+            half_m1 = i0m1(x / 2.0)
             n_x[(ka_lab, kb_lab)] = weight * y * y * (
-                1.0 + 2.0 * y * y - 4.0 * y * bessel_half + bessel
+                2.0 * click * click + bessel_m1 - 4.0 * y * half_m1
             )
             m_x[(ka_lab, kb_lab)] = weight * y * y * (
-                1.0 + y * y - 2.0 * y * bessel_half + e_mis * (bessel - 1.0)
+                click * click - 2.0 * y * half_m1 + e_mis * bessel_m1
             )
     return MdiObservables(n_z=n_z, m_z=m_z, n_x=n_x, m_x=m_x, n_pairs=n_prime)
-
-
-def _exp_lower(x: float, eps: float | None) -> float:
-    return x if eps is None else chernoff_expected(x, eps).lower
-
-
-def _exp_upper(x: float, eps: float | None) -> float:
-    return x if eps is None else chernoff_expected(x, eps).upper
-
-
-def _obs_lower(x: float, eps: float | None) -> float:
-    if x <= 0.0:
-        return 0.0
-    return x if eps is None else chernoff_observed(x, eps).lower
-
-
-def _obs_upper(x: float, eps: float | None) -> float:
-    if x <= 0.0:
-        return 0.0
-    return x if eps is None else chernoff_observed(x, eps).upper
 
 
 def mdi_key_rate(
@@ -167,23 +146,23 @@ def mdi_key_rate(
         om_p, nu_p = om_b, nu_b
 
     n0_star = max(
-        math.exp(-mu_a) * pa["mu"] / pa["o"] * _exp_lower(obs.n_z[("o", "mu")], eps),
-        math.exp(-mu_b) * pb["mu"] / pb["o"] * _exp_lower(obs.n_z[("mu", "o")], eps),
+        math.exp(-mu_a) * pa["mu"] / pa["o"] * expected_lower(obs.n_z[("o", "mu")], eps),
+        math.exp(-mu_b) * pb["mu"] / pb["o"] * expected_lower(obs.n_z[("mu", "o")], eps),
     )
-    n0_obs = _obs_lower(n0_star, eps)
+    n0_obs = observed_lower(n0_star, eps)
 
     c_om = om_a * om_b * om_p
     c_nu = nu_a * nu_b * nu_p
     plus = (
         c_om * math.exp(nu_a + nu_b) / (pa["nu"] * pb["nu"])
-        * _exp_lower(max(obs.n_x[("nu", "nu")] - obs.m_x[("nu", "nu")], 0.0), eps)
-        + c_nu * math.exp(om_a) / (pa["omega"] * pb["o"]) * _exp_lower(obs.n_x[("omega", "o")], eps)
-        + c_nu * math.exp(om_b) / (pa["o"] * pb["omega"]) * _exp_lower(obs.n_x[("o", "omega")], eps)
+        * expected_lower(max(obs.n_x[("nu", "nu")] - obs.m_x[("nu", "nu")], 0.0), eps)
+        + c_nu * math.exp(om_a) / (pa["omega"] * pb["o"]) * expected_lower(obs.n_x[("omega", "o")], eps)
+        + c_nu * math.exp(om_b) / (pa["o"] * pb["omega"]) * expected_lower(obs.n_x[("o", "omega")], eps)
     )
     minus = (
         c_nu * math.exp(om_a + om_b) / (pa["omega"] * pb["omega"])
-        * _exp_upper(obs.n_x[("omega", "omega")], eps)
-        + c_nu / (pa["o"] * pb["o"]) * _exp_upper(obs.n_x[("o", "o")], eps)
+        * expected_upper(obs.n_x[("omega", "omega")], eps)
+        + c_nu / (pa["o"] * pb["o"]) * expected_upper(obs.n_x[("o", "o")], eps)
     )
 
     h_coef = c_om
@@ -192,23 +171,23 @@ def mdi_key_rate(
         math.exp(nu_a) / (pa["nu"] * pb["o"]),
     )
     h_lo = h_coef * max(
-        h_pos[0] * _exp_lower(obs.n_x[("o", "nu")], eps)
-        + h_pos[1] * _exp_lower(obs.n_x[("nu", "o")], eps)
-        - _exp_upper(obs.n_x[("o", "o")], eps) / (pa["o"] * pb["o"]),
+        h_pos[0] * expected_lower(obs.n_x[("o", "nu")], eps)
+        + h_pos[1] * expected_lower(obs.n_x[("nu", "o")], eps)
+        - expected_upper(obs.n_x[("o", "o")], eps) / (pa["o"] * pb["o"]),
         0.0,
     )
     h_hi = max(
         h_coef
         * (
-            h_pos[0] * _exp_upper(obs.n_x[("o", "nu")], eps)
-            + h_pos[1] * _exp_upper(obs.n_x[("nu", "o")], eps)
-            - _exp_lower(obs.n_x[("o", "o")], eps) / (pa["o"] * pb["o"])
+            h_pos[0] * expected_upper(obs.n_x[("o", "nu")], eps)
+            + h_pos[1] * expected_upper(obs.n_x[("nu", "o")], eps)
+            - expected_lower(obs.n_x[("o", "o")], eps) / (pa["o"] * pb["o"])
         ),
         h_lo,
     )
     m_coef = c_om * math.exp(nu_a + nu_b) / (pa["nu"] * pb["nu"])
-    m_lo = m_coef * _exp_lower(obs.m_x[("nu", "nu")], eps)
-    m_hi = m_coef * _exp_upper(obs.m_x[("nu", "nu")], eps)
+    m_lo = m_coef * expected_lower(obs.m_x[("nu", "nu")], eps)
+    m_hi = m_coef * expected_upper(obs.m_x[("nu", "nu")], eps)
 
     pref_11 = mu_a * mu_b * math.exp(-mu_a - mu_b) * pa["mu"] * pb["mu"] / (
         nu_a * nu_b * om_a * om_b * (om_p - nu_p)
@@ -226,7 +205,7 @@ def mdi_key_rate(
 
     def key_at(h: float, m: float) -> float:
         n11_star = pref_11 * (plus - minus + m - h)
-        n11 = _obs_lower(n11_star, eps)
+        n11 = observed_lower(n11_star, eps)
         if n11 <= 0.0:
             return 0.0
         # back to a raw count: the aggregates carry 1/(p_nu_a p_nu_b)
@@ -234,7 +213,7 @@ def mdi_key_rate(
             pa["nu"] * pb["nu"] * (m - h / 2.0)
             / (om_a * om_b * om_p * math.exp(nu_a + nu_b))
         )
-        t11z = _obs_upper(ratio_zx * max(t11x_star, 0.0), eps)
+        t11z = observed_upper(ratio_zx * max(t11x_star, 0.0), eps)
         phi = min(max(t11z / n11, 0.0), 0.5)
         ell = n0_obs + n11 * (1.0 - binary_entropy(phi)) - leakage - eps_terms
         return max(ell, 0.0)
@@ -383,26 +362,26 @@ def bb84_key_rate(params: Bb84Params, n_pulses: float, eps: float,
     mu, nu, om = ints["mu"], ints["nu"], ints["omega"]
     p = probs
 
-    n0_star = (p["mu"] * math.exp(-mu) + p["nu"] * math.exp(-nu)) / p["o"] * _exp_lower(
+    n0_star = (p["mu"] * math.exp(-mu) + p["nu"] * math.exp(-nu)) / p["o"] * expected_lower(
         obs.n_z["o"], eps
     )
-    n0_obs = _obs_lower(n0_star, eps)
+    n0_obs = observed_lower(n0_star, eps)
 
     def single_star(counts: Mapping[str, float], front: float) -> float:
         core = (
-            math.exp(nu) * _exp_lower(counts["nu"], eps) / p["nu"]
-            - (nu * nu) / (mu * mu) * math.exp(mu) * _exp_upper(counts["mu"], eps) / p["mu"]
-            - (mu * mu - nu * nu) / (mu * mu) * _exp_upper(counts["o"], eps) / p["o"]
+            math.exp(nu) * expected_lower(counts["nu"], eps) / p["nu"]
+            - (nu * nu) / (mu * mu) * math.exp(mu) * expected_upper(counts["mu"], eps) / p["mu"]
+            - (mu * mu - nu * nu) / (mu * mu) * expected_upper(counts["o"], eps) / p["o"]
         )
         return max(front * mu / (mu * nu - nu * nu) * core, 0.0)
 
     n1z_star = single_star(obs.n_z, p["mu"] * mu * math.exp(-mu) + p["nu"] * nu * math.exp(-nu))
     n1x_star = single_star(obs.n_x, p["omega"] * om * math.exp(-om))
-    n1z = _obs_lower(n1z_star, eps)
-    n1x = _obs_lower(n1x_star, eps)
+    n1z = observed_lower(n1z_star, eps)
+    n1x = observed_lower(n1x_star, eps)
 
-    m0x_star = p["omega"] * math.exp(-om) / p["o"] * _exp_lower(obs.m_x["o"], eps)
-    t1x = max(obs.m_x["omega"] - _obs_lower(m0x_star, eps), 0.0)
+    m0x_star = p["omega"] * math.exp(-om) / p["o"] * expected_lower(obs.m_x["o"], eps)
+    t1x = max(obs.m_x["omega"] - observed_lower(m0x_star, eps), 0.0)
 
     if n1z <= 0.0 or n1x <= 0.0:
         return {"ell": 0.0, "rate_per_pulse": 0.0, "phi_z": 0.5, "leakage": 0.0}

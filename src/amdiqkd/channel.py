@@ -14,7 +14,9 @@ two-bin intensity totals.  This module evaluates the closed forms for:
   slow phase drift accumulated over the pairing interval,
 * the Z-basis bit error rate of each key group.
 
-An event-level Monte Carlo counterpart lives in :mod:`amdiqkd.oracle`; every
+Every phase average is an exact I0 closed form, accurate to rounding on long
+links; ``pair_gain_phase`` is the phase-resolved model it averages.  An
+event-level Monte Carlo counterpart lives in :mod:`amdiqkd.oracle`; every
 closed form here is validated against it.
 """
 
@@ -22,9 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
+
+from .stats import i0m1, no_click
 
 __all__ = [
     "LABEL_ORDER",
@@ -46,10 +51,6 @@ __all__ = [
 
 # Canonical ordering of intensity labels, brightest first.
 LABEL_ORDER = ("mu", "omega", "nu", "o")
-
-_QUAD_REL_TOL = 1e-9
-_QUAD_START = 64
-_QUAD_MAX = 16384
 
 
 @dataclass(frozen=True)
@@ -173,15 +174,15 @@ class SourceConfig:
         if set(self.intensities_a) != set(self.intensities_b):
             raise ValueError("both parties must use the same label set")
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l in LABEL_ORDER if l in self.intensities_a)
 
-    @property
+    @cached_property
     def four_intensity(self) -> bool:
         return "omega" in self.intensities_a
 
-    @property
+    @cached_property
     def filtered_pairs(self) -> frozenset[tuple[str, str]]:
         """Single-bin label combinations discarded by click filtering."""
         if not self.click_filtering:
@@ -192,7 +193,7 @@ class SourceConfig:
     def kept(self, label_a: str, label_b: str) -> bool:
         return (label_a, label_b) not in self.filtered_pairs
 
-    @property
+    @cached_property
     def survival_prob(self) -> float:
         """Probability that a click survives filtering, from send probabilities."""
         p_s = 1.0
@@ -281,37 +282,43 @@ def pair_gain_phase(
     return _click_given_means(det.eta_d * (s + c * cos_t), det.eta_d * (s - c * cos_t), p_d)
 
 
+def _pair_terms(
+    k_a: float, k_b: float, link: ChannelLink, det: DetectorPair
+) -> tuple[float, float, float]:
+    """Silence probability y of one port at its phase-free mean, 1 - y, and the
+    Bessel argument c = eta_d sqrt(eta_a k_a eta_b k_b) (see pair_gain_phase)."""
+    if k_a < 0.0 or k_b < 0.0:
+        raise ValueError("intensities must be >= 0")
+    t_a, t_b = link.eta_a * k_a, link.eta_b * k_b
+    y, click = no_click(0.5 * det.eta_d * (t_a + t_b), det.dark_prob(link.clock_hz))
+    return y, click, det.eta_d * math.sqrt(t_a * t_b)
+
+
 def pair_gain(k_a: float, k_b: float, link: ChannelLink, det: DetectorPair) -> float:
     """Phase-averaged single-click probability for intensities (k_a | k_b).
 
-    Equals the average of the two pair_gain_phase outputs over theta; with
-    identical detectors the cross term carries a zero Bessel argument.
+    Equals the average of the two pair_gain_phase outputs over theta,
+    2y I0(c) - 2y^2, written as 2y [(I0(c) - 1) + (1 - y)].
     """
-    if k_a < 0.0 or k_b < 0.0:
-        raise ValueError("intensities must be >= 0")
-    p_d = det.dark_prob(link.clock_hz)
-    x = det.eta_d * math.sqrt(link.eta_a * k_a * link.eta_b * k_b)
-    y = (1.0 - p_d) * math.exp(-det.eta_d * (link.eta_a * k_a + link.eta_b * k_b) / 2.0)
-    return 2.0 * y * float(np.i0(x)) - 2.0 * y * y
+    y, click, c = _pair_terms(k_a, k_b, link, det)
+    return 2.0 * y * (i0m1(c) + click)
 
 
-def periodic_mean(f: Callable[[np.ndarray], np.ndarray], rel_tol: float = _QUAD_REL_TOL) -> float:
-    """Mean of a smooth 2*pi-periodic function over one period.
+def _click_correlations(
+    k_a: float, k_b: float, delta: float, link: ChannelLink, det: DetectorPair
+) -> tuple[float, float]:
+    """Phase averages of click products of two bins whose phases differ by ``delta``.
 
-    Uniform-grid (trapezoid) quadrature with doubling; for periodic smooth
-    integrands this converges geometrically.
+    Returns (opposite, same), the means over theta of q_L q_R' + q_R q_L' and
+    q_L q_L' + q_R q_R' (primes at theta + delta):
+    2y^2 [I0(2c sin(delta/2)) - 2y I0(c) + y^2] and the same with cos.
     """
-    n = _QUAD_START
-    thetas = 2.0 * math.pi * np.arange(n) / n
-    value = float(np.mean(f(thetas)))
-    while n < _QUAD_MAX:
-        n *= 2
-        thetas = 2.0 * math.pi * (np.arange(n // 2) * 2 + 1) / n
-        refined = 0.5 * (value + float(np.mean(f(thetas))))
-        if abs(refined - value) <= rel_tol * max(abs(refined), 1e-300):
-            return refined
-        value = refined
-    return value
+    y, click, c = _pair_terms(k_a, k_b, link, det)
+    common = click * click - 2.0 * y * i0m1(c)
+    scale = 2.0 * y * y
+    opposite = scale * (i0m1(2.0 * c * math.sin(0.5 * delta)) + common)
+    same = scale * (i0m1(2.0 * c * math.cos(0.5 * delta)) + common)
+    return opposite, same
 
 
 def _click_table(
@@ -379,9 +386,10 @@ def coincidence_counts(
     """Expected coincidence count per (total_a, total_b) group.
 
     Matched-phase groups (both parties using the same bright level in both
-    bins) keep only the 2/M phase-sifted fraction, evaluated through the
-    phase-resolved click probability; set ``phase_sifted=False`` to get the
-    raw decomposition for completeness checks.
+    bins) keep only the 2/M phase-sifted fraction, with both bins at the same
+    phase, so the count carries the phase average of the squared click
+    probability; set ``phase_sifted=False`` to get the raw decomposition for
+    completeness checks.
     """
     if table is None:
         table = _click_table(source, link, det)
@@ -405,15 +413,11 @@ def coincidence_counts(
     for ta in totals:
         for tb in totals:
             if (ta, tb) in sifted:
-                k_a = source.intensities_a[ta[0]]
-                k_b = source.intensities_b[tb[0]]
                 weight = p_a[ta[0]] * p_b[tb[0]] / q_tot
-
-                def integrand(thetas, k_a=k_a, k_b=k_b, weight=weight):
-                    q_l, q_r = pair_gain_phase(k_a, k_b, thetas, link, det)
-                    return (weight * (q_l + q_r)) ** 2
-
-                counts[(ta, tb)] = n_pairs * (2.0 / m_slices) * periodic_mean(integrand)
+                opposite, same = _click_correlations(
+                    source.intensities_a[ta[0]], source.intensities_b[tb[0]], 0.0, link, det
+                )
+                counts[(ta, tb)] = n_pairs * (2.0 / m_slices) * weight * weight * (opposite + same)
             else:
                 acc = 0.0
                 for ae, al in _splits(ta):
@@ -447,15 +451,8 @@ def xbasis_error_count(
     nu_b = source.intensities_b["nu"]
     weight = (source.probabilities_a["nu"] * source.probabilities_b["nu"] / q_tot) ** 2
     e_mis = link.interference_error
-
-    def integrand(thetas):
-        q_l, q_r = pair_gain_phase(nu_a, nu_b, thetas, link, det)
-        q_l_d, q_r_d = pair_gain_phase(nu_a, nu_b, thetas + delta, link, det)
-        wrong = q_l * q_r_d + q_r * q_l_d
-        right = q_l * q_l_d + q_r * q_r_d
-        return (1.0 - e_mis) * wrong + e_mis * right
-
-    return n_pairs * (2.0 / link.phase_slices) * weight * periodic_mean(integrand)
+    wrong, right = _click_correlations(nu_a, nu_b, delta, link, det)
+    return n_pairs * (2.0 / link.phase_slices) * weight * ((1.0 - e_mis) * wrong + e_mis * right)
 
 
 def z_error_rates(

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .channel import SourceConfig
-from .stats import chernoff_expected, chernoff_observed, sampling_correction
+from .stats import expected_lower, expected_upper, observed_lower, observed_upper
+from .stats import sampling_correction
 
 __all__ = [
     "PairingProbabilities",
@@ -43,27 +44,6 @@ __all__ = [
 CountKey = tuple[tuple[str, str], tuple[str, str]]
 
 X_KEY: CountKey = (("nu", "nu"), ("nu", "nu"))
-
-
-# ---------------------------------------------------------------------------
-# expected/observed-domain helpers; eps=None disables statistical slack
-# ---------------------------------------------------------------------------
-
-def _expected_lower(observed: float, eps: float | None) -> float:
-    return observed if eps is None else chernoff_expected(observed, eps).lower
-
-def _expected_upper(observed: float, eps: float | None) -> float:
-    return observed if eps is None else chernoff_expected(observed, eps).upper
-
-def _observed_lower(expected: float, eps: float | None) -> float:
-    if expected <= 0.0:
-        return 0.0
-    return expected if eps is None else chernoff_observed(expected, eps).lower
-
-def _observed_upper(expected: float, eps: float | None) -> float:
-    if expected <= 0.0:
-        return 0.0
-    return expected if eps is None else chernoff_observed(expected, eps).upper
 
 
 @dataclass(frozen=True)
@@ -140,7 +120,7 @@ def joint_bound(
     if direction not in ("lower", "upper"):
         raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
     ordered = sorted(terms, key=lambda t: t[0])
-    bound_fn = _expected_lower if direction == "lower" else _expected_upper
+    bound_fn = expected_lower if direction == "lower" else expected_upper
     total = 0.0
     prev_coef = 0.0
     for j, (coef, _) in enumerate(ordered):
@@ -153,7 +133,7 @@ def joint_bound(
 
 
 def _naive_bound(terms: Sequence[tuple[float, float]], direction: str, eps: float | None) -> float:
-    bound_fn = _expected_lower if direction == "lower" else _expected_upper
+    bound_fn = expected_lower if direction == "lower" else expected_upper
     return sum(c * bound_fn(v, eps) for c, v in terms)
 
 
@@ -200,11 +180,11 @@ def vacuum_events_lower(
         p_g = probs[(ta, tb)]
         via_a = (
             math.exp(-k_a) * p_g / probs[(("o", "o"), tb)]
-            * _expected_lower(counts[(("o", "o"), tb)], eps)
+            * expected_lower(counts[(("o", "o"), tb)], eps)
         )
         via_b = (
             math.exp(-k_b) * p_g / probs[(ta, ("o", "o"))]
-            * _expected_lower(counts[(ta, ("o", "o"))], eps)
+            * expected_lower(counts[(ta, ("o", "o"))], eps)
         )
         total += max(via_a, via_b)
     return total
@@ -320,7 +300,7 @@ def xbasis_vacuum_errors_lower(
         counts[(oo, oo)],
     )
     plus = joint_bound(plus_terms, "lower", eps)
-    minus = minus_term[0] * _expected_upper(minus_term[1], eps)
+    minus = minus_term[0] * expected_upper(minus_term[1], eps)
     return max(plus - minus, 0.0)
 
 
@@ -382,12 +362,12 @@ def double_scan(
         (c_mu * math.exp(2.0 * nu_a) / probs[(two_nu, oo)], counts[(two_nu, oo)]),
     )
     h_minus = (c_mu / probs[(oo, oo)], counts[(oo, oo)])
-    h_lo = max(joint_bound(h_terms, "lower", eps) - h_minus[0] * _expected_upper(h_minus[1], eps), 0.0)
-    h_hi = max(joint_bound(h_terms, "upper", eps) - h_minus[0] * _expected_lower(h_minus[1], eps), h_lo)
+    h_lo = max(joint_bound(h_terms, "lower", eps) - h_minus[0] * expected_upper(h_minus[1], eps), 0.0)
+    h_hi = max(joint_bound(h_terms, "upper", eps) - h_minus[0] * expected_lower(h_minus[1], eps), h_lo)
 
     m_coef = c_mu * math.exp(2.0 * nu_a + 2.0 * nu_b) / probs[X_KEY]
-    m_lo = m_coef * _expected_lower(m_x, eps)
-    m_hi = m_coef * _expected_upper(m_x, eps)
+    m_lo = m_coef * expected_lower(m_x, eps)
+    m_hi = m_coef * expected_upper(m_x, eps)
 
     x_factor = math.exp(-2.0 * nu_a - 2.0 * nu_b) * probs[X_KEY]
 
@@ -461,10 +441,10 @@ def estimate(
     groups = z_key_groups(source, z_group_mode)
 
     s0_star = vacuum_events_lower(counts, probs, source, groups, eps)
-    s0_obs = _observed_lower(s0_star, eps)
+    s0_obs = observed_lower(s0_star, eps)
 
     s11z_star = single_photon_pairs_z_lower(counts, probs, source, groups, eps)
-    s11z_obs = _observed_lower(s11z_star, eps)
+    s11z_obs = observed_lower(s11z_star, eps)
 
     ratio = zx_count_ratio(probs, source, groups)
 
@@ -477,10 +457,10 @@ def estimate(
         e11x = scan.e11x_star
     else:
         s11x_star = s11z_star / ratio
-        t11x_star = max(_expected_upper(m_x, eps) - m0_star, 0.0)
+        t11x_star = max(expected_upper(m_x, eps) - m0_star, 0.0)
         e11x = 1.0
-    s11x_obs = _observed_lower(s11x_star, eps)
-    t11x_obs = max(m_x - _observed_lower(m0_star, eps), 0.0)
+    s11x_obs = observed_lower(s11x_star, eps)
+    t11x_obs = max(m_x - observed_lower(m0_star, eps), 0.0)
     if scan is None and s11x_obs > 0.0:
         e11x = min(t11x_obs / s11x_obs, 1.0)
 
@@ -488,13 +468,13 @@ def estimate(
 
     def phase_error(e_corner: float, s_star: float, t_star: float) -> float:
         if phase_error_method == "random_sampling":
-            s_obs = _observed_lower(s_star, eps)
+            s_obs = observed_lower(s_star, eps)
             if s_obs <= 0.0:
                 return 0.5
             if eps is None:
                 return e_corner
             return e_corner + sampling_correction(s11z_obs, s_obs, min(e_corner, 1.0), eps)
-        return _observed_upper(ratio * t_star, eps) / s11z_obs
+        return observed_upper(ratio * t_star, eps) / s11z_obs
 
     if infeasible:
         phi = 0.5

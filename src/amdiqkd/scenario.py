@@ -365,21 +365,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                         row[key] = value
             else:
                 warm = [previous_best[name]] if name in previous_best else []
-                try:
-                    report, best = _optimize_async_point(
-                        preset, l_a, l_b, n_pulses, VARIANTS[name], spec.budget, seed,
-                        warm, spec.optimize_pairing_window, duty_cycle=spec.duty_cycle,
-                    )
-                except Exception as exc:  # record the failure, keep sweeping
-                    row = _blank_row()
-                    row.update(
-                        distance_km=dist, l_a_km=l_a, l_b_km=l_b, variant=name,
-                        n_pulses=n_pulses, clock_hz=preset.clock_hz,
-                        rate_bits_per_pulse=0.0, rate_bps=0.0,
-                        budget=spec.budget, seed=seed, note=f"failed: {exc}",
-                    )
-                    at_point.append(row)
-                    continue
+                report, best = _optimize_async_point(
+                    preset, l_a, l_b, n_pulses, VARIANTS[name], spec.budget, seed,
+                    warm, spec.optimize_pairing_window, duty_cycle=spec.duty_cycle,
+                )
                 if report.rate_per_pulse > 0.0:
                     previous_best[name] = best
                 row = _report_row(dist, l_a, l_b, name, n_pulses, preset, report,

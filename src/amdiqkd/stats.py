@@ -1,9 +1,11 @@
-"""Finite-statistics primitives used throughout the estimation chain.
+"""Numerical primitives shared by the protocol and the reference protocols.
 
 Two multiplicative Chernoff-style interval maps (observed-from-expected and
-expected-from-observed), the random-sampling correction that links a measured
-error rate to a phase-error rate, and the binary entropy function.  Counts are
-treated as reals: the estimators are routinely applied to expected values.
+expected-from-observed) with their bound helpers, the random-sampling
+correction that links a measured error rate to a phase-error rate, the binary
+entropy function, and the two click-model primitives ``i0m1`` and
+``no_click``.  Counts are treated as reals: the estimators are routinely
+applied to expected values.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ __all__ = [
     "binary_entropy",
     "chernoff_observed",
     "chernoff_expected",
+    "expected_lower",
+    "expected_upper",
+    "observed_lower",
+    "observed_upper",
     "sampling_correction",
+    "i0m1",
+    "no_click",
 ]
 
 # Error rates are clamped into this open interval before the log in
@@ -51,18 +59,12 @@ class FailureBudget:
 
 @dataclass(frozen=True)
 class BoundedValue:
-    """Interval around a count.
-
-    ``central`` is the value the interval was built from; ``role`` records
-    whether it is an expected or an observed count so the two Chernoff
-    directions cannot be silently mixed up.
-    """
+    """Interval around a count; ``central`` is the value it was built from."""
 
     lower: float
     central: float
     upper: float
     eps: float
-    role: str = "expected"  # "expected" | "observed"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lower <= self.central <= self.upper:
@@ -82,7 +84,7 @@ def chernoff_observed(expected: float, eps: float) -> BoundedValue:
     beta = FailureBudget(eps).beta
     upper = expected + beta / 2.0 + math.sqrt(2.0 * beta * expected + beta * beta / 4.0)
     lower = max(expected - math.sqrt(2.0 * beta * expected), 0.0)
-    return BoundedValue(lower, expected, upper, eps, role="expected")
+    return BoundedValue(lower, expected, upper, eps)
 
 
 def chernoff_expected(observed: float, eps: float) -> BoundedValue:
@@ -92,7 +94,30 @@ def chernoff_expected(observed: float, eps: float) -> BoundedValue:
     beta = FailureBudget(eps).beta
     upper = observed + beta + math.sqrt(2.0 * beta * observed + beta * beta)
     lower = max(observed - beta / 2.0 - math.sqrt(2.0 * beta * observed + beta * beta / 4.0), 0.0)
-    return BoundedValue(lower, observed, upper, eps, role="observed")
+    return BoundedValue(lower, observed, upper, eps)
+
+
+# Bound helpers of the estimation chains; eps=None disables statistical slack,
+# which is how the soundness tests compare against Monte Carlo ground truth.
+
+def expected_lower(observed: float, eps: float | None) -> float:
+    return observed if eps is None else chernoff_expected(observed, eps).lower
+
+
+def expected_upper(observed: float, eps: float | None) -> float:
+    return observed if eps is None else chernoff_expected(observed, eps).upper
+
+
+def observed_lower(expected: float, eps: float | None) -> float:
+    if expected <= 0.0:
+        return 0.0
+    return expected if eps is None else chernoff_observed(expected, eps).lower
+
+
+def observed_upper(expected: float, eps: float | None) -> float:
+    if expected <= 0.0:
+        return 0.0
+    return expected if eps is None else chernoff_observed(expected, eps).upper
 
 
 def sampling_correction(n: float, k: float, rate: float, eps: float) -> float:
@@ -120,3 +145,30 @@ def sampling_correction(n: float, k: float, rate: float, eps: float) -> float:
     num = (1.0 - 2.0 * lam) * ag + math.sqrt(ag * ag + 4.0 * lam * (1.0 - lam) * g)
     den = 2.0 + 2.0 * a_max * ag / total
     return num / den
+
+
+def i0m1(x: float) -> float:
+    """I0(x) - 1, the modified Bessel function of order 0 less one.
+
+    Summed from its power series, whose terms are all positive, so the result
+    keeps full relative precision also where I0(x) is close to 1.
+    """
+    q = 0.25 * x * x
+    term = total = q
+    k = 1
+    while term > 1e-17 * total:
+        k += 1
+        term *= q / (k * k)
+        total += term
+    return total
+
+
+def no_click(mean: float, p_d: float) -> tuple[float, float]:
+    """Silence probability y = (1 - p_d) exp(-mean) of one threshold detector, and 1 - y.
+
+    ``mean`` is the mean detected photon number and ``p_d`` the dark-count
+    probability; 1 - y is formed without cancellation, so a bin that clicks
+    only on dark counts still gets full relative precision.
+    """
+    log_y = math.log1p(-p_d) - mean
+    return math.exp(log_y), -math.expm1(log_y)

@@ -14,12 +14,16 @@ from amdiqkd.channel import (
     pair_gain_phase,
     pairing_statistics,
     party_totals,
-    periodic_mean,
     total_intensity,
+    xbasis_error_count,
     z_error_rates,
 )
 
 DET = DetectorPair(eta_d=0.8, dark_rate_hz=0.1)
+
+# Uniform phase grid: the trapezoid rule is exact to round-off for the smooth
+# periodic integrands of the click model.
+THETAS = 2.0 * math.pi * np.arange(256) / 256
 
 
 def make_link(l_a=50.0, l_b=50.0, clock_hz=1e9, **kw):
@@ -58,18 +62,14 @@ class TestPairGain:
         # the defining consistency check of the module
         link = make_link(50.0, 50.0)
         closed = pair_gain(0.1, 0.1, link, DET)
-        averaged = periodic_mean(
-            lambda t: sum(pair_gain_phase(0.1, 0.1, t, link, DET)), rel_tol=1e-12
-        )
-        assert averaged == pytest.approx(closed, rel=1e-9)
+        averaged = np.mean(sum(pair_gain_phase(0.1, 0.1, THETAS, link, DET)))
+        assert averaged == pytest.approx(closed, rel=1e-12)
 
     def test_phase_average_matches_bessel_asymmetric(self):
         link = make_link(80.0, 20.0)
         closed = pair_gain(0.4, 0.07, link, DET)
-        averaged = periodic_mean(
-            lambda t: sum(pair_gain_phase(0.4, 0.07, t, link, DET)), rel_tol=1e-12
-        )
-        assert averaged == pytest.approx(closed, rel=1e-9)
+        averaged = np.mean(sum(pair_gain_phase(0.4, 0.07, THETAS, link, DET)))
+        assert averaged == pytest.approx(closed, rel=1e-12)
 
     def test_balanced_at_quarter_period(self):
         q_l, q_r = pair_gain_phase(0.2, 0.3, math.pi / 2.0, make_link(), DET)
@@ -176,6 +176,22 @@ class TestCoincidenceCounts:
         assert sifted[key] < raw[key]
         assert sifted[key] == pytest.approx(raw[key] * 2.0 / link.phase_slices, rel=0.6)
 
+    def test_sifted_count_matches_phase_average(self):
+        # both bins of a matched-phase pair see the same phase
+        src = make_source()
+        link = make_link(25.0, 25.0)
+        n_pairs, q_tot = 1e10, kept_click_prob(src, link, DET)
+        counts = coincidence_counts(src, link, DET, n_pairs, q_tot)
+        for lab in ("mu", "nu"):
+            weight = src.probabilities_a[lab] * src.probabilities_b[lab] / q_tot
+            q_l, q_r = pair_gain_phase(
+                src.intensities_a[lab], src.intensities_b[lab], THETAS, link, DET
+            )
+            averaged = (
+                n_pairs * (2.0 / link.phase_slices) * np.mean((weight * (q_l + q_r)) ** 2)
+            )
+            assert counts[((lab, lab), (lab, lab))] == pytest.approx(averaged, rel=1e-12)
+
     def test_totals_enumeration(self):
         labels = ("mu", "nu", "o")
         totals = party_totals(labels)
@@ -202,6 +218,24 @@ class TestObservables:
                                                    laser_offset_hz=0.0), DET, 1e12)
         noisy = expected_observables(src, make_link(), DET, 1e12)
         assert base.m_x < noisy.m_x
+
+    def test_xbasis_errors_match_phase_average(self):
+        # the late bin runs ahead by the drift phase; misalignment swaps the verdict
+        src = make_source()
+        link = make_link(25.0, 25.0, phase_drift_rad_per_s=3e5)
+        n_pairs, q_tot = 1e10, kept_click_prob(src, link, DET)
+        t_mean = 2e-6
+        delta = link.drift_phase(t_mean)
+        assert 0.1 < delta % (2.0 * math.pi) < 2.0 * math.pi - 0.1
+        nu_a, nu_b = src.intensities_a["nu"], src.intensities_b["nu"]
+        q_l, q_r = pair_gain_phase(nu_a, nu_b, THETAS, link, DET)
+        q_l_d, q_r_d = pair_gain_phase(nu_a, nu_b, THETAS + delta, link, DET)
+        e_mis = link.interference_error
+        mixed = (1.0 - e_mis) * (q_l * q_r_d + q_r * q_l_d) + e_mis * (q_l * q_l_d + q_r * q_r_d)
+        weight = (src.probabilities_a["nu"] * src.probabilities_b["nu"] / q_tot) ** 2
+        averaged = n_pairs * (2.0 / link.phase_slices) * weight * np.mean(mixed)
+        closed = xbasis_error_count(src, link, DET, n_pairs, t_mean, q_tot)
+        assert closed == pytest.approx(averaged, rel=1e-12)
 
     def test_z_error_rates_between_zero_and_half(self):
         src = make_source(click_filtering=False)

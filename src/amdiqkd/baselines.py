@@ -282,21 +282,23 @@ def bb84_observables(params: Bb84Params, n_pulses: float) -> Bb84Observables:
     e_0 = 0.5
     q_z, q_x = params.q_z, 1.0 - params.q_z
     eta = params.eta
+    # an apparatus is two detectors; the second one's dark counts act as an
+    # extra mean -log(1 - p_d) on a single no_click detector
+    dark_mean = -math.log1p(-p_d)
+    dark_click = no_click(dark_mean, p_d)[1]
     n_z, m_z, n_x, m_x = {}, {}, {}, {}
     for lab in LEVELS:
         k = params.intensities[lab]
         weight = n_pulses * params.probs[lab] / 2.0
-        miss_z = (1.0 - p_d) ** 2 * math.exp(-k * q_z * eta)
-        miss_x = (1.0 - p_d) ** 2 * math.exp(-k * q_x * eta)
-        n_z[lab] = weight * (1.0 - miss_z) * (1.0 + miss_x)
+        miss_z, click_z = no_click(k * q_z * eta + dark_mean, p_d)
+        miss_x, click_x = no_click(k * q_x * eta + dark_mean, p_d)
+        n_z[lab] = weight * click_z * (1.0 + miss_x)
         m_z[lab] = weight * (1.0 + miss_x) * (
-            (e_0 - e_m) * (1.0 - (1.0 - p_d) ** 2) * math.exp(-k * q_z * eta)
-            + e_m * (1.0 - miss_z)
+            (e_0 - e_m) * dark_click * math.exp(-k * q_z * eta) + e_m * click_z
         )
-        n_x[lab] = weight * (1.0 - miss_x) * (1.0 + miss_z)
+        n_x[lab] = weight * click_x * (1.0 + miss_z)
         m_x[lab] = weight * (1.0 + miss_z) * (
-            (e_0 - e_m) * (1.0 - (1.0 - p_d) ** 2) * math.exp(-k * q_x * eta)
-            + e_m * (1.0 - miss_x)
+            (e_0 - e_m) * dark_click * math.exp(-k * q_x * eta) + e_m * click_x
         )
     return Bb84Observables(n_z=n_z, m_z=m_z, n_x=n_x, m_x=m_x, q_z=q_z, q_x=q_x)
 

@@ -40,22 +40,34 @@ __all__ = ["OracleResult", "simulate", "pattern_given_arrived", "LayerPosterior"
 # ---------------------------------------------------------------------------
 # exact two-bin interference model for small photon numbers
 # ---------------------------------------------------------------------------
+#
+# Alice's n_a photons enter the output modes (L_early, R_early, L_late,
+# R_late) with amplitudes (1, 1, s, s)/2, s = -1 for a pi phase difference,
+# Bob's n_b photons with (1, -1, 1, -1)/2.  Expanding both multinomials, the
+# amplitude of an output occupancy o sums a product of binomials over the
+# ways to split o between the parties; that sum is the coefficient of
+# t**n_a in (t + 1)**p (t - 1)**(N - p), N = n_a + n_b, where p counts the
+# photons in the modes whose two coefficients agree in sign (L_early and
+# L_late for s = 1, L_early and R_late for s = -1).  So
+#
+#     P(o | n_a, n_b) = n_a! n_b! / (4**N prod(o!)) * K_N[p(o), n_a]**2,
+#
+# with K_N integer-valued and exact in float64 for N <= 56, well past the
+# photon-number caps of the posterior.
 
-def _multinomial_expansion(n: int, coefs: tuple[complex, ...]) -> dict[tuple[int, ...], complex]:
-    """Coefficients of (sum_m coefs[m] x_m)^n as a dict occupancy -> coefficient."""
-    terms: dict[tuple[int, ...], complex] = {(0, 0, 0, 0): 1.0 + 0.0j}
-    for _ in range(n):
-        new: dict[tuple[int, ...], complex] = {}
-        for occ, amp in terms.items():
-            for m, c in enumerate(coefs):
-                if c == 0.0:
-                    continue
-                nxt = list(occ)
-                nxt[m] += 1
-                key = tuple(nxt)
-                new[key] = new.get(key, 0.0 + 0.0j) + amp * c
-        terms = new
-    return terms
+_FACT = np.array([math.factorial(n) for n in range(171)], dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _split_amplitudes(n: int) -> np.ndarray:
+    """K[p, j]: coefficient of t**j in (t + 1)**p (t - 1)**(n - p)."""
+    out = np.zeros((n + 1, n + 1))
+    for p in range(n + 1):
+        q = n - p
+        plus = [math.comb(p, i) for i in range(p + 1)]
+        minus = [math.comb(q, i) * (-1) ** (q - i) for i in range(q + 1)]
+        out[p] = np.convolve(plus, minus)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -65,39 +77,69 @@ def _occupancy_table(n_a: int, n_b: int, matched_pi: bool) -> tuple[tuple[tuple[
     ``n_a`` photons sit in an equal-amplitude superposition of Alice's early
     and late bins (internal phase ``0`` or ``pi`` relative to Bob's), ``n_b``
     in Bob's; each bin is mixed on a balanced beam splitter.  Mode order is
-    (L_early, R_early, L_late, R_late).
+    (L_early, R_early, L_late, R_late); occupancies of zero probability are
+    left out.
     """
-    phase = -1.0 if matched_pi else 1.0
-    c_a = (0.5, 0.5, 0.5 * phase, 0.5 * phase)
-    c_b = (0.5, -0.5, 0.5, -0.5)
-    poly_a = _multinomial_expansion(n_a, c_a)
-    poly_b = _multinomial_expansion(n_b, c_b)
-    combined: dict[tuple[int, int, int, int], complex] = {}
-    for occ_a, amp_a in poly_a.items():
-        for occ_b, amp_b in poly_b.items():
-            key = tuple(x + y for x, y in zip(occ_a, occ_b))
-            combined[key] = combined.get(key, 0.0 + 0.0j) + amp_a * amp_b
-    norm = math.factorial(n_a) * math.factorial(n_b)
-    out = []
-    for occ, amp in combined.items():
-        weight = abs(amp) ** 2
-        if weight == 0.0:
-            continue
-        fact = 1.0
-        for m in occ:
-            fact *= math.factorial(m)
-        out.append((occ, weight * fact / norm))
-    return tuple(out)
+    n = n_a + n_b
+    le, re, ll = (axis.ravel() for axis in np.indices((n + 1,) * 3))
+    occ = np.stack([le, re, ll, n - le - re - ll], axis=1)
+    occ = occ[occ[:, 3] >= 0]
+    agree = occ[:, 0] + (occ[:, 3] if matched_pi else occ[:, 2])
+    prob = (
+        _FACT[n_a] * _FACT[n_b] / 4.0**n / _FACT[occ].prod(axis=1)
+        * _split_amplitudes(n)[agree, n_a] ** 2
+    )
+    keep = prob > 0.0
+    return tuple(zip(map(tuple, occ[keep].tolist()), prob[keep].tolist()))
 
 
-def _bin_click_prob(n_fire: int, n_quiet: int, eta_d: float, p_d: float) -> float:
+def _bin_click_prob(n_fire, n_quiet, eta_d: float, p_d: float):
     """P(exactly the detector holding n_fire photons clicks in a bin)."""
     quiet = (1.0 - p_d) * (1.0 - eta_d) ** n_quiet
     fire = 1.0 - (1.0 - p_d) * (1.0 - eta_d) ** n_fire
     return fire * quiet
 
 
-@lru_cache(maxsize=None)
+def _arrived_grid(
+    cap_a: int,
+    cap_b: int,
+    matched_pi: bool,
+    det_early: int,
+    det_late: int,
+    eta_d: float,
+    p_d: float,
+) -> np.ndarray:
+    """``pattern_given_arrived`` for every n_a <= cap_a, n_b <= cap_b at once.
+
+    Each occupancy keeps its own fire * quiet click product; occupancies that
+    share the sign-agreeing count p and the total N differ only in
+    1 / prod(o!) and the click products, so their sum is the anti-diagonal
+    N of one 2-D convolution of the early-bin and late-bin tables.
+    """
+    n_max = cap_a + cap_b
+    photons = np.arange(n_max + 1)
+    # click[f, q]: the detector holding f photons clicks, the one with q stays quiet
+    click = _bin_click_prob(photons[:, None], photons[None, :], eta_d, p_d)
+    inv = 1.0 / _FACT[photons]
+    # indexed by the photon numbers in the (left, right) port of each bin
+    early = (click.T if det_early else click) * inv[:, None] * inv[None, :]
+    late = (click.T if det_late else click) * inv[:, None] * inv[None, :]
+    if matched_pi:  # p counts R_late instead of L_late
+        late = late.T
+    # grouped[p, q] = sum over early + late occupancies with (p, q) photons
+    grouped = np.zeros((2 * n_max + 1, 2 * n_max + 1))
+    for i in range(n_max + 1):
+        for j in range(n_max + 1 - i):
+            grouped[i:i + n_max + 1, j:j + n_max + 1] += early[i, j] * late
+    out = np.zeros((cap_a + 1, cap_b + 1))
+    for n in range(n_max + 1):
+        n_a = np.arange(max(0, n - cap_b), min(n, cap_a) + 1)
+        per_p = grouped[np.arange(n + 1), n - np.arange(n + 1)]
+        sums = per_p @ _split_amplitudes(n)[:, n_a] ** 2
+        out[n_a, n - n_a] = _FACT[n_a] * _FACT[n - n_a] / 4.0**n * sums
+    return out
+
+
 def pattern_given_arrived(
     n_a: int,
     n_b: int,
@@ -112,12 +154,8 @@ def pattern_given_arrived(
     ``det_early``/``det_late`` select which detector clicked in each bin
     (0 = left, 1 = right).
     """
-    total = 0.0
-    for (le, re, ll, rl), prob in _occupancy_table(n_a, n_b, matched_pi):
-        early = _bin_click_prob(re, le, eta_d, p_d) if det_early else _bin_click_prob(le, re, eta_d, p_d)
-        late = _bin_click_prob(rl, ll, eta_d, p_d) if det_late else _bin_click_prob(ll, rl, eta_d, p_d)
-        total += prob * early * late
-    return total
+    grid = _arrived_grid(n_a, n_b, matched_pi, det_early, det_late, eta_d, p_d)
+    return float(grid[n_a, n_b])
 
 
 def _poisson_cap(mean: float, tail: float = 1e-9) -> int:
@@ -169,12 +207,9 @@ class LayerPosterior:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        arrived = np.empty((self.cap_a + 1, self.cap_b + 1))
-        for na in range(self.cap_a + 1):
-            for nb in range(self.cap_b + 1):
-                arrived[na, nb] = pattern_given_arrived(
-                    na, nb, matched_pi, det_early, det_late, self.eta_d, self.p_d
-                )
+        arrived = _arrived_grid(
+            self.cap_a, self.cap_b, matched_pi, det_early, det_late, self.eta_d, self.p_d
+        )
         emitted = self.thin_a @ arrived @ self.thin_b.T
         joint = self.prior_a[:, None] * emitted * self.prior_b[None, :]
         total = joint.sum()
@@ -182,14 +217,33 @@ class LayerPosterior:
         self._cache[key] = post
         return post
 
-    def sample(self, matched_pi: bool, det_early: int, det_late: int, rng) -> tuple[int, int]:
-        post = self.probs(matched_pi, det_early, det_late)
-        flat = post.reshape(-1)
-        total = flat.sum()
-        if total <= 0.0:
-            return (-1, -1)
-        idx = rng.choice(flat.size, p=flat / total)
-        return int(idx // post.shape[1]), int(idx % post.shape[1])
+    def sample(
+        self, matched_pi: np.ndarray, det_early: np.ndarray, det_late: np.ndarray, rng
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw the emitted layers (n_a, n_b) of each event, in event order.
+
+        Consumes one ``rng.random()`` per event whose pattern has nonzero
+        probability, exactly as ``rng.choice(post.size, p=post)`` per event
+        would; impossible events get (-1, -1) and consume nothing.
+        """
+        code = (matched_pi.astype(np.int64) * 2 + det_early) * 2 + det_late
+        cdfs = {}
+        for c in np.unique(code).tolist():
+            flat = self.probs(bool(c >> 2), (c >> 1) & 1, c & 1).reshape(-1)
+            total = flat.sum()
+            if total > 0.0:
+                cdf = (flat / total).cumsum()
+                cdf /= cdf[-1]
+                cdfs[c] = cdf
+        possible = np.isin(code, list(cdfs))
+        rows = np.nonzero(possible)[0]
+        u = rng.random(rows.size)
+        flat_idx = np.full(code.size, -1, dtype=np.int64)
+        for c, cdf in cdfs.items():
+            sel = code[rows] == c
+            flat_idx[rows[sel]] = cdf.searchsorted(u[sel], side="right")
+        width = self.cap_b + 1
+        return (np.where(possible, flat_idx // width, -1), np.where(possible, flat_idx % width, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -225,44 +279,79 @@ class OracleResult:
         return self.n_clicks / self.n_bins
 
 
+def _draw_labels(rng, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(cdf.size, size, p=...)`` given the cdf that ``choice``
+    builds from p: the number of cdf edges at or below a uniform draw."""
+    u = rng.random(size)
+    labels = np.zeros(size, dtype=np.int8)
+    for edge in cdf[:-1]:
+        labels += u >= edge
+    return labels
+
+
+def _bright_bins(labels: np.ndarray, intensities: np.ndarray) -> np.ndarray:
+    """Bins whose label has a nonzero intensity."""
+    bright = np.ones(labels.size, dtype=bool)
+    for dark in np.flatnonzero(intensities == 0.0):
+        bright &= labels != dark
+    return np.nonzero(bright)[0]
+
+
 def _click_chunk(rng, size, start_idx, src_arrays, link, det, drift_per_bin):
-    """Simulate one chunk of time bins; return compact arrays of kept clicks."""
-    (ints_a, probs_a, ints_b, probs_b, kept_matrix) = src_arrays
+    """Simulate one chunk of time bins; return compact arrays of kept clicks.
+
+    Draws happen in a fixed order, each over the bins in index order.  A
+    zero-mean Poisson or zero-trial binomial draw consumes no random numbers,
+    so those draws are made only for the bins where they can be nonzero; the
+    stream is the same as drawing every bin.
+    """
+    (ints_a, cdf_a, ints_b, cdf_b, kept_matrix) = src_arrays
     m_slices = link.phase_slices
     eta_a, eta_b, eta_d = link.eta_a, link.eta_b, det.eta_d
     p_d = det.dark_prob(link.clock_hz)
 
-    la = rng.choice(len(probs_a), size=size, p=probs_a).astype(np.int8)
-    lb = rng.choice(len(probs_b), size=size, p=probs_b).astype(np.int8)
+    la = _draw_labels(rng, cdf_a, size)
+    lb = _draw_labels(rng, cdf_b, size)
     sa = rng.integers(0, m_slices, size=size, dtype=np.int16)
     sb = rng.integers(0, m_slices, size=size, dtype=np.int16)
-    k_a = ints_a[la]
-    k_b = ints_b[lb]
-    n_src_a = rng.poisson(k_a).astype(np.int16)
-    n_src_b = rng.poisson(k_b).astype(np.int16)
-    arr_a = rng.binomial(n_src_a, eta_a).astype(np.int16)
-    arr_b = rng.binomial(n_src_b, eta_b).astype(np.int16)
+    bright_a = _bright_bins(la, ints_a)
+    bright_b = _bright_bins(lb, ints_b)
+    n_src_a = np.zeros(size, dtype=np.int16)
+    n_src_b = np.zeros(size, dtype=np.int16)
+    n_src_a[bright_a] = rng.poisson(ints_a[la[bright_a]])
+    n_src_b[bright_b] = rng.poisson(ints_b[lb[bright_b]])
+    emit_a = np.nonzero(n_src_a)[0]
+    emit_b = np.nonzero(n_src_b)[0]
+    arr_a = np.zeros(size, dtype=np.int16)
+    arr_b = np.zeros(size, dtype=np.int16)
+    arr_a[emit_a] = rng.binomial(n_src_a[emit_a], eta_a)
+    arr_b[emit_b] = rng.binomial(n_src_b[emit_b], eta_b)
 
-    idx = start_idx + np.arange(size, dtype=np.int64)
-    phase = 2.0 * math.pi * (sa.astype(np.float64) - sb) / m_slices + drift_per_bin * idx
-    a_mean = eta_a * k_a
-    b_mean = eta_b * k_b
-    denom = a_mean + b_mean
-    with np.errstate(invalid="ignore", divide="ignore"):
-        weight = np.where(denom > 0.0, 0.5 + np.sqrt(a_mean * b_mean) * np.cos(phase) / denom, 0.5)
-    weight = np.clip(weight, 0.0, 1.0)
+    # beam-splitter routing of the bins where photons arrived
+    total_arrived = arr_a + arr_b
+    hit = np.nonzero(total_arrived)[0]
+    phase = (
+        2.0 * math.pi * (sa[hit].astype(np.float64) - sb[hit]) / m_slices
+        + drift_per_bin * (start_idx + hit)
+    )
+    a_mean = eta_a * ints_a[la[hit]]
+    b_mean = eta_b * ints_b[lb[hit]]
+    weight = np.clip(0.5 + np.sqrt(a_mean * b_mean) * np.cos(phase) / (a_mean + b_mean), 0.0, 1.0)
+    n_hit = total_arrived[hit].astype(np.int64)
+    n_left = rng.binomial(n_hit, weight)
 
-    total_arrived = (arr_a + arr_b).astype(np.int64)
-    n_left = rng.binomial(total_arrived, weight)
-    n_right = total_arrived - n_left
-
-    click_l = (rng.random(size) < 1.0 - (1.0 - p_d) * (1.0 - eta_d) ** n_left)
-    click_r = (rng.random(size) < 1.0 - (1.0 - p_d) * (1.0 - eta_d) ** n_right)
-    kept = np.logical_xor(click_l, click_r) & kept_matrix[la, lb]
-
-    sel = np.nonzero(kept)[0]
+    # detection: P(click | n photons) per photon number, darks alone elsewhere
+    click_prob = 1.0 - (1.0 - p_d) * (1.0 - eta_d) ** np.arange(n_hit.max(initial=0) + 1)
+    thr_l = np.full(size, click_prob[0])
+    thr_r = np.full(size, click_prob[0])
+    thr_l[hit] = click_prob[n_left]
+    thr_r[hit] = click_prob[n_hit - n_left]
+    click_l = rng.random(size) < thr_l
+    click_r = rng.random(size) < thr_r
+    single = np.nonzero(click_l != click_r)[0]
+    sel = single[kept_matrix[la[single], lb[single]]]
     return (
-        idx[sel],
+        start_idx + sel,
         la[sel],
         lb[sel],
         sa[sel],
@@ -274,19 +363,20 @@ def _click_chunk(rng, size, start_idx, src_arrays, link, det, drift_per_bin):
 
 
 def _pair_scan(indices: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy nearest-successor pairing; returns positions of early/late clicks."""
-    early, late = [], []
-    pending = -1
-    pending_idx = 0
-    for pos in range(indices.size):
-        if pending >= 0 and indices[pos] - pending_idx <= window:
-            early.append(pending)
-            late.append(pos)
-            pending = -1
-        else:
-            pending = pos
-            pending_idx = indices[pos]
-    return np.asarray(early, dtype=np.int64), np.asarray(late, dtype=np.int64)
+    """Greedy nearest-successor pairing; returns positions of early/late clicks.
+
+    Walking the clicks in order, a click pairs with the pending one before it
+    when their gap is at most ``window``.  Inside each maximal run of clicks
+    whose successive gaps are all within the window this pairs (r, r+1),
+    (r+2, r+3), ... from the run start r, so the late clicks are the ones at
+    odd offsets from their run start.
+    """
+    pos = np.arange(indices.size)
+    run_start = np.ones(indices.size, dtype=bool)
+    run_start[1:] = np.diff(indices) > window
+    offset = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
+    late = pos[offset % 2 == 1]
+    return late - 1, late
 
 
 def simulate(
@@ -301,14 +391,24 @@ def simulate(
 
     Deterministic for fixed (seed, n_bins, chunk_bins); the random stream is
     partitioned per chunk of bins, so a parallel implementation sharding by
-    chunk would reproduce these results exactly.
+    chunk would reproduce these results exactly.  Within a chunk, emission,
+    fibre loss and beam-splitter routing are drawn only for the bins where
+    they can be nonzero; numpy draws nothing for a zero-mean Poisson or a
+    zero-trial binomial, so the stream is the one a draw for every bin gives.
+
+    Kept clicks pair greedily with their nearest successor: inside each
+    maximal run of clicks whose successive gaps are at most the pairing
+    window, clicks (r, r+1), (r+2, r+3), ... pair from the run start r.
     """
     labels = source.labels
     n_labels = len(labels)
     ints_a = np.array([source.intensities_a[l] for l in labels])
     ints_b = np.array([source.intensities_b[l] for l in labels])
-    probs_a = np.array([source.probabilities_a[l] for l in labels])
-    probs_b = np.array([source.probabilities_b[l] for l in labels])
+    # label cdfs as ``Generator.choice(p=...)`` builds them
+    cdf_a = np.cumsum([source.probabilities_a[l] for l in labels])
+    cdf_b = np.cumsum([source.probabilities_b[l] for l in labels])
+    cdf_a /= cdf_a[-1]
+    cdf_b /= cdf_b[-1]
     kept_matrix = np.ones((n_labels, n_labels), dtype=bool)
     for (la, lb) in source.filtered_pairs:
         kept_matrix[labels.index(la), labels.index(lb)] = False
@@ -320,7 +420,7 @@ def simulate(
     posterior_rng = np.random.default_rng(streams[-1])
 
     fields = [[] for _ in range(8)]
-    src_arrays = (ints_a, probs_a, ints_b, probs_b, kept_matrix)
+    src_arrays = (ints_a, cdf_a, ints_b, cdf_b, kept_matrix)
     for chunk in range(n_chunks):
         size = min(chunk_bins, n_bins - chunk * chunk_bins)
         rng = np.random.default_rng(streams[chunk])
@@ -331,7 +431,7 @@ def simulate(
 
     early, late = _pair_scan(idx, link.pairing_window_bins)
     n_pairs = early.size
-    gaps = idx[late] - idx[early] if n_pairs else np.array([], dtype=np.int64)
+    gaps = idx[late] - idx[early]
 
     # party totals: canonical unordered label pair per party
     tot_code = np.empty((n_labels, n_labels), dtype=np.int16)
@@ -406,23 +506,19 @@ def simulate(
         eta_d=det.eta_d,
         p_d=det.dark_prob(link.clock_hz),
     )
-    x_truth = GroupTruth(count=int(x_pos.size), errors=int(np.count_nonzero(x_error)))
-    x_vac = 0
-    x_vac_err = 0
-    for row, pos in enumerate(x_pos):
-        lay_a, lay_b = posterior.sample(
-            bool(matched_pi[pos]),
-            int(det_click[early[pos]]),
-            int(det_click[late[pos]]),
-            posterior_rng,
-        )
-        err = bool(x_error[row])
-        if lay_a == 1 and lay_b == 1:
-            x_truth.single_photon_pairs += 1
-            x_truth.single_photon_errors += err
-        if lay_a == 0 or lay_b == 0:
-            x_vac += 1
-            x_vac_err += err
+    lay_a, lay_b = posterior.sample(
+        matched_pi[x_pos], det_click[early[x_pos]], det_click[late[x_pos]], posterior_rng
+    )
+    single = (lay_a == 1) & (lay_b == 1)
+    vacuum = (lay_a == 0) | (lay_b == 0)
+    x_truth = GroupTruth(
+        count=int(x_pos.size),
+        errors=int(np.count_nonzero(x_error)),
+        single_photon_pairs=int(np.count_nonzero(single)),
+        single_photon_errors=int(np.count_nonzero(single & x_error)),
+    )
+    x_vac = int(np.count_nonzero(vacuum))
+    x_vac_err = int(np.count_nonzero(vacuum & x_error))
 
     return OracleResult(
         n_bins=n_bins,

@@ -106,3 +106,17 @@ class TestValidateOracle:
                      "--out", str(tmp_path / "o")]) == 0
         report = (tmp_path / "o" / "oracle_report.txt").read_text()
         assert "config 0" in report and "FAILED" not in report
+
+    def test_report_gives_z_per_check(self, tmp_path):
+        main(["validate-oracle", "--bins", "3e5", "--seed", "7", "--out", str(tmp_path / "o")])
+        lines = (tmp_path / "o" / "oracle_report.txt").read_text().splitlines()
+        heads = [i for i, line in enumerate(lines) if line.startswith("config ")]
+        assert len(heads) == 3
+        for start, end in zip(heads, heads[1:] + [len(lines)]):
+            n_checks = int(lines[start].split(": ")[1].split(" checks")[0])
+            z_lines = lines[start + 1:end]
+            assert len(z_lines) == n_checks
+            assert all(line.startswith("  ") and ": z = " in line for line in z_lines)
+            names = [line.split(": z = ")[0].strip() for line in z_lines]
+            assert names[0] == "pairs"
+            assert names[-4:] == ["s0_sound", "s11_sound", "t11x_sound", "m0_sound"]

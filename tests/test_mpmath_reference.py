@@ -12,7 +12,7 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from amdiqkd.baselines import MdiParams, mdi_observables  # noqa: E402
+from amdiqkd.baselines import Bb84Params, MdiParams, bb84_observables, mdi_observables  # noqa: E402
 from amdiqkd.channel import (  # noqa: E402
     SourceConfig,
     coincidence_counts,
@@ -157,3 +157,32 @@ def test_mdi_observables(total_km):
             }
             for name, value in exact.items():
                 assert rel_err(getattr(obs, name)[(la, lb)], value) <= REL, (name, la, lb)
+
+
+@pytest.mark.parametrize("total_km", [0.0, 100.0, 300.0, 480.0])
+def test_bb84_observables(total_km):
+    params = Bb84Params(
+        intensities=MDI_INTS, probs=MDI_PROBS, length_km=total_km,
+        attenuation_db_per_km=PRESET.attenuation_db_per_km, eta_det=PRESET.eta_d,
+        dark_prob=P_D, q_z=0.7,
+    )
+    n_pulses = 3.168e14
+    obs = bb84_observables(params, n_pulses)
+    p_d, e_m, eta = mpmath.mpf(P_D), mpmath.mpf(params.misalignment), mpmath.mpf(params.eta)
+    q_z = mpmath.mpf(params.q_z)
+    q_x = 1 - q_z
+    for lab in MDI_INTS:
+        k = mpmath.mpf(MDI_INTS[lab])
+        w = mpmath.mpf(n_pulses) * mpmath.mpf(MDI_PROBS[lab]) / 2
+        pass_z, pass_x = mpmath.exp(-k * q_z * eta), mpmath.exp(-k * q_x * eta)
+        miss_z, miss_x = (1 - p_d) ** 2 * pass_z, (1 - p_d) ** 2 * pass_x
+        dark = 1 - (1 - p_d) ** 2
+        half = mpmath.mpf(1) / 2
+        exact = {
+            "n_z": w * (1 - miss_z) * (1 + miss_x),
+            "m_z": w * (1 + miss_x) * ((half - e_m) * dark * pass_z + e_m * (1 - miss_z)),
+            "n_x": w * (1 - miss_x) * (1 + miss_z),
+            "m_x": w * (1 + miss_z) * ((half - e_m) * dark * pass_x + e_m * (1 - miss_x)),
+        }
+        for name, value in exact.items():
+            assert rel_err(getattr(obs, name)[lab], value) <= REL, (name, lab)

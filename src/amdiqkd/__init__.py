@@ -7,14 +7,7 @@ from .decoy import DecoyEstimate, estimate, pairing_probs
 from .keyrate import KeyRateReport, ProtocolVariant, evaluate, key_length, repeaterless_bound
 from .optimizer import OptimResult, SearchSpace, async_search_space, optimize_link
 from .oracle import OracleResult, simulate
-from .stats import (
-    BoundedValue,
-    FailureBudget,
-    binary_entropy,
-    chernoff_expected,
-    chernoff_observed,
-    sampling_correction,
-)
+from .stats import binary_entropy, chernoff_expected, chernoff_observed, sampling_correction
 
 __all__ = [
     "ChannelLink",
@@ -36,8 +29,6 @@ __all__ = [
     "optimize_link",
     "OracleResult",
     "simulate",
-    "BoundedValue",
-    "FailureBudget",
     "binary_entropy",
     "chernoff_expected",
     "chernoff_observed",

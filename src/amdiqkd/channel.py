@@ -46,6 +46,7 @@ __all__ = [
     "z_error_rates",
     "expected_observables",
     "party_totals",
+    "split_sums",
     "total_intensity",
 ]
 
@@ -196,9 +197,12 @@ class SourceConfig:
     @cached_property
     def survival_prob(self) -> float:
         """Probability that a click survives filtering, from send probabilities."""
+        # subtract in label order: a set's iteration order follows the string hash seed
         p_s = 1.0
-        for (la, lb) in self.filtered_pairs:
-            p_s -= self.probabilities_a[la] * self.probabilities_b[lb]
+        for la in self.labels:
+            for lb in self.labels:
+                if (la, lb) in self.filtered_pairs:
+                    p_s -= self.probabilities_a[la] * self.probabilities_b[lb]
         return p_s
 
     @classmethod
@@ -253,6 +257,27 @@ def _splits(total: tuple[str, str]) -> list[tuple[str, str]]:
     if l1 == l2:
         return [(l1, l2)]
     return [(l1, l2), (l2, l1)]
+
+
+def split_sums(
+    source: SourceConfig, weight: Mapping[tuple[str, str], float]
+) -> dict[tuple[tuple[str, str], tuple[str, str]], float]:
+    """Sum over (early, late) splits of weight[early] * weight[late], per group.
+
+    ``weight`` maps every single-bin label pair (label_a, label_b) to its
+    weight, 0.0 where filtering discards the pair; the result is keyed by the
+    (total_a, total_b) coincidence groups.
+    """
+    totals = party_totals(source.labels)
+    sums = {}
+    for ta in totals:
+        for tb in totals:
+            acc = 0.0
+            for ae, al in _splits(ta):
+                for be, bl in _splits(tb):
+                    acc += weight[(ae, be)] * weight[(al, bl)]
+            sums[(ta, tb)] = acc
+    return sums
 
 
 def _click_given_means(mean_l, mean_r, p_d):
@@ -400,30 +425,19 @@ def coincidence_counts(
         return {(ta, tb): 0.0 for ta in totals for tb in totals}
 
     p_a, p_b = source.probabilities_a, source.probabilities_b
-    sifted = _phase_sifted_totals(source) if phase_sifted else set()
-    m_slices = link.phase_slices
-
-    def bin_fraction(la: str, lb: str) -> float:
-        if not source.kept(la, lb):
-            return 0.0
-        return p_a[la] * p_b[lb] * table[(la, lb)] / q_tot
-
-    counts: dict[tuple[tuple[str, str], tuple[str, str]], float] = {}
-    totals = party_totals(source.labels)
-    for ta in totals:
-        for tb in totals:
-            if (ta, tb) in sifted:
-                weight = p_a[ta[0]] * p_b[tb[0]] / q_tot
-                opposite, same = _click_correlations(
-                    source.intensities_a[ta[0]], source.intensities_b[tb[0]], 0.0, link, det
-                )
-                counts[(ta, tb)] = n_pairs * (2.0 / m_slices) * weight * weight * (opposite + same)
-            else:
-                acc = 0.0
-                for ae, al in _splits(ta):
-                    for be, bl in _splits(tb):
-                        acc += bin_fraction(ae, be) * bin_fraction(al, bl)
-                counts[(ta, tb)] = n_pairs * acc
+    fractions = {
+        (la, lb): p_a[la] * p_b[lb] * table[(la, lb)] / q_tot if source.kept(la, lb) else 0.0
+        for la in source.labels
+        for lb in source.labels
+    }
+    counts = {key: n_pairs * acc for key, acc in split_sums(source, fractions).items()}
+    if phase_sifted:
+        for ta, tb in _phase_sifted_totals(source):
+            weight = p_a[ta[0]] * p_b[tb[0]] / q_tot
+            opposite, same = _click_correlations(
+                source.intensities_a[ta[0]], source.intensities_b[tb[0]], 0.0, link, det
+            )
+            counts[(ta, tb)] = n_pairs * (2.0 / link.phase_slices) * weight * weight * (opposite + same)
     return counts
 
 

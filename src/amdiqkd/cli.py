@@ -250,6 +250,8 @@ def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
     from .channel import ChannelLink, DetectorPair, expected_observables
     from .decoy import estimate, pairing_probs, xbasis_vacuum_errors_lower, z_key_groups
 
+    if not 1.0 <= bins < math.inf:
+        raise ConfigError(f"--bins must be a finite number >= 1, got {bins!r}")
     n_bins = int(bins)
     lines = []
     all_ok = True

@@ -11,9 +11,12 @@ the direct conversion of the X-error count into the Z basis.
 Bound-direction bookkeeping: quantities marked ``*`` live in the
 expected-value domain (obtained from observed counts via
 ``chernoff_expected``); final key-length ingredients are converted back to
-the observed domain via ``chernoff_observed``.  Passing ``eps=None`` runs the
-whole chain without statistical slack, which is how the soundness tests
-compare against Monte Carlo ground truth.
+the observed domain via ``chernoff_observed``.  Both maps return a plain
+(lower, upper) tuple, and the chain reads one side through the ``stats``
+helpers ``expected_lower/upper`` and ``observed_lower/upper``.  Passing
+``eps=None`` runs the whole chain without statistical slack, which is how the
+soundness tests compare against Monte Carlo ground truth.  Group
+probabilities and count tables are plain dicts keyed by (total_a, total_b).
 """
 
 from __future__ import annotations
@@ -22,13 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .channel import SourceConfig
+from .channel import SourceConfig, _phase_sifted_totals, split_sums
 from .stats import expected_lower, expected_upper, observed_lower, observed_upper
 from .stats import sampling_correction
 
 __all__ = [
-    "PairingProbabilities",
-    "LinearCombo",
     "DecoyEstimate",
     "pairing_probs",
     "joint_bound",
@@ -46,77 +47,43 @@ CountKey = tuple[tuple[str, str], tuple[str, str]]
 X_KEY: CountKey = (("nu", "nu"), ("nu", "nu"))
 
 
-@dataclass(frozen=True)
-class PairingProbabilities:
-    """Conditional probability of each coincidence group, given a coincidence."""
-
-    p_tot: dict[CountKey, float]
-    p_s: float
-
-    def __getitem__(self, key: CountKey) -> float:
-        return self.p_tot[key]
-
-
-def pairing_probs(source: SourceConfig, phase_slices: int) -> PairingProbabilities:
-    """Group probabilities from send probabilities alone.
+def pairing_probs(source: SourceConfig, phase_slices: int) -> dict[CountKey, float]:
+    """Conditional probability of each coincidence group, given a coincidence.
 
     Each kept bin carries label pair (la, lb) with probability
     p_a(la) p_b(lb) / p_s; a group probability sums the products over the
     early/late splits that survive filtering.  Matched-phase groups carry the
     extra 2/M factor for the phase-sifting condition.
     """
-    from .channel import party_totals, _splits, _phase_sifted_totals  # noqa: PLC0415
-
     p_a, p_b = source.probabilities_a, source.probabilities_b
     p_s = source.survival_prob
-    sifted = _phase_sifted_totals(source)
-
-    def bin_weight(la: str, lb: str) -> float:
-        return p_a[la] * p_b[lb] / p_s if source.kept(la, lb) else 0.0
-
-    p_tot: dict[CountKey, float] = {}
-    totals = party_totals(source.labels)
-    for ta in totals:
-        for tb in totals:
-            acc = 0.0
-            for ae, al in _splits(ta):
-                for be, bl in _splits(tb):
-                    acc += bin_weight(ae, be) * bin_weight(al, bl)
-            if (ta, tb) in sifted:
-                acc *= 2.0 / phase_slices
-            p_tot[(ta, tb)] = acc
-    return PairingProbabilities(p_tot=p_tot, p_s=p_s)
+    weights = {
+        (la, lb): p_a[la] * p_b[lb] / p_s if source.kept(la, lb) else 0.0
+        for la in source.labels
+        for lb in source.labels
+    }
+    probs = split_sums(source, weights)
+    for key in _phase_sifted_totals(source):
+        probs[key] *= 2.0 / phase_slices
+    return probs
 
 
 # ---------------------------------------------------------------------------
 # joint constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearCombo:
-    """Positive linear combination of observed counts."""
-
-    terms: tuple[tuple[float, float], ...]  # (coefficient, observed count)
-
-    def __post_init__(self) -> None:
-        if not self.terms:
-            raise ValueError("combination must contain at least one term")
-        if any(c <= 0.0 for c, _ in self.terms):
-            raise ValueError("coefficients must be positive")
-
-
 def joint_bound(
-    combo: LinearCombo | Iterable[tuple[float, float]],
+    terms: Iterable[tuple[float, float]],
     direction: str,
     eps: float | None,
 ) -> float:
     """Bound the expected value of a positive linear combination of counts.
 
-    Sorts coefficients ascending and telescopes over partial sums, bounding
-    each partial-sum observable once; always at least as tight as bounding
-    every term separately.
+    ``terms`` are (coefficient, observed count) pairs.  Sorts coefficients
+    ascending and telescopes over partial sums, bounding each partial-sum
+    observable once; always at least as tight as bounding every term
+    separately.
     """
-    terms = combo.terms if isinstance(combo, LinearCombo) else tuple(combo)
     if direction not in ("lower", "upper"):
         raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
     ordered = sorted(terms, key=lambda t: t[0])
@@ -161,7 +128,7 @@ def z_key_groups(source: SourceConfig, mode: str = "auto") -> list[CountKey]:
 
 def vacuum_events_lower(
     counts: Mapping[CountKey, float],
-    probs: PairingProbabilities,
+    probs: Mapping[CountKey, float],
     source: SourceConfig,
     groups: Sequence[CountKey],
     eps: float | None,
@@ -205,7 +172,7 @@ def _primed_levels(source: SourceConfig, hi: str, lo: str) -> tuple[float, float
 
 
 def _zgroup_intensity_sum(
-    probs: PairingProbabilities, source: SourceConfig, groups: Sequence[CountKey]
+    probs: Mapping[CountKey, float], source: SourceConfig, groups: Sequence[CountKey]
 ) -> float:
     """Sum over key groups of k_a k_b exp(-k_a - k_b) p_group."""
     acc = 0.0
@@ -218,7 +185,7 @@ def _zgroup_intensity_sum(
 
 def single_photon_pairs_z_lower(
     counts: Mapping[CountKey, float],
-    probs: PairingProbabilities,
+    probs: Mapping[CountKey, float],
     source: SourceConfig,
     groups: Sequence[CountKey],
     eps: float | None,
@@ -265,7 +232,7 @@ def single_photon_pairs_z_lower(
 
 
 def zx_count_ratio(
-    probs: PairingProbabilities, source: SourceConfig, groups: Sequence[CountKey]
+    probs: Mapping[CountKey, float], source: SourceConfig, groups: Sequence[CountKey]
 ) -> float:
     """Expected ratio of Z-group to X-group single-photon pair counts."""
     nu_a = source.intensities_a["nu"]
@@ -276,7 +243,7 @@ def zx_count_ratio(
 
 def xbasis_vacuum_errors_lower(
     counts: Mapping[CountKey, float],
-    probs: PairingProbabilities,
+    probs: Mapping[CountKey, float],
     source: SourceConfig,
     eps: float | None,
 ) -> float:
@@ -320,7 +287,7 @@ class DoubleScanResult:
 def double_scan(
     counts: Mapping[CountKey, float],
     m_x: float,
-    probs: PairingProbabilities,
+    probs: Mapping[CountKey, float],
     source: SourceConfig,
     eps: float | None,
     grid: int | None = None,

@@ -93,9 +93,15 @@ class SearchSpace:
 
 
 def repair_async_params(params: dict) -> dict:
-    """Restore intensity ordering and the probability simplex per party."""
+    """Restore intensity ordering and the probability simplex per party.
+
+    Repairs each side whose ``mu_<side>`` is present, so a one-party search
+    space (the BB84 baseline) goes through the same step.
+    """
     out = dict(params)
     for side in ("a", "b"):
+        if f"mu_{side}" not in out:
+            continue
         labels = ["mu"] + (["omega"] if f"omega_{side}" in out else []) + ["nu"]
         values = sorted((out[f"{l}_{side}"] for l in labels), reverse=True)
         for i in range(1, len(values)):

@@ -400,6 +400,8 @@ def simulate(
     maximal run of clicks whose successive gaps are at most the pairing
     window, clicks (r, r+1), (r+2, r+3), ... pair from the run start r.
     """
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
     labels = source.labels
     n_labels = len(labels)
     ints_a = np.array([source.intensities_a[l] for l in labels])

@@ -16,11 +16,7 @@ from typing import Mapping, Sequence
 from . import baselines
 from .channel import ChannelLink, DetectorPair
 from .keyrate import KeyRateReport, ProtocolVariant, evaluate, repeaterless_bound
-from .optimizer import (
-    SearchSpace,
-    async_search_space,
-    optimize_link,
-)
+from .optimizer import SearchSpace, async_search_space, optimize_link, repair_async_params
 
 __all__ = [
     "DevicePreset",
@@ -233,22 +229,6 @@ def _optimize_async_point(
 # baseline evaluation glue
 # ---------------------------------------------------------------------------
 
-def _baseline_repair(params: dict) -> dict:
-    out = dict(params)
-    sides = ("a", "b") if "mu_b" in out else ("a",)
-    for side in sides:
-        vals = sorted((out[f"mu_{side}"], out[f"omega_{side}"], out[f"nu_{side}"]), reverse=True)
-        for i in range(1, 3):
-            vals[i] = min(vals[i], vals[i - 1] - 1e-4)
-        out[f"mu_{side}"], out[f"omega_{side}"], out[f"nu_{side}"] = [max(v, 1e-5) for v in vals]
-        probs = [f"p_mu_{side}", f"p_omega_{side}", f"p_nu_{side}"]
-        total = sum(out[p] for p in probs)
-        if total > 0.999:
-            for p in probs:
-                out[p] *= 0.999 / total
-    return out
-
-
 def _baseline_space(kind: str) -> SearchSpace:
     bounds = {
         "mu_a": (1e-3, 1.0), "omega_a": (1e-3, 1.0), "nu_a": (1e-3, 1.0),
@@ -262,7 +242,7 @@ def _baseline_space(kind: str) -> SearchSpace:
         }
     else:
         bounds["q_z"] = (0.1, 0.9)
-    return SearchSpace(bounds=bounds, mirror=mirror, repair=_baseline_repair)
+    return SearchSpace(bounds=bounds, mirror=mirror, repair=repair_async_params)
 
 
 def _evaluate_baseline(

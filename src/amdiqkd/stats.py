@@ -11,11 +11,8 @@ applied to expected values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "FailureBudget",
-    "BoundedValue",
     "binary_entropy",
     "chernoff_observed",
     "chernoff_expected",
@@ -42,82 +39,58 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-@dataclass(frozen=True)
-class FailureBudget:
-    """A failure probability and its log-inverse exponent."""
-
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"failure probability must be in (0, 1), got {self.eps!r}")
-
-    @property
-    def beta(self) -> float:
-        return math.log(1.0 / self.eps)
+def _beta(eps: float) -> float:
+    """Log-inverse exponent ln(1/eps) of a failure probability eps in (0, 1)."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"failure probability must be in (0, 1), got {eps!r}")
+    return math.log(1.0 / eps)
 
 
-@dataclass(frozen=True)
-class BoundedValue:
-    """Interval around a count; ``central`` is the value it was built from."""
-
-    lower: float
-    central: float
-    upper: float
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lower <= self.central <= self.upper:
-            raise ValueError(
-                f"bounds out of order: {self.lower!r} <= {self.central!r} <= {self.upper!r} fails"
-            )
-
-
-def chernoff_observed(expected: float, eps: float) -> BoundedValue:
-    """Interval containing the observed count given its expected value.
+def chernoff_observed(expected: float, eps: float) -> tuple[float, float]:
+    """Interval (lower, upper) containing the observed count given its expected value.
 
     With probability at least 1 - 2*eps a draw with mean ``expected`` lands in
     [lower, upper].
     """
-    if expected < 0.0:
-        raise ValueError(f"expected count must be >= 0, got {expected!r}")
-    beta = FailureBudget(eps).beta
+    if not 0.0 <= expected < math.inf:
+        raise ValueError(f"expected count must be finite and >= 0, got {expected!r}")
+    beta = _beta(eps)
     upper = expected + beta / 2.0 + math.sqrt(2.0 * beta * expected + beta * beta / 4.0)
     lower = max(expected - math.sqrt(2.0 * beta * expected), 0.0)
-    return BoundedValue(lower, expected, upper, eps)
+    return lower, upper
 
 
-def chernoff_expected(observed: float, eps: float) -> BoundedValue:
-    """Interval containing the expected value given an observed count."""
-    if observed < 0.0:
-        raise ValueError(f"observed count must be >= 0, got {observed!r}")
-    beta = FailureBudget(eps).beta
+def chernoff_expected(observed: float, eps: float) -> tuple[float, float]:
+    """Interval (lower, upper) containing the expected value given an observed count."""
+    if not 0.0 <= observed < math.inf:
+        raise ValueError(f"observed count must be finite and >= 0, got {observed!r}")
+    beta = _beta(eps)
     upper = observed + beta + math.sqrt(2.0 * beta * observed + beta * beta)
     lower = max(observed - beta / 2.0 - math.sqrt(2.0 * beta * observed + beta * beta / 4.0), 0.0)
-    return BoundedValue(lower, observed, upper, eps)
+    return lower, upper
 
 
 # Bound helpers of the estimation chains; eps=None disables statistical slack,
 # which is how the soundness tests compare against Monte Carlo ground truth.
 
 def expected_lower(observed: float, eps: float | None) -> float:
-    return observed if eps is None else chernoff_expected(observed, eps).lower
+    return observed if eps is None else chernoff_expected(observed, eps)[0]
 
 
 def expected_upper(observed: float, eps: float | None) -> float:
-    return observed if eps is None else chernoff_expected(observed, eps).upper
+    return observed if eps is None else chernoff_expected(observed, eps)[1]
 
 
 def observed_lower(expected: float, eps: float | None) -> float:
     if expected <= 0.0:
         return 0.0
-    return expected if eps is None else chernoff_observed(expected, eps).lower
+    return expected if eps is None else chernoff_observed(expected, eps)[0]
 
 
 def observed_upper(expected: float, eps: float | None) -> float:
     if expected <= 0.0:
         return 0.0
-    return expected if eps is None else chernoff_observed(expected, eps).upper
+    return expected if eps is None else chernoff_observed(expected, eps)[1]
 
 
 def sampling_correction(n: float, k: float, rate: float, eps: float) -> float:

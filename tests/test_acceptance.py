@@ -257,8 +257,8 @@ class TestCriterion8OracleSoundness:
         for _ in range(1000):
             terms = [(float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.0, 1e5)))
                      for _ in range(rng.integers(1, 6))]
-            naive_lo = sum(c * chernoff_expected(v, 1e-10).lower for c, v in terms)
-            naive_up = sum(c * chernoff_expected(v, 1e-10).upper for c, v in terms)
+            naive_lo = sum(c * chernoff_expected(v, 1e-10)[0] for c, v in terms)
+            naive_up = sum(c * chernoff_expected(v, 1e-10)[1] for c, v in terms)
             if joint_bound(terms, "lower", 1e-10) < naive_lo - 1e-9:
                 failures.append("joint lower")
                 break
@@ -270,9 +270,9 @@ class TestCriterion8OracleSoundness:
         eps = 1e-3
         rng = np.random.default_rng(99)
         for mean in (50.0, 500.0):
-            bv = chernoff_observed(mean, eps)
+            lower, upper = chernoff_observed(mean, eps)
             draws = rng.poisson(mean, size=100_000)
-            coverage = np.mean((draws >= bv.lower) & (draws <= bv.upper))
+            coverage = np.mean((draws >= lower) & (draws <= upper))
             if coverage < 1.0 - 2.0 * eps:
                 failures.append(f"coverage@{mean}")
 

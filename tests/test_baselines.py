@@ -220,7 +220,7 @@ class TestBb84KeyRate:
         from amdiqkd.stats import chernoff_observed
 
         assert res["ell"] <= 1e13
-        assert chernoff_observed(n0_exact, 1e-10).lower >= res["ell"] * 0.0  # shape check
+        assert chernoff_observed(n0_exact, 1e-10)[0] >= res["ell"] * 0.0  # shape check
 
     def test_rate_decreases_with_distance(self):
         rates = [bb84_key_rate(bb84_params(l), 3.2e14, 1e-10)["rate_per_pulse"]

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amdiqkd
 from amdiqkd.channel import (
     ChannelLink,
     DetectorPair,
@@ -140,6 +145,26 @@ class TestClickFiltering:
         src = make_source(click_filtering=True)
         assert src.survival_prob == pytest.approx(1.0 - 0.5 * 0.3 - 0.3 * 0.5, rel=1e-12)
         assert make_source(click_filtering=False).survival_prob == 1.0
+
+    def test_survival_prob_independent_of_hash_seed(self):
+        # the filtered pairs are a set of strings, whose iteration order
+        # follows the string hash seed; the result must not
+        code = (
+            "from amdiqkd.channel import SourceConfig\n"
+            "from amdiqkd.decoy import pairing_probs\n"
+            "src = SourceConfig.from_params(mu_a=0.6, nu_a=0.05, p_mu_a=0.3, p_nu_a=0.2,"
+            " omega_a=0.2, p_omega_a=0.17, mu_b=0.55, nu_b=0.04, p_mu_b=0.31, p_nu_b=0.21,"
+            " omega_b=0.21, p_omega_b=0.13)\n"
+            "print(repr(src.survival_prob), repr(pairing_probs(src, 16)))\n"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": str(Path(amdiqkd.__file__).resolve().parents[1])}
+            result = subprocess.run([sys.executable, "-c", code], env=env,
+                                    capture_output=True, text=True, check=True)
+            outputs.add(result.stdout)
+        assert len(outputs) == 1
 
     def test_four_intensity_filtered_pairs(self):
         src = make_source(

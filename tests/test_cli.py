@@ -107,6 +107,12 @@ class TestValidateOracle:
         report = (tmp_path / "o" / "oracle_report.txt").read_text()
         assert "config 0" in report and "FAILED" not in report
 
+    @pytest.mark.parametrize("bins", ["0", "0.5", "-3", "nan", "inf"])
+    def test_bad_bin_count_is_config_error(self, tmp_path, capsys, bins):
+        assert main(["validate-oracle", "--bins", bins, "--out", str(tmp_path / "o")]) == 1
+        assert "--bins" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_report_gives_z_per_check(self, tmp_path):
         main(["validate-oracle", "--bins", "3e5", "--seed", "7", "--out", str(tmp_path / "o")])
         lines = (tmp_path / "o" / "oracle_report.txt").read_text().splitlines()

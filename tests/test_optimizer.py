@@ -60,6 +60,18 @@ class TestSearchSpace:
         assert fixed["mu_a"] > fixed["nu_a"]
         assert fixed["p_mu_a"] + fixed["p_nu_a"] <= 0.999 + 1e-12
 
+    def test_repair_one_party(self):
+        # the BB84 baseline searches side a only, with a decoy level omega
+        fixed = repair_async_params(
+            dict(mu_a=0.1, omega_a=0.3, nu_a=0.3, p_mu_a=0.6, p_omega_a=0.3, p_nu_a=0.3, q_z=0.4)
+        )
+        assert sorted(fixed) == ["mu_a", "nu_a", "omega_a", "p_mu_a", "p_nu_a", "p_omega_a", "q_z"]
+        assert fixed["mu_a"] == 0.3
+        assert fixed["omega_a"] == 0.3 - 1e-4
+        assert fixed["nu_a"] == 0.1
+        assert fixed["p_mu_a"] + fixed["p_omega_a"] + fixed["p_nu_a"] == pytest.approx(0.999, rel=1e-12)
+        assert fixed["q_z"] == 0.4
+
     def test_invalid_spaces_rejected(self):
         with pytest.raises(ValueError):
             SearchSpace(bounds={"x": (1.0, 1.0)})

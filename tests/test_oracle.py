@@ -109,6 +109,11 @@ class TestSimulation:
                        silent, 200_000, seed=3)
         assert res.n_clicks == 0 and res.n_pairs == 0
 
+    @pytest.mark.parametrize("n_bins", [0, -5])
+    def test_rejects_empty_run(self, n_bins):
+        with pytest.raises(ValueError, match="n_bins"):
+            simulate(SRC, LINK, DET, n_bins, seed=1)
+
     def test_deterministic_for_fixed_seed(self, run):
         again = simulate(SRC, LINK, DET, 2_000_000, seed=11)
         assert again.counts == run.counts

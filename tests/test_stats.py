@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amdiqkd.stats import (
-    BoundedValue,
-    FailureBudget,
+    _beta,
     binary_entropy,
     chernoff_expected,
     chernoff_observed,
@@ -44,79 +43,87 @@ class TestBinaryEntropy:
 
 
 class TestFailureBudget:
+    """The failure probability eps of both Chernoff maps and its exponent ln(1/eps)."""
+
     def test_beta(self):
-        assert FailureBudget(1e-10).beta == pytest.approx(BETA_1E10, rel=1e-15)
+        assert _beta(1e-10) == pytest.approx(BETA_1E10, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-3, 2.0])
     def test_rejects_bad_eps(self, bad):
         with pytest.raises(ValueError):
-            FailureBudget(bad)
-
-
-class TestBoundedValue:
-    def test_ordering_enforced(self):
+            chernoff_observed(10.0, bad)
         with pytest.raises(ValueError):
-            BoundedValue(lower=2.0, central=1.0, upper=3.0, eps=1e-10)
+            chernoff_expected(10.0, bad)
 
 
 class TestChernoffObserved:
     def test_closed_form_at_zero(self):
-        bv = chernoff_observed(0.0, 1e-10)
-        assert bv.lower == 0.0
-        assert bv.upper == pytest.approx(BETA_1E10, rel=1e-12)
+        lower, upper = chernoff_observed(0.0, 1e-10)
+        assert lower == 0.0
+        assert upper == pytest.approx(BETA_1E10, rel=1e-12)
 
     def test_plug_in(self):
-        bv = chernoff_observed(1e6, 1e-10)
-        assert bv.lower == pytest.approx(993213.8595755849, rel=1e-12)
-        assert bv.upper == pytest.approx(1006797.6631159142, rel=1e-12)
+        lower, upper = chernoff_observed(1e6, 1e-10)
+        assert lower == pytest.approx(993213.8595755849, rel=1e-12)
+        assert upper == pytest.approx(1006797.6631159142, rel=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1e12), st.floats(min_value=1e-15, max_value=0.5))
     @settings(max_examples=200, deadline=None)
     def test_sandwich(self, expected, eps):
-        bv = chernoff_observed(expected, eps)
-        assert bv.lower <= expected <= bv.upper
+        lower, upper = chernoff_observed(expected, eps)
+        assert lower <= expected <= upper
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             chernoff_observed(-1.0, 1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            chernoff_observed(bad, 1e-10)
+
     def test_coverage_poisson(self):
         # empirical coverage >= 1 - 2*eps for Poisson draws
         eps = 1e-3
         mean = 200.0
-        bv = chernoff_observed(mean, eps)
+        lower, upper = chernoff_observed(mean, eps)
         rng = np.random.default_rng(20240811)
         draws = rng.poisson(mean, size=100_000)
-        inside = np.mean((draws >= bv.lower) & (draws <= bv.upper))
+        inside = np.mean((draws >= lower) & (draws <= upper))
         assert inside >= 1.0 - 2.0 * eps
 
     def test_coverage_binomial(self):
         eps = 1e-3
         n, p = 1_000_000, 2e-4
         mean = n * p
-        bv = chernoff_observed(mean, eps)
+        lower, upper = chernoff_observed(mean, eps)
         rng = np.random.default_rng(7)
         draws = rng.binomial(n, p, size=100_000)
-        inside = np.mean((draws >= bv.lower) & (draws <= bv.upper))
+        inside = np.mean((draws >= lower) & (draws <= upper))
         assert inside >= 1.0 - 2.0 * eps
 
 
 class TestChernoffExpected:
     def test_closed_form_at_zero(self):
-        bv = chernoff_expected(0.0, 1e-10)
-        assert bv.lower == 0.0
-        assert bv.upper == pytest.approx(2.0 * BETA_1E10, rel=1e-12)
+        lower, upper = chernoff_expected(0.0, 1e-10)
+        assert lower == 0.0
+        assert upper == pytest.approx(2.0 * BETA_1E10, rel=1e-12)
 
     def test_plug_in(self):
-        bv = chernoff_expected(1e4, 1e-10)
-        assert bv.lower == pytest.approx(9309.775378708611, rel=1e-12)
-        assert bv.upper == pytest.approx(10702.03042264493, rel=1e-12)
+        lower, upper = chernoff_expected(1e4, 1e-10)
+        assert lower == pytest.approx(9309.775378708611, rel=1e-12)
+        assert upper == pytest.approx(10702.03042264493, rel=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1e12), st.floats(min_value=1e-15, max_value=0.5))
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_sandwich(self, observed, eps):
-        bv = chernoff_expected(observed, eps)
-        assert bv.lower <= observed <= bv.upper
+        lower, upper = chernoff_expected(observed, eps)
+        assert lower <= observed <= upper
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_observed(self, bad):
+        with pytest.raises(ValueError):
+            chernoff_expected(bad, 1e-10)
 
 
 class TestSamplingCorrection:

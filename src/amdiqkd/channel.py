@@ -14,6 +14,12 @@ two-bin intensity totals.  This module evaluates the closed forms for:
   slow phase drift accumulated over the pairing interval,
 * the Z-basis bit error rate of each key group.
 
+The group structure of a label set (the single-bin label pairs that survive
+click filtering, the per-party two-bin totals, the (total_a, total_b)
+coincidence groups with their surviving (early, late) splits, and the
+phase-sifted groups) has one owner, :class:`GroupLayout`, built once per
+(labels, click_filtering) and read by every module that walks the groups.
+
 Every phase average is an exact I0 closed form, accurate to rounding on long
 links; ``pair_gain_phase`` is the phase-resolved model it averages.  An
 event-level Monte Carlo counterpart lives in :mod:`amdiqkd.oracle`; every
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -35,23 +41,26 @@ __all__ = [
     "LABEL_ORDER",
     "DetectorPair",
     "ChannelLink",
+    "GroupLayout",
     "SourceConfig",
     "ObservableSet",
     "pair_gain",
     "pair_gain_phase",
+    "click_table",
     "kept_click_prob",
     "pairing_statistics",
     "coincidence_counts",
     "xbasis_error_count",
     "z_error_rates",
     "expected_observables",
-    "party_totals",
     "split_sums",
-    "total_intensity",
 ]
 
 # Canonical ordering of intensity labels, brightest first.
 LABEL_ORDER = ("mu", "omega", "nu", "o")
+
+LabelPair = tuple[str, str]
+CountKey = tuple[LabelPair, LabelPair]
 
 
 @dataclass(frozen=True)
@@ -184,24 +193,16 @@ class SourceConfig:
         return "omega" in self.intensities_a
 
     @cached_property
-    def filtered_pairs(self) -> frozenset[tuple[str, str]]:
-        """Single-bin label combinations discarded by click filtering."""
-        if not self.click_filtering:
-            return frozenset()
-        bright = [l for l in self.labels if l != "o"]
-        return frozenset((x, y) for x in bright for y in bright if x != y)
-
-    def kept(self, label_a: str, label_b: str) -> bool:
-        return (label_a, label_b) not in self.filtered_pairs
+    def layout(self) -> "GroupLayout":
+        return _group_layout(self.labels, self.click_filtering)
 
     @cached_property
     def survival_prob(self) -> float:
         """Probability that a click survives filtering, from send probabilities."""
-        # subtract in label order: a set's iteration order follows the string hash seed
         p_s = 1.0
         for la in self.labels:
             for lb in self.labels:
-                if (la, lb) in self.filtered_pairs:
+                if (la, lb) not in self.layout.kept:
                     p_s -= self.probabilities_a[la] * self.probabilities_b[lb]
         return p_s
 
@@ -238,46 +239,67 @@ class SourceConfig:
         return cls(ia, pa, ib, pb, click_filtering=click_filtering)
 
 
-def party_totals(labels: tuple[str, ...]) -> list[tuple[str, str]]:
-    """All unordered two-bin label combinations, canonically ordered."""
-    out = []
-    for i, l1 in enumerate(labels):
-        for l2 in labels[i:]:
-            out.append((l1, l2))
-    return out
+@dataclass(frozen=True)
+class GroupLayout:
+    """Coincidence-group structure of one label set under one filtering choice.
+
+    kept    single-bin label pairs (label_a, label_b) that survive click
+            filtering, in LABEL_ORDER
+    totals  one party's unordered two-bin label combinations, canonically ordered
+    groups  the (total_a, total_b) coincidence groups, total_a major
+    splits  per group, the (early, late) single-bin label pairs it arises
+            from, skipping those with a filtered bin
+    sifted  matched-phase groups: the same bright level in all four bins
+    """
+
+    kept: tuple[LabelPair, ...]
+    totals: tuple[LabelPair, ...]
+    groups: tuple[CountKey, ...]
+    splits: tuple[tuple[tuple[LabelPair, LabelPair], ...], ...]
+    sifted: tuple[CountKey, ...]
 
 
-def total_intensity(total: tuple[str, str], intensities: Mapping[str, float]) -> float:
-    return intensities[total[0]] + intensities[total[1]]
+@lru_cache(maxsize=None)
+def _group_layout(labels: tuple[str, ...], click_filtering: bool) -> GroupLayout:
+    bright = [l for l in labels if l != "o"]
+    kept = tuple(
+        (la, lb)
+        for la in labels
+        for lb in labels
+        if not (click_filtering and la != lb and la in bright and lb in bright)
+    )
+    totals = tuple((l1, l2) for i, l1 in enumerate(labels) for l2 in labels[i:])
+    groups = tuple((ta, tb) for ta in totals for tb in totals)
+
+    def orders(total: LabelPair) -> tuple[LabelPair, ...]:
+        return (total,) if total[0] == total[1] else (total, total[::-1])
+
+    splits = tuple(
+        tuple(
+            ((ae, be), (al, bl))
+            for ae, al in orders(ta)
+            for be, bl in orders(tb)
+            if (ae, be) in kept and (al, bl) in kept
+        )
+        for ta, tb in groups
+    )
+    sifted = tuple(((l, l), (l, l)) for l in bright)
+    return GroupLayout(kept, totals, groups, splits, sifted)
 
 
-def _splits(total: tuple[str, str]) -> list[tuple[str, str]]:
-    """(early, late) label assignments compatible with a two-bin total."""
-    l1, l2 = total
-    if l1 == l2:
-        return [(l1, l2)]
-    return [(l1, l2), (l2, l1)]
-
-
-def split_sums(
-    source: SourceConfig, weight: Mapping[tuple[str, str], float]
-) -> dict[tuple[tuple[str, str], tuple[str, str]], float]:
+def split_sums(layout: GroupLayout, weight: Mapping[LabelPair, float]) -> dict[CountKey, float]:
     """Sum over (early, late) splits of weight[early] * weight[late], per group.
 
-    ``weight`` maps every single-bin label pair (label_a, label_b) to its
-    weight, 0.0 where filtering discards the pair; the result is keyed by the
-    (total_a, total_b) coincidence groups.
+    ``weight`` maps each kept single-bin label pair (label_a, label_b) to its
+    weight; the result is keyed by the (total_a, total_b) coincidence groups.
     """
-    totals = party_totals(source.labels)
-    sums = {}
-    for ta in totals:
-        for tb in totals:
-            acc = 0.0
-            for ae, al in _splits(ta):
-                for be, bl in _splits(tb):
-                    acc += weight[(ae, be)] * weight[(al, bl)]
-            sums[(ta, tb)] = acc
-    return sums
+    sums = []
+    for splits in layout.splits:
+        acc = 0.0
+        for early, late in splits:
+            acc += weight[early] * weight[late]
+        sums.append(acc)
+    return dict(zip(layout.groups, sums))
 
 
 def _click_given_means(mean_l, mean_r, p_d):
@@ -346,9 +368,10 @@ def _click_correlations(
     return opposite, same
 
 
-def _click_table(
+def click_table(
     source: SourceConfig, link: ChannelLink, det: DetectorPair
-) -> dict[tuple[str, str], float]:
+) -> dict[LabelPair, float]:
+    """Phase-averaged single-click probability of every single-bin label pair."""
     ints_a, ints_b = source.intensities_a, source.intensities_b
     return {
         (la, lb): pair_gain(ints_a[la], ints_b[lb], link, det)
@@ -357,20 +380,11 @@ def _click_table(
     }
 
 
-def kept_click_prob(
-    source: SourceConfig,
-    link: ChannelLink,
-    det: DetectorPair,
-    table: Mapping[tuple[str, str], float] | None = None,
-) -> float:
+def kept_click_prob(source: SourceConfig, table: Mapping[LabelPair, float]) -> float:
     """Probability that a time bin produces a click that survives filtering."""
-    if table is None:
-        table = _click_table(source, link, det)
     q_tot = 0.0
-    for la in source.labels:
-        for lb in source.labels:
-            if source.kept(la, lb):
-                q_tot += source.probabilities_a[la] * source.probabilities_b[lb] * table[(la, lb)]
+    for la, lb in source.layout.kept:
+        q_tot += source.probabilities_a[la] * source.probabilities_b[lb] * table[(la, lb)]
     return q_tot
 
 
@@ -393,51 +407,34 @@ def pairing_statistics(n_pulses: float, q_tot: float, link: ChannelLink) -> tupl
     return n_pairs, t_mean
 
 
-def _phase_sifted_totals(source: SourceConfig) -> set[tuple[tuple[str, str], tuple[str, str]]]:
-    """Coincidence groups whose phases must match (same bright level twice on both sides)."""
-    bright = [l for l in source.labels if l != "o"]
-    return {((l, l), (l, l)) for l in bright}
-
-
 def coincidence_counts(
     source: SourceConfig,
     link: ChannelLink,
     det: DetectorPair,
     n_pairs: float,
-    q_tot: float | None = None,
-    table: Mapping[tuple[str, str], float] | None = None,
-    phase_sifted: bool = True,
-) -> dict[tuple[tuple[str, str], tuple[str, str]], float]:
+    q_tot: float,
+    table: Mapping[LabelPair, float],
+) -> dict[CountKey, float]:
     """Expected coincidence count per (total_a, total_b) group.
 
     Matched-phase groups (both parties using the same bright level in both
     bins) keep only the 2/M phase-sifted fraction, with both bins at the same
     phase, so the count carries the phase average of the squared click
-    probability; set ``phase_sifted=False`` to get the raw decomposition for
-    completeness checks.
+    probability.
     """
-    if table is None:
-        table = _click_table(source, link, det)
-    if q_tot is None:
-        q_tot = kept_click_prob(source, link, det, table)
+    layout = source.layout
     if q_tot <= 0.0:
-        totals = party_totals(source.labels)
-        return {(ta, tb): 0.0 for ta in totals for tb in totals}
+        return dict.fromkeys(layout.groups, 0.0)
 
     p_a, p_b = source.probabilities_a, source.probabilities_b
-    fractions = {
-        (la, lb): p_a[la] * p_b[lb] * table[(la, lb)] / q_tot if source.kept(la, lb) else 0.0
-        for la in source.labels
-        for lb in source.labels
-    }
-    counts = {key: n_pairs * acc for key, acc in split_sums(source, fractions).items()}
-    if phase_sifted:
-        for ta, tb in _phase_sifted_totals(source):
-            weight = p_a[ta[0]] * p_b[tb[0]] / q_tot
-            opposite, same = _click_correlations(
-                source.intensities_a[ta[0]], source.intensities_b[tb[0]], 0.0, link, det
-            )
-            counts[(ta, tb)] = n_pairs * (2.0 / link.phase_slices) * weight * weight * (opposite + same)
+    fractions = {(la, lb): p_a[la] * p_b[lb] * table[(la, lb)] / q_tot for la, lb in layout.kept}
+    counts = {key: n_pairs * acc for key, acc in split_sums(layout, fractions).items()}
+    for ta, tb in layout.sifted:
+        weight = p_a[ta[0]] * p_b[tb[0]] / q_tot
+        opposite, same = _click_correlations(
+            source.intensities_a[ta[0]], source.intensities_b[tb[0]], 0.0, link, det
+        )
+        counts[(ta, tb)] = n_pairs * (2.0 / link.phase_slices) * weight * weight * (opposite + same)
     return counts
 
 
@@ -447,7 +444,7 @@ def xbasis_error_count(
     det: DetectorPair,
     n_pairs: float,
     t_mean_s: float,
-    q_tot: float | None = None,
+    q_tot: float,
 ) -> float:
     """Expected error count in the matched-phase decoy-decoy group.
 
@@ -456,8 +453,6 @@ def xbasis_error_count(
     misalignment swaps the error/no-error classification with probability
     ``link.interference_error``.
     """
-    if q_tot is None:
-        q_tot = kept_click_prob(source, link, det)
     if q_tot <= 0.0 or n_pairs <= 0.0:
         return 0.0
     delta = link.drift_phase(t_mean_s)
@@ -469,25 +464,18 @@ def xbasis_error_count(
     return n_pairs * (2.0 / link.phase_slices) * weight * ((1.0 - e_mis) * wrong + e_mis * right)
 
 
-def z_error_rates(
-    source: SourceConfig,
-    link: ChannelLink,
-    det: DetectorPair,
-    table: Mapping[tuple[str, str], float] | None = None,
-) -> dict[tuple[tuple[str, str], tuple[str, str]], float]:
+def z_error_rates(source: SourceConfig, table: Mapping[LabelPair, float]) -> dict[CountKey, float]:
     """Bit error rate of each single-bright-level coincidence group.
 
     A bit error happens exactly when both parties put their bright pulse in
     the same bin (the partner bin then clicks on dark counts or leakage);
     bright pulses in different bins always yield agreeing bits.
     """
-    if table is None:
-        table = _click_table(source, link, det)
-    rates: dict[tuple[tuple[str, str], tuple[str, str]], float] = {}
+    rates: dict[CountKey, float] = {}
     bright = [l for l in source.labels if l != "o"]
     for ka in bright:
         for kb in bright:
-            same = table[(ka, kb)] * table[("o", "o")] if source.kept(ka, kb) else 0.0
+            same = table[(ka, kb)] * table[("o", "o")] if (ka, kb) in source.layout.kept else 0.0
             diff = table[(ka, "o")] * table[("o", kb)]
             total = same + diff
             rates[((ka, "o"), (kb, "o"))] = same / total if total > 0.0 else 0.0
@@ -502,9 +490,9 @@ class ObservableSet:
     n_pairs: float
     t_mean_s: float
     q_tot: float
-    counts: dict[tuple[tuple[str, str], tuple[str, str]], float]
+    counts: dict[CountKey, float]
     m_x: float
-    z_qber: dict[tuple[tuple[str, str], tuple[str, str]], float] = field(default_factory=dict)
+    z_qber: dict[CountKey, float] = field(default_factory=dict)
 
     def validate(self) -> None:
         if any(v < 0.0 for v in self.counts.values()):
@@ -520,12 +508,11 @@ def expected_observables(
     source: SourceConfig, link: ChannelLink, det: DetectorPair, n_pulses: float
 ) -> ObservableSet:
     """Full closed-form observable set for one configuration."""
-    table = _click_table(source, link, det)
-    q_tot = kept_click_prob(source, link, det, table)
+    table = click_table(source, link, det)
+    q_tot = kept_click_prob(source, table)
     n_pairs, t_mean = pairing_statistics(n_pulses, q_tot, link)
     if n_pairs == 0.0:
-        totals = party_totals(source.labels)
-        counts = {(ta, tb): 0.0 for ta in totals for tb in totals}
+        counts = dict.fromkeys(source.layout.groups, 0.0)
         return ObservableSet(n_pulses, 0.0, t_mean, q_tot, counts, 0.0, {})
     counts = coincidence_counts(source, link, det, n_pairs, q_tot, table)
     m_x = xbasis_error_count(source, link, det, n_pairs, t_mean, q_tot)
@@ -536,7 +523,7 @@ def expected_observables(
         q_tot=q_tot,
         counts=counts,
         m_x=m_x,
-        z_qber=z_error_rates(source, link, det, table),
+        z_qber=z_error_rates(source, table),
     )
     obs.validate()
     return obs

@@ -92,6 +92,14 @@ def _check_keys(data: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
 
 
+def _number(data: dict, key: str, default, kind=float):
+    """``kind(data[key])``, or ``default`` if absent; a bad value is a configuration error."""
+    try:
+        return kind(data.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {data[key]!r}") from None
+
+
 def _fmt(value) -> str:
     if value == "":
         return ""
@@ -171,15 +179,20 @@ def _cmd_evaluate(data: dict, out_dir: Path) -> int:
         raise ConfigError("evaluate needs a 'params' mapping with pinned source settings")
     _check_keys(params, _PARAM_KEYS, "params")
     variant = _variant_from_name(data.get("variant", "filtering"))
-    l_a = float(data.get("l_a_km", 0.0))
-    l_b = float(data.get("l_b_km", 0.0))
-    n_pulses = float(data.get("n_pulses", 1e12))
-    seed = int(data.get("seed", 0))
+    names = ["mu", "nu", "p_mu", "p_nu"] + (["omega", "p_omega"] if variant.four_intensity else [])
+    missing = [f"{n}_{side}" for side in "ab" for n in names if f"{n}_{side}" not in params]
+    if missing:
+        raise ConfigError(f"params lacks {missing}")
+    params = {key: _number(params, key, None) for key in params}
+    l_a = _number(data, "l_a_km", 0.0)
+    l_b = _number(data, "l_b_km", 0.0)
+    n_pulses = _number(data, "n_pulses", 1e12)
+    seed = _number(data, "seed", 0, int)
     try:
         report = evaluate(
-            dict(params), preset.link(l_a, l_b), preset.detector(), n_pulses,
+            params, preset.link(l_a, l_b), preset.detector(), n_pulses,
             preset.eps, preset.error_correction_f, variant,
-            duty_cycle=float(data.get("duty_cycle", 1.0)),
+            duty_cycle=_number(data, "duty_cycle", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -191,17 +204,20 @@ def _cmd_evaluate(data: dict, out_dir: Path) -> int:
 
 def _cmd_optimize(data: dict, out_dir: Path) -> int:
     _check_keys(data, _OPTIMIZE_KEYS, "optimize")
-    spec = sc.SweepSpec(
-        preset=data.get("preset", "fig4"),
-        distances_km=[float(data.get("l_a_km", 0.0)) + float(data.get("l_b_km", 0.0))],
-        variants=[data.get("variant", "filtering")],
-        n_pulses=float(data.get("n_pulses", 1e12)),
-        delta_km=float(data.get("l_a_km", 0.0)) - float(data.get("l_b_km", 0.0)),
-        budget=int(data.get("budget", 3000)),
-        seed=int(data.get("seed", 1)),
-        optimize_pairing_window=bool(data.get("optimize_pairing_window", True)),
-        duty_cycle=float(data.get("duty_cycle", 1.0)),
-    )
+    try:
+        spec = sc.SweepSpec(
+            preset=data.get("preset", "fig4"),
+            distances_km=[float(data.get("l_a_km", 0.0)) + float(data.get("l_b_km", 0.0))],
+            variants=[data.get("variant", "filtering")],
+            n_pulses=float(data.get("n_pulses", 1e12)),
+            delta_km=float(data.get("l_a_km", 0.0)) - float(data.get("l_b_km", 0.0)),
+            budget=int(data.get("budget", 3000)),
+            seed=int(data.get("seed", 1)),
+            optimize_pairing_window=bool(data.get("optimize_pairing_window", True)),
+            duty_cycle=float(data.get("duty_cycle", 1.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     rows = sc.run_sweep(spec)
     _write_outputs(rows, out_dir, [f"optimize preset={spec.preset} seed={spec.seed}"])
     return 0 if any(r.get("rate_bps") not in ("", 0.0) for r in rows) else 2

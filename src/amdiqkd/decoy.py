@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .channel import SourceConfig, _phase_sifted_totals, split_sums
+from .channel import CountKey, SourceConfig, split_sums
 from .stats import expected_lower, expected_upper, observed_lower, observed_upper
 from .stats import sampling_correction
 
@@ -42,8 +42,6 @@ __all__ = [
     "estimate",
 ]
 
-CountKey = tuple[tuple[str, str], tuple[str, str]]
-
 X_KEY: CountKey = (("nu", "nu"), ("nu", "nu"))
 
 
@@ -55,15 +53,12 @@ def pairing_probs(source: SourceConfig, phase_slices: int) -> dict[CountKey, flo
     early/late splits that survive filtering.  Matched-phase groups carry the
     extra 2/M factor for the phase-sifting condition.
     """
+    layout = source.layout
     p_a, p_b = source.probabilities_a, source.probabilities_b
     p_s = source.survival_prob
-    weights = {
-        (la, lb): p_a[la] * p_b[lb] / p_s if source.kept(la, lb) else 0.0
-        for la in source.labels
-        for lb in source.labels
-    }
-    probs = split_sums(source, weights)
-    for key in _phase_sifted_totals(source):
+    weights = {(la, lb): p_a[la] * p_b[lb] / p_s for la, lb in layout.kept}
+    probs = split_sums(layout, weights)
+    for key in layout.sifted:
         probs[key] *= 2.0 / phase_slices
     return probs
 

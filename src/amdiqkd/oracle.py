@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelLink, DetectorPair, SourceConfig, party_totals
+from .channel import ChannelLink, DetectorPair, SourceConfig
 
 __all__ = ["OracleResult", "simulate", "pattern_given_arrived", "LayerPosterior"]
 
@@ -411,9 +411,10 @@ def simulate(
     cdf_b = np.cumsum([source.probabilities_b[l] for l in labels])
     cdf_a /= cdf_a[-1]
     cdf_b /= cdf_b[-1]
-    kept_matrix = np.ones((n_labels, n_labels), dtype=bool)
-    for (la, lb) in source.filtered_pairs:
-        kept_matrix[labels.index(la), labels.index(lb)] = False
+    layout = source.layout
+    kept_matrix = np.zeros((n_labels, n_labels), dtype=bool)
+    for (la, lb) in layout.kept:
+        kept_matrix[labels.index(la), labels.index(lb)] = True
 
     drift_per_bin = (2.0 * math.pi * link.laser_offset_hz + link.phase_drift_rad_per_s) / link.clock_hz
     n_chunks = (n_bins + chunk_bins - 1) // chunk_bins
@@ -437,12 +438,10 @@ def simulate(
 
     # party totals: canonical unordered label pair per party
     tot_code = np.empty((n_labels, n_labels), dtype=np.int16)
-    totals = party_totals(labels)
-    code_of = {t: i for i, t in enumerate(totals)}
-    for i, l1 in enumerate(labels):
-        for j, l2 in enumerate(labels):
-            key = (l1, l2) if labels.index(l1) <= labels.index(l2) else (l2, l1)
-            tot_code[i, j] = code_of[key]
+    code_of = {}
+    for code, (l1, l2) in enumerate(layout.totals):
+        i, j = labels.index(l1), labels.index(l2)
+        tot_code[i, j] = tot_code[j, i] = code_of[(l1, l2)] = code
     t_a = tot_code[la[early], la[late]]
     t_b = tot_code[lb[early], lb[late]]
 
@@ -454,18 +453,12 @@ def simulate(
     matched_pi = phi_ab == m_slices // 2
     matched = matched0 | matched_pi
 
-    bright = [l for l in labels if l != "o"]
-    sifted_codes = {code_of[(l, l)] for l in bright}
-
-    counts: dict = {}
-    group_code = t_a.astype(np.int32) * len(totals) + t_b
-    flat = np.bincount(group_code, minlength=len(totals) ** 2)
-    for ia, ta in enumerate(totals):
-        for ib, tb in enumerate(totals):
-            counts[(ta, tb)] = int(flat[ia * len(totals) + ib])
-    for code in sifted_codes:
-        mask = (t_a == code) & (t_b == code)
-        counts[(totals[code], totals[code])] = int(np.count_nonzero(mask & matched))
+    n_totals = len(layout.totals)
+    group_code = t_a.astype(np.int32) * n_totals + t_b
+    counts = dict(zip(layout.groups, np.bincount(group_code, minlength=n_totals**2).tolist()))
+    for ta, tb in layout.sifted:
+        mask = (t_a == code_of[ta]) & (t_b == code_of[tb])
+        counts[(ta, tb)] = int(np.count_nonzero(mask & matched))
 
     # Z-basis truth, tallied from the physical emission record
     o_code = labels.index("o")
@@ -477,6 +470,7 @@ def simulate(
     bright_a_early = la[early] != o_code
     bright_b_early = lb[early] != o_code
     z_error = bright_a_early == bright_b_early
+    bright = [l for l in labels if l != "o"]
     for ka in bright:
         for kb in bright:
             key = ((ka, "o"), (kb, "o"))

@@ -1,12 +1,9 @@
 """Acceptance gate: every criterion below runs at its stated tolerance and
 prints one PASS/FAIL line (run with ``pytest -s`` to see them live).
 
-Criterion 1 compares optimized rates against the published六-point table at
-the printed data sizes.  The implementation reproduces the same paper's
-published per-link network rates to better than 1% on all seven links (see
-criterion 1's failure message and tests below), so a persistent offset there
-indicates an internal inconsistency of the published tables rather than a
-modelling error here.
+Criterion 1 compares optimized rates against the published six-point table at
+the printed data sizes.  It fails by a flat factor of about 1.28 over
+50-300 km; docs/criterion1.md records the analysis.
 """
 
 import math
@@ -74,11 +71,10 @@ class TestCriterion1TableReproduction:
         ok = worst <= 0.15
         report(1, "published rate table +-15%", ok, f"worst dev {worst:.1%}; {detail}")
         assert ok, (
-            f"worst deviation {worst:.1%} exceeds 15% ({detail}). The same model "
-            "reproduces the published five-user network rates to <1% on all seven "
-            "links (see TestCriterion4 context and the network preset), so the two "
-            "published tables are mutually inconsistent under the printed formulas; "
-            "see the decisions ledger for the full analysis."
+            f"worst deviation {worst:.1%} exceeds 15% ({detail}). The ratio to the "
+            "published table is flat over 50-300 km, which points to a scale factor "
+            "rather than the shape of the model; see docs/criterion1.md for the "
+            "one-change probes and what is not pinned."
         )
 
 

@@ -12,14 +12,14 @@ from amdiqkd.channel import (
     ChannelLink,
     DetectorPair,
     SourceConfig,
+    click_table,
     coincidence_counts,
     expected_observables,
     kept_click_prob,
     pair_gain,
     pair_gain_phase,
     pairing_statistics,
-    party_totals,
-    total_intensity,
+    split_sums,
     xbasis_error_count,
     z_error_rates,
 )
@@ -51,6 +51,19 @@ def make_source(click_filtering=True, **kw):
     )
     params.update(kw)
     return SourceConfig.from_params(click_filtering=click_filtering, **params)
+
+
+def table_and_q_tot(src, link, det=DET):
+    table = click_table(src, link, det)
+    return table, kept_click_prob(src, table)
+
+
+def raw_counts(src, link, n_pairs, det=DET):
+    """Coincidence counts before phase sifting: the plain split decomposition."""
+    table, q_tot = table_and_q_tot(src, link, det)
+    p_a, p_b = src.probabilities_a, src.probabilities_b
+    fractions = {(la, lb): p_a[la] * p_b[lb] * table[(la, lb)] / q_tot for la, lb in src.layout.kept}
+    return {key: n_pairs * acc for key, acc in split_sums(src.layout, fractions).items()}
 
 
 class TestPairGain:
@@ -131,8 +144,8 @@ class TestClickFiltering:
         src_f = make_source(click_filtering=True)
         src_n = make_source(click_filtering=False)
         link = make_link()
-        q_f = kept_click_prob(src_f, link, DET)
-        q_n = kept_click_prob(src_n, link, DET)
+        _, q_f = table_and_q_tot(src_f, link)
+        _, q_n = table_and_q_tot(src_n, link)
         cross = (
             src_f.probabilities_a["mu"] * src_f.probabilities_b["nu"]
             * pair_gain(src_f.intensities_a["mu"], src_f.intensities_b["nu"], link, DET)
@@ -147,8 +160,7 @@ class TestClickFiltering:
         assert make_source(click_filtering=False).survival_prob == 1.0
 
     def test_survival_prob_independent_of_hash_seed(self):
-        # the filtered pairs are a set of strings, whose iteration order
-        # follows the string hash seed; the result must not
+        # the result must not depend on the string hash seed
         code = (
             "from amdiqkd.channel import SourceConfig\n"
             "from amdiqkd.decoy import pairing_probs\n"
@@ -171,9 +183,9 @@ class TestClickFiltering:
             omega_a=0.15, p_omega_a=0.1, omega_b=0.15, p_omega_b=0.1, click_filtering=True
         )
         assert src.four_intensity
-        assert len(src.filtered_pairs) == 6
-        assert ("mu", "omega") in src.filtered_pairs
-        assert ("mu", "mu") not in src.filtered_pairs
+        assert len(src.layout.kept) == 16 - 6
+        assert ("mu", "omega") not in src.layout.kept
+        assert ("mu", "mu") in src.layout.kept
 
 
 class TestCoincidenceCounts:
@@ -181,21 +193,23 @@ class TestCoincidenceCounts:
         det = DetectorPair(eta_d=0.8, dark_rate_hz=0.0)
         src = make_source()
         link = make_link()
-        counts = coincidence_counts(src, link, det, n_pairs=1e6)
+        table, q_tot = table_and_q_tot(src, link, det)
+        counts = coincidence_counts(src, link, det, 1e6, q_tot, table)
         assert counts[(("o", "o"), ("o", "o"))] == 0.0
 
     def test_completeness_without_filtering(self):
         src = make_source(click_filtering=False)
         link = make_link(40.0, 60.0)
         n_pairs = 1e8
-        counts = coincidence_counts(src, link, DET, n_pairs, phase_sifted=False)
+        counts = raw_counts(src, link, n_pairs)
         assert sum(counts.values()) == pytest.approx(n_pairs, rel=1e-9)
 
     def test_phase_sifting_suppresses_matched_group(self):
         src = make_source()
         link = make_link()
-        raw = coincidence_counts(src, link, DET, 1e8, phase_sifted=False)
-        sifted = coincidence_counts(src, link, DET, 1e8, phase_sifted=True)
+        table, q_tot = table_and_q_tot(src, link)
+        raw = raw_counts(src, link, 1e8)
+        sifted = coincidence_counts(src, link, DET, 1e8, q_tot, table)
         key = (("nu", "nu"), ("nu", "nu"))
         # 2/M of the unsifted count, up to the phase-correlation factor
         assert sifted[key] < raw[key]
@@ -205,8 +219,8 @@ class TestCoincidenceCounts:
         # both bins of a matched-phase pair see the same phase
         src = make_source()
         link = make_link(25.0, 25.0)
-        n_pairs, q_tot = 1e10, kept_click_prob(src, link, DET)
-        counts = coincidence_counts(src, link, DET, n_pairs, q_tot)
+        n_pairs, (table, q_tot) = 1e10, table_and_q_tot(src, link)
+        counts = coincidence_counts(src, link, DET, n_pairs, q_tot, table)
         for lab in ("mu", "nu"):
             weight = src.probabilities_a[lab] * src.probabilities_b[lab] / q_tot
             q_l, q_r = pair_gain_phase(
@@ -218,12 +232,18 @@ class TestCoincidenceCounts:
             assert counts[((lab, lab), (lab, lab))] == pytest.approx(averaged, rel=1e-12)
 
     def test_totals_enumeration(self):
-        labels = ("mu", "nu", "o")
-        totals = party_totals(labels)
-        assert len(totals) == 6
-        assert ("mu", "nu") in totals
-        src = make_source()
-        assert total_intensity(("mu", "nu"), src.intensities_a) == pytest.approx(0.55)
+        layout = make_source().layout
+        assert len(layout.totals) == 6
+        assert ("mu", "nu") in layout.totals
+        assert len(layout.groups) == 36
+        # a mixed total splits both ways; filtering drops the (mu|nu) bins
+        splits = dict(zip(layout.groups, layout.splits))
+        assert splits[(("mu", "nu"), ("o", "o"))] == (
+            (("mu", "o"), ("nu", "o")), (("nu", "o"), ("mu", "o")),
+        )
+        assert splits[(("mu", "nu"), ("mu", "nu"))] == (
+            (("mu", "mu"), ("nu", "nu")), (("nu", "nu"), ("mu", "mu")),
+        )
 
 
 class TestObservables:
@@ -248,7 +268,7 @@ class TestObservables:
         # the late bin runs ahead by the drift phase; misalignment swaps the verdict
         src = make_source()
         link = make_link(25.0, 25.0, phase_drift_rad_per_s=3e5)
-        n_pairs, q_tot = 1e10, kept_click_prob(src, link, DET)
+        n_pairs, (_, q_tot) = 1e10, table_and_q_tot(src, link)
         t_mean = 2e-6
         delta = link.drift_phase(t_mean)
         assert 0.1 < delta % (2.0 * math.pi) < 2.0 * math.pi - 0.1
@@ -264,7 +284,7 @@ class TestObservables:
 
     def test_z_error_rates_between_zero_and_half(self):
         src = make_source(click_filtering=False)
-        rates = z_error_rates(src, make_link(100.0, 100.0), DET)
+        rates = z_error_rates(src, click_table(src, make_link(100.0, 100.0), DET))
         assert len(rates) == 4
         for val in rates.values():
             assert 0.0 < val < 0.5
@@ -272,8 +292,8 @@ class TestObservables:
     def test_z_error_rate_increases_with_distance(self):
         src = make_source()
         key = (("mu", "o"), ("mu", "o"))
-        near = z_error_rates(src, make_link(10.0, 10.0), DET)[key]
-        far = z_error_rates(src, make_link(150.0, 150.0), DET)[key]
+        near = z_error_rates(src, click_table(src, make_link(10.0, 10.0), DET))[key]
+        far = z_error_rates(src, click_table(src, make_link(150.0, 150.0), DET))[key]
         assert near < far
 
 

@@ -39,6 +39,36 @@ class TestEvaluate:
         assert main(["evaluate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
 
 
+EVALUATE_PARAMS = dict(mu_a=0.43, nu_a=0.021, p_mu_a=0.27, p_nu_a=0.16,
+                       mu_b=0.43, nu_b=0.021, p_mu_b=0.27, p_nu_b=0.16)
+
+
+def params_override(**changes):
+    params = {k: v for k, v in {**EVALUATE_PARAMS, **changes}.items() if v is not None}
+    return "params={" + ", ".join(f"{k}: {v}" for k, v in params.items()) + "}"
+
+
+class TestConfigErrors:
+    # each of these ended in a traceback instead of exit code 1
+    @pytest.mark.parametrize("override", ["variant=bogus", "preset=nope", "l_a_km=abc"])
+    def test_bad_optimize_field(self, tmp_path, capsys, override):
+        scn = write_scenario(tmp_path, "command: optimize\nl_a_km: 10\nl_b_km: 10\nbudget: 20\n")
+        argv = ["optimize", "--scenario", str(scn), "--set", override, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        pytest.param(params_override(nu_a=None), id="missing-nu_a"),
+        pytest.param(params_override(mu_a="abc"), id="text-mu_a"),
+        "l_a_km=abc",
+    ])
+    def test_bad_evaluate_field(self, tmp_path, capsys, override):
+        argv = ["evaluate", "--preset", "evaluate_300km", "--set", override,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+
 class TestStrictConfig:
     def test_unknown_field_rejected(self, tmp_path):
         scn = write_scenario(tmp_path, FIXTURE_SWEEP + "unknown_knob: 3\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amdiqkd.channel import DetectorPair, SourceConfig, expected_observables, party_totals
+from amdiqkd.channel import DetectorPair, SourceConfig, expected_observables
 from amdiqkd.decoy import (
     X_KEY,
     double_scan,
@@ -22,8 +22,7 @@ from test_channel import DET, make_link, make_source
 
 
 def zero_counts(source):
-    totals = party_totals(source.labels)
-    return {(ta, tb): 0.0 for ta in totals for tb in totals}
+    return dict.fromkeys(source.layout.groups, 0.0)
 
 
 def observables(source, l_a=50.0, l_b=50.0, n_pulses=1e12, **link_kw):
@@ -39,32 +38,55 @@ class TestPairingProbs:
         p_ob = src.probabilities_b["o"]
         assert probs[(("o", "o"), ("o", "o"))] == pytest.approx((p_oa * p_ob) ** 2, rel=1e-12)
 
-    def test_brute_force_enumeration(self):
-        # independent oracle: enumerate every (early, late) label assignment
-        src = make_source(click_filtering=False, p_mu_a=0.5, p_nu_a=0.3, p_mu_b=0.5, p_nu_b=0.3)
-        probs = pairing_probs(src, phase_slices=16)
+    @pytest.mark.parametrize("four_intensity, click_filtering", [
+        pytest.param(False, False, id="three-unfiltered"),
+        pytest.param(False, True, id="three-filtered"),
+        pytest.param(True, False, id="four-unfiltered"),
+        pytest.param(True, True, id="four-filtered"),
+    ])
+    def test_brute_force_enumeration(self, four_intensity, click_filtering):
+        # independent oracle: enumerate every (early, late) label assignment,
+        # drop those with a filtered bin, and sift the matched-phase groups
+        omega = {}
+        if four_intensity:
+            omega = dict(omega_a=0.15, p_omega_a=0.1, omega_b=0.2, p_omega_b=0.12)
+        src = make_source(click_filtering=click_filtering, p_mu_a=0.5, p_nu_a=0.3,
+                          p_mu_b=0.4, p_nu_b=0.35, **omega)
+        m_slices = 16
+        probs = pairing_probs(src, phase_slices=m_slices)
         labels = src.labels
+        p_a, p_b = src.probabilities_a, src.probabilities_b
+
+        def kept(la, lb):
+            return not click_filtering or la == lb or "o" in (la, lb)
+
+        p_s = sum(p_a[la] * p_b[lb] for la in labels for lb in labels if kept(la, lb))
         acc = {}
         for ae in labels:
             for al in labels:
                 for be in labels:
                     for bl in labels:
+                        if not (kept(ae, be) and kept(al, bl)):
+                            continue
                         key = (
                             tuple(sorted((ae, al), key=labels.index)),
                             tuple(sorted((be, bl), key=labels.index)),
                         )
                         acc[key] = acc.get(key, 0.0) + (
-                            src.probabilities_a[ae]
-                            * src.probabilities_b[be]
-                            * src.probabilities_a[al]
-                            * src.probabilities_b[bl]
+                            p_a[ae] * p_b[be] * p_a[al] * p_b[bl] / p_s**2
                         )
+        # every kept (early, late) assignment lands in exactly one group
+        assert sum(acc.values()) == pytest.approx(1.0, rel=1e-12)
         key_mumu = (("mu", "mu"), ("mu", "mu"))
-        assert probs[key_mumu] == pytest.approx(acc[key_mumu] * 2.0 / 16, rel=1e-12)
-        key_mixed = (("mu", "nu"), ("mu", "o"))
-        assert probs[key_mixed] == pytest.approx(acc[key_mixed], rel=1e-12)
-        # four split terms contribute to the signal-signal group
-        assert acc[key_mumu] == pytest.approx((0.5 * 0.5) ** 2, rel=1e-12)
+        assert acc[key_mumu] == pytest.approx((0.5 * 0.4 / p_s) ** 2, rel=1e-12)
+        n_totals = len(labels) * (len(labels) + 1) // 2
+        assert len(probs) == n_totals**2
+        assert set(acc) <= set(probs)
+        for key, p in probs.items():
+            (a1, a2), (b1, b2) = key
+            sifted = a1 == a2 == b1 == b2 != "o"
+            expected = acc.get(key, 0.0) * (2.0 / m_slices if sifted else 1.0)
+            assert p == pytest.approx(expected, rel=1e-12, abs=0.0), key
 
     def test_x_group_carries_phase_factor(self):
         src = make_source()

@@ -15,6 +15,7 @@ mpmath = pytest.importorskip("mpmath")
 from amdiqkd.baselines import Bb84Params, MdiParams, bb84_observables, mdi_observables  # noqa: E402
 from amdiqkd.channel import (  # noqa: E402
     SourceConfig,
+    click_table,
     coincidence_counts,
     pair_gain,
     xbasis_error_count,
@@ -90,7 +91,8 @@ class TestChannel:
     def test_sifted_coincidence_count(self, total_km):
         link = PRESET.link(total_km / 2.0, total_km / 2.0)
         n_pairs, q_tot = 1e10, 1e-6
-        counts = coincidence_counts(SOURCE, link, DET, n_pairs, q_tot)
+        table = click_table(SOURCE, link, DET)
+        counts = coincidence_counts(SOURCE, link, DET, n_pairs, q_tot, table)
         for lab in ("mu", "omega", "nu"):
             y, c = mp_pair_terms(SOURCE.intensities_a[lab], SOURCE.intensities_b[lab], link)
             weight = (

@@ -2,9 +2,11 @@
 MDI-QKD with double scanning, and four-intensity decoy-state BB84.
 
 Both are evaluated from closed-form expected counts (no pairing stage) with
-the same Chernoff machinery as the main protocol.  Transmittances here fold
-the detector efficiency into the channel, matching the form of the printed
-count models.
+the same Chernoff machinery as the main protocol, on the same device model:
+the ``ChannelLink`` and ``DetectorPair`` that
+:func:`amdiqkd.channel.expected_observables` takes, and for MDI also its
+``SourceConfig``.  The count models fold the detector efficiency into each
+arm's transmittance, matching the form of the printed formulas.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from typing import Mapping
 
 import numpy as np
 
+from .channel import ChannelLink, DetectorPair, SourceConfig, validate_party
 from .stats import binary_entropy, expected_lower, expected_upper, i0m1, no_click
 from .stats import observed_lower, observed_upper, sampling_correction
 
 __all__ = [
-    "MdiParams",
     "MdiObservables",
     "Bb84Params",
     "Bb84Observables",
@@ -32,48 +34,9 @@ __all__ = [
 LEVELS = ("mu", "omega", "nu", "o")
 
 
-def _check_levels(intensities: Mapping[str, float], probs: Mapping[str, float]) -> None:
-    if intensities["o"] != 0.0:
-        raise ValueError("'o' must be vacuum")
-    mu, om, nu = intensities["mu"], intensities["omega"], intensities["nu"]
-    if not mu > om > nu > 0.0:
-        raise ValueError(f"need mu > omega > nu > 0, got {intensities}")
-    total = sum(probs.values())
-    if abs(total - 1.0) > 1e-9 or any(not 0.0 < p < 1.0 for p in probs.values()):
-        raise ValueError(f"probabilities must be in (0,1) and sum to 1, got {probs}")
-
-
 # ---------------------------------------------------------------------------
 # time-bin MDI-QKD
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MdiParams:
-    """Symmetric-role parameters for the time-bin MDI baseline."""
-
-    intensities_a: Mapping[str, float]
-    probs_a: Mapping[str, float]
-    intensities_b: Mapping[str, float]
-    probs_b: Mapping[str, float]
-    length_a_km: float
-    length_b_km: float
-    attenuation_db_per_km: float
-    eta_det: float
-    dark_prob: float
-    misalignment: float = 0.04
-
-    def __post_init__(self) -> None:
-        _check_levels(self.intensities_a, self.probs_a)
-        _check_levels(self.intensities_b, self.probs_b)
-
-    @property
-    def eta_a(self) -> float:
-        return self.eta_det * 10.0 ** (-self.attenuation_db_per_km * self.length_a_km / 10.0)
-
-    @property
-    def eta_b(self) -> float:
-        return self.eta_det * 10.0 ** (-self.attenuation_db_per_km * self.length_b_km / 10.0)
-
 
 @dataclass
 class MdiObservables:
@@ -86,17 +49,22 @@ class MdiObservables:
     n_pairs: float
 
 
-def mdi_observables(params: MdiParams, n_pulses: float) -> MdiObservables:
+def mdi_observables(
+    source: SourceConfig, link: ChannelLink, det: DetectorPair, n_pulses: float
+) -> MdiObservables:
     """Closed-form detection model; detector dead time keeps one Bell state."""
+    if not source.four_intensity:
+        raise ValueError("the time-bin MDI baseline needs four intensities")
     n_prime = n_pulses / 2.0
-    p_d = params.dark_prob
-    e_mis = params.misalignment
+    eta_a, eta_b = det.eta_d * link.eta_a, det.eta_d * link.eta_b
+    p_d = det.dark_prob(link.clock_hz)
+    e_mis = link.interference_error
     n_z, m_z, n_x, m_x = {}, {}, {}, {}
     for ka_lab in LEVELS:
         for kb_lab in LEVELS:
-            ka = params.intensities_a[ka_lab] * params.eta_a
-            kb = params.intensities_b[kb_lab] * params.eta_b
-            weight = n_prime * params.probs_a[ka_lab] * params.probs_b[kb_lab]
+            ka = source.intensities_a[ka_lab] * eta_a
+            kb = source.intensities_b[kb_lab] * eta_b
+            weight = n_prime * source.probabilities_a[ka_lab] * source.probabilities_b[kb_lab]
             x = math.sqrt(ka * kb)
             bessel_m1 = i0m1(x)
 
@@ -122,7 +90,9 @@ def mdi_observables(params: MdiParams, n_pulses: float) -> MdiObservables:
 
 
 def mdi_key_rate(
-    params: MdiParams,
+    source: SourceConfig,
+    link: ChannelLink,
+    det: DetectorPair,
     n_pulses: float,
     eps: float,
     error_correction_f: float = 1.1,
@@ -134,9 +104,9 @@ def mdi_key_rate(
     joint/Chernoff bounds and the rate is minimized over their rectangle
     (corner evaluation, optional dense grid).
     """
-    obs = mdi_observables(params, n_pulses)
-    ia, ib = params.intensities_a, params.intensities_b
-    pa, pb = params.probs_a, params.probs_b
+    obs = mdi_observables(source, link, det, n_pulses)
+    ia, ib = source.intensities_a, source.intensities_b
+    pa, pb = source.probabilities_a, source.probabilities_b
     mu_a, mu_b = ia["mu"], ib["mu"]
     om_a, om_b = ia["omega"], ib["omega"]
     nu_a, nu_b = ia["nu"], ib["nu"]
@@ -242,27 +212,32 @@ def mdi_key_rate(
 
 @dataclass(frozen=True)
 class Bb84Params:
-    """Four-intensity decoy-state BB84 with a lossy receiver."""
+    """Four-intensity decoy-state BB84 over the whole fibre of ``link``
+    (``link.total_km``) into a lossy receiver with the detectors ``det``."""
 
     intensities: Mapping[str, float]
     probs: Mapping[str, float]
-    length_km: float
-    attenuation_db_per_km: float
-    eta_det: float
-    dark_prob: float
+    link: ChannelLink
+    det: DetectorPair
     insert_loss_db: float = 2.0
     misalignment: float = 0.02
     q_z: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_levels(self.intensities, self.probs)
+        validate_party(self.intensities, self.probs)
+        if "omega" not in self.intensities:
+            raise ValueError("decoy-state BB84 needs an 'omega' level")
         if not 0.0 < self.q_z < 1.0:
             raise ValueError("q_z must be in (0, 1)")
 
     @property
     def eta(self) -> float:
-        loss_db = self.attenuation_db_per_km * self.length_km + self.insert_loss_db
-        return self.eta_det * 10.0 ** (-loss_db / 10.0)
+        loss_db = self.link.attenuation_db_per_km * self.link.total_km + self.insert_loss_db
+        return self.det.eta_d * 10.0 ** (-loss_db / 10.0)
+
+    @property
+    def dark_prob(self) -> float:
+        return self.det.dark_prob(self.link.clock_hz)
 
 
 @dataclass

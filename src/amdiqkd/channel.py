@@ -54,6 +54,7 @@ __all__ = [
     "z_error_rates",
     "expected_observables",
     "split_sums",
+    "validate_party",
 ]
 
 # Canonical ordering of intensity labels, brightest first.
@@ -141,7 +142,9 @@ class ChannelLink:
         return t_mean_s * (2.0 * math.pi * self.laser_offset_hz + self.phase_drift_rad_per_s)
 
 
-def _validate_party(intensities: Mapping[str, float], probabilities: Mapping[str, float]) -> None:
+def validate_party(intensities: Mapping[str, float], probabilities: Mapping[str, float]) -> None:
+    """Reject one party's levels unless mu > (omega >) nu > o = 0 with send
+    probabilities in (0, 1) that sum to one."""
     if set(intensities) != set(probabilities):
         raise ValueError("intensity and probability labels differ")
     labels = set(intensities)
@@ -179,8 +182,8 @@ class SourceConfig:
     click_filtering: bool = True
 
     def __post_init__(self) -> None:
-        _validate_party(self.intensities_a, self.probabilities_a)
-        _validate_party(self.intensities_b, self.probabilities_b)
+        validate_party(self.intensities_a, self.probabilities_a)
+        validate_party(self.intensities_b, self.probabilities_b)
         if set(self.intensities_a) != set(self.intensities_b):
             raise ValueError("both parties must use the same label set")
 
@@ -494,15 +497,6 @@ class ObservableSet:
     m_x: float
     z_qber: dict[CountKey, float] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        if any(v < 0.0 for v in self.counts.values()):
-            raise ValueError("negative coincidence count")
-        if sum(self.counts.values()) > self.n_pairs * (1.0 + 1e-9):
-            raise ValueError("coincidence counts exceed the number of pairs")
-        x_key = (("nu", "nu"), ("nu", "nu"))
-        if self.m_x > self.counts.get(x_key, 0.0) * (1.0 + 1e-9):
-            raise ValueError("X-basis errors exceed the X-basis count")
-
 
 def expected_observables(
     source: SourceConfig, link: ChannelLink, det: DetectorPair, n_pulses: float
@@ -516,7 +510,7 @@ def expected_observables(
         return ObservableSet(n_pulses, 0.0, t_mean, q_tot, counts, 0.0, {})
     counts = coincidence_counts(source, link, det, n_pairs, q_tot, table)
     m_x = xbasis_error_count(source, link, det, n_pairs, t_mean, q_tot)
-    obs = ObservableSet(
+    return ObservableSet(
         n_pulses=n_pulses,
         n_pairs=n_pairs,
         t_mean_s=t_mean,
@@ -525,5 +519,3 @@ def expected_observables(
         m_x=m_x,
         z_qber=z_error_rates(source, table),
     )
-    obs.validate()
-    return obs

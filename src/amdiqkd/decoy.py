@@ -275,8 +275,7 @@ class DoubleScanResult:
     e11x_star: float
     s11x_star: float
     t11x_star: float
-    corner: tuple[float, float]  # (H, M) realizing the worst-case error rate
-    corners: tuple[tuple[float, float, float], ...] = ()  # (e, s, t) per grid point
+    corners: tuple[tuple[float, float, float], ...]  # (e, s, t) per grid point
 
 
 def double_scan(
@@ -349,17 +348,11 @@ def double_scan(
     else:
         points = [(h_lo, m_lo), (h_lo, m_hi), (h_hi, m_lo), (h_hi, m_hi)]
 
-    worst = None
-    corners = []
-    for h, m in points:
-        e, s, t = rate_at(h, m)
-        corners.append((min(e, 1.0), s, t))
-        if worst is None or e > worst[0]:
-            worst = (e, s, t, (h, m))
-    e, s, t, corner = worst
+    scanned = [rate_at(h, m) for h, m in points]
+    e, s, t = max(scanned, key=lambda est: est[0])  # the first of equal maxima
     return DoubleScanResult(
-        e11x_star=min(e, 1.0), s11x_star=s, t11x_star=t, corner=corner,
-        corners=tuple(corners),
+        e11x_star=min(e, 1.0), s11x_star=s, t11x_star=t,
+        corners=tuple((min(e, 1.0), s, t) for e, s, t in scanned),
     )
 
 
@@ -382,7 +375,6 @@ class DecoyEstimate:
     t11_x: float
     e11_x: float
     phi11_z: float
-    method: str
     infeasible: bool = False
 
 
@@ -459,6 +451,5 @@ def estimate(
         t11_x=t11x_obs,
         e11_x=e11x,
         phi11_z=phi,
-        method="double_scan+" + phase_error_method if double_scanning else phase_error_method,
         infeasible=infeasible,
     )

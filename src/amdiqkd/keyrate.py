@@ -164,13 +164,13 @@ def evaluate(
     error_correction_f: float,
     variant: ProtocolVariant = ProtocolVariant(),
     duty_cycle: float = 1.0,
-    skc0_include_detector: bool = False,
 ) -> KeyRateReport:
     """Evaluate the secure key rate of one link configuration.
 
     ``params`` may carry ``tc_bins`` to override the pairing window.  Any
     infeasible configuration comes back with zero rate rather than raising,
-    so optimizers can probe freely.
+    so optimizers can probe freely.  skc0 is the repeaterless bound of the
+    fibre alone (detectors excluded).
     """
     if isinstance(params, SourceConfig):
         source = params
@@ -181,10 +181,7 @@ def evaluate(
         if "tc_bins" in params_dict:
             link = replace(link, pairing_window_bins=params_dict["tc_bins"])
 
-    eta = link.eta_a * link.eta_b
-    if skc0_include_detector:
-        eta *= det.eta_d
-    skc0_pulse = repeaterless_bound(eta)
+    skc0_pulse = repeaterless_bound(link.eta_a * link.eta_b)
     skc0_second = skc0_pulse * link.clock_hz * duty_cycle
 
     obs = expected_observables(source, link, det, n_pulses)

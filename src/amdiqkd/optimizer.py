@@ -32,6 +32,8 @@ __all__ = [
 _MIN_INTENSITY_GAP = 1e-4
 _MIN_VACUUM_PROB = 1e-3
 _GENERATIONS_PER_ERA = 10
+_POPULATION = 50
+_CROSSOVER_PROB = 0.9
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,13 @@ def repair_async_params(params: dict) -> dict:
         values = sorted((out[f"{l}_{side}"] for l in labels), reverse=True)
         for i in range(1, len(values)):
             values[i] = min(values[i], values[i - 1] - _MIN_INTENSITY_GAP)
+        values = [max(v, _MIN_INTENSITY_GAP / 10.0) for v in values]
+        # the floor can merge the lowest levels; lift each merged one above the next
+        for i in range(len(values) - 2, -1, -1):
+            if values[i] <= values[i + 1]:
+                values[i] = values[i + 1] + _MIN_INTENSITY_GAP / 10.0
         for l, v in zip(labels, values):
-            out[f"{l}_{side}"] = max(v, _MIN_INTENSITY_GAP / 10.0)
+            out[f"{l}_{side}"] = v
         prob_names = [f"p_{l}_{side}" for l in labels]
         total = sum(out[p] for p in prob_names)
         ceiling = 1.0 - _MIN_VACUUM_PROB
@@ -119,40 +126,22 @@ def repair_async_params(params: dict) -> dict:
 
 def async_search_space(
     four_intensity: bool = False,
-    tie_parties: bool = False,
     optimize_pairing_window: bool = True,
-    frozen: Mapping[str, float] | None = None,
 ) -> SearchSpace:
     """Default search space for the asynchronous protocol (weak-coherent boxes)."""
     intensity_box = (1e-4, 1.0)
     prob_box = (1e-3, 0.99)
     names = ["mu", "nu"] + (["omega"] if four_intensity else [])
     bounds: dict[str, tuple[float, float]] = {}
-    mirror: dict[str, str] = {}
     for n in names:
-        bounds[f"{n}_a"] = intensity_box
-        bounds[f"p_{n}_a"] = prob_box
-        if tie_parties:
-            mirror[f"{n}_b"] = f"{n}_a"
-            mirror[f"p_{n}_b"] = f"p_{n}_a"
-        else:
-            bounds[f"{n}_b"] = intensity_box
-            bounds[f"p_{n}_b"] = prob_box
+        for side in ("a", "b"):
+            bounds[f"{n}_{side}"] = intensity_box
+            bounds[f"p_{n}_{side}"] = prob_box
     log_scale = set()
     if optimize_pairing_window:
         bounds["tc_bins"] = (1e3, 1e7)
         log_scale.add("tc_bins")
-    frozen = dict(frozen or {})
-    for name in frozen:
-        bounds.pop(name, None)
-        mirror.pop(name, None)
-    return SearchSpace(
-        bounds=bounds,
-        frozen=frozen,
-        mirror=mirror,
-        log_scale=frozenset(log_scale),
-        repair=repair_async_params,
-    )
+    return SearchSpace(bounds=bounds, log_scale=frozenset(log_scale), repair=repair_async_params)
 
 
 @dataclass
@@ -173,9 +162,7 @@ def optimize_link(
     space: SearchSpace,
     budget: int = 3000,
     seed: int = 0,
-    population: int = 50,
     warm_starts: Sequence[Mapping[str, float]] = (),
-    crossover_prob: float = 0.9,
 ) -> OptimResult:
     """Maximize ``objective`` within an evaluation budget.
 
@@ -186,7 +173,7 @@ def optimize_link(
         raise ValueError("budget must be positive")
     names = space.names
     dim = len(names)
-    population = min(population, budget)
+    population = min(_POPULATION, budget)
     rng = np.random.default_rng(seed)
 
     state = {
@@ -226,7 +213,7 @@ def optimize_link(
             pa = pop[picks[0][np.argmax(fitness[picks[0]])]]
             pb = pop[picks[1][np.argmax(fitness[picks[1]])]]
             child = pa.copy()
-            cross = rng.random(dim) < crossover_prob
+            cross = rng.random(dim) < _CROSSOVER_PROB
             blend = rng.uniform(-0.1, 1.1, size=dim)
             child[cross] = (blend * pa + (1.0 - blend) * pb)[cross]
             mutate = rng.random(dim) < 1.5 / dim

@@ -70,29 +70,6 @@ def _split_amplitudes(n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _occupancy_table(n_a: int, n_b: int, matched_pi: bool) -> tuple[tuple[tuple[int, int, int, int], float], ...]:
-    """Output-mode occupancy distribution for two interfering wavepackets.
-
-    ``n_a`` photons sit in an equal-amplitude superposition of Alice's early
-    and late bins (internal phase ``0`` or ``pi`` relative to Bob's), ``n_b``
-    in Bob's; each bin is mixed on a balanced beam splitter.  Mode order is
-    (L_early, R_early, L_late, R_late); occupancies of zero probability are
-    left out.
-    """
-    n = n_a + n_b
-    le, re, ll = (axis.ravel() for axis in np.indices((n + 1,) * 3))
-    occ = np.stack([le, re, ll, n - le - re - ll], axis=1)
-    occ = occ[occ[:, 3] >= 0]
-    agree = occ[:, 0] + (occ[:, 3] if matched_pi else occ[:, 2])
-    prob = (
-        _FACT[n_a] * _FACT[n_b] / 4.0**n / _FACT[occ].prod(axis=1)
-        * _split_amplitudes(n)[agree, n_a] ** 2
-    )
-    keep = prob > 0.0
-    return tuple(zip(map(tuple, occ[keep].tolist()), prob[keep].tolist()))
-
-
 def _bin_click_prob(n_fire, n_quiet, eta_d: float, p_d: float):
     """P(exactly the detector holding n_fire photons clicks in a bin)."""
     quiet = (1.0 - p_d) * (1.0 - eta_d) ** n_quiet
@@ -273,10 +250,6 @@ class OracleResult:
     x_truth: GroupTruth = field(default_factory=GroupTruth)
     x_vacuum: int = 0
     x_vacuum_errors: int = 0
-
-    @property
-    def q_tot_hat(self) -> float:
-        return self.n_clicks / self.n_bins
 
 
 def _draw_labels(rng, cdf: np.ndarray, size: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import baselines
-from .channel import ChannelLink, DetectorPair
+from .channel import ChannelLink, DetectorPair, SourceConfig
 from .keyrate import KeyRateReport, ProtocolVariant, evaluate, repeaterless_bound
 from .optimizer import SearchSpace, async_search_space, optimize_link, repair_async_params
 
@@ -249,44 +249,18 @@ def _evaluate_baseline(
     kind: str, preset: DevicePreset, l_a: float, l_b: float, n_pulses: float,
     budget: int, seed: int, duty_cycle: float = 1.0,
 ) -> tuple[dict, dict]:
-    det_prob = preset.detector().dark_prob(preset.clock_hz)
-
-    def levels(params: dict, side: str) -> tuple[dict, dict]:
-        ints = {
-            "mu": params[f"mu_{side}"], "omega": params[f"omega_{side}"],
-            "nu": params[f"nu_{side}"], "o": 0.0,
-        }
-        probs = {
-            "mu": params[f"p_mu_{side}"], "omega": params[f"p_omega_{side}"],
-            "nu": params[f"p_nu_{side}"],
-        }
-        probs["o"] = 1.0 - sum(probs.values())
-        return ints, probs
+    link, det = preset.link(l_a, l_b), preset.detector()
 
     if kind == "mdi-baseline":
         def objective(params: dict) -> float:
-            ints_a, probs_a = levels(params, "a")
-            ints_b, probs_b = levels(params, "b")
-            try:
-                prm = baselines.MdiParams(
-                    ints_a, probs_a, ints_b, probs_b, l_a, l_b,
-                    preset.attenuation_db_per_km, preset.eta_d, det_prob,
-                    misalignment=preset.interference_error,
-                )
-            except ValueError:
-                return 0.0
-            return baselines.mdi_key_rate(prm, n_pulses, preset.eps,
-                                          preset.error_correction_f)["rate_per_pulse"]
+            return baselines.mdi_key_rate(SourceConfig.from_params(**params), link, det, n_pulses,
+                                          preset.eps, preset.error_correction_f)["rate_per_pulse"]
     else:
         def objective(params: dict) -> float:
-            ints, probs = levels(params, "a")
-            try:
-                prm = baselines.Bb84Params(
-                    ints, probs, l_a + l_b, preset.attenuation_db_per_km,
-                    preset.eta_d, det_prob, q_z=params["q_z"],
-                )
-            except ValueError:
-                return 0.0
+            ints = {"mu": params["mu_a"], "omega": params["omega_a"], "nu": params["nu_a"], "o": 0.0}
+            probs = {"mu": params["p_mu_a"], "omega": params["p_omega_a"], "nu": params["p_nu_a"]}
+            probs["o"] = 1.0 - sum(probs.values())
+            prm = baselines.Bb84Params(ints, probs, link, det, q_z=params["q_z"])
             return baselines.bb84_key_rate(prm, n_pulses, preset.eps,
                                            preset.error_correction_f)["rate_per_pulse"]
 

@@ -5,13 +5,13 @@ import pytest
 
 from amdiqkd.baselines import (
     Bb84Params,
-    MdiParams,
     bb84_key_rate,
     bb84_observables,
     bb84_oracle,
     mdi_key_rate,
     mdi_observables,
 )
+from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
 from amdiqkd.stats import chernoff_expected, chernoff_observed
 
 F = 4e9
@@ -23,36 +23,30 @@ BB84_INTS = {"mu": 0.6, "omega": 0.1, "nu": 0.05, "o": 0.0}
 BB84_PROBS = {"mu": 0.5, "omega": 0.2, "nu": 0.15, "o": 0.15}
 
 
+def link_and_det(l_a, l_b, dark_hz=0.1, misalignment=0.04):
+    link = ChannelLink(l_a, l_b, 0.16, clock_hz=F, interference_error=misalignment)
+    return link, DetectorPair(0.8, dark_hz)
+
+
 def mdi_params(l_total=100.0, **kw):
-    defaults = dict(
-        intensities_a=MDI_INTS, probs_a=MDI_PROBS,
-        intensities_b=MDI_INTS, probs_b=MDI_PROBS,
-        length_a_km=l_total / 2, length_b_km=l_total / 2,
-        attenuation_db_per_km=0.16, eta_det=0.8, dark_prob=PD,
-    )
-    defaults.update(kw)
-    return MdiParams(**defaults)
+    """(source, link, det) of the symmetric time-bin MDI baseline."""
+    source = SourceConfig(MDI_INTS, MDI_PROBS, MDI_INTS, MDI_PROBS)
+    return (source, *link_and_det(l_total / 2, l_total / 2, **kw))
 
 
-def bb84_params(l=100.0, **kw):
-    defaults = dict(
-        intensities=BB84_INTS, probs=BB84_PROBS,
-        length_km=l, attenuation_db_per_km=0.16,
-        eta_det=0.8, dark_prob=PD,
-    )
-    defaults.update(kw)
-    return Bb84Params(**defaults)
+def bb84_params(l=100.0, dark_hz=0.1, **kw):
+    return Bb84Params(BB84_INTS, BB84_PROBS, *link_and_det(l, 0.0, dark_hz), **kw)
 
 
 class TestMdiObservables:
     def test_vacuum_pair_without_darks_is_silent(self):
-        params = mdi_params(dark_prob=0.0)
-        obs = mdi_observables(params, 1e12)
+        params = mdi_params(dark_hz=0.0)
+        obs = mdi_observables(*params, 1e12)
         assert obs.n_z[("o", "o")] == 0.0
         assert obs.m_z[("o", "o")] == 0.0
 
     def test_errors_never_exceed_counts(self):
-        obs = mdi_observables(mdi_params(), 1e12)
+        obs = mdi_observables(*mdi_params(), 1e12)
         for key in obs.n_z:
             assert obs.m_z[key] <= obs.n_z[key] + 1e-9
             assert obs.m_x[key] <= obs.n_x[key] + 1e-9
@@ -60,7 +54,7 @@ class TestMdiObservables:
     def test_printed_formulas_reevaluated_at_100km(self):
         # spreadsheet-style second evaluation of the count model, scalar form
         params = mdi_params(100.0)
-        obs = mdi_observables(params, 2e14)
+        obs = mdi_observables(*params, 2e14)
         ka = 0.7 * 0.8 * 10 ** (-0.16 * 50 / 10)
         kb = ka
         n_prime = 1e14
@@ -82,45 +76,51 @@ class TestMdiObservables:
         assert obs.n_x[("mu", "mu")] == pytest.approx(n_x, rel=1e-12)
         assert obs.m_x[("mu", "mu")] == pytest.approx(m_x, rel=1e-12)
 
+    def test_needs_four_intensities(self):
+        three = SourceConfig.from_params(mu_a=0.7, nu_a=0.02, p_mu_a=0.5, p_nu_a=0.3,
+                                         mu_b=0.7, nu_b=0.02, p_mu_b=0.5, p_nu_b=0.3)
+        with pytest.raises(ValueError, match="four intensities"):
+            mdi_observables(three, *link_and_det(50.0, 50.0), 1e12)
+
     def test_z_qber_is_dark_limited(self):
-        obs = mdi_observables(mdi_params(60.0), 1e14)
+        obs = mdi_observables(*mdi_params(60.0), 1e14)
         qber = obs.m_z[("mu", "mu")] / obs.n_z[("mu", "mu")]
         assert qber < 1e-6
 
 
 class TestMdiKeyRate:
     def test_positive_rate_in_ideal_limit(self):
-        res = mdi_key_rate(mdi_params(40.0), 3.2e14, 1e-10)
+        res = mdi_key_rate(*mdi_params(40.0), 3.2e14, 1e-10)
         assert res["rate_per_pulse"] > 0.0
         assert res["qber_z"] < 1e-6
 
     def test_corner_scan_matches_dense_grid(self):
         for l_total in (40.0, 100.0, 160.0):
             params = mdi_params(l_total)
-            corners = mdi_key_rate(params, 3.2e14, 1e-10)
-            grid = mdi_key_rate(params, 3.2e14, 1e-10, scan_grid=50)
+            corners = mdi_key_rate(*params, 3.2e14, 1e-10)
+            grid = mdi_key_rate(*params, 3.2e14, 1e-10, scan_grid=50)
             assert corners["ell"] == pytest.approx(grid["ell"], rel=1e-9, abs=1e-6)
 
     def test_scan_never_beats_pessimistic_corner(self):
         params = mdi_params(80.0)
-        scanned = mdi_key_rate(params, 3.2e14, 1e-10)
-        grid = mdi_key_rate(params, 3.2e14, 1e-10, scan_grid=25)
+        scanned = mdi_key_rate(*params, 3.2e14, 1e-10)
+        grid = mdi_key_rate(*params, 3.2e14, 1e-10, scan_grid=25)
         assert scanned["ell"] <= grid["ell"] + 1e-6
 
     def test_rate_vanishes_beyond_cutoff(self):
-        res = mdi_key_rate(mdi_params(500.0), 1e12, 1e-10)
+        res = mdi_key_rate(*mdi_params(500.0), 1e12, 1e-10)
         assert res["rate_per_pulse"] == 0.0
 
 
 class TestBb84Observables:
     def test_silent_without_light_and_darks(self):
-        params = bb84_params(dark_prob=0.0)
+        params = bb84_params(dark_hz=0.0)
         obs = bb84_observables(params, 1e12)
         assert obs.n_z["o"] == 0.0
         assert obs.n_x["o"] == 0.0
 
     def test_error_free_limit(self):
-        params = bb84_params(dark_prob=0.0, misalignment=0.0)
+        params = bb84_params(dark_hz=0.0, misalignment=0.0)
         obs = bb84_observables(params, 1e12)
         assert obs.m_z["mu"] == 0.0
         assert obs.n_z["mu"] > 0.0
@@ -148,8 +148,8 @@ class TestBb84Observables:
 class TestBb84Oracle:
     # photon-number-resolved Monte Carlo on two desk configurations
     CONFIGS = [
-        bb84_params(5.0, dark_prob=1e-4),
-        bb84_params(15.0, dark_prob=1e-5, q_z=0.65, misalignment=0.03),
+        bb84_params(5.0, dark_hz=4e5),
+        bb84_params(15.0, dark_hz=4e4, q_z=0.65, misalignment=0.03),
     ]
 
     @pytest.mark.parametrize("cfg_idx", [0, 1])
@@ -203,7 +203,7 @@ class TestBb84Oracle:
 
 class TestBb84KeyRate:
     def test_large_data_near_error_free(self):
-        params = bb84_params(20.0, misalignment=0.0, dark_prob=0.0)
+        params = bb84_params(20.0, misalignment=0.0, dark_hz=0.0)
         res = bb84_key_rate(params, 1e15, 1e-10)
         # sanity scale: key comes from vacuum + single-photon events
         assert res["ell"] > 0.0
@@ -236,7 +236,8 @@ class TestBb84KeyRate:
             bb84_params(q_z=0.0)
         with pytest.raises(ValueError):
             Bb84Params(
-                intensities={"mu": 0.1, "omega": 0.2, "nu": 0.05, "o": 0.0},
-                probs=BB84_PROBS, length_km=10.0,
-                attenuation_db_per_km=0.16, eta_det=0.8, dark_prob=PD,
+                {"mu": 0.1, "omega": 0.2, "nu": 0.05, "o": 0.0}, BB84_PROBS, *link_and_det(10.0, 0.0),
             )
+        with pytest.raises(ValueError, match="omega"):
+            Bb84Params({"mu": 0.6, "nu": 0.05, "o": 0.0}, {"mu": 0.5, "nu": 0.3, "o": 0.2},
+                       *link_and_det(10.0, 0.0))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amdiqkd
 from amdiqkd.channel import (
@@ -51,6 +53,14 @@ def make_source(click_filtering=True, **kw):
     )
     params.update(kw)
     return SourceConfig.from_params(click_filtering=click_filtering, **params)
+
+
+def assert_observable_invariants(obs):
+    """Counts are non-negative, fit in the pairs, and bound the X errors."""
+    x_key = (("nu", "nu"), ("nu", "nu"))
+    assert all(v >= 0.0 for v in obs.counts.values())
+    assert sum(obs.counts.values()) <= obs.n_pairs * (1.0 + 1e-9)
+    assert obs.m_x <= obs.counts[x_key] * (1.0 + 1e-9)
 
 
 def table_and_q_tot(src, link, det=DET):
@@ -251,7 +261,7 @@ class TestObservables:
         src = make_source()
         link = make_link(60.0, 40.0)
         obs = expected_observables(src, link, DET, 1e12)
-        obs.validate()
+        assert_observable_invariants(obs)
         x_key = (("nu", "nu"), ("nu", "nu"))
         assert 0.0 < obs.m_x <= obs.counts[x_key]
         assert obs.n_pairs <= 1e12 * obs.q_tot / 2.0 + 1.0
@@ -295,6 +305,38 @@ class TestObservables:
         near = z_error_rates(src, click_table(src, make_link(10.0, 10.0), DET))[key]
         far = z_error_rates(src, click_table(src, make_link(150.0, 150.0), DET))[key]
         assert near < far
+
+
+@st.composite
+def sources(draw):
+    """A three- or four-intensity source, click filtering on or off."""
+    four = draw(st.booleans())
+    params = {}
+    for side in "ab":
+        mu = draw(st.floats(0.05, 1.0))
+        nu = mu * draw(st.floats(0.01, 0.9))
+        params.update({f"mu_{side}": mu, f"nu_{side}": nu,
+                       f"p_mu_{side}": draw(st.floats(0.05, 0.55)),
+                       f"p_nu_{side}": draw(st.floats(0.05, 0.3))})
+        if four:
+            params[f"omega_{side}"] = nu + (mu - nu) * draw(st.floats(0.1, 0.9))
+            params[f"p_omega_{side}"] = draw(st.floats(0.05, 0.1))
+    return SourceConfig.from_params(click_filtering=draw(st.booleans()), **params)
+
+
+class TestObservableInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        src=sources(),
+        l_a=st.floats(0.0, 300.0),
+        l_b=st.floats(0.0, 300.0),
+        clock_hz=st.sampled_from([1e9, 4e9]),
+        log_window=st.floats(3.0, 7.0),
+        log_pulses=st.floats(9.0, 15.0),
+    )
+    def test_counts_bound_pairs_and_errors(self, src, l_a, l_b, clock_hz, log_window, log_pulses):
+        link = make_link(l_a, l_b, clock_hz=clock_hz, pairing_window_bins=10.0**log_window)
+        assert_observable_invariants(expected_observables(src, link, DET, 10.0**log_pulses))
 
 
 class TestValidation:

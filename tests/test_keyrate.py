@@ -135,8 +135,9 @@ class TestEvaluate:
     def test_skc0_conventions(self):
         link = make_link(100.0, 100.0)
         fibre = evaluate(PARAMS_50KM, link, DET, 1e12, EPS, 1.1)
-        with_det = evaluate(PARAMS_50KM, link, DET, 1e12, EPS, 1.1, skc0_include_detector=True)
-        assert with_det.skc0_per_pulse < fibre.skc0_per_pulse
+        # the fibre-only bound: detector efficiency is not folded in
+        assert fibre.skc0_per_pulse == repeaterless_bound(link.eta_a * link.eta_b)
+        assert repeaterless_bound(link.eta_a * link.eta_b * DET.eta_d) < fibre.skc0_per_pulse
 
     def test_variant_labels(self):
         assert ProtocolVariant().label == "filtering-direct"

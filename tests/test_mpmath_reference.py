@@ -12,7 +12,7 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from amdiqkd.baselines import Bb84Params, MdiParams, bb84_observables, mdi_observables  # noqa: E402
+from amdiqkd.baselines import Bb84Params, bb84_observables, mdi_observables  # noqa: E402
 from amdiqkd.channel import (  # noqa: E402
     SourceConfig,
     click_table,
@@ -130,20 +130,15 @@ class TestChannel:
 
 @pytest.mark.parametrize("total_km", DISTANCES_KM)
 def test_mdi_observables(total_km):
-    params = MdiParams(
-        intensities_a=MDI_INTS, probs_a=MDI_PROBS,
-        intensities_b=MDI_INTS, probs_b=MDI_PROBS,
-        length_a_km=total_km / 2.0, length_b_km=total_km / 2.0,
-        attenuation_db_per_km=PRESET.attenuation_db_per_km, eta_det=PRESET.eta_d,
-        dark_prob=P_D, misalignment=PRESET.interference_error,
-    )
+    source = SourceConfig(MDI_INTS, MDI_PROBS, MDI_INTS, MDI_PROBS)
+    link = PRESET.link(total_km / 2.0, total_km / 2.0)
     n_pulses = 3.168e14
-    obs = mdi_observables(params, n_pulses)
-    p_d, e_mis = mpmath.mpf(P_D), mpmath.mpf(params.misalignment)
+    obs = mdi_observables(source, link, DET, n_pulses)
+    p_d, e_mis = mpmath.mpf(P_D), mpmath.mpf(link.interference_error)
     for la in MDI_INTS:
         for lb in MDI_INTS:
-            ka = mpmath.mpf(params.intensities_a[la]) * mpmath.mpf(params.eta_a)
-            kb = mpmath.mpf(params.intensities_b[lb]) * mpmath.mpf(params.eta_b)
+            ka = mpmath.mpf(MDI_INTS[la]) * mpmath.mpf(DET.eta_d) * mpmath.mpf(link.eta_a)
+            kb = mpmath.mpf(MDI_INTS[lb]) * mpmath.mpf(DET.eta_d) * mpmath.mpf(link.eta_b)
             w = mpmath.mpf(n_pulses) / 2 * mpmath.mpf(MDI_PROBS[la]) * mpmath.mpf(MDI_PROBS[lb])
             x = mpmath.sqrt(ka * kb)
             half = mpmath.exp(-(ka + kb) / 2)
@@ -163,11 +158,7 @@ def test_mdi_observables(total_km):
 
 @pytest.mark.parametrize("total_km", [0.0, 100.0, 300.0, 480.0])
 def test_bb84_observables(total_km):
-    params = Bb84Params(
-        intensities=MDI_INTS, probs=MDI_PROBS, length_km=total_km,
-        attenuation_db_per_km=PRESET.attenuation_db_per_km, eta_det=PRESET.eta_d,
-        dark_prob=P_D, q_z=0.7,
-    )
+    params = Bb84Params(MDI_INTS, MDI_PROBS, PRESET.link(total_km, 0.0), DET, q_z=0.7)
     n_pulses = 3.168e14
     obs = bb84_observables(params, n_pulses)
     p_d, e_m, eta = mpmath.mpf(P_D), mpmath.mpf(params.misalignment), mpmath.mpf(params.eta)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from amdiqkd.channel import ChannelLink, DetectorPair
+from amdiqkd import scenario
+from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
 from amdiqkd.keyrate import ProtocolVariant, evaluate
 from amdiqkd.optimizer import (
     SearchSpace,
@@ -41,16 +42,35 @@ class TestSearchSpace:
             assert 1e3 <= params["tc_bins"] <= 1e7
 
     def test_mirrored_parties(self):
-        space = async_search_space(tie_parties=True)
+        space = scenario._baseline_space("mdi-baseline")
         params = space.decode(np.full(len(space.names), 0.3))
         assert params["mu_a"] == params["mu_b"]
         assert params["p_nu_a"] == params["p_nu_b"]
 
     def test_frozen_overrides(self):
-        space = async_search_space(frozen={"tc_bins": 5e5})
+        space = SearchSpace(bounds={"mu_a": (0.1, 1.0)}, frozen={"tc_bins": 5e5})
         assert "tc_bins" not in space.names
         params = space.decode(np.full(len(space.names), 0.5))
         assert params["tc_bins"] == 5e5
+
+    @pytest.mark.parametrize("four_intensity", [False, True])
+    def test_decoded_sets_are_valid_sources(self, four_intensity):
+        # the GA clips children to the cube, so genes sit exactly on 0 or 1
+        space = async_search_space(four_intensity=four_intensity)
+        rng = np.random.default_rng(5)
+        choices = np.array([0.0, 1.0, np.nan])
+        for _ in range(2000):
+            geno = rng.choice(choices, size=len(space.names))
+            geno = np.where(np.isnan(geno), rng.random(len(space.names)), geno)
+            params = space.decode(geno)
+            params.pop("tc_bins")
+            SourceConfig.from_params(**params)
+
+    def test_repair_keeps_floored_levels_apart(self):
+        fixed = repair_async_params(
+            dict(mu_a=1e-4, omega_a=1e-4, nu_a=1e-4, p_mu_a=0.3, p_omega_a=0.2, p_nu_a=0.2)
+        )
+        assert (fixed["mu_a"], fixed["omega_a"], fixed["nu_a"]) == (1e-4, 2e-5, 1e-5)
 
     def test_repair_sorts_intensities(self):
         fixed = repair_async_params(

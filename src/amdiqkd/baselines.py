@@ -361,7 +361,7 @@ def bb84_key_rate(params: Bb84Params, n_pulses: float, eps: float,
     t1x = max(obs.m_x["omega"] - observed_lower(m0x_star, eps), 0.0)
 
     if n1z <= 0.0 or n1x <= 0.0:
-        return {"ell": 0.0, "rate_per_pulse": 0.0, "phi_z": 0.5, "leakage": 0.0}
+        return {"ell": 0.0, "rate_per_pulse": 0.0, "phi_z": 0.5, "leakage": 0.0, "n0": n0_obs}
     e1x = min(t1x / n1x, 1.0)
     phi = min(e1x + sampling_correction(n1z, n1x, min(e1x, 1.0), eps), 0.5)
 
@@ -381,5 +381,6 @@ def bb84_key_rate(params: Bb84Params, n_pulses: float, eps: float,
         "rate_per_pulse": ell / n_pulses,
         "phi_z": phi,
         "leakage": leakage,
+        "n0": n0_obs,
         "qber_z": qber,
     }

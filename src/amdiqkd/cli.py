@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from importlib import resources
@@ -32,21 +33,12 @@ class ConfigError(Exception):
     pass
 
 
-_SWEEP_KEYS = {
-    "command", "preset", "distances_km", "variants", "n_pulses", "delta_km",
-    "budget", "seed", "optimize_pairing_window", "duty_cycle", "external_rates",
-}
-_NETWORK_KEYS = {
-    "command", "preset", "users", "duration_s", "duty_cycle", "variants",
-    "budget", "seed", "optimize_pairing_window",
-}
-_EVALUATE_KEYS = {
-    "command", "preset", "l_a_km", "l_b_km", "n_pulses", "variant", "params",
-    "duty_cycle", "seed",
-}
+_SWEEP_KEYS = {f.name for f in dataclasses.fields(sc.SweepSpec)}
+_NETWORK_KEYS = {f.name for f in dataclasses.fields(sc.NetworkSpec)}
+_EVALUATE_KEYS = {"preset", "l_a_km", "l_b_km", "n_pulses", "variant", "params", "seed"}
 _OPTIMIZE_KEYS = {
-    "command", "preset", "l_a_km", "l_b_km", "n_pulses", "variant", "budget",
-    "seed", "optimize_pairing_window", "duty_cycle",
+    "preset", "l_a_km", "l_b_km", "n_pulses", "variant", "budget", "seed",
+    "optimize_pairing_window",
 }
 _PARAM_KEYS = {
     "mu_a", "nu_a", "omega_a", "p_mu_a", "p_nu_a", "p_omega_a",
@@ -131,6 +123,12 @@ def _write_outputs(rows: list[dict], out_dir: Path, header_lines: list[str]) -> 
     summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _finish(rows: list[dict], out_dir: Path, header: str) -> int:
+    """Write the outputs; exit 2 if there are rows and every rate is zero."""
+    _write_outputs(rows, out_dir, [header])
+    return 2 if rows and not any(r["rate_bps"] for r in rows) else 0
+
+
 def _variant_from_name(name: str) -> ProtocolVariant:
     if name not in sc.VARIANTS:
         raise ConfigError(f"unknown variant {name!r}")
@@ -139,21 +137,15 @@ def _variant_from_name(name: str) -> ProtocolVariant:
 
 def _cmd_sweep(data: dict, out_dir: Path) -> int:
     _check_keys(data, _SWEEP_KEYS, "sweep")
-    data = {k: v for k, v in data.items() if k != "command"}
     try:
         spec = sc.SweepSpec(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    rows = sc.run_sweep(spec)
-    _write_outputs(rows, out_dir, [f"sweep preset={spec.preset} seed={spec.seed}"])
-    if all(r.get("rate_bps") in ("", 0.0) for r in rows):
-        return 2
-    return 0
+    return _finish(sc.run_sweep(spec), out_dir, f"sweep preset={spec.preset} seed={spec.seed}")
 
 
 def _cmd_network(data: dict, out_dir: Path) -> int:
     _check_keys(data, _NETWORK_KEYS, "network")
-    data = {k: v for k, v in data.items() if k != "command"}
     users = data.pop("users", None)
     if not isinstance(users, (list, tuple)) or any(len(u) != 2 for u in users):
         raise ConfigError("users must be a list of [name, arm_km] pairs")
@@ -161,11 +153,8 @@ def _cmd_network(data: dict, out_dir: Path) -> int:
         spec = sc.NetworkSpec(users=[(str(n), float(a)) for n, a in users], **data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    rows = sc.run_network(spec)
-    _write_outputs(rows, out_dir, [f"network preset={spec.preset} seed={spec.seed}"])
-    if rows and all(r.get("rate_bps") in ("", 0.0) for r in rows):
-        return 2
-    return 0
+    return _finish(sc.run_network(spec), out_dir,
+                   f"network preset={spec.preset} seed={spec.seed}")
 
 
 def _cmd_evaluate(data: dict, out_dir: Path) -> int:
@@ -192,14 +181,12 @@ def _cmd_evaluate(data: dict, out_dir: Path) -> int:
         report = evaluate(
             params, preset.link(l_a, l_b), preset.detector(), n_pulses,
             preset.eps, preset.error_correction_f, variant,
-            duty_cycle=_number(data, "duty_cycle", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    name = data.get("variant", "filtering")
-    row = sc._report_row(l_a + l_b, l_a, l_b, name, n_pulses, preset, report, 0, seed)
-    _write_outputs([row], out_dir, [f"evaluate preset={preset_name}"])
-    return 0 if report.rate_per_pulse > 0.0 else 2
+    row = sc._report_row(preset, report, l_a + l_b, data.get("variant", "filtering"),
+                         l_a_km=l_a, l_b_km=l_b, n_pulses=n_pulses, budget=0, seed=seed)
+    return _finish([row], out_dir, f"evaluate preset={preset_name}")
 
 
 def _cmd_optimize(data: dict, out_dir: Path) -> int:
@@ -214,13 +201,10 @@ def _cmd_optimize(data: dict, out_dir: Path) -> int:
             budget=int(data.get("budget", 3000)),
             seed=int(data.get("seed", 1)),
             optimize_pairing_window=bool(data.get("optimize_pairing_window", True)),
-            duty_cycle=float(data.get("duty_cycle", 1.0)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    rows = sc.run_sweep(spec)
-    _write_outputs(rows, out_dir, [f"optimize preset={spec.preset} seed={spec.seed}"])
-    return 0 if any(r.get("rate_bps") not in ("", 0.0) for r in rows) else 2
+    return _finish(sc.run_sweep(spec), out_dir, f"optimize preset={spec.preset} seed={spec.seed}")
 
 
 _ORACLE_CONFIGS: list[dict] = [

@@ -3,7 +3,10 @@
 Puts the pieces together: closed-form observables -> decoy estimation ->
 error-correction leakage -> extractable key length, for a configurable
 protocol variant.  ``evaluate`` is the single entry point the optimizer and
-the scenario drivers call.
+the scenario drivers call.  It takes the source settings as a flat parameter
+dict (the keys the optimizer decodes to) and reports rates per pulse and per
+second at the link clock; the source sends on every clock tick, so a run of
+``T`` seconds is ``clock_hz * T`` pulses.
 """
 
 from __future__ import annotations
@@ -44,19 +47,6 @@ class ProtocolVariant:
             raise ValueError(f"unknown z-group mode {self.z_group_mode!r}")
         if self.four_intensity and not self.click_filtering:
             raise ValueError("the four-intensity variant is defined with click filtering on")
-
-    @property
-    def label(self) -> str:
-        parts = []
-        parts.append("filtering" if self.click_filtering else "nofilter")
-        if self.four_intensity:
-            parts.append("4int")
-        if self.z_group_mode == "signal_only" and not self.click_filtering:
-            parts.append("signal-only")
-        if self.double_scanning:
-            parts.append("scan")
-        parts.append("rs" if self.phase_error_method == "random_sampling" else "direct")
-        return "-".join(parts)
 
 
 def error_correction_leakage(
@@ -130,10 +120,6 @@ class KeyRateReport:
     skc0_per_pulse: float
     skc0_per_second: float
     eps_tot: float
-    n_pulses: float
-    clock_hz: float
-    duty_cycle: float
-    variant_label: str
     estimate: decoy.DecoyEstimate | None = None
     observables: ObservableSet | None = None
     params: dict = field(default_factory=dict)
@@ -156,14 +142,13 @@ def _source_from_params(params: Mapping[str, float], variant: ProtocolVariant) -
 
 
 def evaluate(
-    params: Mapping[str, float] | SourceConfig,
+    params: Mapping[str, float],
     link: ChannelLink,
     det: DetectorPair,
     n_pulses: float,
     eps: float,
     error_correction_f: float,
     variant: ProtocolVariant = ProtocolVariant(),
-    duty_cycle: float = 1.0,
 ) -> KeyRateReport:
     """Evaluate the secure key rate of one link configuration.
 
@@ -172,17 +157,11 @@ def evaluate(
     so optimizers can probe freely.  skc0 is the repeaterless bound of the
     fibre alone (detectors excluded).
     """
-    if isinstance(params, SourceConfig):
-        source = params
-        params_dict: dict = {}
-    else:
-        params_dict = dict(params)
-        source = _source_from_params(params_dict, variant)
-        if "tc_bins" in params_dict:
-            link = replace(link, pairing_window_bins=params_dict["tc_bins"])
-
+    params = dict(params)
+    source = _source_from_params(params, variant)
+    if "tc_bins" in params:
+        link = replace(link, pairing_window_bins=params["tc_bins"])
     skc0_pulse = repeaterless_bound(link.eta_a * link.eta_b)
-    skc0_second = skc0_pulse * link.clock_hz * duty_cycle
 
     obs = expected_observables(source, link, det, n_pulses)
     groups = decoy.z_key_groups(source, variant.z_group_mode)
@@ -209,16 +188,12 @@ def evaluate(
     return KeyRateReport(
         ell=ell,
         rate_per_pulse=rate_pulse,
-        rate_per_second=rate_pulse * link.clock_hz * duty_cycle,
+        rate_per_second=rate_pulse * link.clock_hz,
         leakage=leakage,
         skc0_per_pulse=skc0_pulse,
-        skc0_per_second=skc0_second,
+        skc0_per_second=skc0_pulse * link.clock_hz,
         eps_tot=total_failure_prob(eps),
-        n_pulses=n_pulses,
-        clock_hz=link.clock_hz,
-        duty_cycle=duty_cycle,
-        variant_label=variant.label,
         estimate=est,
         observables=obs,
-        params=params_dict,
+        params=params,
     )

@@ -38,7 +38,7 @@ _CROSSOVER_PROB = 0.9
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Box bounds plus frozen values, mirrors and an optional repair step.
+    """Box bounds plus mirrors and an optional repair step.
 
     ``mirror`` maps a dependent parameter to the one it copies (used to tie
     the two parties on symmetric links).  ``log_scale`` lists parameters
@@ -46,7 +46,6 @@ class SearchSpace:
     """
 
     bounds: Mapping[str, tuple[float, float]]
-    frozen: Mapping[str, float] = field(default_factory=dict)
     mirror: Mapping[str, str] = field(default_factory=dict)
     log_scale: frozenset = frozenset()
     repair: Callable[[dict], dict] | None = None
@@ -57,9 +56,6 @@ class SearchSpace:
                 raise ValueError(f"bad bounds for {name!r}: {(lo, hi)}")
             if name in self.log_scale and lo <= 0.0:
                 raise ValueError(f"log-scaled {name!r} needs positive bounds")
-        overlap = set(self.bounds) & set(self.frozen)
-        if overlap:
-            raise ValueError(f"parameters both free and frozen: {overlap}")
         if not self.bounds:
             raise ValueError("search space has no free parameters")
 
@@ -68,7 +64,7 @@ class SearchSpace:
         return tuple(sorted(self.bounds))
 
     def decode(self, genotype: np.ndarray) -> dict:
-        params = dict(self.frozen)
+        params = {}
         for gene, name in zip(genotype, self.names):
             lo, hi = self.bounds[name]
             g = min(max(float(gene), 0.0), 1.0)

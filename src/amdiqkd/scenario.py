@@ -1,14 +1,20 @@
 """Reproduction drivers: distance sweeps, protocol comparisons and the
 multi-user star network.
 
-Each evaluated point emits one flat row dict with a fixed column set (the
-CSV schema); drivers are deterministic given (spec, seed) — per-point seeds
-are derived from the scenario seed and the point index, and sweep points
-warm-start from canonical source settings plus the previous point's optimum.
+Every point kind (an optimized async variant, a BB84 or time-bin MDI
+baseline, a row of an external rate table) becomes one flat row dict with the
+fixed column set ``CSV_COLUMNS`` through the same row builder: per-second
+columns are per-pulse values times the preset clock, and skc0 is the
+repeaterless bound of the total fibre length.  A transmission time ``T``
+(``NetworkSpec.duration_s``) is ``clock_hz * T`` pulses.  Drivers are
+deterministic given (spec, seed): per-point seeds are derived from the
+scenario seed and the point index, and sweep points warm-start from canonical
+source settings plus the previous point's optimum.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -136,7 +142,6 @@ class SweepSpec:
     budget: int = 3000
     seed: int = 1
     optimize_pairing_window: bool = True
-    duty_cycle: float = 1.0
     external_rates: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -161,33 +166,37 @@ class SweepSpec:
         return float(self.n_pulses[index])
 
 
-def _blank_row() -> dict:
-    return {c: "" for c in CSV_COLUMNS}
+def _row(preset: DevicePreset, dist: float, variant: str, rate_per_pulse: float,
+         params: Mapping[str, float], **columns) -> dict:
+    """One CSV row: the columns every point kind shares, the ``params`` keys
+    that are CSV columns, then ``columns`` as given.
 
-
-def _report_row(
-    dist: float, l_a: float, l_b: float, variant_name: str,
-    n_pulses: float, preset: DevicePreset, report: KeyRateReport,
-    budget: int, seed: int, link_name: str = "",
-) -> dict:
-    row = _blank_row()
+    skc0 is the repeaterless bound of ``dist`` km of fibre (detectors
+    excluded), so it is the same for every protocol at one distance.
+    """
+    skc0 = repeaterless_bound(10.0 ** (-preset.attenuation_db_per_km * dist / 10.0))
+    row = {c: "" for c in CSV_COLUMNS}
     row.update(
-        distance_km=dist, l_a_km=l_a, l_b_km=l_b, variant=variant_name, link=link_name,
-        n_pulses=n_pulses, clock_hz=preset.clock_hz,
-        rate_bits_per_pulse=report.rate_per_pulse, rate_bps=report.rate_per_second,
-        skc0_bits_per_pulse=report.skc0_per_pulse, skc0_bps=report.skc0_per_second,
-        lambda_ec=report.leakage, eps_tot=report.eps_tot,
-        budget=budget, seed=seed,
+        distance_km=dist, variant=variant, clock_hz=preset.clock_hz,
+        rate_bits_per_pulse=rate_per_pulse, rate_bps=rate_per_pulse * preset.clock_hz,
+        skc0_bits_per_pulse=skc0, skc0_bps=skc0 * preset.clock_hz,
     )
+    row.update((k, v) for k, v in params.items() if k in CSV_COLUMNS)
+    row.update(columns)
+    return row
+
+
+def _report_row(preset: DevicePreset, report: KeyRateReport, dist: float, variant: str,
+                **columns) -> dict:
+    """``_row`` for an evaluated async point, plus its estimate columns."""
+    row = _row(preset, dist, variant, report.rate_per_pulse, report.params,
+               lambda_ec=report.leakage, eps_tot=report.eps_tot, **columns)
     if report.estimate is not None:
         row.update(
             phi11z=report.estimate.phi11_z,
             s11z=report.estimate.s11_z,
             s0z=report.estimate.s0_z,
         )
-    for key, value in report.params.items():
-        if key in CSV_COLUMNS:
-            row[key] = value
     return row
 
 
@@ -201,15 +210,13 @@ def _optimize_async_point(
     seed: int,
     warm_starts: list[dict],
     optimize_pairing_window: bool,
-    duty_cycle: float = 1.0,
 ) -> tuple[KeyRateReport, dict]:
     link = preset.link(l_a, l_b)
     det = preset.detector()
 
     def objective(params: dict) -> float:
         return evaluate(
-            params, link, det, n_pulses, preset.eps, preset.error_correction_f,
-            variant, duty_cycle=duty_cycle,
+            params, link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
         ).rate_per_pulse
 
     space = async_search_space(
@@ -219,8 +226,7 @@ def _optimize_async_point(
     starts = _canonical_warm_starts(variant.four_intensity) + warm_starts
     result = optimize_link(objective, space, budget=budget, seed=seed, warm_starts=starts)
     report = evaluate(
-        result.best_params, link, det, n_pulses, preset.eps, preset.error_correction_f,
-        variant, duty_cycle=duty_cycle,
+        result.best_params, link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
     )
     return report, result.best_params
 
@@ -247,8 +253,9 @@ def _baseline_space(kind: str) -> SearchSpace:
 
 def _evaluate_baseline(
     kind: str, preset: DevicePreset, l_a: float, l_b: float, n_pulses: float,
-    budget: int, seed: int, duty_cycle: float = 1.0,
-) -> tuple[dict, dict]:
+    budget: int, seed: int,
+) -> tuple[float, dict]:
+    """Optimized ``(rate_per_pulse, best_params)`` of one reference protocol."""
     link, det = preset.link(l_a, l_b), preset.detector()
 
     if kind == "mdi-baseline":
@@ -272,12 +279,7 @@ def _evaluate_baseline(
     ]
     result = optimize_link(objective, _baseline_space(kind), budget=budget, seed=seed,
                            warm_starts=warm)
-    rate_pulse = max(result.best_rate, 0.0)
-    out = {
-        "rate_bits_per_pulse": rate_pulse,
-        "rate_bps": rate_pulse * preset.clock_hz * duty_cycle,
-    }
-    return out, result.best_params
+    return max(result.best_rate, 0.0), result.best_params
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -291,7 +293,6 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     rows: list[dict] = []
     previous_best: dict[str, dict] = {}
     order = sorted(range(len(spec.distances_km)), key=lambda i: spec.distances_km[i])
-    point_rows: dict[int, list[dict]] = {}
     for rank, idx in enumerate(order):
         dist = float(spec.distances_km[idx])
         l_a = (dist + spec.delta_km) / 2.0
@@ -300,70 +301,41 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         at_point: list[dict] = []
         for v_idx, name in enumerate(spec.variants):
             seed = point_seed(spec.seed, rank * len(spec.variants) + v_idx)
+            columns = dict(l_a_km=l_a, l_b_km=l_b, n_pulses=n_pulses, budget=spec.budget, seed=seed)
             if name in BASELINE_VARIANTS:
-                values, params = _evaluate_baseline(
-                    name, preset, l_a, l_b, n_pulses, spec.budget, seed,
-                    duty_cycle=spec.duty_cycle,
-                )
-                row = _blank_row()
-                eta = 10.0 ** (-preset.attenuation_db_per_km * dist / 10.0)
-                row.update(
-                    distance_km=dist, l_a_km=l_a, l_b_km=l_b, variant=name, link="",
-                    n_pulses=n_pulses, clock_hz=preset.clock_hz,
-                    skc0_bits_per_pulse=repeaterless_bound(eta),
-                    skc0_bps=repeaterless_bound(eta) * preset.clock_hz * spec.duty_cycle,
-                    budget=spec.budget, seed=seed, **values,
-                )
-                for key, value in params.items():
-                    if key in CSV_COLUMNS:
-                        row[key] = value
+                rate, params = _evaluate_baseline(name, preset, l_a, l_b, n_pulses,
+                                                  spec.budget, seed)
+                at_point.append(_row(preset, dist, name, rate, params, **columns))
             else:
                 warm = [previous_best[name]] if name in previous_best else []
                 report, best = _optimize_async_point(
                     preset, l_a, l_b, n_pulses, VARIANTS[name], spec.budget, seed,
-                    warm, spec.optimize_pairing_window, duty_cycle=spec.duty_cycle,
+                    warm, spec.optimize_pairing_window,
                 )
                 if report.rate_per_pulse > 0.0:
                     previous_best[name] = best
-                row = _report_row(dist, l_a, l_b, name, n_pulses, preset, report,
-                                  spec.budget, seed)
-            at_point.append(row)
-        if at_point and at_point[0].get("rate_bps") not in ("", 0.0):
-            first = at_point[0]["rate_bps"]
+                at_point.append(_report_row(preset, report, dist, name, **columns))
+        first = at_point[0]["rate_bps"]
+        if first != 0.0:
             for row in at_point:
-                if row["rate_bps"] != "":
-                    row["delta_vs_first"] = (row["rate_bps"] - first) / first
-        point_rows[idx] = at_point
-    for idx in order:
-        rows.extend(point_rows[idx])
+                row["delta_vs_first"] = (row["rate_bps"] - first) / first
+        rows.extend(at_point)
     rows.extend(_external_rows(spec, preset))
     return rows
 
 
 def _external_rows(spec: SweepSpec, preset: DevicePreset) -> list[dict]:
     """Rows for externally supplied rate tables (per-second rates by distance)."""
-    import csv as _csv
-
     rows: list[dict] = []
     for name, path in spec.external_rates.items():
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = _csv.DictReader(fh)
+            reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"distance_km", "rate_bps"} <= set(reader.fieldnames):
                 raise ValueError(f"external table {path!r} needs distance_km,rate_bps columns")
             for record in reader:
-                dist = float(record["distance_km"])
                 rate = float(record["rate_bps"])
-                row = _blank_row()
-                eta = 10.0 ** (-preset.attenuation_db_per_km * dist / 10.0)
-                row.update(
-                    distance_km=dist, variant=name, clock_hz=preset.clock_hz,
-                    rate_bps=rate,
-                    rate_bits_per_pulse=rate / (preset.clock_hz * spec.duty_cycle),
-                    skc0_bits_per_pulse=repeaterless_bound(eta),
-                    skc0_bps=repeaterless_bound(eta) * preset.clock_hz * spec.duty_cycle,
-                    note="external",
-                )
-                rows.append(row)
+                rows.append(_row(preset, float(record["distance_km"]), name,
+                                 rate / preset.clock_hz, {}, rate_bps=rate, note="external"))
     rows.sort(key=lambda r: (r["distance_km"], r["variant"]))
     return rows
 
@@ -375,7 +347,6 @@ class NetworkSpec:
     users: Sequence[tuple[str, float]]
     preset: str = "table3"
     duration_s: float = 22.0 * 3600.0
-    duty_cycle: float = 1.0
     variants: Sequence[str] = ("filtering",)
     budget: int = 3000
     seed: int = 1
@@ -395,7 +366,7 @@ class NetworkSpec:
 
     @property
     def n_pulses(self) -> float:
-        return DEVICE_PRESETS[self.preset].clock_hz * self.duration_s * self.duty_cycle
+        return DEVICE_PRESETS[self.preset].clock_hz * self.duration_s
 
 
 def run_network(spec: NetworkSpec) -> list[dict]:
@@ -408,30 +379,26 @@ def run_network(spec: NetworkSpec) -> list[dict]:
         for j in range(i + 1, len(users)):
             name_a, arm_a = users[i]
             name_b, arm_b = users[j]
-            link_name = f"{name_a}-{name_b}"
             for v_idx, vname in enumerate(spec.variants):
                 seed = point_seed(spec.seed, pair_index * len(spec.variants) + v_idx)
                 report, _best = _optimize_async_point(
                     preset, arm_a, arm_b, spec.n_pulses, VARIANTS[vname],
                     spec.budget, seed, [], spec.optimize_pairing_window,
-                    duty_cycle=spec.duty_cycle,
                 )
-                rows.append(
-                    _report_row(arm_a + arm_b, arm_a, arm_b, vname, spec.n_pulses,
-                                preset, report, spec.budget, seed, link_name=link_name)
-                )
+                rows.append(_report_row(
+                    preset, report, arm_a + arm_b, vname, l_a_km=arm_a, l_b_km=arm_b,
+                    link=f"{name_a}-{name_b}", n_pulses=spec.n_pulses,
+                    budget=spec.budget, seed=seed,
+                ))
             pair_index += 1
     return rows
 
 
-def solve_arm_from_skc0(skc0_bps: float, clock_hz: float, attenuation_db_per_km: float,
-                        duty_cycle: float = 1.0) -> float:
+def solve_arm_from_skc0(skc0_bps: float, clock_hz: float, attenuation_db_per_km: float) -> float:
     """Total fibre length whose repeaterless bound equals ``skc0_bps``.
 
-    Inverts skc0 = -log2(1 - eta) * F * duty with fibre-only transmittance;
-    used to recover unpublished network geometry from published capacity
-    columns.
+    Inverts skc0 = -log2(1 - eta) * F with fibre-only transmittance; used to
+    recover unpublished network geometry from published capacity columns.
     """
-    per_pulse = skc0_bps / (clock_hz * duty_cycle)
-    eta = 1.0 - 2.0 ** (-per_pulse)
+    eta = 1.0 - 2.0 ** (-skc0_bps / clock_hz)
     return -10.0 * math.log10(eta) / attenuation_db_per_km

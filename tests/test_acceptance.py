@@ -172,12 +172,13 @@ class TestCriterion7DecoyBb84Crossover:
         for idx, dist in enumerate(np.arange(120.0, 221.0, 10.0)):
             rep, _ = optimize_point(FIG4, float(dist), N_22H, ProtocolVariant(),
                                     seed=61 + idx, budget=2500)
-            bb84, _ = _evaluate_baseline(
+            bb84_rate, _ = _evaluate_baseline(
                 "bb84-baseline", FIG4, dist / 2.0, dist / 2.0, N_22H,
                 budget=2000, seed=71 + idx,
             )
-            rows.append((dist, rep.rate_per_second, bb84["rate_bps"]))
-            if crossover is None and rep.rate_per_second > bb84["rate_bps"]:
+            bb84 = bb84_rate * FIG4.clock_hz
+            rows.append((dist, rep.rate_per_second, bb84))
+            if crossover is None and rep.rate_per_second > bb84:
                 crossover = float(dist)
         detail = ", ".join(f"{d:.0f}:{'A' if a > b else 'B'}" for d, a, b in rows)
         ok = crossover is not None and 140.0 <= crossover <= 200.0

@@ -1,9 +1,12 @@
+import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import amdiqkd
 from amdiqkd.cli import main
 
 FIXTURE_SWEEP = """
@@ -69,10 +72,39 @@ class TestConfigErrors:
         assert "configuration error" in capsys.readouterr().err
 
 
+FIXTURE_NETWORK = """
+command: network
+preset: table3
+users: [[A, 20.0], [B, 25.0]]
+duration_s: 1.0
+budget: 60
+seed: 2
+"""
+
+FIXTURE_OPTIMIZE = "command: optimize\nl_a_km: 10\nl_b_km: 10\nbudget: 20\n"
+
+
 class TestStrictConfig:
     def test_unknown_field_rejected(self, tmp_path):
         scn = write_scenario(tmp_path, FIXTURE_SWEEP + "unknown_knob: 3\n")
         assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+
+    # a run of T seconds is clock_hz * T pulses; there is no duty-cycle setting
+    @pytest.mark.parametrize("command, text, key", [
+        ("sweep", FIXTURE_SWEEP, "duty_cycle"),
+        ("network", FIXTURE_NETWORK, "duty_cycle"),
+        ("evaluate", None, "duty_cycle"),
+        ("optimize", FIXTURE_OPTIMIZE, "duty_cycle"),
+        ("network", FIXTURE_NETWORK, "unknown_knob"),
+    ], ids=["sweep-duty_cycle", "network-duty_cycle", "evaluate-duty_cycle",
+            "optimize-duty_cycle", "network-unknown_knob"])
+    def test_unknown_field_is_config_error(self, tmp_path, capsys, command, text, key):
+        source = ["--preset", "evaluate_300km"] if text is None else [
+            "--scenario", str(write_scenario(tmp_path, text))]
+        argv = [command, *source, "--set", f"{key}=0.5", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"configuration error: unknown {command} fields: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_wrong_command_rejected(self, tmp_path):
         scn = write_scenario(tmp_path, FIXTURE_SWEEP)
@@ -119,12 +151,39 @@ class TestSweepCommand:
         assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
 
 
+# rate_bps of each link of ``amdiqkd network --preset network_table3``, as
+# this program computed them when the preset was pinned (4 GHz, 22 h, seed
+# 106, budget 3000).  They are a regression reference for this code, not the
+# published network table, whose rates are not in this repository.
+NETWORK_TABLE3_RATES = {
+    "A-B": 14668.1253529, "A-C": 23474.1375222, "A-D": 40397.2006355,
+    "A-E": 14668.2393747, "B-C": 13541.0940795, "B-D": 20544.653856,
+    "B-E": 9457.7370367, "C-D": 35562.5306847, "C-E": 13560.2214779,
+    "D-E": 20527.0130192,
+}
+
+
+class TestNetworkCommand:
+    def test_preset_rates_pinned(self, tmp_path):
+        """The ten links of the network preset keep this program's pinned
+        rates to 1e-9 relative (a regression pin, not the paper's table)."""
+        out = tmp_path / "o"
+        assert main(["network", "--preset", "network_table3", "--out", str(out)]) == 0
+        with (out / "results.csv").open(newline="", encoding="utf-8") as fh:
+            rates = {r["link"]: float(r["rate_bps"]) for r in csv.DictReader(fh)}
+        assert rates.keys() == NETWORK_TABLE3_RATES.keys()
+        for link, pinned in NETWORK_TABLE3_RATES.items():
+            assert rates[link] == pytest.approx(pinned, rel=1e-9), link
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child finds the package under test whether or not it is installed
+        env = {**os.environ, "PYTHONPATH": str(Path(amdiqkd.__file__).resolve().parents[1])}
         result = subprocess.run(
             [sys.executable, "-m", "amdiqkd.cli", "evaluate",
              "--preset", "evaluate_300km", "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert (tmp_path / "o" / "results.csv").exists()

@@ -125,28 +125,12 @@ class TestEvaluate:
         rep = evaluate(PARAMS_50KM, link, DET, 1e9, EPS, 1.1)
         assert rep.rate_per_pulse == 0.0
 
-    def test_duty_cycle_scales_per_second_rate(self):
-        link = make_link(25.0, 25.0, clock_hz=4e9)
-        full = evaluate(PARAMS_50KM, link, DET, 1e12, EPS, 1.1, duty_cycle=1.0)
-        half = evaluate(PARAMS_50KM, link, DET, 1e12, EPS, 1.1, duty_cycle=0.5)
-        assert half.rate_per_second == pytest.approx(full.rate_per_second / 2.0)
-        assert half.rate_per_pulse == pytest.approx(full.rate_per_pulse)
-
     def test_skc0_conventions(self):
         link = make_link(100.0, 100.0)
         fibre = evaluate(PARAMS_50KM, link, DET, 1e12, EPS, 1.1)
         # the fibre-only bound: detector efficiency is not folded in
         assert fibre.skc0_per_pulse == repeaterless_bound(link.eta_a * link.eta_b)
         assert repeaterless_bound(link.eta_a * link.eta_b * DET.eta_d) < fibre.skc0_per_pulse
-
-    def test_variant_labels(self):
-        assert ProtocolVariant().label == "filtering-direct"
-        assert ProtocolVariant(click_filtering=False).label == "nofilter-direct"
-        assert (
-            ProtocolVariant(click_filtering=False, z_group_mode="signal_only").label
-            == "nofilter-signal-only-direct"
-        )
-        assert ProtocolVariant(four_intensity=True).label == "filtering-4int-direct"
 
     def test_four_intensity_requires_filtering(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,11 @@ the ``ChannelLink`` and ``DetectorPair`` that
 :func:`amdiqkd.channel.expected_observables` takes, and for MDI also its
 ``SourceConfig``.  The count models fold the detector efficiency into each
 arm's transmittance, matching the form of the printed formulas.
+
+``mdi_rate_batch`` and ``bb84_rate_batch`` give the rate per pulse of many
+parameter sets at once; they live in :mod:`amdiqkd.batch` and load it on
+first use.  ``mdi_key_rate`` and ``bb84_key_rate`` stay the reference and the
+single-call path.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ __all__ = [
     "mdi_key_rate",
     "bb84_observables",
     "bb84_key_rate",
+    "mdi_rate_batch",
+    "bb84_rate_batch",
 ]
 
 LEVELS = ("mu", "omega", "nu", "o")
@@ -232,12 +239,16 @@ class Bb84Params:
 
     @property
     def eta(self) -> float:
-        loss_db = self.link.attenuation_db_per_km * self.link.total_km + self.insert_loss_db
-        return self.det.eta_d * 10.0 ** (-loss_db / 10.0)
+        return _receiver_eta(self.link, self.det, self.insert_loss_db)
 
     @property
     def dark_prob(self) -> float:
         return self.det.dark_prob(self.link.clock_hz)
+
+
+def _receiver_eta(link: ChannelLink, det: DetectorPair, insert_loss_db: float) -> float:
+    loss_db = link.attenuation_db_per_km * link.total_km + insert_loss_db
+    return det.eta_d * 10.0 ** (-loss_db / 10.0)
 
 
 @dataclass
@@ -384,3 +395,12 @@ def bb84_key_rate(params: Bb84Params, n_pulses: float, eps: float,
         "n0": n0_obs,
         "qber_z": qber,
     }
+
+
+def __getattr__(name: str):
+    # the batch forms compile on first use, not when amdiqkd is imported
+    if name in ("mdi_rate_batch", "bb84_rate_batch"):
+        from . import batch
+
+        return getattr(batch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,8 @@ click filtering, the per-party two-bin totals, the (total_a, total_b)
 coincidence groups with their surviving (early, late) splits, and the
 phase-sifted groups) has one owner, :class:`GroupLayout`, built once per
 (labels, click_filtering) and read by every module that walks the groups.
+The layout also holds, built on first use, the index arrays that the batch
+forms in :mod:`amdiqkd.batch` read.
 
 Every phase average is an exact I0 closed form, accurate to rounding on long
 links; ``pair_gain_phase`` is the phase-resolved model it averages.  An
@@ -246,6 +248,7 @@ class SourceConfig:
 class GroupLayout:
     """Coincidence-group structure of one label set under one filtering choice.
 
+    labels  the label set, in LABEL_ORDER
     kept    single-bin label pairs (label_a, label_b) that survive click
             filtering, in LABEL_ORDER
     totals  one party's unordered two-bin label combinations, canonically ordered
@@ -255,11 +258,38 @@ class GroupLayout:
     sifted  matched-phase groups: the same bright level in all four bins
     """
 
+    labels: tuple[str, ...]
     kept: tuple[LabelPair, ...]
     totals: tuple[LabelPair, ...]
     groups: tuple[CountKey, ...]
     splits: tuple[tuple[tuple[LabelPair, LabelPair], ...], ...]
     sifted: tuple[CountKey, ...]
+
+    @cached_property
+    def group_pos(self) -> dict[CountKey, int]:
+        """Column of each group in a batch count table."""
+        return {g: i for i, g in enumerate(self.groups)}
+
+    @cached_property
+    def kept_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in ``labels`` of each kept pair's a and b label."""
+        pos = {l: i for i, l in enumerate(self.labels)}
+        return (np.array([pos[la] for la, _ in self.kept], dtype=np.intp),
+                np.array([pos[lb] for _, lb in self.kept], dtype=np.intp))
+
+    @cached_property
+    def split_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per group, the positions in ``kept`` of its splits' early and late
+        pairs, padded to the longest group with ``len(kept)``: a zero-weight
+        slot, whose product adds an exact zero after the group's own terms."""
+        pos = {pair: i for i, pair in enumerate(self.kept)}
+        width = max(len(s) for s in self.splits)
+        early = np.full((len(self.groups), width), len(self.kept), dtype=np.intp)
+        late = early.copy()
+        for g, splits in enumerate(self.splits):
+            for s, (e, l) in enumerate(splits):
+                early[g, s], late[g, s] = pos[e], pos[l]
+        return early, late
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +317,7 @@ def _group_layout(labels: tuple[str, ...], click_filtering: bool) -> GroupLayout
         for ta, tb in groups
     )
     sifted = tuple(((l, l), (l, l)) for l in bright)
-    return GroupLayout(kept, totals, groups, splits, sifted)
+    return GroupLayout(labels, kept, totals, groups, splits, sifted)
 
 
 def split_sums(layout: GroupLayout, weight: Mapping[LabelPair, float]) -> dict[CountKey, float]:

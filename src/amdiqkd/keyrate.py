@@ -2,11 +2,15 @@
 
 Puts the pieces together: closed-form observables -> decoy estimation ->
 error-correction leakage -> extractable key length, for a configurable
-protocol variant.  ``evaluate`` is the single entry point the optimizer and
-the scenario drivers call.  It takes the source settings as a flat parameter
-dict (the keys the optimizer decodes to) and reports rates per pulse and per
-second at the link clock; the source sends on every clock tick, so a run of
-``T`` seconds is ``clock_hz * T`` pulses.
+protocol variant.  ``evaluate`` is the reference and the single-call entry
+point: it takes the source settings as a flat parameter dict (the keys the
+optimizer decodes to) and reports rates per pulse and per second at the link
+clock; the source sends on every clock tick, so a run of ``T`` seconds is
+``clock_hz * T`` pulses.  ``rate_batch`` scores many parameter sets at once
+(the optimizer's generations) and returns only the rate per pulse; it repeats
+``evaluate``'s operation order on numpy columns, so each of its rates equals
+the one ``evaluate`` gives to rounding.  It lives in :mod:`amdiqkd.batch`
+and loads it on first use.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "repeaterless_bound",
     "total_failure_prob",
     "evaluate",
+    "rate_batch",
 ]
 
 
@@ -197,3 +202,12 @@ def evaluate(
         observables=obs,
         params=params,
     )
+
+
+def __getattr__(name: str):
+    # the batch forms compile on first use, not when amdiqkd is imported
+    if name == "rate_batch":
+        from . import batch
+
+        return getattr(batch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

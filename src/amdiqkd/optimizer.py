@@ -11,6 +11,15 @@ The candidate stream depends only on the seed and the history of evaluated
 values, never on the budget: a longer run replays a shorter run exactly and
 then keeps going.  Runs are therefore bit-reproducible and the best value is
 non-decreasing in the budget.
+
+The initial population and each generation are decoded and scored as one
+batch: an objective that carries a ``many`` attribute (a list of parameter
+dicts -> their values) gets the whole batch in one call, and the polish
+trials, one candidate each, go through the plain call, which is the reference
+path.  Either way the candidates are counted and compared in order, so a run
+is the same whichever path scored it, as long as ``many`` returns what the
+plain call would.  A parameter set scored once in a run is not scored again:
+its stored value is reused and still counts against the budget.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from .stats import each
 
 __all__ = [
     "SearchSpace",
@@ -64,19 +75,23 @@ class SearchSpace:
         return tuple(sorted(self.bounds))
 
     def decode(self, genotype: np.ndarray) -> dict:
-        params = {}
-        for gene, name in zip(genotype, self.names):
-            lo, hi = self.bounds[name]
-            g = min(max(float(gene), 0.0), 1.0)
+        return self.decode_many(np.asarray(genotype)[None, :])[0]
+
+    def decode_many(self, genotypes: np.ndarray) -> list[dict]:
+        """Parameter dicts of the rows of an (n, dim) genotype stack."""
+        genes = np.clip(np.asarray(genotypes, dtype=float), 0.0, 1.0)
+        lo, hi = np.array([self.bounds[name] for name in self.names]).T
+        params = dict(zip(self.names, (lo + (hi - lo) * genes).T))
+        for j, name in enumerate(self.names):
             if name in self.log_scale:
-                params[name] = lo * (hi / lo) ** g
-            else:
-                params[name] = lo + (hi - lo) * g
+                low, high = self.bounds[name]
+                params[name] = low * each(lambda g: (high / low) ** g, genes[:, j])
         for dst, src in self.mirror.items():
             params[dst] = params[src]
         if self.repair is not None:
             params = self.repair(params)
-        return params
+        rows = zip(*(np.asarray(v).tolist() for v in params.values()))
+        return [dict(zip(params, row)) for row in rows]
 
     def encode(self, params: Mapping[str, float]) -> np.ndarray:
         geno = np.empty(len(self.names))
@@ -94,29 +109,38 @@ def repair_async_params(params: dict) -> dict:
     """Restore intensity ordering and the probability simplex per party.
 
     Repairs each side whose ``mu_<side>`` is present, so a one-party search
-    space (the BB84 baseline) goes through the same step.
+    space (the BB84 baseline) goes through the same step.  Values may be
+    floats or equal-length arrays of candidates (the columns ``decode_many``
+    builds); floats come back as floats.
     """
     out = dict(params)
+    parties: dict[tuple, list[str]] = {}  # label set -> the sides that use it
     for side in ("a", "b"):
-        if f"mu_{side}" not in out:
-            continue
-        labels = ["mu"] + (["omega"] if f"omega_{side}" in out else []) + ["nu"]
-        values = sorted((out[f"{l}_{side}"] for l in labels), reverse=True)
+        if f"mu_{side}" in out:
+            labels = ("mu",) + (("omega",) if f"omega_{side}" in out else ()) + ("nu",)
+            parties.setdefault(labels, []).append(side)
+    for labels, sides in parties.items():
+        # (label, side[, candidate]) arrays: every side of one label set at once
+        levels = [[f"{l}_{s}" for s in sides] for l in labels]
+        probs = [[f"p_{l}_{s}" for s in sides] for l in labels]
+        scalar = np.ndim(out[levels[0][0]]) == 0
+        values = -np.sort(-np.array([[out[n] for n in row] for row in levels]), axis=0)
         for i in range(1, len(values)):
-            values[i] = min(values[i], values[i - 1] - _MIN_INTENSITY_GAP)
-        values = [max(v, _MIN_INTENSITY_GAP / 10.0) for v in values]
+            values[i] = np.minimum(values[i], values[i - 1] - _MIN_INTENSITY_GAP)
+        values = np.maximum(values, _MIN_INTENSITY_GAP / 10.0)
         # the floor can merge the lowest levels; lift each merged one above the next
         for i in range(len(values) - 2, -1, -1):
-            if values[i] <= values[i + 1]:
-                values[i] = values[i + 1] + _MIN_INTENSITY_GAP / 10.0
-        for l, v in zip(labels, values):
-            out[f"{l}_{side}"] = v
-        prob_names = [f"p_{l}_{side}" for l in labels]
-        total = sum(out[p] for p in prob_names)
+            values[i] = np.where(values[i] <= values[i + 1],
+                                 values[i + 1] + _MIN_INTENSITY_GAP / 10.0, values[i])
+        p = np.array([[out[n] for n in row] for row in probs])
+        total = 0.0
+        for row in p:
+            total = total + row
         ceiling = 1.0 - _MIN_VACUUM_PROB
-        if total > ceiling:
-            for p in prob_names:
-                out[p] *= ceiling / total
+        p = p * np.where(total > ceiling, ceiling / total, 1.0)  # x * 1.0 is x exactly
+        for names, new in ((levels, values), (probs, p)):
+            for row, new_row in zip(names, new):
+                out.update(zip(row, new_row.tolist() if scalar else new_row))
     return out
 
 
@@ -163,7 +187,9 @@ def optimize_link(
     """Maximize ``objective`` within an evaluation budget.
 
     ``warm_starts`` are parameter dicts injected into the initial population
-    (clipped into the boxes through the genotype encoding).
+    (clipped into the boxes through the genotype encoding).  If ``objective``
+    has a ``many`` attribute, batches of more than one new parameter set go
+    through ``objective.many(list_of_dicts)`` (see the module docstring).
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -180,18 +206,41 @@ def optimize_link(
         "trace": [],
     }
 
-    def evaluate(genotype: np.ndarray) -> float:
-        if state["evals"] >= budget:
+    many = getattr(objective, "many", None)
+    # decoded parameter set -> value, keyed by a 128-bit digest of the values'
+    # bits: 16 bytes instead of 8 per value keeps the memo small next to a
+    # run's peak memory, and 3,000 keys collide with probability ~1e-32.
+    # hashlib is imported here, not with the module, because numpy.random
+    # (loaded by default_rng above) has already paid for it.
+    import hashlib
+
+    memo: dict[bytes, float] = {}
+
+    def evaluate(genotypes: np.ndarray) -> np.ndarray:
+        """Score the rows in order; after the last row the budget allows, stop."""
+        n = min(len(genotypes), budget - state["evals"])
+        batch = space.decode_many(genotypes[:n])
+        keys = [hashlib.blake2b(row.tobytes(), digest_size=16).digest()
+                for row in np.array([list(p.values()) for p in batch])]
+        fresh = {}
+        for key, params in zip(keys, batch):
+            if key not in memo:
+                fresh.setdefault(key, params)
+        if len(fresh) > 1 and many is not None:
+            memo.update(zip(fresh, map(float, many(list(fresh.values())))))
+        else:
+            memo.update((key, objective(params)) for key, params in fresh.items())
+        values = np.array([memo[key] for key in keys])
+        for genotype, params, value in zip(genotypes, batch, values.tolist()):
+            state["evals"] += 1
+            if value > state["best_rate"]:
+                state["best_rate"] = value
+                state["best_params"] = params
+                state["best_geno"] = genotype.copy()
+                state["trace"].append((state["evals"], value))
+        if n < len(genotypes):
             raise _BudgetExhausted
-        params = space.decode(genotype)
-        value = objective(params)
-        state["evals"] += 1
-        if value > state["best_rate"]:
-            state["best_rate"] = value
-            state["best_params"] = params
-            state["best_geno"] = genotype.copy()
-            state["trace"].append((state["evals"], value))
-        return value
+        return values
 
     pop = rng.random((population, dim))
     for slot, start in enumerate(warm_starts):
@@ -201,28 +250,32 @@ def optimize_link(
     def evolve(generation: int, fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sigma = max(0.25 * 0.93**generation, 0.02)
         order = np.argsort(-fitness)
-        children = [pop[order[0]].copy(), pop[order[1 % population]].copy()]
+        children = [pop[order[0]], pop[order[1 % population]]]  # the elites
         if state["best_geno"] is not None:
-            children[1] = state["best_geno"].copy()
-        while len(children) < population:
-            picks = rng.integers(0, population, size=(2, 3))
-            pa = pop[picks[0][np.argmax(fitness[picks[0]])]]
-            pb = pop[picks[1][np.argmax(fitness[picks[1]])]]
-            child = pa.copy()
-            cross = rng.random(dim) < _CROSSOVER_PROB
-            blend = rng.uniform(-0.1, 1.1, size=dim)
-            child[cross] = (blend * pa + (1.0 - blend) * pb)[cross]
-            mutate = rng.random(dim) < 1.5 / dim
-            child[mutate] += rng.normal(0.0, sigma, size=dim)[mutate]
-            children.append(np.clip(child, 0.0, 1.0))
+            children[1] = state["best_geno"]
+        # draw per child, in the stream's order; then breed all children at once
+        draws = [
+            (rng.integers(0, population, size=(2, 3)), rng.random(dim), rng.uniform(-0.1, 1.1, size=dim),
+             rng.random(dim), rng.normal(0.0, sigma, size=dim))
+            for _ in range(population - 2)
+        ]
+        if draws:
+            picks, cross, blend, mutate, step = map(np.stack, zip(*draws))
+            # tournament of three: the first of the fittest, for each parent
+            best = np.argmax(fitness[picks], axis=2)[..., None]
+            parents = pop[np.take_along_axis(picks, best, axis=2)[..., 0]]
+            pa, pb = parents[:, 0], parents[:, 1]
+            child = np.where(cross < _CROSSOVER_PROB, blend * pa + (1.0 - blend) * pb, pa)
+            child = np.where(mutate < 1.5 / dim, child + step, child)
+            children.extend(np.clip(child, 0.0, 1.0))
         new_pop = np.stack(children)
-        return new_pop, np.array([evaluate(g) for g in new_pop])
+        return new_pop, evaluate(new_pop)
 
     def polish() -> None:
         # deterministic local refinement, re-run while it keeps helping
         sym = _symmetrized(state["best_params"])
         if sym is not None:
-            evaluate(space.encode(sym))
+            evaluate(space.encode(sym)[None, :])
         for step in (0.05, 0.01):
             improving = True
             while improving:
@@ -235,13 +288,13 @@ def optimize_link(
                         trial = base.copy()
                         trial[i] = min(max(trial[i] + sign * step, 0.0), 1.0)
                         before = state["best_rate"]
-                        evaluate(trial)
+                        evaluate(trial[None, :])
                         if state["best_rate"] > before:
                             improving = True
                             base = state["best_geno"]
 
     try:
-        fitness = np.array([evaluate(g) for g in pop])
+        fitness = evaluate(pop)
         generation = 0
         while True:
             for _ in range(_GENERATIONS_PER_ERA):

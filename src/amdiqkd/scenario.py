@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from . import baselines
+import numpy as np
+
+from . import baselines, keyrate
 from .channel import ChannelLink, DetectorPair, SourceConfig
 from .keyrate import KeyRateReport, ProtocolVariant, evaluate, repeaterless_bound
 from .optimizer import SearchSpace, async_search_space, optimize_link, repair_async_params
@@ -131,7 +133,8 @@ class SweepSpec:
 
     ``external_rates`` maps a display name to a CSV file with columns
     ``distance_km,rate_bps``; those rows are merged into the output for
-    protocols whose rate engines live outside this package.
+    protocols whose rate engines live outside this package.  Each table is
+    read and checked when the spec is built, before any optimization.
     """
 
     preset: str = "fig4"
@@ -159,6 +162,8 @@ class SweepSpec:
         if not isinstance(self.n_pulses, (int, float)):
             if len(self.n_pulses) != len(self.distances_km):
                 raise ValueError("per-point n_pulses must match the distance list")
+        for path in self.external_rates.values():
+            _external_table(path)
 
     def pulses_at(self, index: int) -> float:
         if isinstance(self.n_pulses, (int, float)):
@@ -200,6 +205,11 @@ def _report_row(preset: DevicePreset, report: KeyRateReport, dist: float, varian
     return row
 
 
+def _columns(batch: Sequence[Mapping[str, float]]) -> dict[str, np.ndarray]:
+    """A list of parameter dicts with one key set as name -> (B,) arrays."""
+    return {k: np.array([params[k] for params in batch]) for k in batch[0]}
+
+
 def _optimize_async_point(
     preset: DevicePreset,
     l_a: float,
@@ -219,6 +229,10 @@ def _optimize_async_point(
             params, link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
         ).rate_per_pulse
 
+    rate_batch = keyrate.rate_batch  # loads amdiqkd.batch before the optimizer runs
+    objective.many = lambda batch: rate_batch(
+        _columns(batch), link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
+    )
     space = async_search_space(
         four_intensity=variant.four_intensity,
         optimize_pairing_window=optimize_pairing_window,
@@ -255,13 +269,16 @@ def _evaluate_baseline(
     kind: str, preset: DevicePreset, l_a: float, l_b: float, n_pulses: float,
     budget: int, seed: int,
 ) -> tuple[float, dict]:
-    """Optimized ``(rate_per_pulse, best_params)`` of one reference protocol."""
+    """Optimized ``(rate_per_pulse, best_params)`` of one reference protocol;
+    the rate comes from one scalar call on the best parameters."""
     link, det = preset.link(l_a, l_b), preset.detector()
 
     if kind == "mdi-baseline":
         def objective(params: dict) -> float:
             return baselines.mdi_key_rate(SourceConfig.from_params(**params), link, det, n_pulses,
                                           preset.eps, preset.error_correction_f)["rate_per_pulse"]
+
+        batch_rate = baselines.mdi_rate_batch
     else:
         def objective(params: dict) -> float:
             ints = {"mu": params["mu_a"], "omega": params["omega_a"], "nu": params["nu_a"], "o": 0.0}
@@ -271,6 +288,11 @@ def _evaluate_baseline(
             return baselines.bb84_key_rate(prm, n_pulses, preset.eps,
                                            preset.error_correction_f)["rate_per_pulse"]
 
+        batch_rate = baselines.bb84_rate_batch
+    objective.many = lambda batch: batch_rate(
+        _columns(batch), link, det, n_pulses, preset.eps, preset.error_correction_f,
+    )
+
     warm = [
         dict(mu_a=0.8, omega_a=0.1, nu_a=0.02, p_mu_a=0.5, p_omega_a=0.15, p_nu_a=0.15,
              q_z=0.5),
@@ -279,7 +301,7 @@ def _evaluate_baseline(
     ]
     result = optimize_link(objective, _baseline_space(kind), budget=budget, seed=seed,
                            warm_starts=warm)
-    return max(result.best_rate, 0.0), result.best_params
+    return max(objective(result.best_params), 0.0), result.best_params
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -324,18 +346,26 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _external_rows(spec: SweepSpec, preset: DevicePreset) -> list[dict]:
-    """Rows for externally supplied rate tables (per-second rates by distance)."""
-    rows: list[dict] = []
-    for name, path in spec.external_rates.items():
+def _external_table(path: str) -> list[tuple[float, float]]:
+    """(distance_km, rate_bps) records of an external rate table; ValueError
+    if the file cannot be read or lacks those columns."""
+    try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"distance_km", "rate_bps"} <= set(reader.fieldnames):
                 raise ValueError(f"external table {path!r} needs distance_km,rate_bps columns")
-            for record in reader:
-                rate = float(record["rate_bps"])
-                rows.append(_row(preset, float(record["distance_km"]), name,
-                                 rate / preset.clock_hz, {}, rate_bps=rate, note="external"))
+            return [(float(r["distance_km"]), float(r["rate_bps"])) for r in reader]
+    except OSError as exc:
+        raise ValueError(f"cannot read external table {path!r}: {exc.strerror}") from None
+
+
+def _external_rows(spec: SweepSpec, preset: DevicePreset) -> list[dict]:
+    """Rows for externally supplied rate tables (per-second rates by distance)."""
+    rows: list[dict] = []
+    for name, path in spec.external_rates.items():
+        for dist, rate in _external_table(path):
+            rows.append(_row(preset, dist, name, rate / preset.clock_hz, {},
+                             rate_bps=rate, note="external"))
     rows.sort(key=lambda r: (r["distance_km"], r["variant"]))
     return rows
 

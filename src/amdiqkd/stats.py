@@ -6,11 +6,16 @@ correction that links a measured error rate to a phase-error rate, the binary
 entropy function, and the two click-model primitives ``i0m1`` and
 ``no_click``.  Counts are treated as reals: the estimators are routinely
 applied to expected values.
+
+``each`` applies a C-library ``math`` function to every element of an array,
+for the batch forms in :mod:`amdiqkd.batch` and the optimizer's decoding.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "binary_entropy",
@@ -23,6 +28,7 @@ __all__ = [
     "sampling_correction",
     "i0m1",
     "no_click",
+    "each",
 ]
 
 # Error rates are clamped into this open interval before the log in
@@ -145,3 +151,13 @@ def no_click(mean: float, p_d: float) -> tuple[float, float]:
     """
     log_y = math.log1p(-p_d) - mean
     return math.exp(log_y), -math.expm1(log_y)
+
+
+def each(fn, x) -> np.ndarray:
+    """The ``math`` function ``fn`` applied to every element of ``x``.
+
+    numpy's vectorized exp, log1p, expm1 and pow may differ from the C
+    library's in the last bit; this keeps the batch forms on the C library.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)

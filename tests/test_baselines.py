@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amdiqkd import scenario
 from amdiqkd.baselines import (
     Bb84Params,
     bb84_key_rate,
     bb84_observables,
     bb84_oracle,
+    bb84_rate_batch,
     mdi_key_rate,
     mdi_observables,
+    mdi_rate_batch,
 )
 from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
 from amdiqkd.stats import chernoff_expected, chernoff_observed
+
+from test_keyrate import check_against_scalar, genotype_batches, link_draws
 
 F = 4e9
 PD = 0.1 / F
@@ -244,3 +251,49 @@ class TestBb84KeyRate:
         with pytest.raises(ValueError, match="omega"):
             Bb84Params({"mu": 0.6, "nu": 0.05, "o": 0.0}, {"mu": 0.5, "nu": 0.3, "o": 0.2},
                        *link_and_det(10.0, 0.0))
+
+
+def scalar_baseline(kind, params, link, det, n_pulses, preset):
+    """The scalar reference, called as the sweep's baseline objective calls it."""
+    if kind == "mdi-baseline":
+        return mdi_key_rate(SourceConfig.from_params(**params), link, det, n_pulses,
+                            preset.eps, preset.error_correction_f)
+    ints = {"mu": params["mu_a"], "omega": params["omega_a"], "nu": params["nu_a"], "o": 0.0}
+    probs = {"mu": params["p_mu_a"], "omega": params["p_omega_a"], "nu": params["p_nu_a"]}
+    probs["o"] = 1.0 - sum(probs.values())
+    prm = Bb84Params(ints, probs, link, det, q_z=params["q_z"])
+    return bb84_key_rate(prm, n_pulses, preset.eps, preset.error_correction_f)
+
+
+class TestRateBatch:
+    """``mdi_rate_batch`` and ``bb84_rate_batch`` against their scalar forms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(scenario.BASELINE_VARIANTS), where=link_draws(), data=st.data())
+    def test_matches_scalar(self, kind, where, data):
+        dist, asym, log_n = where
+        asym = min(asym, dist)
+        preset = scenario.DEVICE_PRESETS["fig4"]
+        link, det = preset.link((dist + asym) / 2.0, (dist - asym) / 2.0), preset.detector()
+        space = scenario._baseline_space(kind)
+        batch = space.decode_many(np.array(data.draw(genotype_batches(space))))
+        n_pulses = 10.0 ** log_n
+        columns = {k: np.array([p[k] for p in batch]) for k in batch[0]}
+        batch_rate = mdi_rate_batch if kind == "mdi-baseline" else bb84_rate_batch
+        got = batch_rate(columns, link, det, n_pulses, preset.eps, preset.error_correction_f)
+        want = [scalar_baseline(kind, p, link, det, n_pulses, preset) for p in batch]
+        # the baselines report no single-photon term; the vacuum term sets the scale
+        check_against_scalar(got, [w["rate_per_pulse"] for w in want],
+                             [w["n0"] / n_pulses for w in want])
+
+    def test_rejects_what_the_scalar_form_rejects(self):
+        link, det = link_and_det(50.0, 0.0)
+        columns = {f"{k}_a": np.array([v, v]) for k, v in BB84_INTS.items() if k != "o"}
+        columns.update({f"p_{k}_a": np.array([v, v]) for k, v in BB84_PROBS.items() if k != "o"})
+        columns["q_z"] = np.array([0.5, 1.0])
+        with pytest.raises(ValueError, match="q_z"):
+            bb84_rate_batch(columns, link, det, 1e12, 1e-10)
+        columns["q_z"] = np.array([0.5, 0.5])
+        columns["omega_a"] = np.array([0.1, 0.9])  # omega above mu
+        with pytest.raises(ValueError, match="candidate 1"):
+            bb84_rate_batch(columns, link, det, 1e12, 1e-10)

@@ -142,6 +142,21 @@ class TestSweepCommand:
                      "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() != (out2 / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("table", [None, "km,bps\n100,5\n"], ids=["missing", "no-columns"])
+    def test_bad_external_table_is_config_error(self, tmp_path, capsys, table):
+        """A missing or malformed external rate table is a configuration error,
+        reported before any point is optimized (the output is never written)."""
+        path = tmp_path / "external.csv"
+        if table is not None:
+            path.write_text(table, encoding="utf-8")
+        scn = write_scenario(tmp_path, FIXTURE_SWEEP)
+        out = tmp_path / "o"
+        argv = ["sweep", "--scenario", str(scn), "--set", f"external_rates={{x: {path}}}",
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_scenario_exit_code(self, tmp_path):
         scn = write_scenario(
             tmp_path,

@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amdiqkd import scenario
 from amdiqkd.channel import DetectorPair
 from amdiqkd.keyrate import (
     KeyRateReport,
@@ -9,9 +13,11 @@ from amdiqkd.keyrate import (
     error_correction_leakage,
     evaluate,
     key_length,
+    rate_batch,
     repeaterless_bound,
     total_failure_prob,
 )
+from amdiqkd.optimizer import async_search_space
 from amdiqkd.stats import binary_entropy
 
 from test_channel import DET, make_link
@@ -135,3 +141,71 @@ class TestEvaluate:
     def test_four_intensity_requires_filtering(self):
         with pytest.raises(ValueError):
             ProtocolVariant(click_filtering=False, four_intensity=True)
+
+
+def genotype_batches(space, anchors=()):
+    """1-8 genotypes of ``space``: free points, with the cube's faces (where the
+    GA's clipped children sit) as likely as the interior, and points within
+    0.05 of the encoded ``anchors``, where rates are mostly positive."""
+    dim = len(space.names)
+    gene = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    points = st.lists(gene, min_size=dim, max_size=dim)
+    if anchors:
+        centres = [space.encode(a) for a in anchors]
+        jitter = st.lists(st.floats(-0.05, 0.05), min_size=dim, max_size=dim)
+        points = st.one_of(points, st.tuples(st.sampled_from(centres), jitter).map(
+            lambda t: np.clip(t[0] + np.array(t[1]), 0.0, 1.0).tolist()))
+    return st.lists(points, min_size=1, max_size=8)
+
+
+def link_draws():
+    """(total km, asymmetry km, log10 pulses) over 0-600 km, 0-100 km, 1e11-1e15."""
+    return st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 100.0), st.floats(11.0, 15.0))
+
+
+def check_against_scalar(batch_rates, scalar_rates, scales):
+    """Batch rates within 1e-12 of the scalar ones on the rate's own scale,
+    with the same zero/positive verdict.
+
+    The batch forms repeat the scalar operation order and call the same C
+    library functions, so they agree bit for bit wherever the scalar forms'
+    sum() adds left to right; from Python 3.12 on, sum() rounds a float sum
+    once, which may move the last bit.
+    """
+    for got, want, scale in zip(batch_rates, scalar_rates, scales):
+        assert abs(got - want) <= 1e-12 * max(abs(want), scale)
+        assert (got > 0.0) == (want > 0.0)
+
+
+class TestRateBatch:
+    """``rate_batch`` against ``evaluate``, its scalar reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(variant=st.sampled_from(sorted(scenario.VARIANTS)), where=link_draws(), data=st.data())
+    def test_matches_evaluate(self, variant, where, data):
+        dist, asym, log_n = where
+        asym = min(asym, dist)
+        var = scenario.VARIANTS[variant]
+        preset = scenario.DEVICE_PRESETS["fig4"]
+        link, det = preset.link((dist + asym) / 2.0, (dist - asym) / 2.0), preset.detector()
+        space = async_search_space(four_intensity=var.four_intensity)
+        anchors = scenario._canonical_warm_starts(var.four_intensity)
+        batch = space.decode_many(np.array(data.draw(genotype_batches(space, anchors))))
+        n_pulses = 10.0 ** log_n
+        args = (link, det, n_pulses, preset.eps, preset.error_correction_f, var)
+        columns = {k: np.array([p[k] for p in batch]) for k in batch[0]}
+        reports = [evaluate(p, *args) for p in batch]
+        scales = [
+            (r.estimate.s0_z + r.estimate.s11_z) / n_pulses if r.estimate is not None else 0.0
+            for r in reports
+        ]
+        check_against_scalar(rate_batch(columns, *args), [r.rate_per_pulse for r in reports], scales)
+
+    def test_rejects_what_evaluate_rejects(self):
+        link = make_link(25.0, 25.0)
+        columns = {k: np.array([v, v]) for k, v in PARAMS_50KM.items()}
+        columns["nu_b"] = np.array([0.02, 0.7])  # nu above mu on the second row
+        with pytest.raises(ValueError, match="candidate 1"):
+            rate_batch(columns, link, DET, 1e12, EPS, 1.1)
+        with pytest.raises(ValueError):
+            evaluate({k: float(v[1]) for k, v in columns.items()}, link, DET, 1e12, EPS, 1.1)

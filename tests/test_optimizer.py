@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from amdiqkd import scenario
 from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
-from amdiqkd.keyrate import ProtocolVariant, evaluate
+from amdiqkd.keyrate import ProtocolVariant, evaluate, rate_batch
 from amdiqkd.optimizer import (
     SearchSpace,
     async_search_space,
@@ -132,7 +134,10 @@ class TestOptimizeLink:
             return rate_objective(params)
 
         res = optimize_link(checked, async_search_space(), budget=250, seed=2)
-        assert res.eval_count == 250 == len(seen)
+        assert res.eval_count == 250
+        # a parameter set is scored once; the copied elites reuse their value
+        keys = [tuple(p.values()) for p in seen]
+        assert len(keys) == len(set(keys)) < 250
 
     def test_warm_start_included(self):
         hand = dict(mu_a=0.55, mu_b=0.55, **BASE)
@@ -154,3 +159,159 @@ class TestOptimizeLink:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             optimize_link(rate_objective, async_search_space(), budget=0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# batch scoring, the memo and the vectorized decode
+# ---------------------------------------------------------------------------
+
+def toy_objective(params):
+    """Cheap stand-in for a rate: a peak, a zero plateau and a step."""
+    x = params["mu_a"] - 0.5
+    y = params["nu_b"] - 0.05
+    z = math.log10(params["tc_bins"]) - 5.5
+    bump = max(0.0, 0.3 - x * x - 4.0 * y * y - 0.01 * z * z)
+    return bump + 1e-3 * params["p_mu_a"] * (params["mu_b"] > 0.4)
+
+
+class Batched:
+    """An objective with a ``many`` form that records what it was given."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.scalar_calls = []
+        self.batches = []
+
+    def __call__(self, params):
+        self.scalar_calls.append(params)
+        return self.fn(params)
+
+    def many(self, batch):
+        self.batches.append(list(batch))
+        return np.array([self.fn(p) for p in batch])
+
+
+WARM = [dict(mu_a=0.55, mu_b=0.55, **BASE), dict(mu_a=0.3, mu_b=0.45, **BASE)]
+
+
+def result_tuple(res):
+    return res.best_params, res.best_rate, res.eval_count, res.trace
+
+
+class TestBatchScoring:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("budget", [1, 49, 50, 51, 137, 3000])
+    def test_same_result_as_single_calls(self, budget, warm):
+        space = async_search_space()
+        starts = WARM if warm else ()
+        plain = optimize_link(toy_objective, space, budget=budget, seed=3, warm_starts=starts)
+        batched = Batched(toy_objective)
+        res = optimize_link(batched, space, budget=budget, seed=3, warm_starts=starts)
+        assert result_tuple(res) == result_tuple(plain)
+        scored = len(batched.scalar_calls) + sum(len(b) for b in batched.batches)
+        assert scored <= budget
+        assert all(len(b) > 1 for b in batched.batches)
+        if budget > 1:
+            assert batched.batches  # the population went through ``many``
+
+    def test_same_result_on_the_rate(self):
+        """The scenario's pairing: ``evaluate`` one by one, ``rate_batch`` for batches."""
+        args = (LINK, DET, 1e12, 1e-10, 1.1, ProtocolVariant())
+
+        def objective(params):
+            return rate_objective(params)
+
+        objective.many = lambda batch: rate_batch(
+            {k: np.array([p[k] for p in batch]) for k in batch[0]}, *args)
+        space = async_search_space()
+        plain = optimize_link(rate_objective, space, budget=600, seed=5, warm_starts=WARM)
+        res = optimize_link(objective, space, budget=600, seed=5, warm_starts=WARM)
+        assert result_tuple(res) == result_tuple(plain)
+
+    def test_repeated_candidates_are_not_rescored(self):
+        seen = []
+
+        def counted(params):
+            seen.append(np.array(list(params.values())).tobytes())
+            return toy_objective(params)
+
+        batched = Batched(counted)
+        res = optimize_link(batched, async_search_space(), budget=3000, seed=7)
+        assert res.eval_count == 3000
+        # every scored set is new, and the copied elites and polish trials that
+        # land back on the incumbent were not scored again
+        assert len(seen) == len(set(seen)) < 3000
+        plain = []
+        optimize_link(lambda p: plain.append(p) or toy_objective(p), async_search_space(),
+                      budget=3000, seed=7)
+        assert len(plain) == len(seen)
+
+
+def old_repair(params: dict) -> dict:
+    """``repair_async_params`` as it was before decoding was vectorized."""
+    out = dict(params)
+    for side in ("a", "b"):
+        if f"mu_{side}" not in out:
+            continue
+        labels = ["mu"] + (["omega"] if f"omega_{side}" in out else []) + ["nu"]
+        values = sorted((out[f"{l}_{side}"] for l in labels), reverse=True)
+        for i in range(1, len(values)):
+            values[i] = min(values[i], values[i - 1] - 1e-4)
+        values = [max(v, 1e-4 / 10.0) for v in values]
+        for i in range(len(values) - 2, -1, -1):
+            if values[i] <= values[i + 1]:
+                values[i] = values[i + 1] + 1e-4 / 10.0
+        for l, v in zip(labels, values):
+            out[f"{l}_{side}"] = v
+        prob_names = [f"p_{l}_{side}" for l in labels]
+        total = 0.0  # left to right, as sum() adds floats before Python 3.12
+        for p in prob_names:
+            total += out[p]
+        ceiling = 1.0 - 1e-3
+        if total > ceiling:
+            for p in prob_names:
+                out[p] *= ceiling / total
+    return out
+
+
+def old_decode(space: SearchSpace, genotype) -> dict:
+    """``SearchSpace.decode`` as it was before it was vectorized."""
+    params = {}
+    for gene, name in zip(genotype, space.names):
+        lo, hi = space.bounds[name]
+        g = min(max(float(gene), 0.0), 1.0)
+        if name in space.log_scale:
+            params[name] = lo * (hi / lo) ** g
+        else:
+            params[name] = lo + (hi - lo) * g
+    for dst, src in space.mirror.items():
+        params[dst] = params[src]
+    assert space.repair is repair_async_params
+    return old_repair(params)
+
+
+SPACES = {
+    "async": async_search_space(),
+    "async-four": async_search_space(four_intensity=True),
+    "async-fixed-window": async_search_space(optimize_pairing_window=False),
+    "mdi-baseline": scenario._baseline_space("mdi-baseline"),
+    "bb84-baseline": scenario._baseline_space("bb84-baseline"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_decode_is_bitwise_the_scalar_decode(name):
+    space = SPACES[name]
+    rng = np.random.default_rng(17)
+    genes = rng.random((2000, len(space.names)))
+    # the cube's faces, where clipped children sit, and points outside it
+    faces = rng.random(genes.shape)
+    genes[faces < 0.1] = 0.0
+    genes[faces > 0.9] = 1.0
+    genes[(faces > 0.45) & (faces < 0.47)] = 1.3
+    decoded = space.decode_many(genes)
+    for row, params in zip(genes, decoded):
+        want = old_decode(space, row)
+        assert list(params) == list(want)
+        assert np.array(list(params.values())).tobytes() == np.array(list(want.values())).tobytes()
+    assert space.decode(genes[0]) == decoded[0]

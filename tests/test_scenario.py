@@ -118,14 +118,16 @@ class TestExternalRates:
         assert external[0]["skc0_bps"] > 0.0
 
     def test_bad_external_table_rejected(self, tmp_path):
+        # the table is checked when the spec is built, before any optimization
         table = tmp_path / "bad.csv"
         table.write_text("km,bps\n1,2\n", encoding="utf-8")
-        spec = SweepSpec(
-            preset="fig4", distances_km=[100.0], variants=["filtering"],
-            n_pulses=1e12, budget=60, seed=1, external_rates={"x": str(table)},
-        )
-        with pytest.raises(ValueError):
-            run_sweep(spec)
+        with pytest.raises(ValueError, match="distance_km,rate_bps"):
+            SweepSpec(
+                preset="fig4", distances_km=[100.0], variants=["filtering"],
+                n_pulses=1e12, budget=60, seed=1, external_rates={"x": str(table)},
+            )
+        with pytest.raises(ValueError, match="cannot read"):
+            SweepSpec(external_rates={"x": str(tmp_path / "missing.csv")})
 
 
 class TestNetwork:

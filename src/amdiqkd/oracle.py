@@ -1,9 +1,11 @@
 """Event-level Monte Carlo oracle for the asynchronous link.
 
-Simulates every time bin: intensity and phase-slice draws, Poisson photon
-emission, binomial fibre loss, first-order interference at the relay's
-beam splitter, detector inefficiency and dark counts, click filtering,
-nearest-neighbour pairing inside the window, sifting and classification.
+Simulates the time bins that can click, the bins where a photon of either
+party reaches the relay or a detector has a dark count; every other bin is
+silent and is never drawn.  At those bins: intensity and phase-slice draws,
+first-order interference at the relay's beam splitter, detector
+inefficiency and dark counts, then click filtering, nearest-neighbour
+pairing inside the window, sifting and classification.
 Used exclusively to validate the closed forms in :mod:`amdiqkd.channel` and
 the soundness of the decoy bounds; never part of the key-rate pipeline.
 
@@ -11,6 +13,8 @@ Clicks are sampled in the classical-field picture, which reproduces the
 coherent-state statistics of the closed forms exactly: photons arriving in a
 bin are routed to the left port independently with weight
 ``1/2 + sqrt(AB) cos(phase) / (A + B)`` set by the arriving intensities.
+The source photon number of a click is its arrived count plus the photons
+the fibre lost, an independent Poisson draw (Poisson thinning).
 
 Ground-truth tallies:
 
@@ -252,86 +256,135 @@ class OracleResult:
     x_vacuum_errors: int = 0
 
 
-def _draw_labels(rng, cdf: np.ndarray, size: int) -> np.ndarray:
-    """``rng.choice(cdf.size, size, p=...)`` given the cdf that ``choice``
-    builds from p: the number of cdf edges at or below a uniform draw."""
-    u = rng.random(size)
-    labels = np.zeros(size, dtype=np.int8)
-    for edge in cdf[:-1]:
-        labels += u >= edge
-    return labels
+def _inverse_cdf(weights) -> tuple[np.ndarray, np.ndarray]:
+    """The cdf of ``weights`` and its guide table, whose entry g is the first
+    row with cdf above g / 1024 (Chen and Asau's indexed search)."""
+    cdf = np.cumsum(weights, dtype=float)
+    cdf /= cdf[-1]
+    return cdf, cdf.searchsorted(np.arange(1024) / 1024, side="right")
 
 
-def _bright_bins(labels: np.ndarray, intensities: np.ndarray) -> np.ndarray:
-    """Bins whose label has a nonzero intensity."""
-    bright = np.ones(labels.size, dtype=bool)
-    for dark in np.flatnonzero(intensities == 0.0):
-        bright &= labels != dark
-    return np.nonzero(bright)[0]
+def _draw(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for uniforms u: each starts at
+    the row of its guide cell and steps up, a few array passes in all."""
+    cdf, guide = table
+    row = guide[(u * guide.size).astype(np.intp)]
+    step = np.flatnonzero(u >= cdf[row])
+    while step.size:
+        row[step] += 1
+        step = step[u[step] >= cdf[row[step]]]
+    return row
 
 
-def _click_chunk(rng, size, start_idx, src_arrays, link, det, drift_per_bin):
+class _Arrivals:
+    """One party's photons at the relay.  A bin sends label l with
+    probability p_l at intensity k_l; n photons of it arrive with probability
+    p_l Poisson(n; eta k_l), and the fibre loses an independent
+    Poisson((1 - eta) k_l) more."""
+
+    def __init__(self, intensities, probabilities, labels, eta: float) -> None:
+        k = np.array([intensities[l] for l in labels])
+        p = np.array([probabilities[l] for l in labels])
+        self.mean, self.lost = eta * k, (1.0 - eta) * k
+        self.q = float(np.sum(p * -np.expm1(-self.mean)))  # P(n >= 1)
+        self.quiet = _inverse_cdf(p * np.exp(-self.mean))  # P(l | n = 0)
+        # rows (l, n) of P(l, n | n >= 1); a label's rows stop where the rest
+        # of its Poisson tail is below 1e-16 of q, so the cap grows with the mean
+        rows = []
+        for l, m in enumerate(self.mean.tolist()):
+            term, n = p[l] * math.exp(-m), 0
+            while m > 0.0:
+                n += 1
+                term *= m / n
+                rows.append((l, n, term))
+                # the tail past n is below its next term / (1 - m / (n + 2))
+                if n + 2 > m and term * m / (n + 1) < 1e-16 * self.q * (1.0 - m / (n + 2)):
+                    break
+        label, count, weight = zip(*rows or [(0, 0, 1.0)])  # never drawn when q = 0
+        self.label = np.array(label, dtype=np.int8)
+        self.count = np.array(count, dtype=np.int16)
+        self.arrival = _inverse_cdf(weight)
+
+    def draw(self, rng, arrived: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Label and arrived photon count at each given bin, one uniform per
+        bin: from P(l, n | n >= 1) where photons arrived, else P(l | n = 0)."""
+        u = rng.random(arrived.size)
+        labels = _draw(self.quiet, u).astype(np.int8)
+        counts = np.zeros(arrived.size, dtype=np.int16)
+        at = np.flatnonzero(arrived)
+        row = _draw(self.arrival, u[at])
+        labels[at] = self.label[row]
+        counts[at] = self.count[row]
+        return labels, counts
+
+
+def _bernoulli_sites(rng, p: float, size: int) -> np.ndarray:
+    """Sorted positions of the successes among ``size`` Bernoulli(p) trials,
+    placed by geometric gaps, in batches until one passes the end."""
+    sites, last = np.empty(0, dtype=np.int64), -1
+    while p > 0.0 and last < size:
+        gaps = rng.geometric(p, int(size * p + 5.0 * math.sqrt(size * p)) + 1)
+        sites = np.concatenate((sites, last + np.cumsum(gaps)))
+        last = sites[-1]
+    return sites[: sites.searchsorted(size)]
+
+
+def _click_chunk(rng, size, start_idx, tables, link, det, drift_per_bin):
     """Simulate one chunk of time bins; return compact arrays of kept clicks.
 
-    Draws happen in a fixed order, each over the bins in index order.  A
-    zero-mean Poisson or zero-trial binomial draw consumes no random numbers,
-    so those draws are made only for the bins where they can be nonzero; the
-    stream is the same as drawing every bin.
+    Only bins that can click are drawn: where photons of a party arrive
+    (a Bernoulli(q) process per party) or a detector has a dark count
+    (Bernoulli(p_d) per detector).  A bin where photons arrive clicks with
+    darks included, so the darks placed on it are dropped.  Its detector
+    pattern is one draw from the closed form summed over the binomial
+    routing of its n photons with weight w: with t = 1 - eta_d and
+    c = 1 - p_d, only the left detector clicks with probability
+    c ((w + (1 - w) t)**n - c t**n), only the right with w and 1 - w swapped.
     """
-    (ints_a, cdf_a, ints_b, cdf_b, kept_matrix) = src_arrays
+    arrivals_a, arrivals_b, kept_matrix = tables
     m_slices = link.phase_slices
-    eta_a, eta_b, eta_d = link.eta_a, link.eta_b, det.eta_d
     p_d = det.dark_prob(link.clock_hz)
 
-    la = _draw_labels(rng, cdf_a, size)
-    lb = _draw_labels(rng, cdf_b, size)
-    sa = rng.integers(0, m_slices, size=size, dtype=np.int16)
-    sb = rng.integers(0, m_slices, size=size, dtype=np.int16)
-    bright_a = _bright_bins(la, ints_a)
-    bright_b = _bright_bins(lb, ints_b)
-    n_src_a = np.zeros(size, dtype=np.int16)
-    n_src_b = np.zeros(size, dtype=np.int16)
-    n_src_a[bright_a] = rng.poisson(ints_a[la[bright_a]])
-    n_src_b[bright_b] = rng.poisson(ints_b[lb[bright_b]])
-    emit_a = np.nonzero(n_src_a)[0]
-    emit_b = np.nonzero(n_src_b)[0]
-    arr_a = np.zeros(size, dtype=np.int16)
-    arr_b = np.zeros(size, dtype=np.int16)
-    arr_a[emit_a] = rng.binomial(n_src_a[emit_a], eta_a)
-    arr_b[emit_b] = rng.binomial(n_src_b[emit_b], eta_b)
+    # bit 1/2: photons of party a/b arrive; bit 4/8: left/right dark count
+    mark = np.zeros(size, dtype=np.uint8)
+    for bit, p in ((1, arrivals_a.q), (2, arrivals_b.q), (4, p_d), (8, p_d)):
+        mark[_bernoulli_sites(rng, p, size)] |= bit
+    bins = np.flatnonzero(mark != 0)
+    code = mark[bins]
+    la, arr_a = arrivals_a.draw(rng, (code & 1) != 0)
+    lb, arr_b = arrivals_b.draw(rng, (code & 2) != 0)
+    sa = rng.integers(0, m_slices, size=bins.size, dtype=np.int16)
+    sb = rng.integers(0, m_slices, size=bins.size, dtype=np.int16)
 
-    # beam-splitter routing of the bins where photons arrived
-    total_arrived = arr_a + arr_b
-    hit = np.nonzero(total_arrived)[0]
-    phase = (
-        2.0 * math.pi * (sa[hit].astype(np.float64) - sb[hit]) / m_slices
-        + drift_per_bin * (start_idx + hit)
-    )
-    a_mean = eta_a * ints_a[la[hit]]
-    b_mean = eta_b * ints_b[lb[hit]]
-    weight = np.clip(0.5 + np.sqrt(a_mean * b_mean) * np.cos(phase) / (a_mean + b_mean), 0.0, 1.0)
-    n_hit = total_arrived[hit].astype(np.int64)
-    n_left = rng.binomial(n_hit, weight)
+    # weight 1/2 + sqrt(ab) cos(phase) / (a + b) of the arriving intensities
+    a, b = arrivals_a.mean[:, None], arrivals_b.mean[None, :]
+    visibility = np.sqrt(a * b) / np.where(a + b > 0.0, a + b, 1.0)
+    pair = la.astype(np.intp) * kept_matrix.shape[1] + lb
+    phase = (2.0 * math.pi / m_slices) * (sa - sb) + drift_per_bin * (start_idx + bins)
+    weight = np.clip(0.5 + visibility.ravel()[pair] * np.cos(phase), 0.0, 1.0)
+    n = arr_a + arr_b.astype(np.int64)
+    t, c = 1.0 - det.eta_d, 1.0 - p_d
+    p_left = c * ((weight + (1.0 - weight) * t) ** n - c * t**n)
+    p_right = c * ((1.0 - weight + weight * t) ** n - c * t**n)
+    u = rng.random(bins.size)
+    right = (u >= p_left) & (u < p_left + p_right)
+    single = (u < p_left) | right
+    # dark counts alone: single when exactly one detector fired
+    dark = np.flatnonzero((code & 3) == 0)
+    right[dark] = (code[dark] & 8) != 0
+    single[dark] = ((code[dark] & 4) != 0) != right[dark]
 
-    # detection: P(click | n photons) per photon number, darks alone elsewhere
-    click_prob = 1.0 - (1.0 - p_d) * (1.0 - eta_d) ** np.arange(n_hit.max(initial=0) + 1)
-    thr_l = np.full(size, click_prob[0])
-    thr_r = np.full(size, click_prob[0])
-    thr_l[hit] = click_prob[n_left]
-    thr_r[hit] = click_prob[n_hit - n_left]
-    click_l = rng.random(size) < thr_l
-    click_r = rng.random(size) < thr_r
-    single = np.nonzero(click_l != click_r)[0]
-    sel = single[kept_matrix[la[single], lb[single]]]
+    sel = np.flatnonzero(single & kept_matrix.ravel()[pair])
+    la, lb = la[sel], lb[sel]
     return (
-        start_idx + sel,
-        la[sel],
-        lb[sel],
+        start_idx + bins[sel],
+        la,
+        lb,
         sa[sel],
         sb[sel],
-        n_src_a[sel],
-        n_src_b[sel],
-        click_r[sel].astype(np.int8),  # 0 = left detector, 1 = right
+        (arr_a[sel] + rng.poisson(arrivals_a.lost[la])).astype(np.int16),
+        (arr_b[sel] + rng.poisson(arrivals_b.lost[lb])).astype(np.int16),
+        right[sel].astype(np.int8),  # 0 = left detector, 1 = right
     )
 
 
@@ -364,10 +417,9 @@ def simulate(
 
     Deterministic for fixed (seed, n_bins, chunk_bins); the random stream is
     partitioned per chunk of bins, so a parallel implementation sharding by
-    chunk would reproduce these results exactly.  Within a chunk, emission,
-    fibre loss and beam-splitter routing are drawn only for the bins where
-    they can be nonzero; numpy draws nothing for a zero-mean Poisson or a
-    zero-trial binomial, so the stream is the one a draw for every bin gives.
+    chunk would reproduce these results exactly.  Within a chunk only the
+    bins that can click are drawn (see ``_click_chunk``): the work grows with
+    the number of arrivals and dark counts, not with the number of bins.
 
     Kept clicks pair greedily with their nearest successor: inside each
     maximal run of clicks whose successive gaps are at most the pairing
@@ -377,13 +429,8 @@ def simulate(
         raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
     labels = source.labels
     n_labels = len(labels)
-    ints_a = np.array([source.intensities_a[l] for l in labels])
-    ints_b = np.array([source.intensities_b[l] for l in labels])
-    # label cdfs as ``Generator.choice(p=...)`` builds them
-    cdf_a = np.cumsum([source.probabilities_a[l] for l in labels])
-    cdf_b = np.cumsum([source.probabilities_b[l] for l in labels])
-    cdf_a /= cdf_a[-1]
-    cdf_b /= cdf_b[-1]
+    arrivals_a = _Arrivals(source.intensities_a, source.probabilities_a, labels, link.eta_a)
+    arrivals_b = _Arrivals(source.intensities_b, source.probabilities_b, labels, link.eta_b)
     layout = source.layout
     kept_matrix = np.zeros((n_labels, n_labels), dtype=bool)
     for (la, lb) in layout.kept:
@@ -396,11 +443,11 @@ def simulate(
     posterior_rng = np.random.default_rng(streams[-1])
 
     fields = [[] for _ in range(8)]
-    src_arrays = (ints_a, cdf_a, ints_b, cdf_b, kept_matrix)
+    tables = (arrivals_a, arrivals_b, kept_matrix)
     for chunk in range(n_chunks):
         size = min(chunk_bins, n_bins - chunk * chunk_bins)
         rng = np.random.default_rng(streams[chunk])
-        parts = _click_chunk(rng, size, chunk * chunk_bins, src_arrays, link, det, drift_per_bin)
+        parts = _click_chunk(rng, size, chunk * chunk_bins, tables, link, det, drift_per_bin)
         for store, arr in zip(fields, parts):
             store.append(arr)
     idx, la, lb, sa, sb, na, nb, det_click = (np.concatenate(f) for f in fields)

@@ -14,6 +14,7 @@ from amdiqkd.channel import (
     pair_gain_phase,
 )
 from amdiqkd.decoy import estimate, pairing_probs, xbasis_vacuum_errors_lower, z_key_groups
+from amdiqkd import oracle
 from amdiqkd.oracle import (
     LayerPosterior,
     GroupTruth,
@@ -247,6 +248,97 @@ def dict_pattern(n_a, n_b, matched_pi, det_early, det_late, eta_d, p_d):
     return total
 
 
+def draw_labels(rng, cdf, size):
+    """``rng.choice(cdf.size, size, p=...)`` given the cdf that ``choice``
+    builds from p: the number of cdf edges at or below a uniform draw."""
+    u = rng.random(size)
+    labels = np.zeros(size, dtype=np.int8)
+    for edge in cdf[:-1]:
+        labels += u >= edge
+    return labels
+
+
+def bright_bins(labels, intensities):
+    """Bins whose label has a nonzero intensity."""
+    bright = np.ones(labels.size, dtype=bool)
+    for dark in np.flatnonzero(intensities == 0.0):
+        bright &= labels != dark
+    return np.nonzero(bright)[0]
+
+
+def per_bin_click_chunk(rng, size, start_idx, src_arrays, link, det, drift_per_bin):
+    """The sampler that draws every bin: labels, slices, Poisson emission,
+    binomial fibre loss and routing, and both detectors' click uniforms.
+    The oracle's event sampler must reproduce its tallies in distribution."""
+    (ints_a, cdf_a, ints_b, cdf_b, kept_matrix) = src_arrays
+    m_slices = link.phase_slices
+    eta_a, eta_b, eta_d = link.eta_a, link.eta_b, det.eta_d
+    p_d = det.dark_prob(link.clock_hz)
+
+    la = draw_labels(rng, cdf_a, size)
+    lb = draw_labels(rng, cdf_b, size)
+    sa = rng.integers(0, m_slices, size=size, dtype=np.int16)
+    sb = rng.integers(0, m_slices, size=size, dtype=np.int16)
+    bright_a = bright_bins(la, ints_a)
+    bright_b = bright_bins(lb, ints_b)
+    n_src_a = np.zeros(size, dtype=np.int16)
+    n_src_b = np.zeros(size, dtype=np.int16)
+    n_src_a[bright_a] = rng.poisson(ints_a[la[bright_a]])
+    n_src_b[bright_b] = rng.poisson(ints_b[lb[bright_b]])
+    emit_a = np.nonzero(n_src_a)[0]
+    emit_b = np.nonzero(n_src_b)[0]
+    arr_a = np.zeros(size, dtype=np.int16)
+    arr_b = np.zeros(size, dtype=np.int16)
+    arr_a[emit_a] = rng.binomial(n_src_a[emit_a], eta_a)
+    arr_b[emit_b] = rng.binomial(n_src_b[emit_b], eta_b)
+
+    total_arrived = arr_a + arr_b
+    hit = np.nonzero(total_arrived)[0]
+    phase = (
+        2.0 * math.pi * (sa[hit].astype(np.float64) - sb[hit]) / m_slices
+        + drift_per_bin * (start_idx + hit)
+    )
+    a_mean = eta_a * ints_a[la[hit]]
+    b_mean = eta_b * ints_b[lb[hit]]
+    weight = np.clip(0.5 + np.sqrt(a_mean * b_mean) * np.cos(phase) / (a_mean + b_mean), 0.0, 1.0)
+    n_hit = total_arrived[hit].astype(np.int64)
+    n_left = rng.binomial(n_hit, weight)
+
+    click_prob = 1.0 - (1.0 - p_d) * (1.0 - eta_d) ** np.arange(n_hit.max(initial=0) + 1)
+    thr_l = np.full(size, click_prob[0])
+    thr_r = np.full(size, click_prob[0])
+    thr_l[hit] = click_prob[n_left]
+    thr_r[hit] = click_prob[n_hit - n_left]
+    click_l = rng.random(size) < thr_l
+    click_r = rng.random(size) < thr_r
+    single = np.nonzero(click_l != click_r)[0]
+    sel = single[kept_matrix[la[single], lb[single]]]
+    return (
+        start_idx + sel, la[sel], lb[sel], sa[sel], sb[sel],
+        n_src_a[sel], n_src_b[sel], click_r[sel].astype(np.int8),
+    )
+
+
+def per_bin_sampler(source):
+    """``per_bin_click_chunk`` in the place of ``oracle._click_chunk``."""
+    labels = source.labels
+    cdf_a = np.cumsum([source.probabilities_a[l] for l in labels])
+    cdf_b = np.cumsum([source.probabilities_b[l] for l in labels])
+    kept_matrix = np.zeros((len(labels), len(labels)), dtype=bool)
+    for la, lb in source.layout.kept:
+        kept_matrix[labels.index(la), labels.index(lb)] = True
+    src_arrays = (
+        np.array([source.intensities_a[l] for l in labels]), cdf_a / cdf_a[-1],
+        np.array([source.intensities_b[l] for l in labels]), cdf_b / cdf_b[-1],
+        kept_matrix,
+    )
+
+    def click_chunk(rng, size, start_idx, _tables, link, det, drift_per_bin):
+        return per_bin_click_chunk(rng, size, start_idx, src_arrays, link, det, drift_per_bin)
+
+    return click_chunk
+
+
 class TestPairScan:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -295,9 +387,7 @@ class TestFockTables:
 
 
 # four labels and a chunk size that does not divide the run; the expected
-# values come from the implementation that made every Poisson and binomial
-# draw for every bin, so they also pin that zero-mean and zero-trial draws
-# consume no random numbers
+# values pin the event sampler's random stream
 GOLDEN_DET = DetectorPair(0.8, 1e5)
 GOLDEN_LINK = ChannelLink(
     15.0, 15.0, 0.16, clock_hz=1e9,
@@ -311,52 +401,209 @@ GOLDEN_SRC = SourceConfig.from_params(
     click_filtering=True,
 )
 GOLDEN_COUNTS = {
-    (("mu", "mu"), ("mu", "mu")): 589, (("mu", "mu"), ("mu", "o")): 1874,
-    (("mu", "mu"), ("o", "o")): 417, (("mu", "omega"), ("mu", "omega")): 696,
-    (("mu", "omega"), ("mu", "o")): 514, (("mu", "omega"), ("omega", "o")): 275,
-    (("mu", "omega"), ("o", "o")): 179, (("mu", "nu"), ("mu", "nu")): 1674,
-    (("mu", "nu"), ("mu", "o")): 457, (("mu", "nu"), ("nu", "o")): 673,
-    (("mu", "nu"), ("o", "o")): 193, (("mu", "o"), ("mu", "mu")): 2086,
-    (("mu", "o"), ("mu", "omega")): 523, (("mu", "o"), ("mu", "nu")): 780,
-    (("mu", "o"), ("mu", "o")): 775, (("mu", "o"), ("omega", "o")): 210,
-    (("mu", "o"), ("nu", "o")): 341, (("mu", "o"), ("o", "o")): 1,
-    (("omega", "omega"), ("omega", "omega")): 16, (("omega", "omega"), ("omega", "o")): 82,
-    (("omega", "omega"), ("o", "o")): 31, (("omega", "nu"), ("omega", "nu")): 247,
-    (("omega", "nu"), ("omega", "o")): 79, (("omega", "nu"), ("nu", "o")): 187,
-    (("omega", "nu"), ("o", "o")): 38, (("omega", "o"), ("mu", "omega")): 291,
-    (("omega", "o"), ("mu", "o")): 217, (("omega", "o"), ("omega", "omega")): 68,
-    (("omega", "o"), ("omega", "nu")): 123, (("omega", "o"), ("omega", "o")): 66,
-    (("omega", "o"), ("nu", "o")): 89, (("nu", "nu"), ("nu", "nu")): 82,
-    (("nu", "nu"), ("nu", "o")): 172, (("nu", "nu"), ("o", "o")): 35,
-    (("nu", "o"), ("mu", "nu")): 724, (("nu", "o"), ("mu", "o")): 185,
-    (("nu", "o"), ("omega", "nu")): 215, (("nu", "o"), ("omega", "o")): 57,
-    (("nu", "o"), ("nu", "nu")): 304, (("nu", "o"), ("nu", "o")): 69,
-    (("o", "o"), ("mu", "mu")): 468, (("o", "o"), ("mu", "omega")): 252,
-    (("o", "o"), ("mu", "nu")): 352, (("o", "o"), ("mu", "o")): 1,
-    (("o", "o"), ("omega", "omega")): 31, (("o", "o"), ("omega", "nu")): 98,
-    (("o", "o"), ("nu", "nu")): 80,
+    (("mu", "mu"), ("mu", "mu")): 607, (("mu", "mu"), ("mu", "o")): 1865,
+    (("mu", "mu"), ("o", "o")): 396, (("mu", "omega"), ("mu", "omega")): 719,
+    (("mu", "omega"), ("mu", "o")): 514, (("mu", "omega"), ("omega", "o")): 309,
+    (("mu", "omega"), ("o", "o")): 196, (("mu", "nu"), ("mu", "nu")): 1686,
+    (("mu", "nu"), ("mu", "o")): 420, (("mu", "nu"), ("nu", "o")): 665,
+    (("mu", "nu"), ("o", "o")): 181, (("mu", "o"), ("mu", "mu")): 2089,
+    (("mu", "o"), ("mu", "omega")): 544, (("mu", "o"), ("mu", "nu")): 811,
+    (("mu", "o"), ("mu", "o")): 836, (("mu", "o"), ("omega", "o")): 224,
+    (("mu", "o"), ("nu", "o")): 345, (("omega", "omega"), ("omega", "omega")): 7,
+    (("omega", "omega"), ("omega", "o")): 83, (("omega", "omega"), ("o", "o")): 17,
+    (("omega", "nu"), ("omega", "nu")): 271, (("omega", "nu"), ("omega", "o")): 61,
+    (("omega", "nu"), ("nu", "o")): 195, (("omega", "nu"), ("o", "o")): 51,
+    (("omega", "o"), ("mu", "omega")): 275, (("omega", "o"), ("mu", "o")): 242,
+    (("omega", "o"), ("omega", "omega")): 97, (("omega", "o"), ("omega", "nu")): 130,
+    (("omega", "o"), ("omega", "o")): 71, (("omega", "o"), ("nu", "o")): 103,
+    (("nu", "nu"), ("nu", "nu")): 72, (("nu", "nu"), ("nu", "o")): 188,
+    (("nu", "nu"), ("o", "o")): 24, (("nu", "o"), ("mu", "nu")): 726,
+    (("nu", "o"), ("mu", "o")): 203, (("nu", "o"), ("omega", "nu")): 198,
+    (("nu", "o"), ("omega", "o")): 43, (("nu", "o"), ("nu", "nu")): 290,
+    (("nu", "o"), ("nu", "o")): 67, (("o", "o"), ("mu", "mu")): 443,
+    (("o", "o"), ("mu", "omega")): 221, (("o", "o"), ("mu", "nu")): 391,
+    (("o", "o"), ("mu", "o")): 1, (("o", "o"), ("omega", "omega")): 27,
+    (("o", "o"), ("omega", "nu")): 104, (("o", "o"), ("nu", "nu")): 55,
 }
 # (count, errors, a_vacuum, b_vacuum, single_photon_pairs, single_photon_errors)
 GOLDEN_Z_TRUTH = {
-    (("mu", "o"), ("mu", "o")): (775, 0, 2, 1, 360, 0),
-    (("mu", "o"), ("omega", "o")): (210, 0, 0, 2, 108, 0),
-    (("mu", "o"), ("nu", "o")): (341, 0, 0, 2, 214, 0),
-    (("omega", "o"), ("mu", "o")): (217, 0, 0, 0, 129, 0),
-    (("omega", "o"), ("omega", "o")): (66, 0, 0, 0, 45, 0),
-    (("omega", "o"), ("nu", "o")): (89, 0, 0, 1, 62, 0),
-    (("nu", "o"), ("mu", "o")): (185, 0, 0, 0, 120, 0),
-    (("nu", "o"), ("omega", "o")): (57, 0, 0, 0, 41, 0),
-    (("nu", "o"), ("nu", "o")): (69, 0, 0, 0, 63, 0),
+    (("mu", "o"), ("mu", "o")): (836, 1, 0, 1, 382, 0),
+    (("mu", "o"), ("omega", "o")): (224, 0, 0, 0, 131, 0),
+    (("mu", "o"), ("nu", "o")): (345, 0, 1, 0, 211, 0),
+    (("omega", "o"), ("mu", "o")): (242, 0, 0, 0, 134, 0),
+    (("omega", "o"), ("omega", "o")): (71, 0, 0, 0, 55, 0),
+    (("omega", "o"), ("nu", "o")): (103, 0, 0, 0, 75, 0),
+    (("nu", "o"), ("mu", "o")): (203, 0, 0, 1, 142, 0),
+    (("nu", "o"), ("omega", "o")): (43, 0, 0, 1, 29, 0),
+    (("nu", "o"), ("nu", "o")): (67, 4, 3, 0, 56, 1),
 }
 
 
 def test_random_stream_is_pinned():
     res = simulate(GOLDEN_SRC, GOLDEN_LINK, GOLDEN_DET, 400_000, seed=21, chunk_bins=150_000)
-    assert (res.n_clicks, res.n_pairs) == (37956, 18978)
+    assert (res.n_clicks, res.n_pairs) == (38331, 19165)
     assert {k: v for k, v in res.counts.items() if v} == GOLDEN_COUNTS
-    assert (res.m_x, res.x_matched) == (26, 82)
+    assert (res.m_x, res.x_matched) == (17, 72)
     assert res.x_truth == GroupTruth(
-        count=82, errors=26, single_photon_pairs=28, single_photon_errors=1
+        count=72, errors=17, single_photon_pairs=26, single_photon_errors=0
     )
-    assert (res.x_vacuum, res.x_vacuum_errors) == (38, 22)
+    assert (res.x_vacuum, res.x_vacuum_errors) == (31, 15)
     assert {k: tuple(vars(g).values()) for k, g in res.z_truth.items()} == GOLDEN_Z_TRUTH
+
+
+def tallies(res, groups):
+    """The oracle numbers the event sampler must reproduce in distribution."""
+    out = {
+        "n_clicks": res.n_clicks,
+        "n_pairs": res.n_pairs,
+        "z_a_vacuum": sum(g.a_vacuum for g in res.z_truth.values()),
+        "z_b_vacuum": sum(g.b_vacuum for g in res.z_truth.values()),
+        "x_count": res.x_truth.count,
+        "x_errors": res.x_truth.errors,
+        "x_single_photon_pairs": res.x_truth.single_photon_pairs,
+        "x_single_photon_errors": res.x_truth.single_photon_errors,
+        "x_vacuum": res.x_vacuum,
+        "x_vacuum_errors": res.x_vacuum_errors,
+    }
+    out.update({f"z_single_photon_pairs{g}": t.single_photon_pairs for g, t in res.z_truth.items()})
+    out.update({f"count{g}": res.counts[g] for g in groups})
+    return out
+
+
+class TestEventSampler:
+    N_BINS = 400_000
+    SEEDS = range(8)
+
+    def test_matches_per_bin_sampler(self, monkeypatch):
+        # mean tallies over the seeds agree within 5 standard errors of their
+        # difference; each side's variance is its sample variance, floored at
+        # the Poisson variance of its mean so that a few equal small tallies
+        # do not shrink the window to nothing
+        obs = expected_observables(GOLDEN_SRC, GOLDEN_LINK, GOLDEN_DET, float(self.N_BINS))
+        groups = [g for g, expected in obs.counts.items() if expected >= 25.0]
+
+        def runs():
+            return [
+                tallies(simulate(GOLDEN_SRC, GOLDEN_LINK, GOLDEN_DET, self.N_BINS, seed=s), groups)
+                for s in self.SEEDS
+            ]
+
+        event = runs()
+        monkeypatch.setattr(oracle, "_click_chunk", per_bin_sampler(GOLDEN_SRC))
+        per_bin = runs()
+        k = len(self.SEEDS)
+        for name in event[0]:
+            a = np.array([r[name] for r in event], dtype=float)
+            b = np.array([r[name] for r in per_bin], dtype=float)
+            var = max(a.var(ddof=1), a.mean()) + max(b.var(ddof=1), b.mean())
+            z = (a.mean() - b.mean()) / math.sqrt(max(var, 1.0) / k)
+            assert abs(z) <= 5.0, (name, a.mean(), b.mean())
+
+    def test_arrival_table_is_the_poisson_mixture(self):
+        # each (label, count) row carries p_l Poisson(n; eta k_l) / q, and the
+        # rows of a label stop at a tail below 1e-16 of q
+        import mpmath
+
+        labels, eta = ("mu", "nu", "o"), 0.5
+        probabilities = {"mu": 0.3, "nu": 0.5, "o": 0.2}
+        caps = []
+        for mu in (1e-3, 0.3, 3.0, 30.0):
+            intensities = {"mu": mu, "nu": mu / 4.0, "o": 0.0}
+            arrivals = oracle._Arrivals(intensities, probabilities, labels, eta)
+            q = sum(probabilities[l] * -math.expm1(-eta * intensities[l]) for l in labels)
+            assert arrivals.q == pytest.approx(q, rel=1e-15)
+            weights = np.diff(arrivals.arrival[0], prepend=0.0)
+            for l, n, w in zip(arrivals.label, arrivals.count, weights):
+                m = eta * intensities[labels[l]]
+                want = probabilities[labels[l]] * math.exp(-m) * m ** int(n) / math.factorial(int(n)) / q
+                assert w == pytest.approx(want, rel=1e-9, abs=1e-15)
+            for l in (0, 1):
+                cap = int(arrivals.count[arrivals.label == l].max())
+                m = eta * intensities[labels[l]]
+                tail = float(mpmath.gammainc(cap + 1, 0, m, regularized=True))
+                assert probabilities[labels[l]] * tail < 1e-16 * q
+            assert 2 not in arrivals.label  # the vacuum label never arrives
+            caps.append(int(arrivals.count.max()))
+        assert caps == sorted(caps) and caps[0] < caps[-1]
+
+    def test_guided_draw_is_searchsorted(self):
+        rng = np.random.default_rng(9)
+        for weights in ([1.0], [0.0, 2.0, 0.0, 1.0], [1e-17] * 30 + [1.0] + [1e-20] * 30,
+                        rng.random(50) ** 8):
+            table = oracle._inverse_cdf(weights)
+            cdf = table[0]
+            u = np.concatenate((rng.random(20_000), cdf[:-1], np.arange(1024) / 1024,
+                                np.nextafter(cdf[:-1], 0.0), [np.nextafter(1.0, 0.0)]))
+            u = u[(u >= 0.0) & (u < 1.0)]
+            assert np.array_equal(oracle._draw(table, u), cdf.searchsorted(u, side="right"))
+
+    def test_bernoulli_sites(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert oracle._bernoulli_sites(rng, 0.0, 1000).size == 0
+        assert rng.bit_generator.state == state  # p = 0 draws nothing
+        counts = []
+        for size in (1, 7, 1000):
+            for _ in range(200):
+                sites = oracle._bernoulli_sites(rng, 0.3, size)
+                assert np.all(np.diff(sites) > 0)
+                assert sites.size == 0 or (sites[0] >= 0 and sites[-1] < size)
+                counts.append(sites.size / size)
+        assert np.mean(counts[-200:]) == pytest.approx(0.3, abs=5.0 * math.sqrt(0.21 / 200_000))
+
+        class UnitGaps:
+            def geometric(self, p, n):
+                return np.ones(n, dtype=np.int64)
+
+        # a run of short gaps that outlasts the first batch draws more
+        assert oracle._bernoulli_sites(UnitGaps(), 0.01, 1000).tolist() == list(range(1000))
+
+    def test_without_dark_counts(self):
+        det = DetectorPair(0.8, 0.0)
+        res = simulate(SRC, LINK, det, 400_000, seed=4)
+        obs = expected_observables(SRC, LINK, det, 400_000.0)
+        assert abs(res.n_pairs - obs.n_pairs) <= 5.0 * math.sqrt(obs.n_pairs)
+
+    def test_no_arrivals(self):
+        # fibre transmittance underflows to zero: no bin ever sees a photon
+        dark_link = ChannelLink(400.0, 400.0, 10.0, clock_hz=1e9, phase_slices=8)
+        assert dark_link.eta_a == dark_link.eta_b == 0.0
+        silent = simulate(SRC, dark_link, DetectorPair(0.8, 0.0), 200_000, seed=3)
+        assert silent.n_clicks == 0 and silent.n_pairs == 0
+        src = SourceConfig.from_params(
+            mu_a=0.5, nu_a=0.15, p_mu_a=0.35, p_nu_a=0.35,
+            mu_b=0.45, nu_b=0.12, p_mu_b=0.35, p_nu_b=0.35,
+            click_filtering=False,
+        )
+        det = DetectorPair(0.8, 1e5)
+        p_d = det.dark_prob(dark_link.clock_hz)
+        res = simulate(src, dark_link, det, 1_000_000, seed=3)
+        expected = 2.0 * p_d * (1.0 - p_d) * 1_000_000
+        assert abs(res.n_clicks - expected) <= 5.0 * math.sqrt(expected)
+
+    def test_single_bin(self):
+        res = simulate(SRC, LINK, DET, 1, seed=2)
+        assert res.n_bins == 1 and res.n_clicks in (0, 1) and res.n_pairs == 0
+
+    def test_click_indices_across_chunks(self, monkeypatch):
+        # a chunk size that does not divide the run: indices stay strictly
+        # increasing and inside the run, and the short last chunk clicks at
+        # the rate of the others
+        seen = []
+
+        def spy(indices, window):
+            seen.append(indices.copy())
+            return _pair_scan(indices, window)
+
+        monkeypatch.setattr(oracle, "_pair_scan", spy)
+        n_bins, chunk = 250_000, 60_000
+        res = simulate(SRC, LINK, DET, n_bins, seed=6, chunk_bins=chunk)
+        (idx,) = seen
+        assert idx.size == res.n_clicks
+        assert np.all(np.diff(idx) > 0) and idx[0] >= 0 and idx[-1] < n_bins
+        per_chunk = np.bincount(idx // chunk)
+        assert per_chunk.size == 5 and per_chunk.min() > 0
+        expected = res.n_clicks * (n_bins - 4 * chunk) / n_bins
+        assert abs(per_chunk[-1] - expected) <= 5.0 * math.sqrt(expected)
+        again = simulate(SRC, LINK, DET, n_bins, seed=6, chunk_bins=chunk)
+        assert (again.counts, again.x_truth) == (res.counts, res.x_truth)

@@ -4,13 +4,18 @@ The optimizer scores its initial population and each generation as one batch
 (see :mod:`amdiqkd.optimizer`); these are the numpy forms it calls.
 ``rate_batch`` gives ``keyrate.evaluate(...).rate_per_pulse``, and
 ``mdi_rate_batch`` and ``bb84_rate_batch`` give the reference protocols' rates
-per pulse, for every row of a set of (B,) parameter columns.  Each section
-below mirrors one scalar module and repeats its operation order: left-to-right
-sums, the same grouping of products and quotients, and the C library's exp,
-log and pow (through :func:`amdiqkd.stats.each`) where numpy's own may round
-differently.  So a batch rate equals the scalar rate to rounding, and bit for
-bit wherever the scalar forms' ``sum()`` adds left to right (before Python
-3.12).  The scalar forms stay the reference and the single-call path.
+per pulse, for every row of a set of (B,) parameter columns.
+
+The sections up to the key rate mirror one scalar module each and repeat its
+operation order: left-to-right sums, the same grouping of products and
+quotients, and the C library's exp, log and pow (through
+:func:`amdiqkd.stats.each`) where numpy's own may round differently.  So a
+batch rate equals the scalar rate to rounding, and bit for bit wherever the
+scalar forms' ``sum()`` adds left to right (before Python 3.12).  The scalar
+forms stay the reference and the single-call path.  The reference protocols
+are not copied here: ``COLUMNS`` is the column namespace that their bodies in
+:mod:`amdiqkd.baselines` run on, and the two batch entry points only build the
+columns.
 
 A row that the scalar form rejects raises ValueError here too.  Other argument
 checks are skipped: a row that the scalar form returns early on (no pairs, an
@@ -24,19 +29,20 @@ never scores a batch does not compile it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .baselines import LEVELS, Bb84Params, _receiver_eta
+from . import baselines
+from .baselines import Bb84Params
 from .channel import LABEL_ORDER, ChannelLink, CountKey, DetectorPair, GroupLayout, _group_layout
 from .decoy import X_KEY, _decoy_pair, z_key_groups
 from .keyrate import ProtocolVariant
-from .stats import RATE_FLOOR, _beta, each, no_click
+from .stats import RATE_FLOOR, _beta, each
 
 __all__ = [
     "SourceBatch",
@@ -597,7 +603,23 @@ def rate_batch(
 # reference protocols (baselines)
 # ---------------------------------------------------------------------------
 
-@np.errstate(divide="ignore", invalid="ignore")  # rows the scalar form returns early on
+def _min_over(fn, points):
+    """The least of ``fn(*point)`` over ``points`` per row, with all points in
+    one call: each argument stacked to (P, B)."""
+    return fn(*(np.stack(column) for column in zip(*points))).min(axis=0)
+
+
+# the operations that the reference protocols' bodies in amdiqkd.baselines
+# run on, applied to (B,) columns
+COLUMNS = SimpleNamespace(
+    exp=exp_batch, sqrt=np.sqrt, maximum=np.maximum, minimum=np.minimum, where=np.where,
+    i0m1=i0m1_batch, no_click=no_click_batch, entropy=binary_entropy_batch,
+    expected_lower=expected_lower_batch, expected_upper=expected_upper_batch,
+    observed_lower=observed_lower_batch, observed_upper=observed_upper_batch,
+    sampling_correction=sampling_correction_batch, min_over=_min_over,
+)
+
+
 def mdi_rate_batch(
     columns: Mapping[str, np.ndarray],
     link: ChannelLink,
@@ -609,116 +631,24 @@ def mdi_rate_batch(
     """``mdi_key_rate(...)["rate_per_pulse"]`` for every row of ``columns``,
     the flat four-intensity keys of ``SourceConfig.from_params``."""
     source = SourceBatch.from_columns(columns, four_intensity=True)
-    # mdi_observables over all 4 x 4 level pairs at once: (B, 4, 4) tables
-    n_prime = n_pulses / 2.0
-    eta_a, eta_b = det.eta_d * link.eta_a, det.eta_d * link.eta_b
-    p_d = det.dark_prob(link.clock_hz)
-    e_mis = link.interference_error
+    device = baselines._mdi_device(link, det, n_pulses)
+    # the level-pair counts of all 4 x 4 pairs at once, as (B, 4, 4) tables
     int_a, int_b = source.stacked(source.intensities_a, source.intensities_b)
     prob_a, prob_b = source.stacked(source.probabilities_a, source.probabilities_b)
-    ka = int_a[:, :, None] * eta_a
-    kb = int_b[:, None, :] * eta_b
-    weight = n_prime * prob_a[:, :, None] * prob_b[:, None, :]
-    x = np.sqrt(ka * kb)
-    bessel_m1 = i0m1_batch(x)
-    y_both, click_both = no_click_batch((ka + kb) / 2.0, p_d)
-    scale = (1.0 - p_d) * y_both
-    interference = bessel_m1 + click_both
-    split = no_click_batch(ka / 2.0, p_d)[1] * no_click_batch(kb / 2.0, p_d)[1]
-    n_z_all = weight * scale * (p_d * interference + split)
-    m_z_all = weight * scale * p_d * interference
-    y, click = no_click_batch((ka + kb) / 4.0, p_d)
-    half_m1 = i0m1_batch(x / 2.0)
-    n_x_all = weight * y * y * (2.0 * click * click + bessel_m1 - 4.0 * y * half_m1)
-    m_x_all = weight * y * y * (click * click - 2.0 * y * half_m1 + e_mis * bessel_m1)
-    pos = {l: i for i, l in enumerate(source.labels)}
-
-    def at(table, la, lb):
-        return table[:, pos[la], pos[lb]]
-
-    exp = exp_batch
-    ia, ib = source.intensities_a, source.intensities_b
-    pa, pb = source.probabilities_a, source.probabilities_b
-    mu_a, mu_b = ia["mu"], ib["mu"]
-    om_a, om_b = ia["omega"], ib["omega"]
-    nu_a, nu_b = ia["nu"], ib["nu"]
-    a_side = om_a / om_b <= nu_a / nu_b
-    om_p, nu_p = np.where(a_side, om_a, om_b), np.where(a_side, nu_a, nu_b)
-
-    n0_star = np.maximum(
-        exp(-mu_a) * pa["mu"] / pa["o"] * expected_lower_batch(at(n_z_all, "o", "mu"), eps),
-        exp(-mu_b) * pb["mu"] / pb["o"] * expected_lower_batch(at(n_z_all, "mu", "o"), eps),
+    tables = baselines._mdi_pair_counts(
+        COLUMNS, int_a[:, :, None], int_b[:, None, :], prob_a[:, :, None], prob_b[:, None, :],
+        device,
     )
-    n0_obs = observed_lower_batch(n0_star, eps)
-
-    c_om = om_a * om_b * om_p
-    c_nu = nu_a * nu_b * nu_p
-    n_x = functools.partial(at, n_x_all)
-    m_x_nn = at(m_x_all, "nu", "nu")
-    plus = (
-        c_om * exp(nu_a + nu_b) / (pa["nu"] * pb["nu"])
-        * expected_lower_batch(np.maximum(n_x("nu", "nu") - m_x_nn, 0.0), eps)
-        + c_nu * exp(om_a) / (pa["omega"] * pb["o"]) * expected_lower_batch(n_x("omega", "o"), eps)
-        + c_nu * exp(om_b) / (pa["o"] * pb["omega"]) * expected_lower_batch(n_x("o", "omega"), eps)
+    pairs = {(la, lb): (i, j) for i, la in enumerate(source.labels)
+             for j, lb in enumerate(source.labels)}
+    obs = baselines.MdiObservables(
+        *({key: table[:, i, j] for key, (i, j) in pairs.items()} for table in tables),
+        n_pairs=device[0],
     )
-    minus = (
-        c_nu * exp(om_a + om_b) / (pa["omega"] * pb["omega"])
-        * expected_upper_batch(n_x("omega", "omega"), eps)
-        + c_nu / (pa["o"] * pb["o"]) * expected_upper_batch(n_x("o", "o"), eps)
-    )
-
-    h_coef = c_om
-    h_pos = (exp(nu_b) / (pa["o"] * pb["nu"]), exp(nu_a) / (pa["nu"] * pb["o"]))
-    h_lo = h_coef * np.maximum(
-        h_pos[0] * expected_lower_batch(n_x("o", "nu"), eps)
-        + h_pos[1] * expected_lower_batch(n_x("nu", "o"), eps)
-        - expected_upper_batch(n_x("o", "o"), eps) / (pa["o"] * pb["o"]),
-        0.0,
-    )
-    h_hi = np.maximum(
-        h_coef
-        * (
-            h_pos[0] * expected_upper_batch(n_x("o", "nu"), eps)
-            + h_pos[1] * expected_upper_batch(n_x("nu", "o"), eps)
-            - expected_lower_batch(n_x("o", "o"), eps) / (pa["o"] * pb["o"])
-        ),
-        h_lo,
-    )
-    m_coef = c_om * exp(nu_a + nu_b) / (pa["nu"] * pb["nu"])
-    m_lo = m_coef * expected_lower_batch(m_x_nn, eps)
-    m_hi = m_coef * expected_upper_batch(m_x_nn, eps)
-
-    pref_11 = mu_a * mu_b * exp(-mu_a - mu_b) * pa["mu"] * pb["mu"] / (
-        nu_a * nu_b * om_a * om_b * (om_p - nu_p)
-    )
-    ratio_zx = (mu_a * mu_b * exp(-mu_a - mu_b) * pa["mu"] * pb["mu"]) / (
-        nu_a * nu_b * exp(-nu_a - nu_b) * pa["nu"] * pb["nu"]
-    )
-
-    n_z_signal = at(n_z_all, "mu", "mu")
-    qber = np.where(n_z_signal > 0.0, at(m_z_all, "mu", "mu") / n_z_signal, 0.5)
-    leakage = n_z_signal * error_correction_f * binary_entropy_batch(np.minimum(qber, 0.5))
-    eps_terms = (
-        math.log2(2.0 / eps) + 2.0 * math.log2(2.0 / (eps * eps)) + 2.0 * math.log2(1.0 / (2.0 * eps))
-    )
-
-    # key_at on the four corners, (B, 4)
-    col = lambda v: v[:, None]  # noqa: E731
-    h = np.stack([h_lo, h_lo, h_hi, h_hi], axis=1)
-    m = np.stack([m_lo, m_hi, m_lo, m_hi], axis=1)
-    n11 = observed_lower_batch(col(pref_11) * (col(plus) - col(minus) + m - h), eps)
-    t11x_star = (
-        col(pa["nu"] * pb["nu"]) * (m - h / 2.0)
-        / col(om_a * om_b * om_p * exp(nu_a + nu_b))
-    )
-    t11z = observed_upper_batch(col(ratio_zx) * np.maximum(t11x_star, 0.0), eps)
-    phi = np.minimum(np.maximum(t11z / np.where(n11 > 0.0, n11, 1.0), 0.0), 0.5)
-    ell = col(n0_obs) + n11 * (1.0 - binary_entropy_batch(phi)) - col(leakage) - eps_terms
-    ell = np.where(n11 > 0.0, np.maximum(ell, 0.0), 0.0)
-    return ell.min(axis=1) / n_pulses
+    return baselines._mdi_key(COLUMNS, obs, source, n_pulses, eps,
+                              error_correction_f)["rate_per_pulse"]
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # rows the scalar form returns early on
 def bb84_rate_batch(
     columns: Mapping[str, np.ndarray],
     link: ChannelLink,
@@ -740,64 +670,9 @@ def bb84_rate_batch(
     q_z = np.asarray(columns["q_z"], dtype=float)
     if not ((q_z > 0.0) & (q_z < 1.0)).all():
         raise ValueError("q_z must be in (0, 1)")
-
-    # bb84_observables
-    eta = _receiver_eta(link, det, insert_loss_db)
-    p_d = det.dark_prob(link.clock_hz)
-    e_m = misalignment
-    e_0 = 0.5
-    q_x = 1.0 - q_z
-    dark_mean = -math.log1p(-p_d)
-    dark_click = no_click(dark_mean, p_d)[1]
-    exp = exp_batch
-    n_z, m_z, n_x, m_x = {}, {}, {}, {}
-    for lab in LEVELS:
-        k = ints[lab]
-        weight = n_pulses * probs[lab] / 2.0
-        miss_z, click_z = no_click_batch(k * q_z * eta + dark_mean, p_d)
-        miss_x, click_x = no_click_batch(k * q_x * eta + dark_mean, p_d)
-        n_z[lab] = weight * click_z * (1.0 + miss_x)
-        m_z[lab] = weight * (1.0 + miss_x) * (
-            (e_0 - e_m) * dark_click * exp(-k * q_z * eta) + e_m * click_z
-        )
-        n_x[lab] = weight * click_x * (1.0 + miss_z)
-        m_x[lab] = weight * (1.0 + miss_z) * (
-            (e_0 - e_m) * dark_click * exp(-k * q_x * eta) + e_m * click_x
-        )
-
-    # bb84_key_rate
-    mu, nu, om = ints["mu"], ints["nu"], ints["omega"]
-    p = probs
-    n0_star = (p["mu"] * exp(-mu) + p["nu"] * exp(-nu)) / p["o"] * expected_lower_batch(n_z["o"], eps)
-    n0_obs = observed_lower_batch(n0_star, eps)
-
-    def single_star(counts, front):
-        core = (
-            exp(nu) * expected_lower_batch(counts["nu"], eps) / p["nu"]
-            - (nu * nu) / (mu * mu) * exp(mu) * expected_upper_batch(counts["mu"], eps) / p["mu"]
-            - (mu * mu - nu * nu) / (mu * mu) * expected_upper_batch(counts["o"], eps) / p["o"]
-        )
-        return np.maximum(front * mu / (mu * nu - nu * nu) * core, 0.0)
-
-    n1z = observed_lower_batch(single_star(n_z, p["mu"] * mu * exp(-mu) + p["nu"] * nu * exp(-nu)), eps)
-    n1x = observed_lower_batch(single_star(n_x, p["omega"] * om * exp(-om)), eps)
-    m0x_star = p["omega"] * exp(-om) / p["o"] * expected_lower_batch(m_x["o"], eps)
-    t1x = np.maximum(m_x["omega"] - observed_lower_batch(m0x_star, eps), 0.0)
-
-    feasible = (n1z > 0.0) & (n1x > 0.0)
-    n1z_safe, n1x_safe = np.where(feasible, n1z, 1.0), np.where(feasible, n1x, 1.0)
-    e1x = np.minimum(t1x / n1x_safe, 1.0)
-    phi = np.minimum(
-        e1x + sampling_correction_batch(n1z_safe, n1x_safe, np.minimum(e1x, 1.0), eps), 0.5
+    obs = baselines._bb84_observables(
+        COLUMNS, ints, probs, q_z, baselines._receiver_eta(link, det, insert_loss_db),
+        det.dark_prob(link.clock_hz), misalignment, n_pulses,
     )
-    n_ec = n_z["mu"] + n_z["nu"]
-    qber = np.where(n_ec > 0.0, (m_z["mu"] + m_z["nu"]) / n_ec, 0.5)
-    leakage = n_ec * error_correction_f * binary_entropy_batch(np.minimum(qber, 0.5))
-    ell = (
-        n0_obs
-        + n1z * (1.0 - binary_entropy_batch(phi))
-        - leakage
-        - 6.0 * math.log2(23.0 / eps)
-        - 2.0 * math.log2(2.0 / eps)
-    )
-    return np.where(feasible, np.maximum(ell, 0.0), 0.0) / n_pulses
+    return baselines._bb84_key(COLUMNS, obs, ints, probs, n_pulses, eps,
+                               error_correction_f)["rate_per_pulse"]

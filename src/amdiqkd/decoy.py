@@ -94,11 +94,6 @@ def joint_bound(
     return total
 
 
-def _naive_bound(terms: Sequence[tuple[float, float]], direction: str, eps: float | None) -> float:
-    bound_fn = expected_lower if direction == "lower" else expected_upper
-    return sum(c * bound_fn(v, eps) for c, v in terms)
-
-
 # ---------------------------------------------------------------------------
 # estimation chain
 # ---------------------------------------------------------------------------
@@ -184,14 +179,12 @@ def single_photon_pairs_z_lower(
     source: SourceConfig,
     groups: Sequence[CountKey],
     eps: float | None,
-    use_joint: bool = True,
 ) -> float:
     """Expected-value lower bound on single-photon pairs in the key groups.
 
     Decoy-state difference of the two bright levels below the signal, split
     into one positively- and one negatively-signed aggregate; each aggregate
-    is bounded as a whole through the joint-constraints telescope (or term by
-    term when ``use_joint`` is false, kept as a cross-check).
+    is bounded as a whole through the joint-constraints telescope.
     """
     hi, lo = _decoy_pair(source)
     hi_a, hi_b = source.intensities_a[hi], source.intensities_b[hi]
@@ -213,12 +206,8 @@ def single_photon_pairs_z_lower(
         (c_hi * math.exp(lo_b) / probs[(oo, (lo, "o"))], counts[(oo, (lo, "o"))]),
         (c_hi * math.exp(lo_a) / probs[((lo, "o"), oo)], counts[((lo, "o"), oo)]),
     )
-    if use_joint:
-        plus = joint_bound(plus_terms, "lower", eps)
-        minus = joint_bound(minus_terms, "upper", eps)
-    else:
-        plus = _naive_bound(plus_terms, "lower", eps)
-        minus = _naive_bound(minus_terms, "upper", eps)
+    plus = joint_bound(plus_terms, "lower", eps)
+    minus = joint_bound(minus_terms, "upper", eps)
 
     prefactor = _zgroup_intensity_sum(probs, source, groups) / (
         lo_a * lo_b * hi_a * hi_b * (hi_p - lo_p)

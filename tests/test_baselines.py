@@ -17,7 +17,7 @@ from amdiqkd.baselines import (
     mdi_rate_batch,
 )
 from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
-from amdiqkd.stats import chernoff_expected, chernoff_observed
+from amdiqkd.stats import binary_entropy, chernoff_expected, chernoff_observed
 
 from test_keyrate import check_against_scalar, genotype_batches, link_draws
 
@@ -240,6 +240,22 @@ class TestBb84KeyRate:
     def test_infeasible_long_distance(self):
         res = bb84_key_rate(bb84_params(400.0), 1e11, 1e-10)
         assert res["rate_per_pulse"] == 0.0
+
+    def test_infeasible_result_has_the_feasible_keys(self):
+        # an infeasible point once came back without qber_z and with leakage 0
+        feasible = bb84_key_rate(bb84_params(100.0), 1e13, 1e-10)
+        assert feasible["rate_per_pulse"] > 0.0
+        params = bb84_params(400.0)
+        res = bb84_key_rate(params, 1e11, 1e-10)
+        assert res["rate_per_pulse"] == 0.0
+        assert res.keys() == feasible.keys()
+        assert res["phi_z"] == 0.5
+        obs = bb84_observables(params, 1e11)
+        n_ec = obs.n_z["mu"] + obs.n_z["nu"]
+        qber = (obs.m_z["mu"] + obs.m_z["nu"]) / n_ec
+        assert res["qber_z"] == pytest.approx(qber, rel=1e-12)
+        assert res["leakage"] == pytest.approx(n_ec * 1.1 * binary_entropy(qber), rel=1e-12)
+        assert res["leakage"] > 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -178,6 +178,51 @@ NETWORK_TABLE3_RATES = {
 }
 
 
+# rate_bps of ``amdiqkd sweep --preset fig4`` per distance (km), as
+# (filtering, bb84-baseline, mdi-baseline), as this program computed them
+# (4 GHz, 22 h, seed 104, budget 3000).  A regression reference for this code,
+# not the published figure.
+FIG4_RATES = {
+    120: (2558656.97719, 4075488.18829, 279931.191418),
+    170: (940856.058196, 639364.969107, 38387.2043858),
+    220: (349677.931134, 99536.0158063, 4941.17037712),
+    270: (129702.355047, 15283.984778, 575.017708297),
+    300: (71341.0540359, 4909.15629427, 147.099015137),
+    320: (47806.5194991, 2284.66885634, 57.5738101433),
+    340: (31979.6995422, 1053.44857434, 21.3930113275),
+    360: (21338.8155482, 478.929637646, 7.41785748421),
+    420: (6262.19323976, 38.4256375212, 0.0916936717558),
+    480: (1789.64767767, 1.58008826917, 0.0),
+}
+FIG4_VARIANTS = ("filtering", "bb84-baseline", "mdi-baseline")
+
+
+class TestFig4Preset:
+    @pytest.fixture(scope="class")
+    def rates(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fig4") / "o"
+        assert main(["sweep", "--preset", "fig4", "--out", str(out)]) == 0
+        with (out / "results.csv").open(newline="", encoding="utf-8") as fh:
+            return {(float(r["distance_km"]), r["variant"]): float(r["rate_bps"])
+                    for r in csv.DictReader(fh)}
+
+    def test_preset_rates_pinned(self, rates):
+        """The 30 rows of the fig4 preset keep this program's pinned rates to
+        1e-9 relative (a regression pin, not the paper's figure)."""
+        pinned = {(float(d), v): rate for d, row in FIG4_RATES.items()
+                  for v, rate in zip(FIG4_VARIANTS, row)}
+        assert rates.keys() == pinned.keys()
+        for key, rate in pinned.items():
+            assert rates[key] == pytest.approx(rate, rel=1e-9), key
+
+    def test_async_beats_time_bin_mdi(self, rates):
+        """The abstract's ordering: async MDI with click filtering has more key
+        than time-bin MDI at every distance, and still has key at 480 km."""
+        for dist in FIG4_RATES:
+            assert rates[(float(dist), "filtering")] > rates[(float(dist), "mdi-baseline")], dist
+        assert rates[(480.0, "filtering")] > 0.0
+
+
 class TestNetworkCommand:
     def test_preset_rates_pinned(self, tmp_path):
         """The ten links of the network preset keep this program's pinned
@@ -202,6 +247,16 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert (tmp_path / "o" / "results.csv").exists()
+
+
+    def test_cli_import_leaves_batch_unloaded(self):
+        # the batch forms load on first use, so a run that scores no batch
+        # (and the benchmark's setup time) does not pay for them
+        env = {**os.environ, "PYTHONPATH": str(Path(amdiqkd.__file__).resolve().parents[1])}
+        code = "import sys, amdiqkd.cli; print('amdiqkd.batch' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestValidateOracle:

@@ -215,15 +215,6 @@ class TestSinglePhotonPairs:
             decoy_mod._primed_levels = original
         assert via_a == pytest.approx(via_b, rel=1e-9)
 
-    def test_joint_no_looser_than_naive(self):
-        src = make_source()
-        obs, _ = observables(src, 120.0, 80.0, n_pulses=1e11)
-        probs = pairing_probs(src, 16)
-        groups = z_key_groups(src)
-        joint = single_photon_pairs_z_lower(obs.counts, probs, src, groups, 1e-10)
-        naive = single_photon_pairs_z_lower(obs.counts, probs, src, groups, 1e-10, use_joint=False)
-        assert joint >= naive - 1e-9
-
     def test_four_intensity_degenerate_matches_three(self):
         # with the extra level mirroring the signal level, the four-intensity
         # bound is the three-intensity formula under symbol substitution

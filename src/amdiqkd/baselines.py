@@ -140,8 +140,10 @@ def mdi_key_rate(
 
     The two aggregates built from the decoy-level X data are bracketed with
     joint/Chernoff bounds and the rate is minimized over their rectangle
-    (corner evaluation, optional dense grid).
+    (corner evaluation, optional dense grid of ``scan_grid`` >= 2 points a side).
     """
+    if scan_grid is not None and scan_grid < 2:
+        raise ValueError(f"scan_grid must be >= 2, got {scan_grid!r}")
     obs = mdi_observables(source, link, det, n_pulses)
     return _mdi_key(FLOATS, obs, source, n_pulses, eps, error_correction_f, scan_grid)
 

@@ -9,6 +9,10 @@ pairing inside the window, sifting and classification.
 Used exclusively to validate the closed forms in :mod:`amdiqkd.channel` and
 the soundness of the decoy bounds; never part of the key-rate pipeline.
 
+The bins run in chunks with independent random streams, drawn on one thread
+per CPU and paired and tallied in chunk order as they land, so memory is
+bounded by the chunk and the result does not depend on the thread count.
+
 Clicks are sampled in the classical-field picture, which reproduces the
 coherent-state statistics of the closed forms exactly: photons arriving in a
 bin are routed to the left port independently with weight
@@ -31,6 +35,7 @@ Ground-truth tallies:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -405,6 +410,12 @@ def _pair_scan(indices: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarr
     return late - 1, late
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def simulate(
     source: SourceConfig,
     link: ChannelLink,
@@ -415,16 +426,25 @@ def simulate(
 ) -> OracleResult:
     """Run the event-level simulation and tally everything.
 
-    Deterministic for fixed (seed, n_bins, chunk_bins); the random stream is
-    partitioned per chunk of bins, so a parallel implementation sharding by
-    chunk would reproduce these results exactly.  Within a chunk only the
-    bins that can click are drawn (see ``_click_chunk``): the work grows with
-    the number of arrivals and dark counts, not with the number of bins.
+    Deterministic for fixed (seed, n_bins, chunk_bins), whatever the number
+    of CPUs: each chunk of bins has its own random stream, and a thread pool
+    with one worker per CPU draws the chunks, about that many in flight.
+    Within a chunk only the bins that can click are drawn (see
+    ``_click_chunk``): the work grows with the number of arrivals and dark
+    counts, not with the number of bins.
 
     Kept clicks pair greedily with their nearest successor: inside each
     maximal run of clicks whose successive gaps are at most the pairing
     window, clicks (r, r+1), (r+2, r+3), ... pair from the run start r.
+    That walk holds at most one pending click, so each chunk is paired and
+    tallied as it lands, in chunk order, behind the previous chunk's last
+    click when that one is unpaired; memory is bounded by the chunk, not by
+    the run.  Drawing the class flips and posterior layers per chunk, in
+    chunk order, consumes their streams as one draw over the run would.
     """
+    # imported here, not with the module, so that the CLI starts without it
+    from concurrent.futures import ThreadPoolExecutor
+
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
     labels = source.labels
@@ -435,6 +455,7 @@ def simulate(
     kept_matrix = np.zeros((n_labels, n_labels), dtype=bool)
     for (la, lb) in layout.kept:
         kept_matrix[labels.index(la), labels.index(lb)] = True
+    tables = (arrivals_a, arrivals_b, kept_matrix)
 
     drift_per_bin = (2.0 * math.pi * link.laser_offset_hz + link.phase_drift_rad_per_s) / link.clock_hz
     n_chunks = (n_bins + chunk_bins - 1) // chunk_bins
@@ -442,78 +463,22 @@ def simulate(
     class_rng = np.random.default_rng(streams[-2])
     posterior_rng = np.random.default_rng(streams[-1])
 
-    fields = [[] for _ in range(8)]
-    tables = (arrivals_a, arrivals_b, kept_matrix)
-    for chunk in range(n_chunks):
+    def clicks(chunk: int):
         size = min(chunk_bins, n_bins - chunk * chunk_bins)
         rng = np.random.default_rng(streams[chunk])
-        parts = _click_chunk(rng, size, chunk * chunk_bins, tables, link, det, drift_per_bin)
-        for store, arr in zip(fields, parts):
-            store.append(arr)
-    idx, la, lb, sa, sb, na, nb, det_click = (np.concatenate(f) for f in fields)
+        return _click_chunk(rng, size, chunk * chunk_bins, tables, link, det, drift_per_bin)
 
-    early, late = _pair_scan(idx, link.pairing_window_bins)
-    n_pairs = early.size
-    gaps = idx[late] - idx[early]
-
-    # party totals: canonical unordered label pair per party
+    # party totals: canonical unordered label pair per party; a pair's group
+    # is t_a * n_totals + t_b, the position of (total_a, total_b) in layout.groups
+    n_totals = len(layout.totals)
     tot_code = np.empty((n_labels, n_labels), dtype=np.int16)
     code_of = {}
     for code, (l1, l2) in enumerate(layout.totals):
         i, j = labels.index(l1), labels.index(l2)
         tot_code[i, j] = tot_code[j, i] = code_of[(l1, l2)] = code
-    t_a = tot_code[la[early], la[late]]
-    t_b = tot_code[lb[early], lb[late]]
-
+    nu_group = code_of[("nu", "nu")] * (n_totals + 1)
     m_slices = link.phase_slices
-    phi_a = np.mod(sa[late].astype(np.int32) - sa[early], m_slices)
-    phi_b = np.mod(sb[late].astype(np.int32) - sb[early], m_slices)
-    phi_ab = np.mod(phi_a - phi_b, m_slices)
-    matched0 = phi_ab == 0
-    matched_pi = phi_ab == m_slices // 2
-    matched = matched0 | matched_pi
-
-    n_totals = len(layout.totals)
-    group_code = t_a.astype(np.int32) * n_totals + t_b
-    counts = dict(zip(layout.groups, np.bincount(group_code, minlength=n_totals**2).tolist()))
-    for ta, tb in layout.sifted:
-        mask = (t_a == code_of[ta]) & (t_b == code_of[tb])
-        counts[(ta, tb)] = int(np.count_nonzero(mask & matched))
-
-    # Z-basis truth, tallied from the physical emission record
     o_code = labels.index("o")
-    z_truth: dict = {}
-    a_vac_pair = (na[early] + na[late]) == 0
-    b_vac_pair = (nb[early] + nb[late]) == 0
-    a_single = (na[early].astype(np.int32) + na[late]) == 1
-    b_single = (nb[early].astype(np.int32) + nb[late]) == 1
-    bright_a_early = la[early] != o_code
-    bright_b_early = lb[early] != o_code
-    z_error = bright_a_early == bright_b_early
-    bright = [l for l in labels if l != "o"]
-    for ka in bright:
-        for kb in bright:
-            key = ((ka, "o"), (kb, "o"))
-            mask = (t_a == code_of[(ka, "o")]) & (t_b == code_of[(kb, "o")])
-            singles = mask & a_single & b_single
-            z_truth[key] = GroupTruth(
-                count=int(np.count_nonzero(mask)),
-                errors=int(np.count_nonzero(mask & z_error)),
-                a_vacuum=int(np.count_nonzero(mask & a_vac_pair)),
-                b_vacuum=int(np.count_nonzero(mask & b_vac_pair)),
-                single_photon_pairs=int(np.count_nonzero(singles)),
-                single_photon_errors=int(np.count_nonzero(singles & z_error)),
-            )
-
-    # X-basis classification on the matched decoy-decoy group
-    nu_code = code_of[("nu", "nu")]
-    x_mask = (t_a == nu_code) & (t_b == nu_code) & matched
-    x_pos = np.nonzero(x_mask)[0]
-    same_det = det_click[early[x_pos]] == det_click[late[x_pos]]
-    raw_error = np.where(matched0[x_pos], ~same_det, same_det)
-    flips = class_rng.random(x_pos.size) < link.interference_error
-    x_error = np.logical_xor(raw_error, flips)
-
     posterior = LayerPosterior(
         emitted_a=2.0 * source.intensities_a["nu"],
         emitted_b=2.0 * source.intensities_b["nu"],
@@ -522,30 +487,89 @@ def simulate(
         eta_d=det.eta_d,
         p_d=det.dark_prob(link.clock_hz),
     )
-    lay_a, lay_b = posterior.sample(
-        matched_pi[x_pos], det_click[early[x_pos]], det_click[late[x_pos]], posterior_rng
-    )
-    single = (lay_a == 1) & (lay_b == 1)
-    vacuum = (lay_a == 0) | (lay_b == 0)
-    x_truth = GroupTruth(
-        count=int(x_pos.size),
-        errors=int(np.count_nonzero(x_error)),
-        single_photon_pairs=int(np.count_nonzero(single)),
-        single_photon_errors=int(np.count_nonzero(single & x_error)),
-    )
-    x_vac = int(np.count_nonzero(vacuum))
-    x_vac_err = int(np.count_nonzero(vacuum & x_error))
+
+    # per group: pairs, Z errors, a vacuum, b vacuum, single-photon pairs and
+    # their errors (the GroupTruth fields, in order), then matched-phase pairs
+    group_tally = np.zeros((7, n_totals**2), dtype=np.int64)
+    # X group: pairs, errors, single-photon pairs and their errors, pairs
+    # with a vacuum layer and their errors
+    x_tally = np.zeros(6, dtype=np.int64)
+    n_clicks = n_pairs = gap_sum = 0
+    carry = ()
+    workers = min(n_chunks, _cpus())
+    with ThreadPoolExecutor(workers) as pool:
+        ahead = [pool.submit(clicks, chunk) for chunk in range(workers)]
+        for chunk in range(n_chunks):
+            parts = ahead.pop(0).result()
+            if chunk + workers < n_chunks:
+                ahead.append(pool.submit(clicks, chunk + workers))
+            n_clicks += parts[0].size
+            if carry:
+                parts = [np.concatenate(pair) for pair in zip(carry, parts)]
+            idx, la, lb, sa, sb, na, nb, det_click = parts
+            early, late = _pair_scan(idx, link.pairing_window_bins)
+            paired = late.size > 0 and late[-1] == idx.size - 1
+            carry = [p[p.size - 1:] if p.size and not paired else p[:0] for p in parts]
+            n_pairs += early.size
+            gap_sum += int((idx[late] - idx[early]).sum())
+
+            t_a = tot_code[la[early], la[late]]
+            t_b = tot_code[lb[early], lb[late]]
+            group = t_a.astype(np.intp) * n_totals + t_b
+            phi_a = np.mod(sa[late].astype(np.int32) - sa[early], m_slices)
+            phi_b = np.mod(sb[late].astype(np.int32) - sb[early], m_slices)
+            phi_ab = np.mod(phi_a - phi_b, m_slices)
+            matched0 = phi_ab == 0
+            matched_pi = phi_ab == m_slices // 2
+            matched = matched0 | matched_pi
+
+            # Z-basis truth, tallied from the physical emission record
+            z_error = (la[early] != o_code) == (lb[early] != o_code)
+            a_single = (na[early].astype(np.int32) + na[late]) == 1
+            singles = a_single & ((nb[early].astype(np.int32) + nb[late]) == 1)
+            a_vacuum, b_vacuum = (na[early] + na[late]) == 0, (nb[early] + nb[late]) == 0
+            flags = (np.ones(early.size, dtype=bool), z_error, a_vacuum, b_vacuum,
+                     singles, singles & z_error, matched)
+            for row, flag in enumerate(flags):
+                group_tally[row] += np.bincount(group[flag], minlength=n_totals**2)
+
+            # X-basis classification on the matched decoy-decoy group
+            x_pos = np.flatnonzero((group == nu_group) & matched)
+            det_early, det_late = det_click[early[x_pos]], det_click[late[x_pos]]
+            same_det = det_early == det_late
+            raw_error = np.where(matched0[x_pos], ~same_det, same_det)
+            x_error = raw_error ^ (class_rng.random(x_pos.size) < link.interference_error)
+            lay_a, lay_b = posterior.sample(matched_pi[x_pos], det_early, det_late, posterior_rng)
+            single = (lay_a == 1) & (lay_b == 1)
+            vacuum = (lay_a == 0) | (lay_b == 0)
+            x_tally += [x_pos.size] + [
+                np.count_nonzero(f) for f in (x_error, single, single & x_error, vacuum, vacuum & x_error)
+            ]
+
+    column = layout.group_pos
+    counts = dict(zip(layout.groups, group_tally[0].tolist()))
+    for key in layout.sifted:
+        counts[key] = int(group_tally[6, column[key]])
+    bright = [l for l in labels if l != "o"]
+    z_keys = [((ka, "o"), (kb, "o")) for ka in bright for kb in bright]
+    z_truth = {key: GroupTruth(*group_tally[:6, column[key]].tolist()) for key in z_keys}
+    x_count, x_errors, x_single, x_single_errors, x_vac, x_vac_err = x_tally.tolist()
 
     return OracleResult(
         n_bins=n_bins,
-        n_clicks=int(idx.size),
-        n_pairs=int(n_pairs),
-        t_mean_s=float(gaps.mean() / link.clock_hz) if n_pairs else math.inf,
+        n_clicks=n_clicks,
+        n_pairs=n_pairs,
+        t_mean_s=gap_sum / n_pairs / link.clock_hz if n_pairs else math.inf,
         counts=counts,
-        m_x=int(np.count_nonzero(x_error)),
-        x_matched=int(x_pos.size),
+        m_x=x_errors,
+        x_matched=x_count,
         z_truth=z_truth,
-        x_truth=x_truth,
+        x_truth=GroupTruth(
+            count=x_count,
+            errors=x_errors,
+            single_photon_pairs=x_single,
+            single_photon_errors=x_single_errors,
+        ),
         x_vacuum=x_vac,
         x_vacuum_errors=x_vac_err,
     )

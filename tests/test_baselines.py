@@ -114,6 +114,11 @@ class TestMdiKeyRate:
         grid = mdi_key_rate(*params, 3.2e14, 1e-10, scan_grid=25)
         assert scanned["ell"] <= grid["ell"] + 1e-6
 
+    @pytest.mark.parametrize("scan_grid", [0, 1])
+    def test_rejects_grid_below_two(self, scan_grid):
+        with pytest.raises(ValueError, match="scan_grid"):
+            mdi_key_rate(*mdi_params(40.0), 3.2e14, 1e-10, scan_grid=scan_grid)
+
     def test_rate_vanishes_beyond_cutoff(self):
         res = mdi_key_rate(*mdi_params(500.0), 1e12, 1e-10)
         assert res["rate_per_pulse"] == 0.0

@@ -250,13 +250,15 @@ class TestEntryPoint:
 
 
     def test_cli_import_leaves_batch_unloaded(self):
-        # the batch forms load on first use, so a run that scores no batch
-        # (and the benchmark's setup time) does not pay for them
+        # the batch forms and the oracle's thread pool load on first use, so a
+        # run that needs neither (and the benchmark's setup time) does not pay
+        # for them
         env = {**os.environ, "PYTHONPATH": str(Path(amdiqkd.__file__).resolve().parents[1])}
-        code = "import sys, amdiqkd.cli; print('amdiqkd.batch' in sys.modules)"
+        code = ("import sys, amdiqkd.cli; "
+                "print([m in sys.modules for m in ('amdiqkd.batch', 'concurrent.futures')])")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[False, False]"
 
 
 class TestValidateOracle:

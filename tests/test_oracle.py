@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,6 +340,122 @@ def per_bin_sampler(source):
     return click_chunk
 
 
+def whole_run_simulate(source, link, det, n_bins, seed, chunk_bins=1_000_000):
+    """``simulate`` that keeps every kept click of the run, then pairs and
+    tallies them in one pass.  The streaming oracle must equal it exactly."""
+    labels = source.labels
+    n_labels = len(labels)
+    arrivals_a = oracle._Arrivals(source.intensities_a, source.probabilities_a, labels, link.eta_a)
+    arrivals_b = oracle._Arrivals(source.intensities_b, source.probabilities_b, labels, link.eta_b)
+    layout = source.layout
+    kept_matrix = np.zeros((n_labels, n_labels), dtype=bool)
+    for (la, lb) in layout.kept:
+        kept_matrix[labels.index(la), labels.index(lb)] = True
+
+    drift_per_bin = (2.0 * math.pi * link.laser_offset_hz + link.phase_drift_rad_per_s) / link.clock_hz
+    n_chunks = (n_bins + chunk_bins - 1) // chunk_bins
+    streams = np.random.SeedSequence(seed).spawn(n_chunks + 2)
+    class_rng = np.random.default_rng(streams[-2])
+    posterior_rng = np.random.default_rng(streams[-1])
+
+    fields = [[] for _ in range(8)]
+    tables = (arrivals_a, arrivals_b, kept_matrix)
+    for chunk in range(n_chunks):
+        size = min(chunk_bins, n_bins - chunk * chunk_bins)
+        rng = np.random.default_rng(streams[chunk])
+        parts = oracle._click_chunk(rng, size, chunk * chunk_bins, tables, link, det, drift_per_bin)
+        for store, arr in zip(fields, parts):
+            store.append(arr)
+    idx, la, lb, sa, sb, na, nb, det_click = (np.concatenate(f) for f in fields)
+
+    early, late = _pair_scan(idx, link.pairing_window_bins)
+    n_pairs = early.size
+    gaps = idx[late] - idx[early]
+
+    tot_code = np.empty((n_labels, n_labels), dtype=np.int16)
+    code_of = {}
+    for code, (l1, l2) in enumerate(layout.totals):
+        i, j = labels.index(l1), labels.index(l2)
+        tot_code[i, j] = tot_code[j, i] = code_of[(l1, l2)] = code
+    t_a = tot_code[la[early], la[late]]
+    t_b = tot_code[lb[early], lb[late]]
+
+    m_slices = link.phase_slices
+    phi_a = np.mod(sa[late].astype(np.int32) - sa[early], m_slices)
+    phi_b = np.mod(sb[late].astype(np.int32) - sb[early], m_slices)
+    phi_ab = np.mod(phi_a - phi_b, m_slices)
+    matched0 = phi_ab == 0
+    matched_pi = phi_ab == m_slices // 2
+    matched = matched0 | matched_pi
+
+    n_totals = len(layout.totals)
+    group_code = t_a.astype(np.int32) * n_totals + t_b
+    counts = dict(zip(layout.groups, np.bincount(group_code, minlength=n_totals**2).tolist()))
+    for ta, tb in layout.sifted:
+        mask = (t_a == code_of[ta]) & (t_b == code_of[tb])
+        counts[(ta, tb)] = int(np.count_nonzero(mask & matched))
+
+    o_code = labels.index("o")
+    z_truth = {}
+    a_vac_pair = (na[early] + na[late]) == 0
+    b_vac_pair = (nb[early] + nb[late]) == 0
+    a_single = (na[early].astype(np.int32) + na[late]) == 1
+    b_single = (nb[early].astype(np.int32) + nb[late]) == 1
+    z_error = (la[early] != o_code) == (lb[early] != o_code)
+    bright = [l for l in labels if l != "o"]
+    for ka in bright:
+        for kb in bright:
+            key = ((ka, "o"), (kb, "o"))
+            mask = (t_a == code_of[(ka, "o")]) & (t_b == code_of[(kb, "o")])
+            singles = mask & a_single & b_single
+            z_truth[key] = GroupTruth(
+                count=int(np.count_nonzero(mask)),
+                errors=int(np.count_nonzero(mask & z_error)),
+                a_vacuum=int(np.count_nonzero(mask & a_vac_pair)),
+                b_vacuum=int(np.count_nonzero(mask & b_vac_pair)),
+                single_photon_pairs=int(np.count_nonzero(singles)),
+                single_photon_errors=int(np.count_nonzero(singles & z_error)),
+            )
+
+    nu_code = code_of[("nu", "nu")]
+    x_pos = np.nonzero((t_a == nu_code) & (t_b == nu_code) & matched)[0]
+    same_det = det_click[early[x_pos]] == det_click[late[x_pos]]
+    raw_error = np.where(matched0[x_pos], ~same_det, same_det)
+    flips = class_rng.random(x_pos.size) < link.interference_error
+    x_error = np.logical_xor(raw_error, flips)
+    posterior = LayerPosterior(
+        emitted_a=2.0 * source.intensities_a["nu"],
+        emitted_b=2.0 * source.intensities_b["nu"],
+        eta_a=link.eta_a,
+        eta_b=link.eta_b,
+        eta_d=det.eta_d,
+        p_d=det.dark_prob(link.clock_hz),
+    )
+    lay_a, lay_b = posterior.sample(
+        matched_pi[x_pos], det_click[early[x_pos]], det_click[late[x_pos]], posterior_rng
+    )
+    single = (lay_a == 1) & (lay_b == 1)
+    vacuum = (lay_a == 0) | (lay_b == 0)
+    return oracle.OracleResult(
+        n_bins=n_bins,
+        n_clicks=int(idx.size),
+        n_pairs=int(n_pairs),
+        t_mean_s=float(gaps.mean() / link.clock_hz) if n_pairs else math.inf,
+        counts=counts,
+        m_x=int(np.count_nonzero(x_error)),
+        x_matched=int(x_pos.size),
+        z_truth=z_truth,
+        x_truth=GroupTruth(
+            count=int(x_pos.size),
+            errors=int(np.count_nonzero(x_error)),
+            single_photon_pairs=int(np.count_nonzero(single)),
+            single_photon_errors=int(np.count_nonzero(single & x_error)),
+        ),
+        x_vacuum=int(np.count_nonzero(vacuum)),
+        x_vacuum_errors=int(np.count_nonzero(vacuum & x_error)),
+    )
+
+
 class TestPairScan:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -598,7 +715,13 @@ class TestEventSampler:
         monkeypatch.setattr(oracle, "_pair_scan", spy)
         n_bins, chunk = 250_000, 60_000
         res = simulate(SRC, LINK, DET, n_bins, seed=6, chunk_bins=chunk)
-        (idx,) = seen
+        # one scan per chunk; a scan starts with the click the previous one
+        # left pending, which is that scan's last index
+        idx = np.concatenate(
+            [seen[0]] + [s[1:] if s.size and prev.size and s[0] == prev[-1] else s
+                         for prev, s in zip(seen, seen[1:])]
+        )
+        assert len(seen) == 5
         assert idx.size == res.n_clicks
         assert np.all(np.diff(idx) > 0) and idx[0] >= 0 and idx[-1] < n_bins
         per_chunk = np.bincount(idx // chunk)
@@ -607,3 +730,46 @@ class TestEventSampler:
         assert abs(per_chunk[-1] - expected) <= 5.0 * math.sqrt(expected)
         again = simulate(SRC, LINK, DET, n_bins, seed=6, chunk_bins=chunk)
         assert (again.counts, again.x_truth) == (res.counts, res.x_truth)
+
+
+class TestStreaming:
+    FAR_LINK = ChannelLink(
+        60.0, 60.0, 0.16, clock_hz=1e9,
+        phase_drift_rad_per_s=5900.0, laser_offset_hz=10.0,
+        interference_error=0.04, pairing_window_bins=2000.0, phase_slices=8,
+    )
+    CASES = {
+        # the pairing window spans hundreds of chunks
+        "window-longer-than-chunk": (SRC, replace(LINK, pairing_window_bins=3e6), 300_000, 7_000),
+        # about one click per chunk, so many chunks click not at all
+        "empty-chunks": (SRC, FAR_LINK, 40_000, 50),
+        "single-bin": (SRC, LINK, 1, 1_000_000),
+        "four-intensity": (GOLDEN_SRC, GOLDEN_LINK, 400_000, 150_000),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_whole_run(self, monkeypatch, case, seed):
+        src, link, n_bins, chunk = self.CASES[case]
+        want = whole_run_simulate(src, link, DET, n_bins, seed, chunk)
+        clicks = []
+        inner = oracle._click_chunk
+
+        def spy(*args):
+            parts = inner(*args)
+            clicks.append(parts[0].size)
+            return parts
+
+        monkeypatch.setattr(oracle, "_click_chunk", spy)
+        assert simulate(src, link, DET, n_bins, seed, chunk_bins=chunk) == want
+        assert len(clicks) == -(-n_bins // chunk)
+        if case == "empty-chunks":
+            assert 0 < clicks.count(0) < len(clicks) and want.n_pairs > 0
+
+    def test_worker_count_does_not_matter(self, monkeypatch):
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(oracle, "_cpus", lambda: workers)
+            runs.append(simulate(GOLDEN_SRC, GOLDEN_LINK, GOLDEN_DET, 400_000, seed=8, chunk_bins=30_000))
+        assert runs[0] == runs[1]
+        assert runs[0] == whole_run_simulate(GOLDEN_SRC, GOLDEN_LINK, GOLDEN_DET, 400_000, 8, 30_000)

@@ -9,11 +9,12 @@ the ``ChannelLink`` and ``DetectorPair`` that
 arm's transmittance, matching the form of the printed formulas.
 
 Each protocol is written once.  Its bodies take an operations namespace as
-their first argument: ``FLOATS`` runs them on plain numbers with the
-:mod:`amdiqkd.stats` functions, and ``amdiqkd.batch.COLUMNS`` on numpy
-columns, one row per parameter set.  So a body never branches on a value:
-``where``, ``maximum`` and ``minimum`` stand for the branches, and a branch
-that the result does not use is worked out on placeholder values.
+their first argument: :data:`amdiqkd.stats.FLOATS` runs them on plain
+numbers, and ``amdiqkd.batch.COLUMNS`` on numpy columns, one row per
+parameter set, as for the protocol's own decoy chain.  So a body never
+branches on a value: ``where``, ``maximum`` and ``minimum`` stand for the
+branches, and a branch that the result does not use is worked out on
+placeholder values.
 ``mdi_key_rate``, ``bb84_key_rate`` and the observables run the bodies on
 floats.  ``mdi_rate_batch`` and ``bb84_rate_batch`` give the rate per pulse of
 many parameter sets at once; they live in :mod:`amdiqkd.batch`, which loads
@@ -24,14 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
 
 from .channel import ChannelLink, DetectorPair, SourceConfig, validate_party
-from .stats import binary_entropy, expected_lower, expected_upper, i0m1, no_click
-from .stats import observed_lower, observed_upper, sampling_correction
+from .stats import FLOATS, no_click
 
 __all__ = [
     "MdiObservables",
@@ -46,16 +45,6 @@ __all__ = [
 ]
 
 LEVELS = ("mu", "omega", "nu", "o")
-
-FLOATS = SimpleNamespace(
-    exp=math.exp, sqrt=math.sqrt, maximum=max, minimum=min,
-    where=lambda cond, yes, no: yes if cond else no,
-    i0m1=i0m1, no_click=no_click, entropy=binary_entropy,
-    expected_lower=expected_lower, expected_upper=expected_upper,
-    observed_lower=observed_lower, observed_upper=observed_upper,
-    sampling_correction=sampling_correction,
-    min_over=lambda fn, points: min(fn(*point) for point in points),
-)
 
 
 # ---------------------------------------------------------------------------

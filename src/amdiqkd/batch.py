@@ -6,21 +6,20 @@ The optimizer scores its initial population and each generation as one batch
 ``mdi_rate_batch`` and ``bb84_rate_batch`` give the reference protocols' rates
 per pulse, for every row of a set of (B,) parameter columns.
 
-The sections up to the key rate mirror one scalar module each and repeat its
-operation order: left-to-right sums, the same grouping of products and
-quotients, and the C library's exp, log and pow (through
-:func:`amdiqkd.stats.each`) where numpy's own may round differently.  So a
-batch rate equals the scalar rate to rounding, and bit for bit wherever the
-scalar forms' ``sum()`` adds left to right (before Python 3.12).  The scalar
-forms stay the reference and the single-call path.  The reference protocols
-are not copied here: ``COLUMNS`` is the column namespace that their bodies in
-:mod:`amdiqkd.baselines` run on, and the two batch entry points only build the
-columns.
+``COLUMNS`` is the operations namespace of the estimation bodies in
+:mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and :mod:`amdiqkd.baselines` on
+(B,) columns, the counterpart of :data:`amdiqkd.stats.FLOATS`.  Its
+primitives repeat the scalar ones' operation order and call the C library's
+exp, log and pow (through :func:`amdiqkd.stats.each`) where numpy's own may
+round differently.  The entry points build the columns and run those bodies.
+Only the observables are numpy code of their own (``expected_observables_batch``
+on (B, L, L) click tables); they repeat :mod:`amdiqkd.channel`'s operation
+order.  So a batch rate equals the scalar rate to rounding, and bit for bit
+wherever the scalar forms' ``sum()`` adds left to right (before Python 3.12).
 
 A row that the scalar form rejects raises ValueError here too.  Other argument
 checks are skipped: a row that the scalar form returns early on (no pairs, an
-infeasible bound) gets placeholder values that are masked out, so numpy's
-divide and invalid warnings are silenced on those paths.
+infeasible bound) gets placeholder values that are masked out.
 
 ``keyrate.rate_batch``, ``baselines.mdi_rate_batch`` and
 ``baselines.bb84_rate_batch`` load this module on first use, so a process that
@@ -33,14 +32,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from . import baselines
+from . import baselines, decoy, keyrate
 from .baselines import Bb84Params
 from .channel import LABEL_ORDER, ChannelLink, CountKey, DetectorPair, GroupLayout, _group_layout
-from .decoy import X_KEY, _decoy_pair, z_key_groups
 from .keyrate import ProtocolVariant
 from .stats import RATE_FLOOR, _beta, each
 
@@ -48,7 +46,6 @@ __all__ = [
     "SourceBatch",
     "ObservableBatch",
     "expected_observables_batch",
-    "estimate_batch",
     "rate_batch",
     "mdi_rate_batch",
     "bb84_rate_batch",
@@ -133,6 +130,42 @@ def i0m1_batch(x: np.ndarray) -> np.ndarray:
 def no_click_batch(mean: np.ndarray, p_d: float) -> tuple[np.ndarray, np.ndarray]:
     log_y = math.log1p(-p_d) - mean
     return each(math.exp, log_y), -each(math.expm1, log_y)
+
+
+def _min_over(fn, points):
+    """The least of ``fn(*point)`` over ``points`` per row, with all points in
+    one call: each argument stacked to (P, B)."""
+    return fn(*(np.stack(column) for column in zip(*points))).min(axis=0)
+
+
+def _sort_terms(terms):
+    """``sorted(terms)`` by coefficient in every row, stable as sorted() is:
+    the (coefficient, count) columns of each rank in turn."""
+    columns = np.broadcast_arrays(*(v for term in terms for v in term))
+    coefs, counts = np.stack(columns[0::2]), np.stack(columns[1::2])
+    order = np.argsort(coefs, axis=0, kind="stable")
+    return list(zip(np.take_along_axis(coefs, order, axis=0),
+                    np.take_along_axis(counts, order, axis=0)))
+
+
+def _first_max(candidates):
+    """The first of ``candidates`` with the largest first element, per row:
+    the candidates are tuples of columns, and so is the result."""
+    stacked = [np.stack(np.broadcast_arrays(*column)) for column in zip(*candidates)]
+    best = np.argmax(stacked[0], axis=0)[None]  # the first of equal maxima
+    return tuple(np.take_along_axis(column, best, axis=0)[0] for column in stacked)
+
+
+# the operations of the estimation bodies in amdiqkd.decoy, amdiqkd.keyrate
+# and amdiqkd.baselines, applied to (B,) columns: stats.FLOATS on numpy
+COLUMNS = SimpleNamespace(
+    exp=exp_batch, sqrt=np.sqrt, maximum=np.maximum, minimum=np.minimum, where=np.where,
+    i0m1=i0m1_batch, no_click=no_click_batch, entropy=binary_entropy_batch,
+    expected_lower=expected_lower_batch, expected_upper=expected_upper_batch,
+    observed_lower=observed_lower_batch, observed_upper=observed_upper_batch,
+    sampling_correction=sampling_correction_batch, min_over=_min_over,
+    sort_terms=_sort_terms, first_max=_first_max,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -333,223 +366,6 @@ def expected_observables_batch(
 
 
 # ---------------------------------------------------------------------------
-# decoy-state estimation (decoy)
-# ---------------------------------------------------------------------------
-
-def pairing_probs_batch(source: SourceBatch, phase_slices: int) -> np.ndarray:
-    """``pairing_probs`` per row: (B, G) in ``layout.groups`` order."""
-    layout = source.layout
-    probs = split_sums_batch(layout, source.kept_weights() / source.survival_prob[:, None])
-    for key in layout.sifted:
-        g = layout.group_pos[key]
-        probs[:, g] = probs[:, g] * (2.0 / phase_slices)
-    return probs
-
-
-def joint_bound_batch(coefs: Sequence[np.ndarray], counts: Sequence[np.ndarray],
-                      direction: str, eps: float | None) -> np.ndarray:
-    """``joint_bound`` per row, for terms given as parallel lists of (B,) arrays."""
-    if direction not in ("lower", "upper"):
-        raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
-    bound_fn = expected_lower_batch if direction == "lower" else expected_upper_batch
-    coefs, counts = np.stack(coefs, axis=1), np.stack(counts, axis=1)
-    order = np.argsort(coefs, axis=1, kind="stable")  # sorted() is stable too
-    coefs = np.take_along_axis(coefs, order, axis=1)
-    counts = np.take_along_axis(counts, order, axis=1)
-    n_terms = coefs.shape[1]
-    total = 0.0
-    prev_coef = 0.0
-    for j in range(n_terms):
-        step = coefs[:, j] - prev_coef
-        tail = counts[:, j]
-        for k in range(j + 1, n_terms):
-            tail = tail + counts[:, k]
-        total = total + np.where(step > 0.0, step * bound_fn(tail, eps), 0.0)
-        prev_coef = coefs[:, j]
-    return total
-
-
-def _zgroup_intensity_sum_batch(probs, source: SourceBatch, groups) -> np.ndarray:
-    ia, ib, pos = source.intensities_a, source.intensities_b, source.layout.group_pos
-    acc = 0.0
-    for (ta, tb) in groups:
-        k_a = ia[ta[0]] + ia[ta[1]]
-        k_b = ib[tb[0]] + ib[tb[1]]
-        acc = acc + k_a * k_b * exp_batch(-k_a - k_b) * probs[:, pos[(ta, tb)]]
-    return acc
-
-
-def estimate_batch(
-    counts: np.ndarray,
-    m_x: np.ndarray,
-    source: SourceBatch,
-    phase_slices: int,
-    eps: float | None,
-    z_group_mode: str = "auto",
-    phase_error_method: str = "direct",
-    double_scanning: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``estimate`` per row of a (B, G) count table: the key-length inputs
-    (s0_z, s11_z, phi11_z) as (B,) arrays."""
-    if phase_error_method not in ("direct", "random_sampling"):
-        raise ValueError(f"unknown phase error method {phase_error_method!r}")
-    pos = source.layout.group_pos
-    probs_table = pairing_probs_batch(source, phase_slices)
-    groups = z_key_groups(source, z_group_mode)
-    ia, ib = source.intensities_a, source.intensities_b
-    exp = exp_batch
-
-    def n(key):
-        return counts[:, pos[key]]
-
-    def p(key):
-        return probs_table[:, pos[key]]
-
-    oo = ("o", "o")
-
-    # vacuum_events_lower
-    s0_star = 0.0
-    for (ta, tb) in groups:
-        k_a = ia[ta[0]] + ia[ta[1]]
-        k_b = ib[tb[0]] + ib[tb[1]]
-        p_g = p((ta, tb))
-        via_a = exp(-k_a) * p_g / p((oo, tb)) * expected_lower_batch(n((oo, tb)), eps)
-        via_b = exp(-k_b) * p_g / p((ta, oo)) * expected_lower_batch(n((ta, oo)), eps)
-        s0_star = s0_star + np.maximum(via_a, via_b)
-    s0_obs = observed_lower_batch(s0_star, eps)
-
-    # single_photon_pairs_z_lower
-    hi, lo = _decoy_pair(source)
-    hi_a, hi_b, lo_a, lo_b = ia[hi], ib[hi], ia[lo], ib[lo]
-    a_side = hi_a / hi_b <= lo_a / lo_b
-    hi_p, lo_p = np.where(a_side, hi_a, hi_b), np.where(a_side, lo_a, lo_b)
-    c_hi = hi_a * hi_b * hi_p
-    c_lo = lo_a * lo_b * lo_p
-    plus = joint_bound_batch(
-        (c_hi * exp(lo_a + lo_b) / p(((lo, "o"), (lo, "o"))),
-         c_lo * exp(hi_b) / p((oo, (hi, "o"))),
-         c_lo * exp(hi_a) / p(((hi, "o"), oo)),
-         (c_hi - c_lo) / p((oo, oo))),
-        (n(((lo, "o"), (lo, "o"))), n((oo, (hi, "o"))), n(((hi, "o"), oo)), n((oo, oo))),
-        "lower", eps,
-    )
-    minus = joint_bound_batch(
-        (c_lo * exp(hi_a + hi_b) / p(((hi, "o"), (hi, "o"))),
-         c_hi * exp(lo_b) / p((oo, (lo, "o"))),
-         c_hi * exp(lo_a) / p(((lo, "o"), oo))),
-        (n(((hi, "o"), (hi, "o"))), n((oo, (lo, "o"))), n(((lo, "o"), oo))),
-        "upper", eps,
-    )
-    z_sum = _zgroup_intensity_sum_batch(probs_table, source, groups)
-    prefactor = z_sum / (lo_a * lo_b * hi_a * hi_b * (hi_p - lo_p))
-    s11z_star = np.maximum(prefactor * (plus - minus), 0.0)
-    s11z_obs = observed_lower_batch(s11z_star, eps)
-
-    # zx_count_ratio
-    nu_a, nu_b = ia["nu"], ib["nu"]
-    p_x = p(X_KEY)
-    ratio = z_sum / (4.0 * nu_a * nu_b * exp(-2.0 * nu_a - 2.0 * nu_b) * p_x)
-
-    # xbasis_vacuum_errors_lower
-    two_nu = ("nu", "nu")
-    m0_plus = joint_bound_batch(
-        (exp(-2.0 * nu_a) * p_x / (2.0 * p((oo, two_nu))),
-         exp(-2.0 * nu_b) * p_x / (2.0 * p((two_nu, oo)))),
-        (n((oo, two_nu)), n((two_nu, oo))),
-        "lower", eps,
-    )
-    m0_minus = exp(-2.0 * nu_a - 2.0 * nu_b) * p_x / (2.0 * p((oo, oo)))
-    m0_star = np.maximum(m0_plus - m0_minus * expected_upper_batch(n((oo, oo)), eps), 0.0)
-
-    if double_scanning:
-        e_c, s_c, t_c = _double_scan_batch(n, p, m_x, source, eps)
-        best = np.argmax(e_c, axis=1)[:, None]  # the first of equal maxima
-        s11x_star = np.maximum(np.take_along_axis(s_c, best, axis=1)[:, 0], 0.0)
-        corners = (np.minimum(e_c, 1.0), s_c, t_c)
-    else:
-        s11x_star = s11z_star / ratio
-        t11x_star = np.maximum(expected_upper_batch(m_x, eps) - m0_star, 0.0)
-    s11x_obs = observed_lower_batch(s11x_star, eps)
-    t11x_obs = np.maximum(m_x - observed_lower_batch(m0_star, eps), 0.0)
-    infeasible = (s11z_obs <= 0.0) | (s11x_obs <= 0.0)
-    s11z_div = np.where(infeasible, 1.0, s11z_obs)
-
-    def phase_error(e_corner, s_star, t_star, n_obs, ratio):
-        if phase_error_method == "random_sampling":
-            s_obs = observed_lower_batch(s_star, eps)
-            if eps is None:
-                return np.where(s_obs <= 0.0, 0.5, e_corner)
-            usable = (s_obs > 0.0) & (n_obs > 0.0)
-            correction = sampling_correction_batch(
-                np.where(usable, n_obs, 1.0), np.where(usable, s_obs, 1.0),
-                np.minimum(e_corner, 1.0), eps,
-            )
-            return np.where(s_obs <= 0.0, 0.5, e_corner + correction)
-        return observed_upper_batch(ratio * t_star, eps) / n_obs
-
-    if double_scanning:
-        phi = phase_error(*corners, s11z_div[:, None], ratio[:, None]).max(axis=1)
-    else:
-        e11x = np.minimum(t11x_obs / np.where(s11x_obs > 0.0, s11x_obs, 1.0), 1.0)
-        e11x = np.where(s11x_obs > 0.0, e11x, 1.0)
-        phi = phase_error(e11x, s11x_star, t11x_star, s11z_div, ratio)
-    phi = np.minimum(np.maximum(np.where(infeasible, 0.5, phi), 0.0), 0.5)
-    return s0_obs, s11z_obs, phi
-
-
-def _double_scan_batch(n, p, m_x, source: SourceBatch, eps):
-    """``double_scan``'s four corners per row: (e, s, t), each (B, 4), with e
-    not yet capped at 1."""
-    ia, ib = source.intensities_a, source.intensities_b
-    exp = exp_batch
-    mu_a, mu_b = ia["mu"], ib["mu"]
-    nu_a, nu_b = ia["nu"], ib["nu"]
-    a_side = mu_a / mu_b <= nu_a / nu_b
-    mu_t = np.where(a_side, 2.0 * mu_a, 2.0 * mu_b)
-    nu_t = np.where(a_side, 2.0 * nu_a, 2.0 * nu_b)
-
-    oo = ("o", "o")
-    two_nu, two_mu = ("nu", "nu"), ("mu", "mu")
-    c_mu = mu_a * mu_b * mu_t
-    c_nu = nu_a * nu_b * nu_t
-
-    s_plus = joint_bound_batch(
-        (c_mu * exp(2.0 * nu_a + 2.0 * nu_b) / p(X_KEY),
-         c_nu * exp(2.0 * mu_b) / p((oo, two_mu)),
-         c_nu * exp(2.0 * mu_a) / p((two_mu, oo))),
-        (np.maximum(n(X_KEY) - m_x, 0.0), n((oo, two_mu)), n((two_mu, oo))),
-        "lower", eps,
-    )
-    s_minus = joint_bound_batch(
-        (c_nu * exp(2.0 * mu_a + 2.0 * mu_b) / p((two_mu, two_mu)), c_nu / p((oo, oo))),
-        (n((two_mu, two_mu)), n((oo, oo))),
-        "upper", eps,
-    )
-    h_coefs = (c_mu * exp(2.0 * nu_b) / p((oo, two_nu)), c_mu * exp(2.0 * nu_a) / p((two_nu, oo)))
-    h_counts = (n((oo, two_nu)), n((two_nu, oo)))
-    h_minus = c_mu / p((oo, oo))
-    h_lo = np.maximum(joint_bound_batch(h_coefs, h_counts, "lower", eps)
-                      - h_minus * expected_upper_batch(n((oo, oo)), eps), 0.0)
-    h_hi = np.maximum(joint_bound_batch(h_coefs, h_counts, "upper", eps)
-                      - h_minus * expected_lower_batch(n((oo, oo)), eps), h_lo)
-
-    m_coef = c_mu * exp(2.0 * nu_a + 2.0 * nu_b) / p(X_KEY)
-    m_lo = m_coef * expected_lower_batch(m_x, eps)
-    m_hi = m_coef * expected_upper_batch(m_x, eps)
-
-    x_factor = (exp(-2.0 * nu_a - 2.0 * nu_b) * p(X_KEY))[:, None]
-    h = np.stack([h_lo, h_lo, h_hi, h_hi], axis=1)
-    m = np.stack([m_lo, m_hi, m_lo, m_hi], axis=1)
-    col = lambda v: v[:, None]  # noqa: E731
-    s_plus, s_minus, mu_a, mu_b, mu_t, nu_t = map(col, (s_plus, s_minus, mu_a, mu_b, mu_t, nu_t))
-    s11x = x_factor * (s_plus - s_minus + m - h) / (mu_a * mu_b * (mu_t - nu_t))
-    t11x = np.maximum(x_factor * (m - h / 2.0) / (mu_a * mu_b * mu_t), 0.0)
-    feasible = s11x > 0.0
-    e = np.where(feasible, t11x / np.where(feasible, s11x, 1.0), 1.0)
-    return e, np.where(feasible, s11x, 0.0), t11x
-
-
-# ---------------------------------------------------------------------------
 # key rate (keyrate)
 # ---------------------------------------------------------------------------
 
@@ -574,51 +390,23 @@ def rate_batch(
         window = np.asarray(columns["tc_bins"], dtype=float)
         if not (window >= 1.0).all():
             raise ValueError("pairing_window_bins must be >= 1")
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows evaluate returns early on
-        obs = expected_observables_batch(source, link, det, n_pulses, window)
-        s0, s11, phi = estimate_batch(
-            obs.counts, obs.m_x, source, link.phase_slices, eps,
-            z_group_mode=variant.z_group_mode,
-            phase_error_method=variant.phase_error_method,
-            double_scanning=variant.double_scanning,
-        )
-    leakage = 0.0
-    for g in z_key_groups(source, variant.z_group_mode):
-        n = obs.counts[:, source.layout.group_pos[g]]
-        qber = np.minimum(np.maximum(obs.z_qber[g], 0.0), 1.0)
-        leakage = leakage + np.where(n > 0.0, n * error_correction_f * binary_entropy_batch(qber), 0.0)
-    ell = (
-        s0
-        + s11 * (1.0 - binary_entropy_batch(phi))
-        - leakage
-        - math.log2(2.0 / eps)
-        - 2.0 * math.log2(2.0 / (eps * eps))
-        - 2.0 * math.log2(1.0 / (2.0 * eps))
-    )
-    ell = np.where(obs.n_pairs > 0.0, np.maximum(ell, 0.0), 0.0)
-    return ell / n_pulses
+    obs = expected_observables_batch(source, link, det, n_pulses, window)
+    counts = dict(zip(source.layout.groups, obs.counts.T))
+    probs = decoy.pairing_probs(source, link.phase_slices)
+    groups = decoy.z_key_groups(source, variant.z_group_mode)
+    scan = None
+    if variant.double_scanning:
+        scan = decoy._double_scan(COLUMNS, counts, obs.m_x, probs, source, eps)
+    est = decoy._estimate(COLUMNS, counts, obs.m_x, probs, source, groups, eps,
+                          variant.phase_error_method, scan)
+    leakage = keyrate._leakage(COLUMNS, counts, obs.z_qber, groups, error_correction_f)
+    ell = keyrate._key_length(COLUMNS, est.s0_z, est.s11_z, est.phi11_z, leakage, eps)
+    return np.where(obs.n_pairs > 0.0, ell, 0.0) / n_pulses
 
 
 # ---------------------------------------------------------------------------
 # reference protocols (baselines)
 # ---------------------------------------------------------------------------
-
-def _min_over(fn, points):
-    """The least of ``fn(*point)`` over ``points`` per row, with all points in
-    one call: each argument stacked to (P, B)."""
-    return fn(*(np.stack(column) for column in zip(*points))).min(axis=0)
-
-
-# the operations that the reference protocols' bodies in amdiqkd.baselines
-# run on, applied to (B,) columns
-COLUMNS = SimpleNamespace(
-    exp=exp_batch, sqrt=np.sqrt, maximum=np.maximum, minimum=np.minimum, where=np.where,
-    i0m1=i0m1_batch, no_click=no_click_batch, entropy=binary_entropy_batch,
-    expected_lower=expected_lower_batch, expected_upper=expected_upper_batch,
-    observed_lower=observed_lower_batch, observed_upper=observed_upper_batch,
-    sampling_correction=sampling_correction_batch, min_over=_min_over,
-)
-
 
 def mdi_rate_batch(
     columns: Mapping[str, np.ndarray],

@@ -248,7 +248,7 @@ def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
     than the truth.
     """
     from .channel import ChannelLink, DetectorPair, expected_observables
-    from .decoy import estimate, pairing_probs, xbasis_vacuum_errors_lower, z_key_groups
+    from .decoy import estimate, z_key_groups
 
     if not 1.0 <= bins < math.inf:
         raise ConfigError(f"--bins must be a finite number >= 1, got {bins!r}")
@@ -285,12 +285,9 @@ def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
         if obs.m_x >= 25.0:
             observed("m_x", run.m_x, obs.m_x)
 
-        probs = pairing_probs(src, link.phase_slices)
-
         def bounds(counts, m_x):
             est = estimate(counts, m_x, src, link.phase_slices, eps=None)
-            m0 = xbasis_vacuum_errors_lower(counts, probs, src, None)
-            return [est.s0_z_star, est.s11_z_star, est.t11_x, m0]
+            return [est.s0_z_star, est.s11_z_star, est.t11_x, est.m0_x_star]
 
         counts = {k: float(v) for k, v in run.counts.items()}
         (s0, s11, t11x, m0), sds = _delta_sd(bounds, counts, float(run.m_x))

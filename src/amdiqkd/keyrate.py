@@ -7,10 +7,13 @@ point: it takes the source settings as a flat parameter dict (the keys the
 optimizer decodes to) and reports rates per pulse and per second at the link
 clock; the source sends on every clock tick, so a run of ``T`` seconds is
 ``clock_hz * T`` pulses.  ``rate_batch`` scores many parameter sets at once
-(the optimizer's generations) and returns only the rate per pulse; it repeats
-``evaluate``'s operation order on numpy columns, so each of its rates equals
-the one ``evaluate`` gives to rounding.  It lives in :mod:`amdiqkd.batch`
-and loads it on first use.
+(the optimizer's generations) and returns only the rate per pulse.  The
+leakage and the key length are written once, as bodies that take an
+operations namespace first (see :mod:`amdiqkd.decoy`): ``evaluate`` runs them
+on :data:`amdiqkd.stats.FLOATS`, and ``rate_batch`` together with the decoy
+chain on numpy columns, so each of its rates equals the one ``evaluate``
+gives to rounding.  It lives in :mod:`amdiqkd.batch` and loads it on first
+use.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Mapping
 
 from . import decoy
 from .channel import ChannelLink, DetectorPair, ObservableSet, SourceConfig, expected_observables
-from .stats import binary_entropy
+from .stats import FLOATS
 
 __all__ = [
     "ProtocolVariant",
@@ -65,11 +68,15 @@ def error_correction_leakage(
     Correcting each intensity group separately never costs more than pooling,
     by concavity of the entropy.
     """
+    return _leakage(FLOATS, counts, qbers, groups, efficiency)
+
+
+def _leakage(ops, counts, qbers, groups, efficiency: float):
     total = 0.0
     for g in groups:
         n = counts[g]
-        if n > 0.0:
-            total += n * efficiency * binary_entropy(min(max(qbers[g], 0.0), 1.0))
+        qber = ops.minimum(ops.maximum(qbers[g], 0.0), 1.0)
+        total += ops.where(n > 0.0, n * efficiency * ops.entropy(qber), 0.0)
     return total
 
 
@@ -85,15 +92,19 @@ def key_length(
     Composition terms: one verification hash, two smoothing terms and the
     privacy-amplification term, all at the same failure probability.
     """
+    return _key_length(FLOATS, vacuum_events, single_photon_pairs, phase_error_rate, leakage, eps)
+
+
+def _key_length(ops, vacuum_events, single_photon_pairs, phase_error_rate, leakage, eps: float):
     ell = (
         vacuum_events
-        + single_photon_pairs * (1.0 - binary_entropy(phase_error_rate))
+        + single_photon_pairs * (1.0 - ops.entropy(phase_error_rate))
         - leakage
         - math.log2(2.0 / eps)
         - 2.0 * math.log2(2.0 / (eps * eps))
         - 2.0 * math.log2(1.0 / (2.0 * eps))
     )
-    return max(ell, 0.0)
+    return ops.maximum(ell, 0.0)
 
 
 def total_failure_prob(eps: float) -> float:

@@ -7,13 +7,20 @@ entropy function, and the two click-model primitives ``i0m1`` and
 ``no_click``.  Counts are treated as reals: the estimators are routinely
 applied to expected values.
 
-``each`` applies a C-library ``math`` function to every element of an array,
-for the batch forms in :mod:`amdiqkd.batch` and the optimizer's decoding.
+``FLOATS`` is the operations namespace that the estimation bodies of
+:mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and :mod:`amdiqkd.baselines`
+run on to work on plain numbers; ``amdiqkd.batch.COLUMNS`` holds the same
+operations on numpy columns.  ``each`` applies a C-library ``math`` function
+to every element of an array, for the batch forms in :mod:`amdiqkd.batch`
+and the optimizer's decoding.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,6 +35,7 @@ __all__ = [
     "sampling_correction",
     "i0m1",
     "no_click",
+    "FLOATS",
     "each",
 ]
 
@@ -151,6 +159,23 @@ def no_click(mean: float, p_d: float) -> tuple[float, float]:
     """
     log_y = math.log1p(-p_d) - mean
     return math.exp(log_y), -math.expm1(log_y)
+
+
+# The operations of the estimation bodies, on plain numbers.  Besides the
+# functions above: ``min_over`` is the least of fn(*point) over the points,
+# ``sort_terms`` orders (coefficient, count) terms by coefficient, stably, and
+# ``first_max`` is the first of the tuples with the largest first element.
+FLOATS = SimpleNamespace(
+    exp=math.exp, sqrt=math.sqrt, maximum=max, minimum=min,
+    where=lambda cond, yes, no: yes if cond else no,
+    i0m1=i0m1, no_click=no_click, entropy=binary_entropy,
+    expected_lower=expected_lower, expected_upper=expected_upper,
+    observed_lower=observed_lower, observed_upper=observed_upper,
+    sampling_correction=sampling_correction,
+    min_over=lambda fn, points: min(fn(*point) for point in points),
+    sort_terms=partial(sorted, key=itemgetter(0)),
+    first_max=partial(max, key=itemgetter(0)),
+)
 
 
 def each(fn, x) -> np.ndarray:

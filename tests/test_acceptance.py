@@ -220,8 +220,8 @@ class TestCriterion8OracleSoundness:
         failures = []
         for idx, cfg in enumerate(ORACLE_CONFIGS):
             src, link, det = _oracle_setup(cfg)
-            run = simulate(src, link, det, 10_000_000, seed=7 + idx)
-            obs = expected_observables(src, link, det, 1e7)
+            run = simulate(src, link, det, 30_000_000, seed=7 + idx)
+            obs = expected_observables(src, link, det, 3e7)
             # (a) closed forms within five standard errors
             if abs(run.n_pairs - obs.n_pairs) > 5.0 * math.sqrt(max(obs.n_pairs, 1.0)):
                 failures.append(f"cfg{idx} pairs")
@@ -283,7 +283,7 @@ class TestCriterion8OracleSoundness:
                 failures.append(f"coverage@{mean}")
 
         ok = not failures
-        report(8, "oracle soundness suite (3 cfg x 1e7 bins)", ok,
+        report(8, "oracle soundness suite (3 cfg x 3e7 bins)", ok,
                "all checks passed" if ok else f"failed: {failures}")
         assert ok, failures
 

@@ -1,8 +1,12 @@
+import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from amdiqkd import decoy
+from amdiqkd.batch import COLUMNS, SourceBatch
 from amdiqkd.channel import DetectorPair, SourceConfig, expected_observables
 from amdiqkd.decoy import (
     X_KEY,
@@ -16,7 +20,7 @@ from amdiqkd.decoy import (
     z_key_groups,
     zx_count_ratio,
 )
-from amdiqkd.stats import chernoff_expected
+from amdiqkd.stats import FLOATS, chernoff_expected
 
 from test_channel import DET, make_link, make_source
 
@@ -207,9 +211,9 @@ class TestSinglePhotonPairs:
 
         original = decoy_mod._primed_levels
         try:
-            decoy_mod._primed_levels = lambda s, hi, lo: (s.intensities_a[hi], s.intensities_a[lo])
+            decoy_mod._primed_levels = lambda ops, s, hi, lo: (s.intensities_a[hi], s.intensities_a[lo])
             via_a = single_photon_pairs_z_lower(obs.counts, probs, src_a, groups, None)
-            decoy_mod._primed_levels = lambda s, hi, lo: (s.intensities_b[hi], s.intensities_b[lo])
+            decoy_mod._primed_levels = lambda ops, s, hi, lo: (s.intensities_b[hi], s.intensities_b[lo])
             via_b = single_photon_pairs_z_lower(obs.counts, probs, src_a, groups, None)
         finally:
             decoy_mod._primed_levels = original
@@ -348,3 +352,109 @@ class TestDoubleScan:
         grid = double_scan(obs.counts, obs.m_x, probs, src, eps=1e-10, grid=50)
         assert corners.e11x_star >= grid.e11x_star - 1e-9
         assert corners.e11x_star == pytest.approx(grid.e11x_star, rel=1e-9)
+
+
+@lru_cache(maxsize=None)
+def column_draws(four_intensity, click_filtering, rows=40):
+    """``rows`` seeded parameter sets, each with its own link (0-500 km, 1e10-1e14
+    pulses) and its closed-form observables, as float sources and counts plus
+    the same values as a ``SourceBatch`` and (rows,) count columns.  The last
+    row's counts are all zero, like a batch row without pairs."""
+    rng = np.random.default_rng(1410 + 2 * four_intensity + click_filtering)
+    sources, tables, m_x, params = [], [], [], []
+    for i in range(rows):
+        p = {}
+        for side in "ab":
+            mu = rng.uniform(0.2, 0.8)
+            p[f"mu_{side}"], p[f"nu_{side}"] = mu, mu * rng.uniform(0.02, 0.14)
+            p[f"p_mu_{side}"], p[f"p_nu_{side}"] = rng.uniform(0.3, 0.55), rng.uniform(0.1, 0.3)
+            if four_intensity:
+                p[f"omega_{side}"] = rng.uniform(p[f"nu_{side}"], mu)
+                p[f"p_omega_{side}"] = rng.uniform(0.05, 0.15)
+        src = SourceConfig.from_params(**p, click_filtering=click_filtering)
+        dist = rng.uniform(0.0, 500.0)
+        obs = expected_observables(src, make_link(dist / 2.0, dist / 2.0), DET,
+                                   10.0 ** rng.uniform(10.0, 14.0))
+        zero = i == rows - 1
+        sources.append(src)
+        tables.append({g: 0.0 if zero else v for g, v in obs.counts.items()})
+        m_x.append(0.0 if zero else obs.m_x)
+        params.append(p)
+    batch = SourceBatch.from_columns({k: np.array([p[k] for p in params]) for k in params[0]},
+                                     four_intensity, click_filtering)
+    counts = {g: np.array([t[g] for t in tables]) for g in tables[0]}
+    return sources, tables, m_x, batch, counts, np.array(m_x)
+
+
+VARIANTS = [
+    pytest.param(False, True, id="three-filtered"),
+    pytest.param(False, False, id="three-unfiltered"),
+    pytest.param(True, True, id="four-filtered"),
+]
+
+
+class TestColumns:
+    """The bodies on ``batch.COLUMNS`` against the public functions on floats,
+    row by row.  Both run the same operations in the same order, so every
+    value agrees exactly."""
+
+    @pytest.mark.parametrize("four_intensity, click_filtering", VARIANTS)
+    def test_pairing_probs(self, four_intensity, click_filtering):
+        sources, _, _, batch, _, m_x = column_draws(four_intensity, click_filtering)
+        got = pairing_probs(batch, 16)
+        # groups without a surviving split come back as the float 0.0
+        assert (not click_filtering) or any(isinstance(v, float) for v in got.values())
+        for i, src in enumerate(sources):
+            for key, want in pairing_probs(src, 16).items():
+                assert np.broadcast_to(got[key], m_x.shape)[i] == want, (i, key)
+
+    @pytest.mark.parametrize("eps", [None, 1e-10])
+    @pytest.mark.parametrize("double_scanning", [False, True], ids=["corners-off", "scan"])
+    @pytest.mark.parametrize("method", ["direct", "random_sampling"])
+    @pytest.mark.parametrize("four_intensity, click_filtering", VARIANTS)
+    def test_estimate(self, four_intensity, click_filtering, method, double_scanning, eps):
+        sources, tables, m_x, batch, counts, m_x_col = column_draws(four_intensity, click_filtering)
+        probs = pairing_probs(batch, 16)
+        scan = None
+        if double_scanning:
+            scan = decoy._double_scan(COLUMNS, counts, m_x_col, probs, batch, eps)
+        got = decoy._estimate(COLUMNS, counts, m_x_col, probs, batch, z_key_groups(batch),
+                              eps, method, scan)
+        infeasible = 0
+        for i, src in enumerate(sources):
+            want = estimate(tables[i], m_x[i], src, 16, eps, phase_error_method=method,
+                            double_scanning=double_scanning)
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name)[i] == getattr(want, field.name), (i, field.name)
+            infeasible += want.infeasible
+            if double_scanning:
+                want_scan = double_scan(tables[i], m_x[i], pairing_probs(src, 16), src, eps)
+                assert scan.e11x_star[i] == want_scan.e11x_star
+                assert scan.s11x_star[i] == want_scan.s11x_star
+                assert scan.t11x_star[i] == want_scan.t11x_star
+                assert [tuple(v[i] for v in c) for c in scan.corners] == list(want_scan.corners)
+        assert 0 < infeasible < len(sources)
+
+    @pytest.mark.parametrize("eps", [None, 1e-10])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_joint_bound(self, direction, eps):
+        # coefficients from a small set, so rows hold ties and zero steps (a
+        # zero coefficient first); the last term is plain floats on both sides
+        rng = np.random.default_rng(77)
+        for n_terms in range(1, 6):
+            coefs = rng.choice([0.0, 0.5, 1.5, 1.5, 3.0], size=(n_terms, 300))
+            counts = rng.uniform(0.0, 1e5, size=(n_terms, 300))
+            counts[rng.uniform(size=counts.shape) < 0.1] = 0.0
+            got = decoy._joint_bound(COLUMNS, [*zip(coefs, counts), (1.5, 0.0)], direction, eps)
+            for i in range(coefs.shape[1]):
+                terms = [(float(c), float(v)) for c, v in zip(coefs[:, i], counts[:, i])]
+                assert got[i] == joint_bound([*terms, (1.5, 0.0)], direction, eps), (n_terms, i)
+
+    def test_first_max_takes_the_first_of_equal_maxima(self):
+        rows = [(np.array([1.0, 0.5, 2.0]), np.array([10.0, 11.0, 12.0])),
+                (np.array([1.0, 0.7, 2.5]), np.array([20.0, 21.0, 22.0])),
+                (np.array([0.5, 0.7, 2.5]), np.array([30.0, 31.0, 32.0]))]
+        e, s = COLUMNS.first_max(rows)
+        assert e.tolist() == [1.0, 0.7, 2.5] and s.tolist() == [10.0, 21.0, 22.0]
+        for i in range(3):
+            assert FLOATS.first_max([(float(a[i]), float(b[i])) for a, b in rows]) == (e[i], s[i])

@@ -6,16 +6,14 @@ The optimizer scores its initial population and each generation as one batch
 ``mdi_rate_batch`` and ``bb84_rate_batch`` give the reference protocols' rates
 per pulse, for every row of a set of (B,) parameter columns.
 
-``COLUMNS`` is the operations namespace of the estimation bodies in
-:mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and :mod:`amdiqkd.baselines` on
-(B,) columns, the counterpart of :data:`amdiqkd.stats.FLOATS`.  Its
-primitives repeat the scalar ones' operation order and call the C library's
-exp, log and pow (through :func:`amdiqkd.stats.each`) where numpy's own may
-round differently.  The entry points build the columns and run those bodies.
-Only the observables are numpy code of their own (``expected_observables_batch``
-on (B, L, L) click tables); they repeat :mod:`amdiqkd.channel`'s operation
-order.  So a batch rate equals the scalar rate to rounding, and bit for bit
-wherever the scalar forms' ``sum()`` adds left to right (before Python 3.12).
+``COLUMNS`` is the operations namespace of the bodies in
+:mod:`amdiqkd.channel`, :mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and
+:mod:`amdiqkd.baselines` on numpy columns, the counterpart of
+:data:`amdiqkd.stats.FLOATS`.  Its primitives repeat the scalar ones'
+operation order and call the C library's exp, log, sin, cos and pow (through
+:func:`amdiqkd.stats.each`) where numpy's own may round differently.  The
+entry points build the columns and run those bodies.  So a batch rate equals the scalar rate to rounding, and bit for bit wherever
+the scalar forms' ``sum()`` adds left to right (before Python 3.12).
 
 A row that the scalar form rejects raises ValueError here too.  Other argument
 checks are skipped: a row that the scalar form returns early on (no pairs, an
@@ -29,23 +27,20 @@ never scores a batch does not compile it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
 
-from . import baselines, decoy, keyrate
+from . import baselines, channel, decoy, keyrate
 from .baselines import Bb84Params
-from .channel import LABEL_ORDER, ChannelLink, CountKey, DetectorPair, GroupLayout, _group_layout
+from .channel import LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig
 from .keyrate import ProtocolVariant
-from .stats import RATE_FLOOR, _beta, each
+from .stats import FLOATS, RATE_FLOOR, _beta, each
 
 __all__ = [
     "SourceBatch",
-    "ObservableBatch",
-    "expected_observables_batch",
     "rate_batch",
     "mdi_rate_batch",
     "bb84_rate_batch",
@@ -156,10 +151,14 @@ def _first_max(candidates):
     return tuple(np.take_along_axis(column, best, axis=0)[0] for column in stacked)
 
 
-# the operations of the estimation bodies in amdiqkd.decoy, amdiqkd.keyrate
-# and amdiqkd.baselines, applied to (B,) columns: stats.FLOATS on numpy
+# the operations of the bodies in amdiqkd.channel, amdiqkd.decoy,
+# amdiqkd.keyrate and amdiqkd.baselines, applied to numpy columns:
+# stats.FLOATS on numpy
 COLUMNS = SimpleNamespace(
-    exp=exp_batch, sqrt=np.sqrt, maximum=np.maximum, minimum=np.minimum, where=np.where,
+    exp=exp_batch, expm1=partial(each, math.expm1), log1p=partial(each, math.log1p),
+    sin=partial(each, math.sin), cos=partial(each, math.cos), sqrt=np.sqrt,
+    square=partial(each, FLOATS.square), maximum=np.maximum, minimum=np.minimum, all=np.all,
+    where=np.where,
     i0m1=i0m1_batch, no_click=no_click_batch, entropy=binary_entropy_batch,
     expected_lower=expected_lower_batch, expected_upper=expected_upper_batch,
     observed_lower=observed_lower_batch, observed_upper=observed_upper_batch,
@@ -169,7 +168,7 @@ COLUMNS = SimpleNamespace(
 
 
 # ---------------------------------------------------------------------------
-# source settings and observables (channel)
+# source settings (channel)
 # ---------------------------------------------------------------------------
 
 def validate_party_batch(intensities: Mapping[str, np.ndarray],
@@ -178,7 +177,7 @@ def validate_party_batch(intensities: Mapping[str, np.ndarray],
     ordered = [intensities[l] for l in LABEL_ORDER if l in intensities]
     ok = np.ones(ordered[0].shape, dtype=bool)
     for hi, lo in zip(ordered, ordered[1:]):
-        ok &= hi > lo
+        ok &= (hi > lo) & (hi < math.inf)
     total = 0.0
     for p in probabilities.values():
         ok &= (p > 0.0) & (p < 1.0)
@@ -187,26 +186,23 @@ def validate_party_batch(intensities: Mapping[str, np.ndarray],
     if not ok.all():
         bad = int(np.argmin(ok))
         raise ValueError(
-            f"candidate {bad}: intensities must be strictly decreasing mu > (omega >) nu > o "
-            f"and probabilities in (0, 1) must sum to 1, got "
+            f"candidate {bad}: intensities must be finite and strictly decreasing "
+            f"mu > (omega >) nu > o and probabilities in (0, 1) must sum to 1, got "
             f"{ {l: float(v[bad]) for l, v in intensities.items()} }, "
             f"{ {l: float(v[bad]) for l, v in probabilities.items()} }"
         )
 
 
-@dataclass(frozen=True)
-class SourceBatch:
+class SourceBatch(SourceConfig):
     """B source settings on one label set: per party, label -> (B,) arrays.
 
-    The batch counterpart of :class:`amdiqkd.channel.SourceConfig`, with the
-    same attribute names, so code that only reads those works on either.
+    A :class:`amdiqkd.channel.SourceConfig` whose levels and probabilities are
+    columns; only the validation differs.
     """
 
-    intensities_a: Mapping[str, np.ndarray]
-    probabilities_a: Mapping[str, np.ndarray]
-    intensities_b: Mapping[str, np.ndarray]
-    probabilities_b: Mapping[str, np.ndarray]
-    click_filtering: bool = True
+    def __post_init__(self) -> None:
+        validate_party_batch(self.intensities_a, self.probabilities_a)
+        validate_party_batch(self.intensities_b, self.probabilities_b)
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, np.ndarray], four_intensity: bool,
@@ -222,33 +218,11 @@ class SourceBatch:
                 total = total + p
             ints["o"] = np.zeros_like(ints["mu"])
             probs["o"] = 1.0 - total
-            validate_party_batch(ints, probs)
             return ints, probs
 
         ia, pa = party("a")
         ib, pb = party("b")
         return cls(ia, pa, ib, pb, click_filtering=click_filtering)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l in LABEL_ORDER if l in self.intensities_a)
-
-    @cached_property
-    def four_intensity(self) -> bool:
-        return "omega" in self.intensities_a
-
-    @cached_property
-    def layout(self) -> GroupLayout:
-        return _group_layout(self.labels, self.click_filtering)
-
-    @cached_property
-    def survival_prob(self) -> np.ndarray:
-        p_s = np.ones_like(self.probabilities_a["mu"])
-        for la in self.labels:
-            for lb in self.labels:
-                if (la, lb) not in self.layout.kept:
-                    p_s = p_s - self.probabilities_a[la] * self.probabilities_b[lb]
-        return p_s
 
     def stacked(self, values_a: Mapping[str, np.ndarray], values_b: Mapping[str, np.ndarray]
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -256,113 +230,14 @@ class SourceBatch:
         return (np.stack([values_a[l] for l in self.labels], axis=-1),
                 np.stack([values_b[l] for l in self.labels], axis=-1))
 
-    def kept_weights(self) -> np.ndarray:
-        """p_a(la) p_b(lb) of every kept pair, (B, K)."""
-        p_a, p_b = self.stacked(self.probabilities_a, self.probabilities_b)
-        ia, ib = self.layout.kept_index
-        return p_a[:, ia] * p_b[:, ib]
 
-
-def split_sums_batch(layout: GroupLayout, weight: np.ndarray) -> np.ndarray:
-    """``split_sums`` on (B, K) kept-pair weights: (B, G) group sums."""
-    padded = np.concatenate([weight, np.zeros_like(weight[:, :1])], axis=1)
-    early, late = layout.split_index
-    acc = padded[:, early[:, 0]] * padded[:, late[:, 0]]
-    for s in range(1, early.shape[1]):
-        acc = acc + padded[:, early[:, s]] * padded[:, late[:, s]]
-    return acc
-
-
-def _pair_terms_batch(k_a, k_b, link: ChannelLink, det: DetectorPair):
-    t_a, t_b = link.eta_a * k_a, link.eta_b * k_b
-    y, click = no_click_batch(0.5 * det.eta_d * (t_a + t_b), det.dark_prob(link.clock_hz))
-    return y, click, det.eta_d * np.sqrt(t_a * t_b)
-
-
-def _click_correlations_batch(k_a, k_b, delta, link: ChannelLink, det: DetectorPair):
-    y, click, c = _pair_terms_batch(k_a, k_b, link, det)
-    common = click * click - 2.0 * y * i0m1_batch(c)
-    scale = 2.0 * y * y
-    opposite = scale * (i0m1_batch(2.0 * c * each(math.sin, 0.5 * delta)) + common)
-    same = scale * (i0m1_batch(2.0 * c * each(math.cos, 0.5 * delta)) + common)
-    return opposite, same
-
-
-@dataclass
-class ObservableBatch:
-    """The batch counterpart of :class:`amdiqkd.channel.ObservableSet`.
-
-    ``counts`` is (B, G) in ``layout.groups`` order, ``z_qber`` maps each key
-    group to a (B,) array and the rest are (B,) arrays.  Rows without pairs
-    (``n_pairs == 0``) hold placeholders, not the scalar form's values.
-    """
-
-    n_pairs: np.ndarray
-    counts: np.ndarray
-    m_x: np.ndarray
-    z_qber: dict[CountKey, np.ndarray]
-
-
-def expected_observables_batch(
-    source: SourceBatch, link: ChannelLink, det: DetectorPair, n_pulses: float,
-    window: np.ndarray | float,
-) -> ObservableBatch:
-    """``expected_observables`` for every row of ``source``, with pairing
-    window ``window`` (bins, per row or shared) in place of the link's."""
-    layout = source.layout
+def _click_table(source: SourceBatch, link: ChannelLink, det: DetectorPair) -> dict:
+    """``channel.click_table`` on columns: the pair gain of all L x L label
+    pairs at once, as (B, L, L) tables, sliced into a {label pair: column} dict."""
     k_a, k_b = source.stacked(source.intensities_a, source.intensities_b)
-    y, click, c = _pair_terms_batch(k_a[:, :, None], k_b[:, None, :], link, det)
-    table = 2.0 * y * (i0m1_batch(c) + click)  # (B, L, L): pair_gain
-
-    ia, ib = layout.kept_index
-    kept_gain = source.kept_weights() * table[:, ia, ib]
-    q_tot = np.add.accumulate(kept_gain, axis=1)[:, -1]  # left to right, as kept_click_prob adds
-    if not ((q_tot >= 0.0) & (q_tot < 1.0)).all():
-        raise ValueError(f"q_tot must be in [0, 1), got {q_tot.max()!r}")
-
-    # pairing_statistics, with placeholder rows where no click survives
-    live = q_tot > 0.0
-    q = np.where(live, q_tot, 0.5)
-    q_window = -each(math.expm1, window * each(math.log1p, -q))
-    n_pairs = np.where(live, n_pulses * q / (1.0 + 1.0 / q_window), 0.0)
-    t_mean = (1.0 - window * q * (1.0 / q_window - 1.0)) / (link.clock_hz * q)
-
-    counts = n_pairs[:, None] * split_sums_batch(layout, kept_gain / q[:, None])
-    pos = {l: i for i, l in enumerate(source.labels)}
-    p_a, p_b = source.probabilities_a, source.probabilities_b
-    for ta, tb in layout.sifted:
-        l = ta[0]
-        weight = p_a[l] * p_b[l] / q
-        opposite, same = _click_correlations_batch(
-            source.intensities_a[l], source.intensities_b[l], 0.0, link, det
-        )
-        counts[:, layout.group_pos[(ta, tb)]] = (
-            n_pairs * (2.0 / link.phase_slices) * weight * weight * (opposite + same)
-        )
-
-    # xbasis_error_count
-    delta = link.drift_phase(np.where(live, t_mean, 0.0))
-    weight = each(lambda v: v ** 2, p_a["nu"] * p_b["nu"] / q)
-    e_mis = link.interference_error
-    wrong, right = _click_correlations_batch(
-        source.intensities_a["nu"], source.intensities_b["nu"], delta, link, det
-    )
-    m_x = n_pairs * (2.0 / link.phase_slices) * weight * ((1.0 - e_mis) * wrong + e_mis * right)
-
-    # z_error_rates
-    z_qber = {}
-    o = pos["o"]
-    bright = [l for l in source.labels if l != "o"]
-    for ka in bright:
-        for kb in bright:
-            i, j = pos[ka], pos[kb]
-            same = table[:, i, j] * table[:, o, o] if (ka, kb) in layout.kept else 0.0
-            diff = table[:, i, o] * table[:, o, j]
-            total = same + diff
-            z_qber[((ka, "o"), (kb, "o"))] = np.where(
-                total > 0.0, same / np.where(total > 0.0, total, 1.0), 0.0
-            )
-    return ObservableBatch(n_pairs=n_pairs, counts=counts, m_x=m_x, z_qber=z_qber)
+    gains = channel._pair_gain(COLUMNS, k_a[:, :, None], k_b[:, None, :], link, det)
+    return {(la, lb): gains[:, i, j] for i, la in enumerate(source.labels)
+            for j, lb in enumerate(source.labels)}
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +263,18 @@ def rate_batch(
     window = link.pairing_window_bins
     if "tc_bins" in columns:
         window = np.asarray(columns["tc_bins"], dtype=float)
-        if not (window >= 1.0).all():
-            raise ValueError("pairing_window_bins must be >= 1")
-    obs = expected_observables_batch(source, link, det, n_pulses, window)
-    counts = dict(zip(source.layout.groups, obs.counts.T))
+        if not ((window >= 1.0) & (window < math.inf)).all():
+            raise ValueError("pairing_window_bins must be finite and >= 1")
+    table = _click_table(source, link, det)
+    obs = channel._observables(COLUMNS, source, link, det, n_pulses, window, table)
     probs = decoy.pairing_probs(source, link.phase_slices)
     groups = decoy.z_key_groups(source, variant.z_group_mode)
     scan = None
     if variant.double_scanning:
-        scan = decoy._double_scan(COLUMNS, counts, obs.m_x, probs, source, eps)
-    est = decoy._estimate(COLUMNS, counts, obs.m_x, probs, source, groups, eps,
+        scan = decoy._double_scan(COLUMNS, obs.counts, obs.m_x, probs, source, eps)
+    est = decoy._estimate(COLUMNS, obs.counts, obs.m_x, probs, source, groups, eps,
                           variant.phase_error_method, scan)
-    leakage = keyrate._leakage(COLUMNS, counts, obs.z_qber, groups, error_correction_f)
+    leakage = keyrate._leakage(COLUMNS, obs.counts, obs.z_qber, groups, error_correction_f)
     ell = keyrate._key_length(COLUMNS, est.s0_z, est.s11_z, est.phi11_z, leakage, eps)
     return np.where(obs.n_pairs > 0.0, ell, 0.0) / n_pulses
 

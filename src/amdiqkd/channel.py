@@ -19,8 +19,13 @@ click filtering, the per-party two-bin totals, the (total_a, total_b)
 coincidence groups with their surviving (early, late) splits, and the
 phase-sifted groups) has one owner, :class:`GroupLayout`, built once per
 (labels, click_filtering) and read by every module that walks the groups.
-The layout also holds, built on first use, the index arrays that the batch
-forms in :mod:`amdiqkd.batch` read.
+
+The observables are written once, as bodies that take an operations namespace
+first (see :mod:`amdiqkd.decoy`): the public functions run them on
+:data:`amdiqkd.stats.FLOATS`, and ``amdiqkd.batch.rate_batch`` on numpy
+columns, one row per source setting, with the click table as a
+{label pair: column} dict.  So a body never branches on a value; where a
+public function returns early, the body works on placeholder values.
 
 Every phase average is an exact I0 closed form, accurate to rounding on long
 links; ``pair_gain_phase`` is the phase-resolved model it averages.  An
@@ -37,7 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .stats import i0m1, no_click
+from .stats import FLOATS
 
 __all__ = [
     "LABEL_ORDER",
@@ -120,8 +125,8 @@ class ChannelLink:
             raise ValueError("fibre lengths must be >= 0")
         if self.clock_hz <= 0.0:
             raise ValueError("clock_hz must be positive")
-        if self.pairing_window_bins < 1.0:
-            raise ValueError("pairing_window_bins must be >= 1")
+        if not 1.0 <= self.pairing_window_bins < math.inf:
+            raise ValueError("pairing_window_bins must be finite and >= 1")
         if self.phase_slices < 2 or self.phase_slices % 2:
             raise ValueError("phase_slices must be an even integer >= 2")
         if not 0.0 <= self.interference_error < 0.5:
@@ -145,8 +150,8 @@ class ChannelLink:
 
 
 def validate_party(intensities: Mapping[str, float], probabilities: Mapping[str, float]) -> None:
-    """Reject one party's levels unless mu > (omega >) nu > o = 0 with send
-    probabilities in (0, 1) that sum to one."""
+    """Reject one party's levels unless inf > mu > (omega >) nu > o = 0 with
+    send probabilities in (0, 1) that sum to one."""
     if set(intensities) != set(probabilities):
         raise ValueError("intensity and probability labels differ")
     labels = set(intensities)
@@ -157,8 +162,11 @@ def validate_party(intensities: Mapping[str, float], probabilities: Mapping[str,
     if intensities["o"] != 0.0:
         raise ValueError("'o' must have zero intensity")
     ordered = [intensities[l] for l in LABEL_ORDER if l in labels]
-    if any(a <= b for a, b in zip(ordered, ordered[1:])):
-        raise ValueError(f"intensities must be strictly decreasing mu > (omega >) nu > o, got {dict(intensities)}")
+    if not all(math.inf > a > b for a, b in zip(ordered, ordered[1:])):
+        raise ValueError(
+            f"intensities must be finite and strictly decreasing mu > (omega >) nu > o, "
+            f"got {dict(intensities)}"
+        )
     for l, p in probabilities.items():
         if not 0.0 < p < 1.0:
             raise ValueError(f"probability of '{l}' must be in (0, 1), got {p!r}")
@@ -267,29 +275,8 @@ class GroupLayout:
 
     @cached_property
     def group_pos(self) -> dict[CountKey, int]:
-        """Column of each group in a batch count table."""
+        """Position of each group in ``groups``."""
         return {g: i for i, g in enumerate(self.groups)}
-
-    @cached_property
-    def kept_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions in ``labels`` of each kept pair's a and b label."""
-        pos = {l: i for i, l in enumerate(self.labels)}
-        return (np.array([pos[la] for la, _ in self.kept], dtype=np.intp),
-                np.array([pos[lb] for _, lb in self.kept], dtype=np.intp))
-
-    @cached_property
-    def split_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per group, the positions in ``kept`` of its splits' early and late
-        pairs, padded to the longest group with ``len(kept)``: a zero-weight
-        slot, whose product adds an exact zero after the group's own terms."""
-        pos = {pair: i for i, pair in enumerate(self.kept)}
-        width = max(len(s) for s in self.splits)
-        early = np.full((len(self.groups), width), len(self.kept), dtype=np.intp)
-        late = early.copy()
-        for g, splits in enumerate(self.splits):
-            for s, (e, l) in enumerate(splits):
-                early[g, s], late[g, s] = pos[e], pos[l]
-        return early, late
 
 
 @lru_cache(maxsize=None)
@@ -362,16 +349,17 @@ def pair_gain_phase(
     return _click_given_means(det.eta_d * (s + c * cos_t), det.eta_d * (s - c * cos_t), p_d)
 
 
-def _pair_terms(
-    k_a: float, k_b: float, link: ChannelLink, det: DetectorPair
-) -> tuple[float, float, float]:
+def _pair_terms(ops, k_a, k_b, link: ChannelLink, det: DetectorPair):
     """Silence probability y of one port at its phase-free mean, 1 - y, and the
     Bessel argument c = eta_d sqrt(eta_a k_a eta_b k_b) (see pair_gain_phase)."""
-    if k_a < 0.0 or k_b < 0.0:
-        raise ValueError("intensities must be >= 0")
     t_a, t_b = link.eta_a * k_a, link.eta_b * k_b
-    y, click = no_click(0.5 * det.eta_d * (t_a + t_b), det.dark_prob(link.clock_hz))
-    return y, click, det.eta_d * math.sqrt(t_a * t_b)
+    y, click = ops.no_click(0.5 * det.eta_d * (t_a + t_b), det.dark_prob(link.clock_hz))
+    return y, click, det.eta_d * ops.sqrt(t_a * t_b)
+
+
+def _pair_gain(ops, k_a, k_b, link: ChannelLink, det: DetectorPair):
+    y, click, c = _pair_terms(ops, k_a, k_b, link, det)
+    return 2.0 * y * (ops.i0m1(c) + click)
 
 
 def pair_gain(k_a: float, k_b: float, link: ChannelLink, det: DetectorPair) -> float:
@@ -380,24 +368,23 @@ def pair_gain(k_a: float, k_b: float, link: ChannelLink, det: DetectorPair) -> f
     Equals the average of the two pair_gain_phase outputs over theta,
     2y I0(c) - 2y^2, written as 2y [(I0(c) - 1) + (1 - y)].
     """
-    y, click, c = _pair_terms(k_a, k_b, link, det)
-    return 2.0 * y * (i0m1(c) + click)
+    if k_a < 0.0 or k_b < 0.0:
+        raise ValueError("intensities must be >= 0")
+    return _pair_gain(FLOATS, k_a, k_b, link, det)
 
 
-def _click_correlations(
-    k_a: float, k_b: float, delta: float, link: ChannelLink, det: DetectorPair
-) -> tuple[float, float]:
+def _click_correlations(ops, k_a, k_b, delta, link: ChannelLink, det: DetectorPair):
     """Phase averages of click products of two bins whose phases differ by ``delta``.
 
     Returns (opposite, same), the means over theta of q_L q_R' + q_R q_L' and
     q_L q_L' + q_R q_R' (primes at theta + delta):
     2y^2 [I0(2c sin(delta/2)) - 2y I0(c) + y^2] and the same with cos.
     """
-    y, click, c = _pair_terms(k_a, k_b, link, det)
-    common = click * click - 2.0 * y * i0m1(c)
+    y, click, c = _pair_terms(ops, k_a, k_b, link, det)
+    common = click * click - 2.0 * y * ops.i0m1(c)
     scale = 2.0 * y * y
-    opposite = scale * (i0m1(2.0 * c * math.sin(0.5 * delta)) + common)
-    same = scale * (i0m1(2.0 * c * math.cos(0.5 * delta)) + common)
+    opposite = scale * (ops.i0m1(2.0 * c * ops.sin(0.5 * delta)) + common)
+    same = scale * (ops.i0m1(2.0 * c * ops.cos(0.5 * delta)) + common)
     return opposite, same
 
 
@@ -426,18 +413,25 @@ def pairing_statistics(n_pulses: float, q_tot: float, link: ChannelLink) -> tupl
 
     A kept click pairs with the next kept click if it arrives within the
     pairing window; otherwise it is dropped and the next click starts a new
-    attempt.
+    attempt.  Without kept clicks (q_tot == 0) there are no pairs, and the
+    interval is infinite.
     """
-    if not 0.0 <= q_tot < 1.0:
-        raise ValueError(f"q_tot must be in [0, 1), got {q_tot!r}")
-    if q_tot == 0.0:
-        return 0.0, math.inf
-    n_window = link.pairing_window_bins
-    # P(next click within the window) = 1 - (1 - q_tot)^n_window
-    q_window = -math.expm1(n_window * math.log1p(-q_tot))
-    n_pairs = n_pulses * q_tot / (1.0 + 1.0 / q_window)
-    t_mean = (1.0 - n_window * q_tot * (1.0 / q_window - 1.0)) / (link.clock_hz * q_tot)
-    return n_pairs, t_mean
+    return _pairing_statistics(FLOATS, n_pulses, q_tot, link.pairing_window_bins, link.clock_hz)
+
+
+def _pairing_statistics(ops, n_pulses: float, q_tot, window, clock_hz: float):
+    if not 0.0 < n_pulses < math.inf:
+        raise ValueError(f"n_pulses must be finite and positive, got {n_pulses!r}")
+    ok = (q_tot >= 0.0) & (q_tot < 1.0)
+    if not ops.all(ok):
+        raise ValueError(f"q_tot must be in [0, 1), got {float(np.ravel(q_tot)[np.argmin(ok)])!r}")
+    live = q_tot > 0.0
+    q = ops.where(live, q_tot, 0.5)
+    # P(next click within the window) = 1 - (1 - q_tot)^window
+    q_window = -ops.expm1(window * ops.log1p(-q))
+    n_pairs = ops.where(live, n_pulses * q / (1.0 + 1.0 / q_window), 0.0)
+    t_mean = (1.0 - window * q * (1.0 / q_window - 1.0)) / (clock_hz * q)
+    return n_pairs, ops.where(live, t_mean, math.inf)
 
 
 def coincidence_counts(
@@ -455,17 +449,20 @@ def coincidence_counts(
     phase, so the count carries the phase average of the squared click
     probability.
     """
-    layout = source.layout
     if q_tot <= 0.0:
-        return dict.fromkeys(layout.groups, 0.0)
+        return dict.fromkeys(source.layout.groups, 0.0)
+    return _coincidence_counts(FLOATS, source, link, det, n_pairs, q_tot, table)
 
+
+def _coincidence_counts(ops, source, link: ChannelLink, det: DetectorPair, n_pairs, q_tot, table):
+    layout = source.layout
     p_a, p_b = source.probabilities_a, source.probabilities_b
     fractions = {(la, lb): p_a[la] * p_b[lb] * table[(la, lb)] / q_tot for la, lb in layout.kept}
     counts = {key: n_pairs * acc for key, acc in split_sums(layout, fractions).items()}
     for ta, tb in layout.sifted:
         weight = p_a[ta[0]] * p_b[tb[0]] / q_tot
         opposite, same = _click_correlations(
-            source.intensities_a[ta[0]], source.intensities_b[tb[0]], 0.0, link, det
+            ops, source.intensities_a[ta[0]], source.intensities_b[tb[0]], 0.0, link, det
         )
         counts[(ta, tb)] = n_pairs * (2.0 / link.phase_slices) * weight * weight * (opposite + same)
     return counts
@@ -488,12 +485,17 @@ def xbasis_error_count(
     """
     if q_tot <= 0.0 or n_pairs <= 0.0:
         return 0.0
+    return _xbasis_error_count(FLOATS, source, link, det, n_pairs, t_mean_s, q_tot)
+
+
+def _xbasis_error_count(ops, source, link: ChannelLink, det: DetectorPair, n_pairs, t_mean_s,
+                        q_tot):
     delta = link.drift_phase(t_mean_s)
     nu_a = source.intensities_a["nu"]
     nu_b = source.intensities_b["nu"]
-    weight = (source.probabilities_a["nu"] * source.probabilities_b["nu"] / q_tot) ** 2
+    weight = ops.square(source.probabilities_a["nu"] * source.probabilities_b["nu"] / q_tot)
     e_mis = link.interference_error
-    wrong, right = _click_correlations(nu_a, nu_b, delta, link, det)
+    wrong, right = _click_correlations(ops, nu_a, nu_b, delta, link, det)
     return n_pairs * (2.0 / link.phase_slices) * weight * ((1.0 - e_mis) * wrong + e_mis * right)
 
 
@@ -504,20 +506,26 @@ def z_error_rates(source: SourceConfig, table: Mapping[LabelPair, float]) -> dic
     the same bin (the partner bin then clicks on dark counts or leakage);
     bright pulses in different bins always yield agreeing bits.
     """
-    rates: dict[CountKey, float] = {}
+    return _z_error_rates(FLOATS, source, table)
+
+
+def _z_error_rates(ops, source, table):
+    rates = {}
     bright = [l for l in source.labels if l != "o"]
     for ka in bright:
         for kb in bright:
             same = table[(ka, kb)] * table[("o", "o")] if (ka, kb) in source.layout.kept else 0.0
             diff = table[(ka, "o")] * table[("o", kb)]
             total = same + diff
-            rates[((ka, "o"), (kb, "o"))] = same / total if total > 0.0 else 0.0
+            some = total > 0.0
+            rates[((ka, "o"), (kb, "o"))] = ops.where(some, same / ops.where(some, total, 1.0), 0.0)
     return rates
 
 
 @dataclass
 class ObservableSet:
-    """Everything the estimation chain consumes about one link configuration."""
+    """Everything the estimation chain consumes about one link configuration;
+    from ``rate_batch``, every value but ``n_pulses`` is per row, in (B,) columns."""
 
     n_pulses: float
     n_pairs: float
@@ -533,19 +541,22 @@ def expected_observables(
 ) -> ObservableSet:
     """Full closed-form observable set for one configuration."""
     table = click_table(source, link, det)
+    obs = _observables(FLOATS, source, link, det, n_pulses, link.pairing_window_bins, table)
+    if obs.n_pairs == 0.0:
+        obs.counts, obs.m_x, obs.z_qber = dict.fromkeys(source.layout.groups, 0.0), 0.0, {}
+    return obs
+
+
+def _observables(ops, source, link: ChannelLink, det: DetectorPair, n_pulses: float, window,
+                 table) -> ObservableSet:
+    """The observables of ``source`` from its click table, with pairing window
+    ``window`` (bins) in place of the link's.  Without pairs, the counts,
+    ``m_x`` and ``z_qber`` are placeholders."""
     q_tot = kept_click_prob(source, table)
-    n_pairs, t_mean = pairing_statistics(n_pulses, q_tot, link)
-    if n_pairs == 0.0:
-        counts = dict.fromkeys(source.layout.groups, 0.0)
-        return ObservableSet(n_pulses, 0.0, t_mean, q_tot, counts, 0.0, {})
-    counts = coincidence_counts(source, link, det, n_pairs, q_tot, table)
-    m_x = xbasis_error_count(source, link, det, n_pairs, t_mean, q_tot)
-    return ObservableSet(
-        n_pulses=n_pulses,
-        n_pairs=n_pairs,
-        t_mean_s=t_mean,
-        q_tot=q_tot,
-        counts=counts,
-        m_x=m_x,
-        z_qber=z_error_rates(source, table),
-    )
+    n_pairs, t_mean = _pairing_statistics(ops, n_pulses, q_tot, window, link.clock_hz)
+    q = ops.where(q_tot > 0.0, q_tot, 0.5)
+    counts = _coincidence_counts(ops, source, link, det, n_pairs, q, table)
+    m_x = _xbasis_error_count(ops, source, link, det, n_pairs,
+                              ops.where(n_pairs > 0.0, t_mean, 0.0), q)
+    return ObservableSet(n_pulses, n_pairs, t_mean, q_tot, counts, m_x,
+                         _z_error_rates(ops, source, table))

@@ -159,9 +159,13 @@ class SweepSpec:
             raise ValueError("distance list must not be empty")
         if any(self.delta_km > d for d in self.distances_km):
             raise ValueError("asymmetry delta exceeds a total distance")
-        if not isinstance(self.n_pulses, (int, float)):
-            if len(self.n_pulses) != len(self.distances_km):
-                raise ValueError("per-point n_pulses must match the distance list")
+        pulses = self.n_pulses
+        if isinstance(pulses, (int, float)):
+            pulses = [pulses]
+        elif len(pulses) != len(self.distances_km):
+            raise ValueError("per-point n_pulses must match the distance list")
+        if not all(0.0 < n < math.inf for n in pulses):
+            raise ValueError(f"n_pulses must be finite and positive, got {self.n_pulses!r}")
         for path in self.external_rates.values():
             _external_table(path)
 
@@ -390,6 +394,8 @@ class NetworkSpec:
             raise ValueError("duplicate user names")
         if any(arm < 0.0 for _, arm in self.users):
             raise ValueError("arm lengths must be >= 0")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")

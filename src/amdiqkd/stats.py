@@ -7,9 +7,9 @@ entropy function, and the two click-model primitives ``i0m1`` and
 ``no_click``.  Counts are treated as reals: the estimators are routinely
 applied to expected values.
 
-``FLOATS`` is the operations namespace that the estimation bodies of
-:mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and :mod:`amdiqkd.baselines`
-run on to work on plain numbers; ``amdiqkd.batch.COLUMNS`` holds the same
+``FLOATS`` is the operations namespace that the bodies of
+:mod:`amdiqkd.channel`, :mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and
+:mod:`amdiqkd.baselines` run on to work on plain numbers; ``amdiqkd.batch.COLUMNS`` holds the same
 operations on numpy columns.  ``each`` applies a C-library ``math`` function
 to every element of an array, for the batch forms in :mod:`amdiqkd.batch`
 and the optimizer's decoding.
@@ -162,11 +162,13 @@ def no_click(mean: float, p_d: float) -> tuple[float, float]:
 
 
 # The operations of the estimation bodies, on plain numbers.  Besides the
-# functions above: ``min_over`` is the least of fn(*point) over the points,
+# functions above: ``square`` is v ** 2, ``all`` is whether every element of a
+# condition holds, ``min_over`` is the least of fn(*point) over the points,
 # ``sort_terms`` orders (coefficient, count) terms by coefficient, stably, and
 # ``first_max`` is the first of the tuples with the largest first element.
 FLOATS = SimpleNamespace(
-    exp=math.exp, sqrt=math.sqrt, maximum=max, minimum=min,
+    exp=math.exp, expm1=math.expm1, log1p=math.log1p, sin=math.sin, cos=math.cos,
+    sqrt=math.sqrt, square=lambda v: v ** 2, maximum=max, minimum=min, all=bool,
     where=lambda cond, yes, no: yes if cond else no,
     i0m1=i0m1, no_click=no_click, entropy=binary_entropy,
     expected_lower=expected_lower, expected_upper=expected_upper,

@@ -351,3 +351,22 @@ class TestValidation:
     def test_even_phase_slices(self):
         with pytest.raises(ValueError):
             make_link(phase_slices=15)
+
+    # NaN fails every comparison, so the ordering check alone lets it through
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["mu_a", "nu_b"])
+    def test_non_finite_intensity_rejected(self, name, level):
+        with pytest.raises(ValueError, match="finite"):
+            make_source(**{name: level})
+
+    @pytest.mark.parametrize("window", [math.nan, 0.5, math.inf])
+    def test_pairing_window_finite_and_at_least_one_bin(self, window):
+        with pytest.raises(ValueError, match="pairing_window_bins"):
+            make_link(pairing_window_bins=window)
+
+    @pytest.mark.parametrize("n_pulses", [0.0, -1.0, math.nan, math.inf])
+    def test_n_pulses_finite_and_positive(self, n_pulses):
+        with pytest.raises(ValueError, match="n_pulses must be finite and positive"):
+            expected_observables(make_source(), make_link(), DET, n_pulses)
+        with pytest.raises(ValueError, match="n_pulses must be finite and positive"):
+            pairing_statistics(n_pulses, 0.0, make_link())

@@ -71,6 +71,20 @@ class TestConfigErrors:
         assert main(argv) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    # a pulse count that is not finite and positive is rejected before any
+    # output, in the scalar and the per-point form
+    @pytest.mark.parametrize("command, n_pulses", [
+        *(("evaluate", n) for n in ("-1", "0", ".nan")),
+        *(("sweep", n) for n in ("-1", "0", ".nan", "[0]")),
+    ])
+    def test_bad_n_pulses(self, tmp_path, capsys, command, n_pulses):
+        source = ["--preset", "evaluate_300km"] if command == "evaluate" else [
+            "--scenario", str(write_scenario(tmp_path, FIXTURE_SWEEP))]
+        out = tmp_path / "o"
+        assert main([command, *source, "--set", f"n_pulses={n_pulses}", "--out", str(out)]) == 1
+        assert "configuration error: n_pulses must be finite and positive" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
 
 FIXTURE_NETWORK = """
 command: network

@@ -5,9 +5,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from amdiqkd import decoy
-from amdiqkd.batch import COLUMNS, SourceBatch
-from amdiqkd.channel import DetectorPair, SourceConfig, expected_observables
+from amdiqkd import channel, decoy
+from amdiqkd.batch import COLUMNS, SourceBatch, _click_table
+from amdiqkd.channel import DetectorPair, SourceConfig, click_table, expected_observables
 from amdiqkd.decoy import (
     X_KEY,
     double_scan,
@@ -407,6 +407,36 @@ class TestColumns:
         for i, src in enumerate(sources):
             for key, want in pairing_probs(src, 16).items():
                 assert np.broadcast_to(got[key], m_x.shape)[i] == want, (i, key)
+
+    @pytest.mark.parametrize("drift", [False, True], ids=["still", "drifting"])
+    @pytest.mark.parametrize("four_intensity, click_filtering",
+                             [*VARIANTS, pytest.param(True, False, id="four-unfiltered")])
+    def test_observables(self, four_intensity, click_filtering, drift):
+        # one link for the batch, each row with its own pairing window; the
+        # drifting link shifts the late bin's phase, so sin and cos of a
+        # nonzero angle run
+        sources, _, _, batch, _, _ = column_draws(four_intensity, click_filtering)
+        still = dict(phase_drift_rad_per_s=0.0, laser_offset_hz=0.0, interference_error=0.0)
+        link = make_link(70.0, 40.0, **({} if drift else still))
+        windows = 10.0 ** np.random.default_rng(5).uniform(0.0, 7.0, len(sources))
+        table = _click_table(batch, link, DET)
+        got = channel._observables(COLUMNS, batch, link, DET, 1e13, windows, table)
+        for i, src in enumerate(sources):
+            row_link = dataclasses.replace(link, pairing_window_bins=float(windows[i]))
+            for pair, want in click_table(src, row_link, DET).items():
+                assert table[pair][i] == want, (i, pair)
+            want = expected_observables(src, row_link, DET, 1e13)
+            assert want.n_pairs > 0.0
+            for name in ("n_pairs", "t_mean_s", "q_tot", "m_x"):
+                assert getattr(got, name)[i] == getattr(want, name), (i, name)
+            for name in ("counts", "z_qber"):
+                values = getattr(want, name)
+                assert getattr(got, name).keys() == values.keys()
+                for key, value in values.items():
+                    assert getattr(got, name)[key][i] == value, (i, name, key)
+            assert got.n_pulses == want.n_pulses
+        if drift:
+            assert link.drift_phase(got.t_mean_s.min()) > 0.0
 
     @pytest.mark.parametrize("eps", [None, 1e-10])
     @pytest.mark.parametrize("double_scanning", [False, True], ids=["corners-off", "scan"])

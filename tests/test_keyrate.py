@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,34 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             ProtocolVariant(click_filtering=False, four_intensity=True)
 
+    @pytest.mark.parametrize("variant", sorted(scenario.VARIANTS))
+    def test_reaches_each_traced_layer(self, monkeypatch, variant):
+        # the benchmark's tracer wraps these functions wherever a module of
+        # the package binds them; one evaluate must still reach each of them
+        from amdiqkd import channel, decoy
+
+        var = scenario.VARIANTS[variant]
+        calls = {}
+        package = [m for key, m in sys.modules.items() if key.startswith("amdiqkd")]
+        for module, name in ((channel, "expected_observables"), (channel, "pair_gain"),
+                             (decoy, "estimate")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            for holder in package:
+                if getattr(holder, name, None) is original:
+                    monkeypatch.setattr(holder, name, counted)
+        params = dict(PARAMS_50KM)
+        if var.four_intensity:
+            params.update(omega_a=0.1, p_omega_a=0.1, omega_b=0.1, p_omega_b=0.1)
+        rep = evaluate(params, make_link(25.0, 25.0), DET, 1e12, EPS, 1.1, var)
+        assert rep.rate_per_pulse > 0.0
+        labels = 4 if var.four_intensity else 3
+        assert calls == {"expected_observables": 1, "pair_gain": labels ** 2, "estimate": 1}
+
 
 def genotype_batches(space, anchors=()):
     """1-8 genotypes of ``space``: free points, with the cube's faces (where the
@@ -209,3 +238,40 @@ class TestRateBatch:
             rate_batch(columns, link, DET, 1e12, EPS, 1.1)
         with pytest.raises(ValueError):
             evaluate({k: float(v[1]) for k, v in columns.items()}, link, DET, 1e12, EPS, 1.1)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_rejects_non_finite_levels(self, level):
+        columns = {k: np.array([v, v]) for k, v in PARAMS_50KM.items()}
+        columns["mu_a"] = np.array([0.5, level])
+        with pytest.raises(ValueError, match="candidate 1: intensities must be finite"):
+            rate_batch(columns, make_link(25.0, 25.0), DET, 1e12, EPS, 1.1)
+
+    @pytest.mark.parametrize("window", [math.nan, 0.5, math.inf])
+    def test_rejects_bad_pairing_window(self, window):
+        columns = {k: np.array([v, v]) for k, v in PARAMS_50KM.items()}
+        columns["tc_bins"] = np.array([1e5, window])
+        with pytest.raises(ValueError, match="pairing_window_bins must be finite and >= 1"):
+            rate_batch(columns, make_link(25.0, 25.0), DET, 1e12, EPS, 1.1)
+        with pytest.raises(ValueError, match="pairing_window_bins must be finite and >= 1"):
+            evaluate(dict(PARAMS_50KM, tc_bins=window), make_link(25.0, 25.0), DET, 1e12, EPS, 1.1)
+
+    @pytest.mark.parametrize("n_pulses", [0.0, -1.0, math.nan])
+    def test_rejects_bad_n_pulses(self, n_pulses):
+        columns = {k: np.array([v, v]) for k, v in PARAMS_50KM.items()}
+        with pytest.raises(ValueError, match="n_pulses must be finite and positive"):
+            rate_batch(columns, make_link(25.0, 25.0), DET, n_pulses, EPS, 1.1)
+
+    @pytest.mark.parametrize("variant", sorted(scenario.VARIANTS))
+    def test_rows_without_pairs_score_zero(self, variant):
+        # no light arrives and no detector fires in the dark: no kept click
+        # and no pair on any row
+        var = scenario.VARIANTS[variant]
+        link, det = make_link(30000.0, 30000.0), DetectorPair(eta_d=0.8, dark_rate_hz=0.0)
+        space = async_search_space(four_intensity=var.four_intensity)
+        rng = np.random.default_rng(8)
+        batch = space.decode_many(rng.uniform(size=(20, len(space.names))))
+        columns = {k: np.array([p[k] for p in batch]) for k in batch[0]}
+        for p in batch:
+            rep = evaluate(p, link, det, 1e12, EPS, 1.1, var)
+            assert (rep.observables.n_pairs, rep.rate_per_pulse) == (0.0, 0.0)
+        assert rate_batch(columns, link, det, 1e12, EPS, 1.1, var).tolist() == [0.0] * 20

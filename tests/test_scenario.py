@@ -37,6 +37,11 @@ class TestSpecs:
         with pytest.raises(ValueError):
             SweepSpec(distances_km=[100.0, 200.0], n_pulses=[1e12])
 
+    @pytest.mark.parametrize("n_pulses", [0, -1.0, math.nan, math.inf, [1e12, 0.0]])
+    def test_pulses_finite_and_positive(self, n_pulses):
+        with pytest.raises(ValueError, match="n_pulses must be finite and positive"):
+            SweepSpec(distances_km=[100.0, 200.0], n_pulses=n_pulses)
+
     def test_point_seed_is_stable(self):
         assert point_seed(5, 0) == point_seed(5, 0)
         assert point_seed(5, 0) != point_seed(5, 1)
@@ -157,6 +162,11 @@ class TestNetwork:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             NetworkSpec(users=[("A", 10.0), ("A", 20.0)])
+
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
+    def test_duration_finite_and_positive(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s must be finite and positive"):
+            NetworkSpec(users=[("A", 10.0), ("B", 20.0)], duration_s=duration_s)
 
 
 class TestArmRecovery:

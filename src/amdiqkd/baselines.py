@@ -23,14 +23,13 @@ on first use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .channel import ChannelLink, DetectorPair, SourceConfig, validate_party
-from .stats import FLOATS, no_click
+from .stats import FLOATS
 
 __all__ = [
     "MdiObservables",
@@ -206,7 +205,7 @@ def _mdi_key(ops, obs: MdiObservables, source, n_pulses: float, eps: float,
     qber = where(counted, obs.m_z[("mu", "mu")] / where(counted, n_z_signal, 1.0), 0.5)
     leakage = n_z_signal * error_correction_f * ops.entropy(minimum(qber, 0.5))
     eps_terms = (
-        math.log2(2.0 / eps) + 2.0 * math.log2(2.0 / (eps * eps)) + 2.0 * math.log2(1.0 / (2.0 * eps))
+        ops.log2(2.0 / eps) + 2.0 * ops.log2(2.0 / (eps * eps)) + 2.0 * ops.log2(1.0 / (2.0 * eps))
     )
 
     def key_at(h, m):
@@ -303,8 +302,8 @@ def _bb84_observables(ops, intensities, probs, q_z, eta: float, p_d: float, e_m:
     q_x = 1.0 - q_z
     # an apparatus is two detectors; the second one's dark counts act as an
     # extra mean -log(1 - p_d) on a single no_click detector
-    dark_mean = -math.log1p(-p_d)
-    dark_click = no_click(dark_mean, p_d)[1]
+    dark_mean = -ops.log1p(-p_d)
+    dark_click = ops.no_click(dark_mean, p_d)[1]
     n_z, m_z, n_x, m_x = {}, {}, {}, {}
     for lab in LEVELS:
         k = intensities[lab]
@@ -432,8 +431,8 @@ def _bb84_key(ops, obs: Bb84Observables, intensities, probs, n_pulses: float, ep
         n0_obs
         + n1z * (1.0 - ops.entropy(phi))
         - leakage
-        - 6.0 * math.log2(23.0 / eps)
-        - 2.0 * math.log2(2.0 / eps)
+        - 6.0 * ops.log2(23.0 / eps)
+        - 2.0 * ops.log2(2.0 / eps)
     )
     ell = where(feasible, maximum(ell, 0.0), 0.0)
     return {

@@ -9,10 +9,13 @@ per pulse, for every row of a set of (B,) parameter columns.
 ``COLUMNS`` is the operations namespace of the bodies in
 :mod:`amdiqkd.channel`, :mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and
 :mod:`amdiqkd.baselines` on numpy columns, the counterpart of
-:data:`amdiqkd.stats.FLOATS`.  Its primitives repeat the scalar ones'
-operation order and call the C library's exp, log, sin, cos and pow (through
-:func:`amdiqkd.stats.each`) where numpy's own may round differently.  The
-entry points build the columns and run those bodies.  So a batch rate equals the scalar rate to rounding, and bit for bit wherever
+:data:`amdiqkd.stats.FLOATS`.  It lists base operations only, which call the
+C library's exp, log, sin, cos and pow (through :func:`amdiqkd.stats.each`)
+where numpy's own may round differently, and the column forms of ``i0m1``,
+``min_over``, ``sort_terms`` and ``first_max``; the bound, sampling, entropy
+and click bodies of :mod:`amdiqkd.stats` are bound to them by
+``with_helpers``.  The entry points build the columns and run those bodies.
+So a batch rate equals the scalar rate to rounding, and bit for bit wherever
 the scalar forms' ``sum()`` adds left to right (before Python 3.12).
 
 A row that the scalar form rejects raises ValueError here too.  Other argument
@@ -37,7 +40,7 @@ from . import baselines, channel, decoy, keyrate
 from .baselines import Bb84Params
 from .channel import LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig
 from .keyrate import ProtocolVariant
-from .stats import FLOATS, RATE_FLOOR, _beta, each
+from .stats import FLOATS, _beta, each, with_helpers
 
 __all__ = [
     "SourceBatch",
@@ -48,64 +51,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# numerical primitives (stats)
+# column operations
 # ---------------------------------------------------------------------------
-
-def exp_batch(x: np.ndarray) -> np.ndarray:
-    return each(math.exp, x)
-
-
-def binary_entropy_batch(x: np.ndarray) -> np.ndarray:
-    inner = (x > 0.0) & (x < 1.0)
-    x = np.where(inner, x, 0.5)
-    h = -x * each(math.log2, x) - (1.0 - x) * each(math.log2, 1.0 - x)
-    return np.where(inner, h, 0.0)
-
-
-def expected_lower_batch(observed: np.ndarray, eps: float | None) -> np.ndarray:
-    if eps is None:
-        return observed
-    beta = _beta(eps)
-    return np.maximum(observed - beta / 2.0 - np.sqrt(2.0 * beta * observed + beta * beta / 4.0), 0.0)
-
-
-def expected_upper_batch(observed: np.ndarray, eps: float | None) -> np.ndarray:
-    if eps is None:
-        return observed
-    beta = _beta(eps)
-    return observed + beta + np.sqrt(2.0 * beta * observed + beta * beta)
-
-
-def observed_lower_batch(expected: np.ndarray, eps: float | None) -> np.ndarray:
-    positive = expected > 0.0
-    if eps is None:
-        return np.where(positive, expected, 0.0)
-    expected = np.where(positive, expected, 0.0)
-    beta = _beta(eps)
-    return np.where(positive, np.maximum(expected - np.sqrt(2.0 * beta * expected), 0.0), 0.0)
-
-
-def observed_upper_batch(expected: np.ndarray, eps: float | None) -> np.ndarray:
-    positive = expected > 0.0
-    if eps is None:
-        return np.where(positive, expected, 0.0)
-    expected = np.where(positive, expected, 0.0)
-    beta = _beta(eps)
-    upper = expected + beta / 2.0 + np.sqrt(2.0 * beta * expected + beta * beta / 4.0)
-    return np.where(positive, upper, 0.0)
-
-
-def sampling_correction_batch(n: np.ndarray, k: np.ndarray, rate: np.ndarray, eps: float) -> np.ndarray:
-    """``sampling_correction`` per element; needs n, k > 0 and rate in [0, 1]."""
-    lam = np.minimum(np.maximum(rate, RATE_FLOOR), 1.0 - RATE_FLOOR)
-    total = n + k
-    a_max = np.maximum(n, k)
-    g = (total / (n * k)) * each(math.log, total / (2.0 * math.pi * n * k * lam * (1.0 - lam) * eps * eps))
-    ag = a_max * g / total
-    num = (1.0 - 2.0 * lam) * ag + np.sqrt(np.maximum(ag * ag + 4.0 * lam * (1.0 - lam) * g, 0.0))
-    den = 2.0 + 2.0 * a_max * ag / total
-    return np.where(g < 0.0, 0.0, num / den)
-
 
 def i0m1_batch(x: np.ndarray) -> np.ndarray:
     """``i0m1`` per element: each element's series stops where its scalar one does."""
@@ -120,11 +67,6 @@ def i0m1_batch(x: np.ndarray) -> np.ndarray:
         total = np.where(going, total + term, total)
         going &= term > 1e-17 * total
     return total
-
-
-def no_click_batch(mean: np.ndarray, p_d: float) -> tuple[np.ndarray, np.ndarray]:
-    log_y = math.log1p(-p_d) - mean
-    return each(math.exp, log_y), -each(math.expm1, log_y)
 
 
 def _min_over(fn, points):
@@ -151,20 +93,17 @@ def _first_max(candidates):
     return tuple(np.take_along_axis(column, best, axis=0)[0] for column in stacked)
 
 
-# the operations of the bodies in amdiqkd.channel, amdiqkd.decoy,
-# amdiqkd.keyrate and amdiqkd.baselines, applied to numpy columns:
-# stats.FLOATS on numpy
-COLUMNS = SimpleNamespace(
-    exp=exp_batch, expm1=partial(each, math.expm1), log1p=partial(each, math.log1p),
-    sin=partial(each, math.sin), cos=partial(each, math.cos), sqrt=np.sqrt,
-    square=partial(each, FLOATS.square), maximum=np.maximum, minimum=np.minimum, all=np.all,
-    where=np.where,
-    i0m1=i0m1_batch, no_click=no_click_batch, entropy=binary_entropy_batch,
-    expected_lower=expected_lower_batch, expected_upper=expected_upper_batch,
-    observed_lower=observed_lower_batch, observed_upper=observed_upper_batch,
-    sampling_correction=sampling_correction_batch, min_over=_min_over,
-    sort_terms=_sort_terms, first_max=_first_max,
-)
+# the base operations of stats.FLOATS on numpy columns, with the bodies of
+# amdiqkd.stats bound to them: the operations of the bodies in
+# amdiqkd.channel, amdiqkd.decoy, amdiqkd.keyrate and amdiqkd.baselines
+COLUMNS = with_helpers(SimpleNamespace(
+    exp=partial(each, math.exp), expm1=partial(each, math.expm1), log=partial(each, math.log),
+    log1p=partial(each, math.log1p), log2=partial(each, math.log2), sin=partial(each, math.sin),
+    cos=partial(each, math.cos), sqrt=np.sqrt, square=partial(each, FLOATS.square),
+    maximum=np.maximum, minimum=np.minimum, all=np.all, where=np.where, count=np.asarray,
+    beta=_beta,
+    i0m1=i0m1_batch, min_over=_min_over, sort_terms=_sort_terms, first_max=_first_max,
+))
 
 
 # ---------------------------------------------------------------------------

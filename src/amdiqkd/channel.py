@@ -121,8 +121,8 @@ class ChannelLink:
     phase_slices: int = 16
 
     def __post_init__(self) -> None:
-        if self.length_a_km < 0.0 or self.length_b_km < 0.0:
-            raise ValueError("fibre lengths must be >= 0")
+        if not (0.0 <= self.length_a_km < math.inf and 0.0 <= self.length_b_km < math.inf):
+            raise ValueError("fibre lengths must be finite and >= 0")
         if self.clock_hz <= 0.0:
             raise ValueError("clock_hz must be positive")
         if not 1.0 <= self.pairing_window_bins < math.inf:

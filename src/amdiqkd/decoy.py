@@ -11,9 +11,9 @@ the direct conversion of the X-error count into the Z basis.
 Bound-direction bookkeeping: quantities marked ``*`` live in the
 expected-value domain (obtained from observed counts via
 ``chernoff_expected``); final key-length ingredients are converted back to
-the observed domain via ``chernoff_observed``.  Both maps return a plain
-(lower, upper) tuple, and the chain reads one side through the ``stats``
-helpers ``expected_lower/upper`` and ``observed_lower/upper``.  Passing
+the observed domain via ``chernoff_observed``.  The chain reads one end of
+a map through the helpers ``expected_lower/upper`` and
+``observed_lower/upper`` of its operations namespace.  Passing
 ``eps=None`` runs the whole chain without statistical slack, which is how the
 soundness tests compare against Monte Carlo ground truth.  Group
 probabilities and count tables are plain dicts keyed by (total_a, total_b).

@@ -100,9 +100,9 @@ def _key_length(ops, vacuum_events, single_photon_pairs, phase_error_rate, leaka
         vacuum_events
         + single_photon_pairs * (1.0 - ops.entropy(phase_error_rate))
         - leakage
-        - math.log2(2.0 / eps)
-        - 2.0 * math.log2(2.0 / (eps * eps))
-        - 2.0 * math.log2(1.0 / (2.0 * eps))
+        - ops.log2(2.0 / eps)
+        - 2.0 * ops.log2(2.0 / (eps * eps))
+        - 2.0 * ops.log2(1.0 / (2.0 * eps))
     )
     return ops.maximum(ell, 0.0)
 

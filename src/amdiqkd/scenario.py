@@ -157,8 +157,12 @@ class SweepSpec:
                 raise ValueError(f"unknown variant {v!r}")
         if not self.distances_km:
             raise ValueError("distance list must not be empty")
-        if any(self.delta_km > d for d in self.distances_km):
-            raise ValueError("asymmetry delta exceeds a total distance")
+        if not all(0.0 <= d < math.inf for d in self.distances_km):
+            raise ValueError(f"distances must be finite and >= 0, got {self.distances_km!r}")
+        if not all(abs(self.delta_km) <= d for d in self.distances_km):
+            raise ValueError(f"asymmetry delta {self.delta_km!r} exceeds a total distance")
+        if not self.budget >= 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget!r}")
         pulses = self.n_pulses
         if isinstance(pulses, (int, float)):
             pulses = [pulses]
@@ -392,8 +396,10 @@ class NetworkSpec:
         names = [n for n, _ in self.users]
         if len(set(names)) != len(names):
             raise ValueError("duplicate user names")
-        if any(arm < 0.0 for _, arm in self.users):
-            raise ValueError("arm lengths must be >= 0")
+        if not all(0.0 <= arm < math.inf for _, arm in self.users):
+            raise ValueError("arm lengths must be finite and >= 0")
+        if not self.budget >= 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget!r}")
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
         for v in self.variants:

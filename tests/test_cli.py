@@ -86,6 +86,33 @@ class TestConfigErrors:
         assert not (out / "results.csv").exists()
 
 
+    # bad geometry and budgets, rejected before any output; each of these
+    # ended in a traceback, or (an infinite distance) in rows and exit code 2
+    @pytest.mark.parametrize("command, extra", [
+        ("sweep", ["--set", "distances_km=[100]", "--set", "delta_km=-300"]),
+        ("sweep", ["--set", "delta_km=.nan"]),
+        ("sweep", ["--set", "distances_km=[.inf]"]),
+        ("sweep", ["--set", "distances_km=[-20]"]),
+        ("sweep", ["--budget", "0"]),
+        ("optimize", ["--set", "l_a_km=-5"]),
+        ("network", ["--set", "users=[[A, .nan], [B, 25.0]]"]),
+        ("network", ["--set", "users=[[A, .inf], [B, 25.0]]"]),
+        ("network", ["--budget", "0"]),
+        ("evaluate", ["--set", "l_a_km=.nan"]),
+    ], ids=["delta-beyond-distance", "nan-delta", "inf-distance", "negative-distance",
+            "sweep-budget-0", "negative-arm", "nan-user-arm", "inf-user-arm",
+            "network-budget-0", "nan-length"])
+    def test_bad_geometry_or_budget(self, tmp_path, capsys, command, extra):
+        text = {"sweep": FIXTURE_SWEEP, "optimize": FIXTURE_OPTIMIZE,
+                "network": FIXTURE_NETWORK}.get(command)
+        source = ["--preset", "evaluate_300km"] if text is None else [
+            "--scenario", str(write_scenario(tmp_path, text))]
+        out = tmp_path / "o"
+        assert main([command, *source, *extra, "--out", str(out)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+
 FIXTURE_NETWORK = """
 command: network
 preset: table3
@@ -266,13 +293,13 @@ class TestEntryPoint:
     def test_cli_import_leaves_batch_unloaded(self):
         # the batch forms and the oracle's thread pool load on first use, so a
         # run that needs neither (and the benchmark's setup time) does not pay
-        # for them
+        # for them; mpmath serves the tests only
         env = {**os.environ, "PYTHONPATH": str(Path(amdiqkd.__file__).resolve().parents[1])}
-        code = ("import sys, amdiqkd.cli; "
-                "print([m in sys.modules for m in ('amdiqkd.batch', 'concurrent.futures')])")
+        code = ("import sys, amdiqkd.cli; print([m in sys.modules for m in "
+                "('amdiqkd.batch', 'concurrent.futures', 'mpmath')])")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[False, False]"
+        assert result.stdout.strip() == "[False, False, False]"
 
 
 class TestValidateOracle:

@@ -480,6 +480,39 @@ class TestColumns:
                 terms = [(float(c), float(v)) for c, v in zip(coefs[:, i], counts[:, i])]
                 assert got[i] == joint_bound([*terms, (1.5, 0.0)], direction, eps), (n_terms, i)
 
+    @pytest.mark.parametrize("eps", [None, 1e-10])
+    @pytest.mark.parametrize("name", ["expected_lower", "expected_upper",
+                                      "observed_lower", "observed_upper"])
+    def test_bound_helpers(self, name, eps):
+        # zero and negative placeholders; FLOATS rejects a negative observed
+        # count once eps is given
+        counts = np.array([0.0, -0.0, -3.5, 1e-300, 1e-9, 0.7, 2.0, 1e4, 1e12, 1e21])
+        if name.startswith("expected") and eps is not None:
+            counts = counts[~np.signbit(counts)]
+        got = getattr(COLUMNS, name)(counts, eps)
+        for i, v in enumerate(counts.tolist()):
+            want = getattr(FLOATS, name)(v, eps)
+            assert got[i] == want and np.signbit(got[i]) == np.signbit(want), (v, got[i], want)
+
+    def test_sampling_correction(self):
+        # the first row's log goes negative (g = -4e-21): no correction
+        n, k, rate = np.array([[1e21, 1e21, 0.5], [1e6, 1e6, 0.1], [50.0, 80.0, 0.0],
+                               [1e12, 1e4, 1.0], [3e9, 2e7, 0.02], [1.0, 1.0, 0.3]]).T
+        got = COLUMNS.sampling_correction(n, k, rate, 1e-10)
+        assert got[0] == 0.0
+        for i in range(n.size):
+            assert got[i] == FLOATS.sampling_correction(n[i], k[i], rate[i], 1e-10), i
+
+    def test_entropy_and_no_click(self):
+        x = np.array([0.0, 1.0, 1e-12, 0.11, 0.5, 0.999])
+        h = COLUMNS.entropy(x)
+        for i, v in enumerate(x.tolist()):
+            assert h[i] == FLOATS.entropy(v), v
+        mean = np.array([0.0, 1e-13, 0.3, 50.0, 800.0])
+        y, click = COLUMNS.no_click(mean, 2.5e-11)
+        for i, m in enumerate(mean.tolist()):
+            assert (y[i], click[i]) == FLOATS.no_click(m, 2.5e-11), m
+
     def test_first_max_takes_the_first_of_equal_maxima(self):
         rows = [(np.array([1.0, 0.5, 2.0]), np.array([10.0, 11.0, 12.0])),
                 (np.array([1.0, 0.7, 2.5]), np.array([20.0, 21.0, 22.0])),

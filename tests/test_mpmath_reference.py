@@ -1,18 +1,37 @@
 """Closed-form click models against 50-digit mpmath evaluations of the same
-modified-Bessel expressions, on the fig4 device from 0 to 600 km.
+modified-Bessel expressions, on the fig4 device from 0 to 600 km, and the
+production bodies run unchanged at 50 digits.
 
 The long links and the vacuum groups are dominated by dark counts
 (p_d = 2.5e-11 at 4 GHz), where an expanded float form loses most of its
 digits to cancellation; each closed form must hold 1e-12 relative there.
+The numerics helpers are pinned to their formulas at 50 digits; the whole
+key-rate chain of every variant and of both reference protocols is then run
+on ``MP``, the base operations at 50 digits, and the float results must hold
+1e-12 relative to it.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from amdiqkd.baselines import Bb84Params, bb84_observables, mdi_observables  # noqa: E402
+from amdiqkd import channel, decoy, keyrate  # noqa: E402
+from amdiqkd.baselines import (  # noqa: E402
+    Bb84Params,
+    MdiObservables,
+    _bb84_key,
+    _bb84_observables,
+    _mdi_device,
+    _mdi_key,
+    _mdi_pair_counts,
+    bb84_key_rate,
+    bb84_observables,
+    mdi_key_rate,
+    mdi_observables,
+)
 from amdiqkd.channel import (  # noqa: E402
     SourceConfig,
     click_table,
@@ -20,8 +39,27 @@ from amdiqkd.channel import (  # noqa: E402
     pair_gain,
     xbasis_error_count,
 )
-from amdiqkd.scenario import DEVICE_PRESETS  # noqa: E402
-from amdiqkd.stats import i0m1, no_click  # noqa: E402
+from amdiqkd.scenario import DEVICE_PRESETS, VARIANTS  # noqa: E402
+from amdiqkd.stats import (  # noqa: E402
+    FLOATS,
+    binary_entropy,
+    chernoff_expected,
+    chernoff_observed,
+    i0m1,
+    no_click,
+    sampling_correction,
+    with_helpers,
+)
+
+# The base operations at 50 digits (the working precision the fixture below
+# sets); with_helpers binds the bound, sampling and entropy bodies to them.
+MP = with_helpers(SimpleNamespace(
+    exp=mpmath.exp, expm1=mpmath.expm1, log=mpmath.log, log1p=mpmath.log1p,
+    log2=lambda x: mpmath.log(x, 2), sin=mpmath.sin, cos=mpmath.cos, sqrt=mpmath.sqrt,
+    square=FLOATS.square, maximum=max, minimum=min, all=bool, where=FLOATS.where,
+    count=mpmath.mpf, beta=lambda eps: -mpmath.log(eps), i0m1=lambda x: mpmath.besseli(0, x) - 1,
+    min_over=FLOATS.min_over, sort_terms=FLOATS.sort_terms, first_max=FLOATS.first_max,
+))
 
 REL = 1e-12
 DISTANCES_KM = [0.0, 100.0, 300.0, 450.0, 600.0]
@@ -179,3 +217,157 @@ def test_bb84_observables(total_km):
         }
         for name, value in exact.items():
             assert rel_err(getattr(obs, name)[lab], value) <= REL, (name, lab)
+
+
+def close(value, exact, rel=REL, scale=None):
+    """|value - exact| <= rel * scale, with scale |exact| unless given."""
+    scale = abs(exact) if scale is None else scale
+    return abs(mpmath.mpf(value) - exact) <= rel * scale
+
+
+EPS = 1e-10
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 17.0, 2.5e4, 3e9, 1e15])
+def test_chernoff_maps(x):
+    beta, v = -mpmath.log(EPS), mpmath.mpf(x)
+    observed = (max(v - mpmath.sqrt(2 * beta * v), 0),
+                v + beta / 2 + mpmath.sqrt(2 * beta * v + beta**2 / 4))
+    expected = (max(v - beta / 2 - mpmath.sqrt(2 * beta * v + beta**2 / 4), 0),
+                v + beta + mpmath.sqrt(2 * beta * v + beta**2))
+    for got, want in [*zip(chernoff_observed(x, EPS), observed),
+                      *zip(chernoff_expected(x, EPS), expected)]:
+        # a clamped lower end is 0 on both sides; else a few ulp of the largest term
+        assert close(got, want, 1e-15, v + beta), (got, want)
+    assert (FLOATS.observed_lower(x, EPS), FLOATS.observed_upper(x, EPS)) == (
+        chernoff_observed(x, EPS) if x > 0.0 else (0.0, 0.0))
+    assert (FLOATS.expected_lower(x, EPS), FLOATS.expected_upper(x, EPS)) == chernoff_expected(x, EPS)
+
+
+@pytest.mark.parametrize("n, k, rate", [(1e6, 1e6, 0.1), (3e9, 2e7, 0.02), (50.0, 80.0, 0.0),
+                                        (1e12, 1e4, 0.4), (1e21, 1e21, 0.5)])
+def test_sampling_correction(n, k, rate):
+    n_, k_, lam = mpmath.mpf(n), mpmath.mpf(k), min(max(mpmath.mpf(rate), 1e-12), 1 - 1e-12)
+    g = (n_ + k_) / (n_ * k_) * mpmath.log(
+        (n_ + k_) / (2 * mpmath.mpf(math.pi) * n_ * k_ * lam * (1 - lam) * mpmath.mpf(EPS) ** 2))
+    a = max(n_, k_) * g / (n_ + k_)
+    exact = 0 if g < 0 else ((1 - 2 * lam) * a + mpmath.sqrt(a * a + 4 * lam * (1 - lam) * g)) / (
+        2 + 2 * max(n_, k_) * a / (n_ + k_))
+    assert close(sampling_correction(n, k, rate, EPS), exact, 1e-13)
+
+
+@pytest.mark.parametrize("x", [
+    0.0, 0.11, 0.5, 1.0 - 2.0**-40, 1.0,
+    # log2(1 - x) rounds 1 - x first: about 1e-5 relative at x = 1e-12, the
+    # dark-count-only error rates of the key groups
+    *(pytest.param(x, marks=pytest.mark.xfail(strict=True, reason="1 - x rounds before log2"))
+      for x in (1e-300, 1e-12)),
+])
+def test_binary_entropy(x):
+    v = mpmath.mpf(x)
+    exact = 0 if x in (0.0, 1.0) else -(v * mpmath.log(v) + (1 - v) * mpmath.log1p(-v)) / mpmath.log(2)
+    assert close(binary_entropy(x), exact, 1e-15)
+
+
+# One parameter set per protocol, held fixed over the links: the fig4
+# optima at 480 km (async) and 420 km (reference protocols), so the far links
+# still have key.
+ASYNC_PARAMS = dict(
+    mu_a=0.437805063322, nu_a=0.0212032217884, p_mu_a=0.249206500814, p_nu_a=0.206253317187,
+    mu_b=0.436414906024, nu_b=0.0211434005997, p_mu_b=0.250535369014, p_nu_b=0.20580628618,
+    omega_a=0.15, p_omega_a=0.1, omega_b=0.14, p_omega_b=0.1, tc_bins=6493098.76835,
+)
+MDI_LEVELS = ({"mu": 1.0, "omega": 0.378630023993, "nu": 0.0825323794621},
+              {"mu": 0.359406447325, "omega": 0.107640624455, "nu": 0.40892648692})
+BB84_LEVELS = ({"mu": 0.569589306182, "omega": 0.281675602502, "nu": 0.0665430920329},
+               {"mu": 0.868203455324, "omega": 0.051954933064, "nu": 0.0521583419939})
+N_PULSES = 3.168e14
+F_EC = PRESET.error_correction_f
+# (l_a, l_b) in km: symmetric and 80 km asymmetric splits of 0-600 km totals
+CHAIN_LINKS = [(0.0, 0.0), (50.0, 0.0)] + [
+    (split, total - split) for total in (120.0, 300.0, 480.0, 540.0, 600.0)
+    for split in (total / 2.0, total / 2.0 + 40.0)
+]
+
+
+def mp_dict(values):
+    return {key: mpmath.mpf(v) for key, v in values.items()}
+
+
+def mp_source(src):
+    return SourceConfig(mp_dict(src.intensities_a), mp_dict(src.probabilities_a),
+                        mp_dict(src.intensities_b), mp_dict(src.probabilities_b),
+                        click_filtering=src.click_filtering)
+
+
+def with_vacuum(levels):
+    ints, probs = levels
+    return {**ints, "o": 0.0}, {**probs, "o": 1.0 - (probs["mu"] + probs["omega"] + probs["nu"])}
+
+
+@pytest.mark.parametrize("variant_name", list(VARIANTS))
+def test_async_chain_at_fifty_digits(variant_name):
+    variant = VARIANTS[variant_name]
+    params = {k: v for k, v in ASYNC_PARAMS.items()
+              if variant.four_intensity or "omega" not in k}
+    far_key = False
+    for l_a, l_b in CHAIN_LINKS:
+        link = PRESET.link(l_a, l_b)
+        report = keyrate.evaluate(params, link, DET, N_PULSES, EPS, F_EC, variant)
+        src = mp_source(keyrate._source_from_params(params, variant))
+        table = {(la, lb): channel._pair_gain(MP, src.intensities_a[la], src.intensities_b[lb],
+                                              link, DET)
+                 for la in src.labels for lb in src.labels}
+        obs = channel._observables(MP, src, link, DET, N_PULSES, params["tc_bins"], table)
+        probs = decoy.pairing_probs(src, link.phase_slices)
+        groups = decoy.z_key_groups(src, variant.z_group_mode)
+        scan = (decoy._double_scan(MP, obs.counts, obs.m_x, probs, src, EPS)
+                if variant.double_scanning else None)
+        est = decoy._estimate(MP, obs.counts, obs.m_x, probs, src, groups, EPS,
+                              variant.phase_error_method, scan)
+        leakage = keyrate._leakage(MP, obs.counts, obs.z_qber, groups, F_EC)
+        ell = keyrate._key_length(MP, est.s0_z, est.s11_z, est.phi11_z, leakage, EPS)
+        got = report.estimate
+        where = (l_a, l_b)
+        assert close(got.s0_z, est.s0_z), where
+        assert close(got.s11_z, est.s11_z), where
+        assert close(got.phi11_z, est.phi11_z), where
+        assert close(report.ell, ell, scale=max(abs(ell), est.s0_z + est.s11_z)), where
+        far_key |= l_a + l_b >= 540.0 and ell > 0
+    # the pin reaches links where dark counts dominate and key is left
+    assert far_key
+
+
+def test_mdi_chain_at_fifty_digits():
+    ints, probs = with_vacuum(MDI_LEVELS)
+    source = SourceConfig(ints, probs, ints, probs)
+    src = mp_source(source)
+    for l_a, l_b in CHAIN_LINKS:
+        link = PRESET.link(l_a, l_b)
+        want = mdi_key_rate(source, link, DET, N_PULSES, EPS, F_EC)
+        device = _mdi_device(link, DET, N_PULSES)
+        tables = {(la, lb): _mdi_pair_counts(MP, src.intensities_a[la], src.intensities_b[lb],
+                                             src.probabilities_a[la], src.probabilities_b[lb],
+                                             device)
+                  for la in src.labels for lb in src.labels}
+        obs = MdiObservables(*({key: t[i] for key, t in tables.items()} for i in range(4)),
+                             n_pairs=device[0])
+        got = _mdi_key(MP, obs, src, N_PULSES, EPS, F_EC)
+        where = (l_a, l_b)
+        for name in ("n0", "qber_z"):
+            assert close(want[name], got[name]), (where, name)
+        assert close(want["ell"], got["ell"], scale=max(abs(got["ell"]), got["n0"] + got["leakage"])), where
+
+
+def test_bb84_chain_at_fifty_digits():
+    ints, probs = with_vacuum(BB84_LEVELS)
+    for total in sorted({l_a + l_b for l_a, l_b in CHAIN_LINKS}):
+        params = Bb84Params(ints, probs, PRESET.link(total, 0.0), DET, q_z=0.8)
+        want = bb84_key_rate(params, N_PULSES, EPS, F_EC)
+        mp_ints, mp_probs = mp_dict(ints), mp_dict(probs)
+        obs = _bb84_observables(MP, mp_ints, mp_probs, mpmath.mpf(params.q_z), params.eta,
+                                params.dark_prob, params.misalignment, N_PULSES)
+        got = _bb84_key(MP, obs, mp_ints, mp_probs, N_PULSES, EPS, F_EC)
+        for name in ("n0", "qber_z", "phi_z"):
+            assert close(want[name], got[name]), (total, name)
+        assert close(want["ell"], got["ell"], scale=max(abs(got["ell"]), got["n0"] + got["leakage"])), total

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amdiqkd.stats import (
+    FLOATS,
     _beta,
     binary_entropy,
     chernoff_expected,
@@ -124,6 +125,21 @@ class TestChernoffExpected:
     def test_rejects_bad_observed(self, bad):
         with pytest.raises(ValueError):
             chernoff_expected(bad, 1e-10)
+
+
+class TestBoundHelpers:
+    # the helpers the estimation bodies call on FLOATS reject what the maps
+    # reject; a non-positive expected count has observed bounds 0
+    @pytest.mark.parametrize("name", ["expected_lower", "expected_upper",
+                                      "observed_lower", "observed_upper"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_bad_count(self, name, bad):
+        helper = getattr(FLOATS, name)
+        if name.startswith("observed") and bad < 0.0:
+            assert helper(bad, 1e-10) == 0.0
+        else:
+            with pytest.raises(ValueError):
+                helper(bad, 1e-10)
 
 
 class TestSamplingCorrection:

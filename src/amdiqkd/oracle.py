@@ -1,11 +1,14 @@
 """Event-level Monte Carlo oracle for the asynchronous link.
 
-Simulates the time bins that can click, the bins where a photon of either
-party reaches the relay or a detector has a dark count; every other bin is
-silent and is never drawn.  At those bins: intensity and phase-slice draws,
-first-order interference at the relay's beam splitter, detector
-inefficiency and dark counts, then click filtering, nearest-neighbour
-pairing inside the window, sifting and classification.
+Simulates only the time bins that give a kept single click, drawn by
+thinning.  One table holds a joint row per label and arrived photon count
+of each party, kept label pairs only, weighted by its prior times a bound
+on its single-click probability; a bin is a candidate with probability the
+sum of the weights, and a candidate is accepted with its exact click
+probability over the bound.  At a candidate: its row, the phase-slice
+draws, first-order interference at the relay's beam splitter, detector
+inefficiency and dark counts; then nearest-neighbour pairing of the kept
+clicks inside the window, sifting and classification.
 Used exclusively to validate the closed forms in :mod:`amdiqkd.channel` and
 the soundness of the decoy bounds; never part of the key-rate pipeline.
 
@@ -35,6 +38,7 @@ Ground-truth tallies:
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -265,7 +269,7 @@ def _inverse_cdf(weights) -> tuple[np.ndarray, np.ndarray]:
     """The cdf of ``weights`` and its guide table, whose entry g is the first
     row with cdf above g / 1024 (Chen and Asau's indexed search)."""
     cdf = np.cumsum(weights, dtype=float)
-    cdf /= cdf[-1]
+    cdf /= cdf[-1] if cdf.size else 1.0
     return cdf, cdf.searchsorted(np.arange(1024) / 1024, side="right")
 
 
@@ -281,46 +285,66 @@ def _draw(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
     return row
 
 
-class _Arrivals:
-    """One party's photons at the relay.  A bin sends label l with
-    probability p_l at intensity k_l; n photons of it arrive with probability
-    p_l Poisson(n; eta k_l), and the fibre loses an independent
-    Poisson((1 - eta) k_l) more."""
+def _party_rows(intensities, probabilities, labels, eta: float):
+    """One party's rows (l, n) with P(l, n) = p_l Poisson(n; eta k_l), n the
+    arrived photons of label l.  A label's rows stop where the rest of its
+    Poisson tail is below 1e-16 of the party's P(n >= 1), so the cap grows
+    with the mean.  Also returns each label's arriving and lost means."""
+    k = np.array([intensities[l] for l in labels])
+    p = np.array([probabilities[l] for l in labels])
+    mean = eta * k
+    q = float(np.sum(p * -np.expm1(-mean)))
+    rows = []
+    for l, m in enumerate(mean.tolist()):
+        term, n = p[l] * math.exp(-m), 0
+        rows.append((l, 0, term))
+        while m > 0.0:
+            n += 1
+            term *= m / n
+            rows.append((l, n, term))
+            # the tail past n is below its next term / (1 - m / (n + 2))
+            if n + 2 > m and term * m / (n + 1) <= 1e-16 * q * (1.0 - m / (n + 2)):
+                break
+    label, count, prior = (np.array(column) for column in zip(*rows))
+    return label, count, prior, mean, (1.0 - eta) * k
 
-    def __init__(self, intensities, probabilities, labels, eta: float) -> None:
-        k = np.array([intensities[l] for l in labels])
-        p = np.array([probabilities[l] for l in labels])
-        self.mean, self.lost = eta * k, (1.0 - eta) * k
-        self.q = float(np.sum(p * -np.expm1(-self.mean)))  # P(n >= 1)
-        self.quiet = _inverse_cdf(p * np.exp(-self.mean))  # P(l | n = 0)
-        # rows (l, n) of P(l, n | n >= 1); a label's rows stop where the rest
-        # of its Poisson tail is below 1e-16 of q, so the cap grows with the mean
-        rows = []
-        for l, m in enumerate(self.mean.tolist()):
-            term, n = p[l] * math.exp(-m), 0
-            while m > 0.0:
-                n += 1
-                term *= m / n
-                rows.append((l, n, term))
-                # the tail past n is below its next term / (1 - m / (n + 2))
-                if n + 2 > m and term * m / (n + 1) < 1e-16 * self.q * (1.0 - m / (n + 2)):
-                    break
-        label, count, weight = zip(*rows or [(0, 0, 1.0)])  # never drawn when q = 0
-        self.label = np.array(label, dtype=np.int8)
-        self.count = np.array(count, dtype=np.int16)
-        self.arrival = _inverse_cdf(weight)
 
-    def draw(self, rng, arrived: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Label and arrived photon count at each given bin, one uniform per
-        bin: from P(l, n | n >= 1) where photons arrived, else P(l | n = 0)."""
-        u = rng.random(arrived.size)
-        labels = _draw(self.quiet, u).astype(np.int8)
-        counts = np.zeros(arrived.size, dtype=np.int16)
-        at = np.flatnonzero(arrived)
-        row = _draw(self.arrival, u[at])
-        labels[at] = self.label[row]
-        counts[at] = self.count[row]
-        return labels, counts
+class _Candidates:
+    """The joint rows (l_a, n_a, l_b, n_b) a candidate bin draws from: every
+    pair of party rows whose label pair is kept, n = 0 rows included, so a
+    dark-only click is one more row.  A row weighs P_a P_b B(n), n = n_a + n_b,
+
+        B(n) = c (1 + t**n - 2 c t**n),  c = 1 - p_d,  t = 1 - eta_d,
+
+    the largest single-click probability over the routing weight w: that
+    probability is convex in w, so it peaks at w = 0 or 1, and B is exact
+    for n <= 1.  A bin is a candidate with probability ``rate``, the sum of
+    the weights."""
+
+    def __init__(self, source: SourceConfig, link: ChannelLink, det: DetectorPair) -> None:
+        labels = source.labels
+        la, na, pa, mean_a, lost_a = _party_rows(
+            source.intensities_a, source.probabilities_a, labels, link.eta_a)
+        lb, nb, pb, mean_b, lost_b = _party_rows(
+            source.intensities_b, source.probabilities_b, labels, link.eta_b)
+        kept = np.zeros((len(labels), len(labels)), dtype=bool)
+        for l_a, l_b in source.layout.kept:
+            kept[labels.index(l_a), labels.index(l_b)] = True
+        n = na[:, None] + nb[None, :]
+        t, c = 1.0 - det.eta_d, 1.0 - det.dark_prob(link.clock_hz)
+        bound = c * (1.0 + t**n - 2.0 * c * t**n)
+        weight = np.where(kept[la[:, None], lb[None, :]], pa[:, None] * pb[None, :] * bound, 0.0)
+        i, j = np.nonzero(weight)
+        self.rate = float(weight[i, j].sum())
+        self.rows = _inverse_cdf(weight[i, j])
+        # weight 1/2 + sqrt(ab) cos(phase) / (a + b) of the arriving intensities
+        a, b = mean_a[la[i]], mean_b[lb[j]]
+        self.visibility = np.sqrt(a * b) / np.where(a + b > 0.0, a + b, 1.0)
+        self.label_a, self.label_b = la[i].astype(np.int8), lb[j].astype(np.int8)
+        self.count_a, self.count_b = na[i].astype(np.int16), nb[j].astype(np.int16)
+        self.photons, self.bound = n[i, j].astype(float), bound[i, j]
+        self.quiet = c * t**self.photons  # a detector holding all n photons stays silent
+        self.lost_a, self.lost_b = lost_a[la[i]], lost_b[lb[j]]
 
 
 def _bernoulli_sites(rng, p: float, size: int) -> np.ndarray:
@@ -334,62 +358,40 @@ def _bernoulli_sites(rng, p: float, size: int) -> np.ndarray:
     return sites[: sites.searchsorted(size)]
 
 
-def _click_chunk(rng, size, start_idx, tables, link, det, drift_per_bin):
+def _click_chunk(rng, size, start_idx, candidates, link, det, drift_per_bin):
     """Simulate one chunk of time bins; return compact arrays of kept clicks.
 
-    Only bins that can click are drawn: where photons of a party arrive
-    (a Bernoulli(q) process per party) or a detector has a dark count
-    (Bernoulli(p_d) per detector).  A bin where photons arrive clicks with
-    darks included, so the darks placed on it are dropped.  Its detector
-    pattern is one draw from the closed form summed over the binomial
-    routing of its n photons with weight w: with t = 1 - eta_d and
-    c = 1 - p_d, only the left detector clicks with probability
-    c ((w + (1 - w) t)**n - c t**n), only the right with w and 1 - w swapped.
+    Thinning (Lewis and Shedler): candidate bins are Bernoulli(rate) trials
+    placed by geometric gaps, and one uniform draws each one's row.  After
+    the slice draws its n photons route left with weight w; with
+    t = 1 - eta_d and c = 1 - p_d, only the left detector clicks with
+    probability c ((w + (1 - w) t)**n - c t**n), only the right with w and
+    1 - w swapped, and one more uniform times the row's B(n) picks left,
+    right or reject.  The source photon number of a click is its arrived
+    count plus an independent Poisson((1 - eta) k_l) of lost photons.
     """
-    arrivals_a, arrivals_b, kept_matrix = tables
     m_slices = link.phase_slices
-    p_d = det.dark_prob(link.clock_hz)
-
-    # bit 1/2: photons of party a/b arrive; bit 4/8: left/right dark count
-    mark = np.zeros(size, dtype=np.uint8)
-    for bit, p in ((1, arrivals_a.q), (2, arrivals_b.q), (4, p_d), (8, p_d)):
-        mark[_bernoulli_sites(rng, p, size)] |= bit
-    bins = np.flatnonzero(mark != 0)
-    code = mark[bins]
-    la, arr_a = arrivals_a.draw(rng, (code & 1) != 0)
-    lb, arr_b = arrivals_b.draw(rng, (code & 2) != 0)
+    bins = _bernoulli_sites(rng, candidates.rate, size)
+    row = _draw(candidates.rows, rng.random(bins.size))
     sa = rng.integers(0, m_slices, size=bins.size, dtype=np.int16)
     sb = rng.integers(0, m_slices, size=bins.size, dtype=np.int16)
 
-    # weight 1/2 + sqrt(ab) cos(phase) / (a + b) of the arriving intensities
-    a, b = arrivals_a.mean[:, None], arrivals_b.mean[None, :]
-    visibility = np.sqrt(a * b) / np.where(a + b > 0.0, a + b, 1.0)
-    pair = la.astype(np.intp) * kept_matrix.shape[1] + lb
     phase = (2.0 * math.pi / m_slices) * (sa - sb) + drift_per_bin * (start_idx + bins)
-    weight = np.clip(0.5 + visibility.ravel()[pair] * np.cos(phase), 0.0, 1.0)
-    n = arr_a + arr_b.astype(np.int64)
-    t, c = 1.0 - det.eta_d, 1.0 - p_d
-    p_left = c * ((weight + (1.0 - weight) * t) ** n - c * t**n)
-    p_right = c * ((1.0 - weight + weight * t) ** n - c * t**n)
-    u = rng.random(bins.size)
-    right = (u >= p_left) & (u < p_left + p_right)
-    single = (u < p_left) | right
-    # dark counts alone: single when exactly one detector fired
-    dark = np.flatnonzero((code & 3) == 0)
-    right[dark] = (code[dark] & 8) != 0
-    single[dark] = ((code[dark] & 4) != 0) != right[dark]
+    weight = np.clip(0.5 + candidates.visibility[row] * np.cos(phase), 0.0, 1.0)
+    n, quiet = candidates.photons[row], candidates.quiet[row]
+    t, c = 1.0 - det.eta_d, 1.0 - det.dark_prob(link.clock_hz)
+    p_left = c * ((weight + (1.0 - weight) * t) ** n - quiet)
+    p_right = c * ((1.0 - weight + weight * t) ** n - quiet)
+    u = rng.random(bins.size) * candidates.bound[row]
+    sel = np.flatnonzero(u < p_left + p_right)
 
-    sel = np.flatnonzero(single & kept_matrix.ravel()[pair])
-    la, lb = la[sel], lb[sel]
+    row = row[sel]
+    lost_a, lost_b = rng.poisson(candidates.lost_a[row]), rng.poisson(candidates.lost_b[row])
     return (
-        start_idx + bins[sel],
-        la,
-        lb,
-        sa[sel],
-        sb[sel],
-        (arr_a[sel] + rng.poisson(arrivals_a.lost[la])).astype(np.int16),
-        (arr_b[sel] + rng.poisson(arrivals_b.lost[lb])).astype(np.int16),
-        right[sel].astype(np.int8),  # 0 = left detector, 1 = right
+        start_idx + bins[sel], candidates.label_a[row], candidates.label_b[row], sa[sel], sb[sel],
+        (candidates.count_a[row] + lost_a).astype(np.int16),
+        (candidates.count_b[row] + lost_b).astype(np.int16),
+        (u[sel] >= p_left[sel]).astype(np.int8),  # 0 = left detector, 1 = right
     )
 
 
@@ -429,9 +431,10 @@ def simulate(
     Deterministic for fixed (seed, n_bins, chunk_bins), whatever the number
     of CPUs: each chunk of bins has its own random stream, and a thread pool
     with one worker per CPU draws the chunks, about that many in flight.
-    Within a chunk only the bins that can click are drawn (see
-    ``_click_chunk``): the work grows with the number of arrivals and dark
-    counts, not with the number of bins.
+    Within a chunk only candidate bins are drawn, thinned to the kept
+    single clicks by the row bounds of one ``_Candidates`` table (see
+    ``_click_chunk``): the work grows with the number of clicks, not with
+    the number of bins.
 
     Kept clicks pair greedily with their nearest successor: inside each
     maximal run of clicks whose successive gaps are at most the pairing
@@ -445,17 +448,13 @@ def simulate(
     # imported here, not with the module, so that the CLI starts without it
     from concurrent.futures import ThreadPoolExecutor
 
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
+    for name, value in (("n_bins", n_bins), ("chunk_bins", chunk_bins)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     labels = source.labels
     n_labels = len(labels)
-    arrivals_a = _Arrivals(source.intensities_a, source.probabilities_a, labels, link.eta_a)
-    arrivals_b = _Arrivals(source.intensities_b, source.probabilities_b, labels, link.eta_b)
     layout = source.layout
-    kept_matrix = np.zeros((n_labels, n_labels), dtype=bool)
-    for (la, lb) in layout.kept:
-        kept_matrix[labels.index(la), labels.index(lb)] = True
-    tables = (arrivals_a, arrivals_b, kept_matrix)
+    candidates = _Candidates(source, link, det)
 
     drift_per_bin = (2.0 * math.pi * link.laser_offset_hz + link.phase_drift_rad_per_s) / link.clock_hz
     n_chunks = (n_bins + chunk_bins - 1) // chunk_bins
@@ -466,7 +465,7 @@ def simulate(
     def clicks(chunk: int):
         size = min(chunk_bins, n_bins - chunk * chunk_bins)
         rng = np.random.default_rng(streams[chunk])
-        return _click_chunk(rng, size, chunk * chunk_bins, tables, link, det, drift_per_bin)
+        return _click_chunk(rng, size, chunk * chunk_bins, candidates, link, det, drift_per_bin)
 
     # party totals: canonical unordered label pair per party; a pair's group
     # is t_a * n_totals + t_b, the position of (total_a, total_b) in layout.groups

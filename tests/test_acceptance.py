@@ -201,7 +201,8 @@ ORACLE_CONFIGS = [
 def _oracle_setup(cfg):
     det = DetectorPair(0.8, cfg["dark_rate_hz"])
     link = ChannelLink(cfg["l_a"], cfg["l_b"], 0.16, clock_hz=1e9,
-                       phase_drift_rad_per_s=5.9e3, laser_offset_hz=10.0,
+                       phase_drift_rad_per_s=cfg.get("drift_rad_per_s", 5.9e3),
+                       laser_offset_hz=cfg.get("laser_offset_hz", 10.0),
                        interference_error=0.04, pairing_window_bins=2000.0,
                        phase_slices=cfg["phase_slices"])
     kwargs = dict(
@@ -215,46 +216,54 @@ def _oracle_setup(cfg):
     return SourceConfig.from_params(**kwargs), link, det
 
 
+def _oracle_failures(tag, cfg, seed):
+    """Checks (a) and (b) of Criterion 8 on one oracle run of 3e7 bins: the
+    names of the failed ones, each prefixed with ``tag``."""
+    failures = []
+    src, link, det = _oracle_setup(cfg)
+    run = simulate(src, link, det, 30_000_000, seed=seed)
+    obs = expected_observables(src, link, det, 3e7)
+    # (a) closed forms within five standard errors
+    if abs(run.n_pairs - obs.n_pairs) > 5.0 * math.sqrt(max(obs.n_pairs, 1.0)):
+        failures.append(f"{tag} pairs")
+    for key, expected in obs.counts.items():
+        if expected >= 25.0 and abs(run.counts[key] - expected) > 5.0 * math.sqrt(expected):
+            failures.append(f"{tag} count{key}")
+    if obs.m_x >= 25.0 and abs(run.m_x - obs.m_x) > 5.0 * math.sqrt(obs.m_x):
+        failures.append(f"{tag} m_x")
+    # (b) decoy bounds never beat ground truth (exact-statistics mode)
+    # by more than 5 sigma, where sigma combines the Poisson scatter of
+    # the truth with the delta-method scatter of the estimate, the
+    # rule validate-oracle applies
+    probs = pairing_probs(src, link.phase_slices)
+
+    def bounds(counts, m_x):
+        est = estimate(counts, m_x, src, link.phase_slices, eps=None)
+        return [est.s0_z_star, est.s11_z_star, est.t11_x,
+                xbasis_vacuum_errors_lower(counts, probs, src, None)]
+
+    counts = {k: float(v) for k, v in run.counts.items()}
+    (s0, s11, t11x, m0), sds = _delta_sd(bounds, counts, float(run.m_x))
+    groups = z_key_groups(src)
+    truths = [
+        sum(max(run.z_truth[g].a_vacuum, run.z_truth[g].b_vacuum) for g in groups),
+        sum(run.z_truth[g].single_photon_pairs for g in groups),
+        run.x_truth.single_photon_errors,
+        run.x_vacuum_errors,
+    ]
+    # signed distance past the truth, on the side each bound must not cross
+    excess = [s0 - truths[0], s11 - truths[1], truths[2] - t11x, m0 - truths[3]]
+    for name, d, truth, sd in zip(("s0", "s11z", "t11x", "m0"), excess, truths, sds):
+        if d > 5.0 * math.sqrt(max(truth, 1) + sd * sd):
+            failures.append(f"{tag} {name}")
+    return failures
+
+
 class TestCriterion8OracleSoundness:
     def test_suite(self):
         failures = []
         for idx, cfg in enumerate(ORACLE_CONFIGS):
-            src, link, det = _oracle_setup(cfg)
-            run = simulate(src, link, det, 30_000_000, seed=7 + idx)
-            obs = expected_observables(src, link, det, 3e7)
-            # (a) closed forms within five standard errors
-            if abs(run.n_pairs - obs.n_pairs) > 5.0 * math.sqrt(max(obs.n_pairs, 1.0)):
-                failures.append(f"cfg{idx} pairs")
-            for key, expected in obs.counts.items():
-                if expected >= 25.0 and abs(run.counts[key] - expected) > 5.0 * math.sqrt(expected):
-                    failures.append(f"cfg{idx} count{key}")
-            if obs.m_x >= 25.0 and abs(run.m_x - obs.m_x) > 5.0 * math.sqrt(obs.m_x):
-                failures.append(f"cfg{idx} m_x")
-            # (b) decoy bounds never beat ground truth (exact-statistics mode)
-            # by more than 5 sigma, where sigma combines the Poisson scatter of
-            # the truth with the delta-method scatter of the estimate, the
-            # rule validate-oracle applies
-            probs = pairing_probs(src, link.phase_slices)
-
-            def bounds(counts, m_x):
-                est = estimate(counts, m_x, src, link.phase_slices, eps=None)
-                return [est.s0_z_star, est.s11_z_star, est.t11_x,
-                        xbasis_vacuum_errors_lower(counts, probs, src, None)]
-
-            counts = {k: float(v) for k, v in run.counts.items()}
-            (s0, s11, t11x, m0), sds = _delta_sd(bounds, counts, float(run.m_x))
-            groups = z_key_groups(src)
-            truths = [
-                sum(max(run.z_truth[g].a_vacuum, run.z_truth[g].b_vacuum) for g in groups),
-                sum(run.z_truth[g].single_photon_pairs for g in groups),
-                run.x_truth.single_photon_errors,
-                run.x_vacuum_errors,
-            ]
-            # signed distance past the truth, on the side each bound must not cross
-            excess = [s0 - truths[0], s11 - truths[1], truths[2] - t11x, m0 - truths[3]]
-            for name, d, truth, sd in zip(("s0", "s11z", "t11x", "m0"), excess, truths, sds):
-                if d > 5.0 * math.sqrt(max(truth, 1) + sd * sd):
-                    failures.append(f"cfg{idx} {name}")
+            failures += _oracle_failures(f"cfg{idx}", cfg, seed=7 + idx)
 
         # (c) joint constraints dominate naive bounds on random combinations
         rng = np.random.default_rng(88)
@@ -284,6 +293,30 @@ class TestCriterion8OracleSoundness:
 
         ok = not failures
         report(8, "oracle soundness suite (3 cfg x 3e7 bins)", ok,
+               "all checks passed" if ok else f"failed: {failures}")
+        assert ok, failures
+
+
+# links Criterion 8 leaves out: a fast phase drift with a 100 Hz laser
+# offset, a 5/45 km split, and 60+60 km with 1e4 Hz darks
+MORE_ORACLE_CONFIGS = [
+    dict(l_a=20.0, l_b=20.0, dark_rate_hz=10.0, phase_slices=8, click_filtering=True,
+         mu=0.5, nu=0.15, p_mu=0.35, p_nu=0.35, omega=None, p_omega=None,
+         drift_rad_per_s=5.9e4, laser_offset_hz=100.0),
+    dict(l_a=5.0, l_b=45.0, dark_rate_hz=10.0, phase_slices=8, click_filtering=False,
+         mu=0.6, nu=0.2, p_mu=0.3, p_nu=0.4, omega=None, p_omega=None),
+    dict(l_a=60.0, l_b=60.0, dark_rate_hz=1e4, phase_slices=8, click_filtering=True,
+         mu=0.5, nu=0.15, p_mu=0.35, p_nu=0.35, omega=None, p_omega=None),
+]
+
+
+class TestOracleSoundnessMoreLinks:
+    def test_suite(self):
+        failures = []
+        for idx, cfg in enumerate(MORE_ORACLE_CONFIGS):
+            failures += _oracle_failures(f"cfg{idx}", cfg, seed=7 + idx)
+        ok = not failures
+        report(8, "oracle soundness on more links (3 cfg x 3e7 bins)", ok,
                "all checks passed" if ok else f"failed: {failures}")
         assert ok, failures
 

@@ -113,6 +113,19 @@ class TestSimulation:
         with pytest.raises(ValueError, match="n_bins"):
             simulate(SRC, LINK, DET, n_bins, seed=1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("chunk_bins", 0), ("chunk_bins", -5), ("chunk_bins", 1.5e5),
+        ("n_bins", 1e6), ("n_bins", "7"),
+    ])
+    def test_rejects_bad_sizes(self, name, value):
+        sizes = {"n_bins": 1000, "chunk_bins": 300, name: value}
+        with pytest.raises(ValueError, match=name):
+            simulate(SRC, LINK, DET, seed=1, **sizes)
+
+    def test_accepts_numpy_integers(self):
+        res = simulate(SRC, LINK, DET, np.int64(1000), seed=1, chunk_bins=np.int32(300))
+        assert res == simulate(SRC, LINK, DET, 1000, seed=1, chunk_bins=300)
+
     def test_deterministic_for_fixed_seed(self, run):
         again = simulate(SRC, LINK, DET, 2_000_000, seed=11)
         assert again.counts == run.counts
@@ -345,12 +358,8 @@ def whole_run_simulate(source, link, det, n_bins, seed, chunk_bins=1_000_000):
     tallies them in one pass.  The streaming oracle must equal it exactly."""
     labels = source.labels
     n_labels = len(labels)
-    arrivals_a = oracle._Arrivals(source.intensities_a, source.probabilities_a, labels, link.eta_a)
-    arrivals_b = oracle._Arrivals(source.intensities_b, source.probabilities_b, labels, link.eta_b)
     layout = source.layout
-    kept_matrix = np.zeros((n_labels, n_labels), dtype=bool)
-    for (la, lb) in layout.kept:
-        kept_matrix[labels.index(la), labels.index(lb)] = True
+    tables = oracle._Candidates(source, link, det)
 
     drift_per_bin = (2.0 * math.pi * link.laser_offset_hz + link.phase_drift_rad_per_s) / link.clock_hz
     n_chunks = (n_bins + chunk_bins - 1) // chunk_bins
@@ -359,7 +368,6 @@ def whole_run_simulate(source, link, det, n_bins, seed, chunk_bins=1_000_000):
     posterior_rng = np.random.default_rng(streams[-1])
 
     fields = [[] for _ in range(8)]
-    tables = (arrivals_a, arrivals_b, kept_matrix)
     for chunk in range(n_chunks):
         size = min(chunk_bins, n_bins - chunk * chunk_bins)
         rng = np.random.default_rng(streams[chunk])
@@ -518,54 +526,65 @@ GOLDEN_SRC = SourceConfig.from_params(
     click_filtering=True,
 )
 GOLDEN_COUNTS = {
-    (("mu", "mu"), ("mu", "mu")): 607, (("mu", "mu"), ("mu", "o")): 1865,
-    (("mu", "mu"), ("o", "o")): 396, (("mu", "omega"), ("mu", "omega")): 719,
-    (("mu", "omega"), ("mu", "o")): 514, (("mu", "omega"), ("omega", "o")): 309,
-    (("mu", "omega"), ("o", "o")): 196, (("mu", "nu"), ("mu", "nu")): 1686,
-    (("mu", "nu"), ("mu", "o")): 420, (("mu", "nu"), ("nu", "o")): 665,
-    (("mu", "nu"), ("o", "o")): 181, (("mu", "o"), ("mu", "mu")): 2089,
-    (("mu", "o"), ("mu", "omega")): 544, (("mu", "o"), ("mu", "nu")): 811,
-    (("mu", "o"), ("mu", "o")): 836, (("mu", "o"), ("omega", "o")): 224,
-    (("mu", "o"), ("nu", "o")): 345, (("omega", "omega"), ("omega", "omega")): 7,
-    (("omega", "omega"), ("omega", "o")): 83, (("omega", "omega"), ("o", "o")): 17,
-    (("omega", "nu"), ("omega", "nu")): 271, (("omega", "nu"), ("omega", "o")): 61,
-    (("omega", "nu"), ("nu", "o")): 195, (("omega", "nu"), ("o", "o")): 51,
-    (("omega", "o"), ("mu", "omega")): 275, (("omega", "o"), ("mu", "o")): 242,
-    (("omega", "o"), ("omega", "omega")): 97, (("omega", "o"), ("omega", "nu")): 130,
-    (("omega", "o"), ("omega", "o")): 71, (("omega", "o"), ("nu", "o")): 103,
-    (("nu", "nu"), ("nu", "nu")): 72, (("nu", "nu"), ("nu", "o")): 188,
-    (("nu", "nu"), ("o", "o")): 24, (("nu", "o"), ("mu", "nu")): 726,
-    (("nu", "o"), ("mu", "o")): 203, (("nu", "o"), ("omega", "nu")): 198,
-    (("nu", "o"), ("omega", "o")): 43, (("nu", "o"), ("nu", "nu")): 290,
-    (("nu", "o"), ("nu", "o")): 67, (("o", "o"), ("mu", "mu")): 443,
-    (("o", "o"), ("mu", "omega")): 221, (("o", "o"), ("mu", "nu")): 391,
-    (("o", "o"), ("mu", "o")): 1, (("o", "o"), ("omega", "omega")): 27,
-    (("o", "o"), ("omega", "nu")): 104, (("o", "o"), ("nu", "nu")): 55,
+    (("mu", "mu"), ("mu", "mu")): 622, (("mu", "mu"), ("mu", "o")): 1925,
+    (("mu", "mu"), ("o", "o")): 403, (("mu", "omega"), ("mu", "omega")): 715,
+    (("mu", "omega"), ("mu", "o")): 521, (("mu", "omega"), ("omega", "o")): 261,
+    (("mu", "omega"), ("o", "o")): 236, (("mu", "nu"), ("mu", "nu")): 1713,
+    (("mu", "nu"), ("mu", "o")): 468, (("mu", "nu"), ("nu", "o")): 684,
+    (("mu", "nu"), ("o", "o")): 179, (("mu", "o"), ("mu", "mu")): 2047,
+    (("mu", "o"), ("mu", "omega")): 536, (("mu", "o"), ("mu", "nu")): 780,
+    (("mu", "o"), ("mu", "o")): 847, (("mu", "o"), ("omega", "o")): 200,
+    (("mu", "o"), ("nu", "o")): 307, (("omega", "omega"), ("omega", "omega")): 8,
+    (("omega", "omega"), ("omega", "o")): 70, (("omega", "omega"), ("o", "o")): 36,
+    (("omega", "nu"), ("omega", "nu")): 236, (("omega", "nu"), ("omega", "o")): 75,
+    (("omega", "nu"), ("nu", "o")): 189, (("omega", "nu"), ("o", "o")): 43,
+    (("omega", "o"), ("mu", "omega")): 261, (("omega", "o"), ("mu", "o")): 235,
+    (("omega", "o"), ("omega", "omega")): 84, (("omega", "o"), ("omega", "nu")): 106,
+    (("omega", "o"), ("omega", "o")): 63, (("omega", "o"), ("nu", "o")): 78,
+    (("omega", "o"), ("o", "o")): 1, (("nu", "nu"), ("nu", "nu")): 69,
+    (("nu", "nu"), ("nu", "o")): 159, (("nu", "nu"), ("o", "o")): 27,
+    (("nu", "o"), ("mu", "nu")): 776, (("nu", "o"), ("mu", "o")): 200,
+    (("nu", "o"), ("omega", "nu")): 183, (("nu", "o"), ("omega", "o")): 53,
+    (("nu", "o"), ("nu", "nu")): 274, (("nu", "o"), ("nu", "o")): 93,
+    (("o", "o"), ("mu", "mu")): 455, (("o", "o"), ("mu", "omega")): 246,
+    (("o", "o"), ("mu", "nu")): 348, (("o", "o"), ("mu", "o")): 1,
+    (("o", "o"), ("omega", "omega")): 32, (("o", "o"), ("omega", "nu")): 87,
+    (("o", "o"), ("nu", "nu")): 58,
 }
 # (count, errors, a_vacuum, b_vacuum, single_photon_pairs, single_photon_errors)
 GOLDEN_Z_TRUTH = {
-    (("mu", "o"), ("mu", "o")): (836, 1, 0, 1, 382, 0),
-    (("mu", "o"), ("omega", "o")): (224, 0, 0, 0, 131, 0),
-    (("mu", "o"), ("nu", "o")): (345, 0, 1, 0, 211, 0),
-    (("omega", "o"), ("mu", "o")): (242, 0, 0, 0, 134, 0),
-    (("omega", "o"), ("omega", "o")): (71, 0, 0, 0, 55, 0),
-    (("omega", "o"), ("nu", "o")): (103, 0, 0, 0, 75, 0),
-    (("nu", "o"), ("mu", "o")): (203, 0, 0, 1, 142, 0),
-    (("nu", "o"), ("omega", "o")): (43, 0, 0, 1, 29, 0),
-    (("nu", "o"), ("nu", "o")): (67, 4, 3, 0, 56, 1),
+    (("mu", "o"), ("mu", "o")): (847, 1, 0, 1, 447, 0),
+    (("mu", "o"), ("omega", "o")): (200, 0, 0, 0, 112, 0),
+    (("mu", "o"), ("nu", "o")): (307, 0, 1, 0, 198, 0),
+    (("omega", "o"), ("mu", "o")): (235, 0, 2, 0, 143, 0),
+    (("omega", "o"), ("omega", "o")): (63, 0, 0, 0, 44, 0),
+    (("omega", "o"), ("nu", "o")): (78, 0, 0, 0, 56, 0),
+    (("nu", "o"), ("mu", "o")): (200, 0, 2, 0, 123, 0),
+    (("nu", "o"), ("omega", "o")): (53, 0, 0, 0, 39, 0),
+    (("nu", "o"), ("nu", "o")): (93, 0, 0, 0, 80, 0),
 }
 
 
 def test_random_stream_is_pinned():
     res = simulate(GOLDEN_SRC, GOLDEN_LINK, GOLDEN_DET, 400_000, seed=21, chunk_bins=150_000)
-    assert (res.n_clicks, res.n_pairs) == (38331, 19165)
+    assert (res.n_clicks, res.n_pairs) == (38160, 19080)
     assert {k: v for k, v in res.counts.items() if v} == GOLDEN_COUNTS
-    assert (res.m_x, res.x_matched) == (17, 72)
+    assert (res.m_x, res.x_matched) == (15, 69)
     assert res.x_truth == GroupTruth(
-        count=72, errors=17, single_photon_pairs=26, single_photon_errors=0
+        count=69, errors=15, single_photon_pairs=22, single_photon_errors=0
     )
-    assert (res.x_vacuum, res.x_vacuum_errors) == (31, 15)
+    assert (res.x_vacuum, res.x_vacuum_errors) == (31, 14)
     assert {k: tuple(vars(g).values()) for k, g in res.z_truth.items()} == GOLDEN_Z_TRUTH
+
+
+# mu near 3 on a short link: most candidate bins carry n >= 2 photons,
+# where the click bound B(n) is loose and the thinning rejects
+BRIGHT_LINK = replace(GOLDEN_LINK, length_a_km=2.0, length_b_km=3.0)
+BRIGHT_SRC = SourceConfig.from_params(
+    mu_a=3.0, nu_a=0.6, p_mu_a=0.3, p_nu_a=0.3,
+    mu_b=2.8, nu_b=0.5, p_mu_b=0.3, p_nu_b=0.35,
+    click_filtering=True,
+)
 
 
 def tallies(res, groups):
@@ -616,32 +635,29 @@ class TestEventSampler:
             z = (a.mean() - b.mean()) / math.sqrt(max(var, 1.0) / k)
             assert abs(z) <= 5.0, (name, a.mean(), b.mean())
 
-    def test_arrival_table_is_the_poisson_mixture(self):
-        # each (label, count) row carries p_l Poisson(n; eta k_l) / q, and the
-        # rows of a label stop at a tail below 1e-16 of q
-        import mpmath
+    def test_matches_per_bin_sampler_bright(self, monkeypatch):
+        # the bright source with 1e5 Hz darks, where B(n) is loose
+        src, link = BRIGHT_SRC, BRIGHT_LINK
+        candidates = oracle._Candidates(src, link, GOLDEN_DET)
+        loose = np.diff(candidates.rows[0], prepend=0.0)[candidates.photons >= 2].sum()
+        assert loose > 0.5
+        n_bins = 200_000
+        obs = expected_observables(src, link, GOLDEN_DET, float(n_bins))
+        groups = [g for g, expected in obs.counts.items() if expected >= 25.0]
 
-        labels, eta = ("mu", "nu", "o"), 0.5
-        probabilities = {"mu": 0.3, "nu": 0.5, "o": 0.2}
-        caps = []
-        for mu in (1e-3, 0.3, 3.0, 30.0):
-            intensities = {"mu": mu, "nu": mu / 4.0, "o": 0.0}
-            arrivals = oracle._Arrivals(intensities, probabilities, labels, eta)
-            q = sum(probabilities[l] * -math.expm1(-eta * intensities[l]) for l in labels)
-            assert arrivals.q == pytest.approx(q, rel=1e-15)
-            weights = np.diff(arrivals.arrival[0], prepend=0.0)
-            for l, n, w in zip(arrivals.label, arrivals.count, weights):
-                m = eta * intensities[labels[l]]
-                want = probabilities[labels[l]] * math.exp(-m) * m ** int(n) / math.factorial(int(n)) / q
-                assert w == pytest.approx(want, rel=1e-9, abs=1e-15)
-            for l in (0, 1):
-                cap = int(arrivals.count[arrivals.label == l].max())
-                m = eta * intensities[labels[l]]
-                tail = float(mpmath.gammainc(cap + 1, 0, m, regularized=True))
-                assert probabilities[labels[l]] * tail < 1e-16 * q
-            assert 2 not in arrivals.label  # the vacuum label never arrives
-            caps.append(int(arrivals.count.max()))
-        assert caps == sorted(caps) and caps[0] < caps[-1]
+        def runs():
+            return [tallies(simulate(src, link, GOLDEN_DET, n_bins, seed=s), groups)
+                    for s in self.SEEDS]
+
+        event = runs()
+        monkeypatch.setattr(oracle, "_click_chunk", per_bin_sampler(src))
+        per_bin = runs()
+        for name in event[0]:
+            a = np.array([r[name] for r in event], dtype=float)
+            b = np.array([r[name] for r in per_bin], dtype=float)
+            var = max(a.var(ddof=1), a.mean()) + max(b.var(ddof=1), b.mean())
+            z = (a.mean() - b.mean()) / math.sqrt(max(var, 1.0) / len(self.SEEDS))
+            assert abs(z) <= 5.0, (name, a.mean(), b.mean())
 
     def test_guided_draw_is_searchsorted(self):
         rng = np.random.default_rng(9)
@@ -730,6 +746,121 @@ class TestEventSampler:
         assert abs(per_chunk[-1] - expected) <= 5.0 * math.sqrt(expected)
         again = simulate(SRC, LINK, DET, n_bins, seed=6, chunk_bins=chunk)
         assert (again.counts, again.x_truth) == (res.counts, res.x_truth)
+
+
+def single_click_prob(n, w, eta_d, p_d):
+    """P(exactly one detector clicks) with n photons routed left with weight
+    w, summed over the binomial routing term by term."""
+    c, t = 1.0 - p_d, 1.0 - eta_d
+    return sum(
+        math.comb(n, k) * w**k * (1.0 - w) ** (n - k)
+        * ((1.0 - c * t**k) * c * t ** (n - k) + (1.0 - c * t ** (n - k)) * c * t**k)
+        for k in range(n + 1)
+    )
+
+
+class TestCandidateTable:
+    LABELS = ("mu", "nu", "o")
+    PROBABILITIES = {"mu": 0.3, "nu": 0.5, "o": 0.2}
+    CASES = {
+        "filtering": (SRC, LINK, DET),
+        "four-intensity": (GOLDEN_SRC, GOLDEN_LINK, GOLDEN_DET),
+        "bright-no-filtering": (replace(BRIGHT_SRC, click_filtering=False), BRIGHT_LINK,
+                                DetectorPair(0.6, 1e5)),
+        "no-darks": (SRC, LINK, DetectorPair(0.8, 0.0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_row_weight_is_prior_times_bound(self, case):
+        # each row carries P_a(l_a, n_a) P_b(l_b, n_b) B(n) / rate, to 1e-15
+        # (the rounding of the cdf steps) against 30 digits, and rate is the
+        # closed-form sum over all n: E[t**N] = exp(-m (1 - t)) for Poisson N
+        # of mean m
+        import mpmath
+
+        src, link, det = self.CASES[case]
+        table = oracle._Candidates(src, link, det)
+        labels = src.labels
+        weights = np.diff(table.rows[0], prepend=0.0)
+        with mpmath.workdps(30):
+            p_d = mpmath.mpf(det.dark_prob(link.clock_hz))
+            c, t = 1 - p_d, 1 - mpmath.mpf(det.eta_d)
+
+            def prior(intensities, probabilities, eta, l, n):
+                m = mpmath.mpf(eta) * intensities[labels[l]]
+                return probabilities[labels[l]] * mpmath.exp(-m) * m**n / mpmath.factorial(n)
+
+            want = []
+            for la, na, lb, nb in zip(table.label_a, table.count_a, table.label_b, table.count_b):
+                assert (labels[la], labels[lb]) in src.layout.kept
+                n = int(na) + int(nb)
+                want.append(
+                    prior(src.intensities_a, src.probabilities_a, link.eta_a, la, int(na))
+                    * prior(src.intensities_b, src.probabilities_b, link.eta_b, lb, int(nb))
+                    * c * (1 + t**n - 2 * c * t**n)
+                )
+            total = mpmath.fsum(want)
+            for got, w in zip(weights, want):
+                assert got == pytest.approx(float(w / total), rel=1e-12, abs=1e-15)
+            mean_a = {l: link.eta_a * k for l, k in src.intensities_a.items()}
+            mean_b = {l: link.eta_b * k for l, k in src.intensities_b.items()}
+            closed = mpmath.fsum(
+                src.probabilities_a[la] * src.probabilities_b[lb]
+                * c * (1 + (1 - 2 * c) * mpmath.exp(-(1 - t) * (mean_a[la] + mean_b[lb])))
+                for la, lb in src.layout.kept
+            )
+            assert table.rate == pytest.approx(float(closed), rel=1e-13)
+            assert table.rate == pytest.approx(float(total), rel=1e-13)
+
+    def test_party_tail_is_cut_below_1e_16(self):
+        # a label's rows run n = 0, 1, ..., cap and stop at a Poisson tail
+        # below 1e-16 of the party's P(n >= 1)
+        import mpmath
+
+        eta = 0.5
+        caps = []
+        for mu in (1e-3, 0.3, 3.0, 30.0):
+            intensities = {"mu": mu, "nu": mu / 4.0, "o": 0.0}
+            label, count, _, mean, lost = oracle._party_rows(
+                intensities, self.PROBABILITIES, self.LABELS, eta
+            )
+            q = sum(self.PROBABILITIES[l] * -math.expm1(-eta * intensities[l]) for l in self.LABELS)
+            for l, name in enumerate(self.LABELS):
+                m = eta * intensities[name]
+                assert (mean[l], lost[l]) == (m, (1.0 - eta) * intensities[name])
+                cap = int(count[label == l].max())
+                assert count[label == l].tolist() == list(range(cap + 1))
+                tail = float(mpmath.gammainc(cap + 1, 0, m, regularized=True))
+                assert self.PROBABILITIES[name] * tail < 1e-16 * q
+            assert count[label == 2].tolist() == [0]  # the vacuum label never arrives
+            caps.append(int(count.max()))
+        assert caps == sorted(caps) and caps[0] < caps[-1]
+
+    @pytest.mark.parametrize("eta_d, dark_hz", [(0.8, 1e5), (0.3, 10.0), (1.0, 1e6), (0.8, 0.0)])
+    def test_bound_is_the_largest_single_click_prob(self, eta_d, dark_hz):
+        # B(n) >= P(left) + P(right) for every w, with equality at w = 0 and
+        # w = 1, for every n in the table
+        det = DetectorPair(eta_d, dark_hz)
+        table = oracle._Candidates(BRIGHT_SRC, BRIGHT_LINK, det)
+        p_d = det.dark_prob(BRIGHT_LINK.clock_hz)
+        bounds = dict(zip(table.photons.astype(int).tolist(), table.bound.tolist()))
+        assert max(bounds) >= 10
+        for n, bound in bounds.items():
+            probs = [single_click_prob(n, w, eta_d, p_d) for w in np.linspace(0.0, 1.0, 41)]
+            assert max(probs) <= bound * (1.0 + 1e-13)
+            assert probs[0] == pytest.approx(bound, rel=1e-13)
+            assert probs[-1] == pytest.approx(bound, rel=1e-13)
+
+    def test_empty_without_arrivals_or_darks(self):
+        dark_link = ChannelLink(400.0, 400.0, 10.0, clock_hz=1e9, phase_slices=8)
+        det = DetectorPair(0.8, 0.0)
+        table = oracle._Candidates(SRC, dark_link, det)
+        assert table.rate == 0.0 and table.bound.size == 0
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        parts = oracle._click_chunk(rng, 100_000, 0, table, dark_link, det, 0.0)
+        assert all(p.size == 0 for p in parts)
+        assert rng.bit_generator.state == state  # nothing is drawn
 
 
 class TestStreaming:

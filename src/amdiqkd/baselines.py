@@ -16,9 +16,10 @@ branches on a value: ``where``, ``maximum`` and ``minimum`` stand for the
 branches, and a branch that the result does not use is worked out on
 placeholder values.
 ``mdi_key_rate``, ``bb84_key_rate`` and the observables run the bodies on
-floats.  ``mdi_rate_batch`` and ``bb84_rate_batch`` give the rate per pulse of
-many parameter sets at once; they live in :mod:`amdiqkd.batch`, which loads
-on first use.
+floats.  ``mdi_rate_batch`` and ``bb84_rate_batch``, beside them, give the
+rate per pulse of many parameter sets at once: they read the same flat keys
+into the same ``SourceConfig`` and ``Bb84Params``, holding (B,) columns, and
+import ``amdiqkd.batch`` on their first call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import ChannelLink, DetectorPair, SourceConfig, validate_party
+from .channel import (LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig, _require,
+                      validate_party)
 from .stats import FLOATS
 
 __all__ = [
@@ -42,9 +44,6 @@ __all__ = [
     "mdi_rate_batch",
     "bb84_rate_batch",
 ]
-
-LEVELS = ("mu", "omega", "nu", "o")
-
 
 # ---------------------------------------------------------------------------
 # time-bin MDI-QKD
@@ -105,8 +104,8 @@ def mdi_observables(
         raise ValueError("the time-bin MDI baseline needs four intensities")
     device = _mdi_device(link, det, n_pulses)
     n_z, m_z, n_x, m_x = {}, {}, {}, {}
-    for ka_lab in LEVELS:
-        for kb_lab in LEVELS:
+    for ka_lab in LABEL_ORDER:
+        for kb_lab in LABEL_ORDER:
             key = (ka_lab, kb_lab)
             n_z[key], m_z[key], n_x[key], m_x[key] = _mdi_pair_counts(
                 FLOATS, source.intensities_a[ka_lab], source.intensities_b[kb_lab],
@@ -239,6 +238,26 @@ def _mdi_key(ops, obs: MdiObservables, source, n_pulses: float, eps: float,
     }
 
 
+def mdi_rate_batch(columns: Mapping[str, np.ndarray], link: ChannelLink, det: DetectorPair,
+                   n_pulses: float, eps: float, error_correction_f: float = 1.1) -> np.ndarray:
+    """``mdi_key_rate(...)["rate_per_pulse"]`` for every row of ``columns``,
+    the flat four-intensity keys of ``SourceConfig.from_params`` as (B,) columns."""
+    from .batch import COLUMNS, by_pair, stacked
+
+    source = SourceConfig.from_params(**columns)
+    if not source.four_intensity:
+        raise ValueError("the time-bin MDI baseline needs four intensities")
+    device = _mdi_device(link, det, n_pulses)
+    # the level-pair counts of all 4 x 4 pairs at once, as (B, 4, 4) tables
+    labels = source.labels
+    k_a, k_b = stacked(source.intensities_a, labels), stacked(source.intensities_b, labels)
+    p_a, p_b = stacked(source.probabilities_a, labels), stacked(source.probabilities_b, labels)
+    tables = _mdi_pair_counts(COLUMNS, k_a[:, :, None], k_b[:, None, :], p_a[:, :, None],
+                              p_b[:, None, :], device)
+    obs = MdiObservables(*(by_pair(table, labels) for table in tables), n_pairs=device[0])
+    return _mdi_key(COLUMNS, obs, source, n_pulses, eps, error_correction_f)["rate_per_pulse"]
+
+
 # ---------------------------------------------------------------------------
 # decoy-state BB84
 # ---------------------------------------------------------------------------
@@ -246,7 +265,11 @@ def _mdi_key(ops, obs: MdiObservables, source, n_pulses: float, eps: float,
 @dataclass(frozen=True)
 class Bb84Params:
     """Four-intensity decoy-state BB84 over the whole fibre of ``link``
-    (``link.total_km``) into a lossy receiver with the detectors ``det``."""
+    (``link.total_km``) into a lossy receiver with the detectors ``det``.
+
+    The levels, probabilities and ``q_z`` are floats (one candidate) or (B,)
+    columns (a batch), checked as ``SourceConfig`` checks its own.
+    """
 
     intensities: Mapping[str, float]
     probs: Mapping[str, float]
@@ -260,21 +283,29 @@ class Bb84Params:
         validate_party(self.intensities, self.probs)
         if "omega" not in self.intensities:
             raise ValueError("decoy-state BB84 needs an 'omega' level")
-        if not 0.0 < self.q_z < 1.0:
-            raise ValueError("q_z must be in (0, 1)")
+        _require((self.q_z > 0.0) & (self.q_z < 1.0), "q_z must be in (0, 1)",
+                 {"q_z": self.q_z})
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, float], link: ChannelLink,
+                    det: DetectorPair) -> "Bb84Params":
+        """The side-a levels ``mu_a, omega_a, nu_a``, their ``p_*_a`` and
+        ``q_z`` of ``params``, floats or (B,) columns; the vacuum probability
+        is what the three send probabilities leave, added mu, omega, nu."""
+        ints = {"mu": params["mu_a"], "omega": params["omega_a"], "nu": params["nu_a"], "o": 0.0}
+        probs = {"mu": params["p_mu_a"], "omega": params["p_omega_a"], "nu": params["p_nu_a"]}
+        probs["o"] = 1.0 - (probs["mu"] + probs["omega"] + probs["nu"])
+        return cls(ints, probs, link, det, q_z=params["q_z"])
 
     @property
     def eta(self) -> float:
-        return _receiver_eta(self.link, self.det, self.insert_loss_db)
+        """Receiver transmittance: fibre, insertion loss and detector efficiency."""
+        loss_db = self.link.attenuation_db_per_km * self.link.total_km + self.insert_loss_db
+        return self.det.eta_d * 10.0 ** (-loss_db / 10.0)
 
     @property
     def dark_prob(self) -> float:
         return self.det.dark_prob(self.link.clock_hz)
-
-
-def _receiver_eta(link: ChannelLink, det: DetectorPair, insert_loss_db: float) -> float:
-    loss_db = link.attenuation_db_per_km * link.total_km + insert_loss_db
-    return det.eta_d * 10.0 ** (-loss_db / 10.0)
 
 
 @dataclass
@@ -305,7 +336,7 @@ def _bb84_observables(ops, intensities, probs, q_z, eta: float, p_d: float, e_m:
     dark_mean = -ops.log1p(-p_d)
     dark_click = ops.no_click(dark_mean, p_d)[1]
     n_z, m_z, n_x, m_x = {}, {}, {}, {}
-    for lab in LEVELS:
+    for lab in LABEL_ORDER:
         k = intensities[lab]
         weight = n_pulses * probs[lab] / 2.0
         miss_z, click_z = ops.no_click(k * q_z * eta + dark_mean, p_d)
@@ -332,7 +363,7 @@ def bb84_oracle(params: Bb84Params, n_pulses: int, seed: int) -> dict:
     Returns observed counts plus ground-truth single-photon tallies.
     """
     rng = np.random.default_rng(seed)
-    labels = list(LEVELS)
+    labels = list(LABEL_ORDER)
     probs = np.array([params.probs[l] for l in labels])
     intensities = np.array([params.intensities[l] for l in labels])
     eta = params.eta
@@ -380,6 +411,19 @@ def bb84_key_rate(params: Bb84Params, n_pulses: float, eps: float,
     obs = bb84_observables(params, n_pulses)
     return _bb84_key(FLOATS, obs, params.intensities, params.probs, n_pulses, eps,
                      error_correction_f)
+
+
+def bb84_rate_batch(columns: Mapping[str, np.ndarray], link: ChannelLink, det: DetectorPair,
+                    n_pulses: float, eps: float, error_correction_f: float = 1.1) -> np.ndarray:
+    """``bb84_key_rate(...)["rate_per_pulse"]`` for every row of ``columns``,
+    the keys of ``Bb84Params.from_params`` as (B,) columns."""
+    from .batch import COLUMNS
+
+    params = Bb84Params.from_params(columns, link, det)
+    obs = _bb84_observables(COLUMNS, params.intensities, params.probs, params.q_z, params.eta,
+                            params.dark_prob, params.misalignment, n_pulses)
+    return _bb84_key(COLUMNS, obs, params.intensities, params.probs, n_pulses, eps,
+                     error_correction_f)["rate_per_pulse"]
 
 
 def _bb84_key(ops, obs: Bb84Observables, intensities, probs, n_pulses: float, eps: float,
@@ -444,11 +488,3 @@ def _bb84_key(ops, obs: Bb84Observables, intensities, probs, n_pulses: float, ep
         "qber_z": qber,
     }
 
-
-def __getattr__(name: str):
-    # the batch forms compile on first use, not when amdiqkd is imported
-    if name in ("mdi_rate_batch", "bb84_rate_batch"):
-        from . import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

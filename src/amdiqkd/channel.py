@@ -22,10 +22,12 @@ phase-sifted groups) has one owner, :class:`GroupLayout`, built once per
 
 The observables are written once, as bodies that take an operations namespace
 first (see :mod:`amdiqkd.decoy`): the public functions run them on
-:data:`amdiqkd.stats.FLOATS`, and ``amdiqkd.batch.rate_batch`` on numpy
+:data:`amdiqkd.stats.FLOATS`, and ``amdiqkd.keyrate.rate_batch`` on numpy
 columns, one row per source setting, with the click table as a
 {label pair: column} dict.  So a body never branches on a value; where a
 public function returns early, the body works on placeholder values.
+:class:`SourceConfig` holds either form, floats for one candidate or (B,)
+columns for a batch, and :func:`validate_party` checks both.
 
 Every phase average is an exact I0 closed form, accurate to rounding on long
 links; ``pair_gain_phase`` is the phase-resolved model it averages.  An
@@ -149,30 +151,45 @@ class ChannelLink:
         return t_mean_s * (2.0 * math.pi * self.laser_offset_hz + self.phase_drift_rad_per_s)
 
 
+def _require(ok, message: str, *shown: Mapping) -> None:
+    """Raise ValueError(message) unless ``ok`` holds: a bool, or a (B,) column
+    of them that must hold on every row.  The message ends with the values of
+    the ``shown`` mappings; for columns it names the first failing candidate
+    and shows that row."""
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        bad = int(np.argmin(ok))
+        message = f"candidate {bad}: {message}"
+        shown = [{k: np.broadcast_to(v, ok.shape)[bad] for k, v in m.items()} for m in shown]
+    elif ok:
+        return
+    got = ", ".join(str({k: float(v) for k, v in m.items()}) for m in shown)
+    raise ValueError(f"{message}, got {got}" if shown else message)
+
+
 def validate_party(intensities: Mapping[str, float], probabilities: Mapping[str, float]) -> None:
     """Reject one party's levels unless inf > mu > (omega >) nu > o = 0 with
-    send probabilities in (0, 1) that sum to one."""
-    if set(intensities) != set(probabilities):
-        raise ValueError("intensity and probability labels differ")
+    send probabilities in (0, 1) that sum to one.
+
+    The levels and probabilities are floats or (B,) columns, one row per
+    candidate; every row must pass.
+    """
     labels = set(intensities)
-    if "o" not in labels or "mu" not in labels or "nu" not in labels:
-        raise ValueError("labels must include 'mu', 'nu' and 'o'")
-    if not labels <= set(LABEL_ORDER):
-        raise ValueError(f"unknown labels {labels - set(LABEL_ORDER)}")
-    if intensities["o"] != 0.0:
-        raise ValueError("'o' must have zero intensity")
+    if labels != set(probabilities) or not {"mu", "nu", "o"} <= labels <= set(LABEL_ORDER):
+        raise ValueError(f"levels and probabilities must both have the labels mu, nu, o and "
+                         f"optionally omega, got {sorted(intensities)}, {sorted(probabilities)}")
     ordered = [intensities[l] for l in LABEL_ORDER if l in labels]
-    if not all(math.inf > a > b for a, b in zip(ordered, ordered[1:])):
-        raise ValueError(
-            f"intensities must be finite and strictly decreasing mu > (omega >) nu > o, "
-            f"got {dict(intensities)}"
-        )
-    for l, p in probabilities.items():
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"probability of '{l}' must be in (0, 1), got {p!r}")
-    total = sum(probabilities.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {total!r}")
+    ok = ordered[-1] == 0.0
+    for hi, lo in zip(ordered, ordered[1:]):
+        ok = ok & (hi > lo) & (hi < math.inf)
+    total = 0.0
+    for p in probabilities.values():
+        ok = ok & (p > 0.0) & (p < 1.0)
+        total = total + p
+    ok = ok & (abs(total - 1.0) <= 1e-9)
+    _require(ok, "intensities must be finite and strictly decreasing mu > (omega >) nu > o = 0 "
+             "and probabilities in (0, 1) must sum to 1", intensities, probabilities)
 
 
 @dataclass(frozen=True)
@@ -182,7 +199,9 @@ class SourceConfig:
     Three-intensity operation uses labels {mu, nu, o}; adding "omega" on both
     sides selects the four-intensity variant.  With ``click_filtering`` on,
     single-bin clicks where the two parties used different non-vacuum levels
-    are discarded before pairing.
+    are discarded before pairing.  The levels and probabilities are floats
+    (one candidate) or (B,) columns (a batch, one row per candidate), each
+    checked by :func:`validate_party`.
     """
 
     intensities_a: Mapping[str, float]
@@ -236,15 +255,20 @@ class SourceConfig:
         p_omega_b: float | None = None,
         click_filtering: bool = True,
     ) -> "SourceConfig":
-        """Build a config from flat parameters; vacuum probability is derived."""
+        """Build a config from flat parameters, floats or (B,) columns; the
+        vacuum probability is what the send probabilities leave, added left to
+        right."""
 
         def party(mu, nu, p_mu, p_nu, omega, p_omega):
-            ints = {"mu": mu, "nu": nu, "o": 0.0}
+            zero = np.zeros_like(mu) if isinstance(mu, np.ndarray) else 0.0
+            ints = {"mu": mu, "nu": nu, "o": zero}
             probs = {"mu": p_mu, "nu": p_nu}
+            total = p_mu + p_nu
             if omega is not None:
                 ints["omega"] = omega
                 probs["omega"] = p_omega
-            probs["o"] = 1.0 - sum(probs.values())
+                total = total + p_omega
+            probs["o"] = 1.0 - total
             return ints, probs
 
         ia, pa = party(mu_a, nu_a, p_mu_a, p_nu_a, omega_a, p_omega_a)
@@ -422,9 +446,7 @@ def pairing_statistics(n_pulses: float, q_tot: float, link: ChannelLink) -> tupl
 def _pairing_statistics(ops, n_pulses: float, q_tot, window, clock_hz: float):
     if not 0.0 < n_pulses < math.inf:
         raise ValueError(f"n_pulses must be finite and positive, got {n_pulses!r}")
-    ok = (q_tot >= 0.0) & (q_tot < 1.0)
-    if not ops.all(ok):
-        raise ValueError(f"q_tot must be in [0, 1), got {float(np.ravel(q_tot)[np.argmin(ok)])!r}")
+    _require((q_tot >= 0.0) & (q_tot < 1.0), "q_tot must be in [0, 1)", {"q_tot": q_tot})
     live = q_tot > 0.0
     q = ops.where(live, q_tot, 0.5)
     # P(next click within the window) = 1 - (1 - q_tot)^window

@@ -23,7 +23,7 @@ import yaml
 
 from . import scenario as sc
 from .channel import SourceConfig
-from .keyrate import ProtocolVariant, evaluate
+from .keyrate import _SOURCE_KEYS, ProtocolVariant, evaluate
 from .oracle import simulate
 
 __all__ = ["main"]
@@ -40,10 +40,14 @@ _OPTIMIZE_KEYS = {
     "preset", "l_a_km", "l_b_km", "n_pulses", "variant", "budget", "seed",
     "optimize_pairing_window",
 }
-_PARAM_KEYS = {
-    "mu_a", "nu_a", "omega_a", "p_mu_a", "p_nu_a", "p_omega_a",
-    "mu_b", "nu_b", "omega_b", "p_mu_b", "p_nu_b", "p_omega_b", "tc_bins",
-}
+_PARAM_KEYS = {*_SOURCE_KEYS[True], "tc_bins"}
+
+
+def _yaml(text: str, what: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{what} is not valid YAML: {exc}") from None
 
 
 def _load_scenario(args) -> dict:
@@ -53,7 +57,10 @@ def _load_scenario(args) -> dict:
         path = Path(args.scenario)
         if not path.exists():
             raise ConfigError(f"scenario file not found: {path}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read scenario file {path}: {exc.strerror}") from None
     elif args.preset:
         ref = resources.files("amdiqkd").joinpath("presets", f"{args.preset}.yaml")
         try:
@@ -62,7 +69,7 @@ def _load_scenario(args) -> dict:
             raise ConfigError(f"unknown preset scenario {args.preset!r}") from None
     else:
         raise ConfigError("a scenario is required: use --scenario FILE or --preset NAME")
-    data = yaml.safe_load(text)
+    data = _yaml(text, "scenario")
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a mapping")
     return data
@@ -74,7 +81,7 @@ def _apply_overrides(data: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
-        out[key.strip()] = yaml.safe_load(raw)
+        out[key.strip()] = _yaml(raw, f"override {item!r}")
     return out
 
 
@@ -147,7 +154,8 @@ def _cmd_sweep(data: dict, out_dir: Path) -> int:
 def _cmd_network(data: dict, out_dir: Path) -> int:
     _check_keys(data, _NETWORK_KEYS, "network")
     users = data.pop("users", None)
-    if not isinstance(users, (list, tuple)) or any(len(u) != 2 for u in users):
+    if not isinstance(users, (list, tuple)) or any(
+            not isinstance(u, (list, tuple)) or len(u) != 2 for u in users):
         raise ConfigError("users must be a list of [name, arm_km] pairs")
     try:
         spec = sc.NetworkSpec(users=[(str(n), float(a)) for n, a in users], **data)
@@ -168,8 +176,7 @@ def _cmd_evaluate(data: dict, out_dir: Path) -> int:
         raise ConfigError("evaluate needs a 'params' mapping with pinned source settings")
     _check_keys(params, _PARAM_KEYS, "params")
     variant = _variant_from_name(data.get("variant", "filtering"))
-    names = ["mu", "nu", "p_mu", "p_nu"] + (["omega", "p_omega"] if variant.four_intensity else [])
-    missing = [f"{n}_{side}" for side in "ab" for n in names if f"{n}_{side}" not in params]
+    missing = [k for k in _SOURCE_KEYS[variant.four_intensity] if k not in params]
     if missing:
         raise ConfigError(f"params lacks {missing}")
     params = {key: _number(params, key, None) for key in params}
@@ -252,6 +259,8 @@ def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
 
     if not 1.0 <= bins < math.inf:
         raise ConfigError(f"--bins must be a finite number >= 1, got {bins!r}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed!r}")
     n_bins = int(bins)
     lines = []
     all_ok = True
@@ -261,15 +270,10 @@ def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
                            phase_drift_rad_per_s=5.9e3, laser_offset_hz=10.0,
                            interference_error=0.04, pairing_window_bins=2000.0,
                            phase_slices=cfg["phase_slices"])
-        kwargs = dict(
-            mu_a=cfg["mu"], nu_a=cfg["nu"], p_mu_a=cfg["p_mu"], p_nu_a=cfg["p_nu"],
-            mu_b=cfg["mu"], nu_b=cfg["nu"], p_mu_b=cfg["p_mu"], p_nu_b=cfg["p_nu"],
-            click_filtering=cfg["click_filtering"],
-        )
-        if "omega" in cfg:
-            kwargs.update(omega_a=cfg["omega"], p_omega_a=cfg["p_omega"],
-                          omega_b=cfg["omega"], p_omega_b=cfg["p_omega"])
-        src = SourceConfig.from_params(**kwargs)
+        # both parties send the same levels
+        levels = [k for k in ("mu", "nu", "omega", "p_mu", "p_nu", "p_omega") if k in cfg]
+        src = SourceConfig.from_params(**{f"{k}_{side}": cfg[k] for k in levels for side in "ab"},
+                                       click_filtering=cfg["click_filtering"])
         run = simulate(src, link, det, n_bins, seed=seed + idx)
         obs = expected_observables(src, link, det, float(n_bins))
         checks = []

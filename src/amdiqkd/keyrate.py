@@ -10,20 +10,26 @@ clock; the source sends on every clock tick, so a run of ``T`` seconds is
 (the optimizer's generations) and returns only the rate per pulse.  The
 leakage and the key length are written once, as bodies that take an
 operations namespace first (see :mod:`amdiqkd.decoy`): ``evaluate`` runs them
-on :data:`amdiqkd.stats.FLOATS`, and ``rate_batch`` together with the decoy
-chain on numpy columns, so each of its rates equals the one ``evaluate``
-gives to rounding.  It lives in :mod:`amdiqkd.batch` and loads it on first
-use.
+on :data:`amdiqkd.stats.FLOATS`, and ``rate_batch`` together with the
+observables and the decoy chain on numpy columns (``amdiqkd.batch.COLUMNS``,
+imported on its first call), so each of its rates equals the one
+``evaluate`` gives to rounding.  Both read the flat parameters through the
+same ``SourceConfig.from_params``: floats for ``evaluate``, (B,) columns for
+``rate_batch``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Mapping
 
-from . import decoy
-from .channel import ChannelLink, DetectorPair, ObservableSet, SourceConfig, expected_observables
+import numpy as np
+
+from . import channel, decoy
+from .channel import (ChannelLink, DetectorPair, ObservableSet, SourceConfig, _require,
+                      expected_observables)
 from .stats import FLOATS
 
 __all__ = [
@@ -141,20 +147,17 @@ class KeyRateReport:
     params: dict = field(default_factory=dict)
 
 
+# the flat keys of a three- and a four-intensity source, in the order of the
+# arguments of SourceConfig.from_params
+_SOURCE_KEYS = {four: ("mu_a", "nu_a", "p_mu_a", "p_nu_a", "mu_b", "nu_b", "p_mu_b", "p_nu_b")
+                + (("omega_a", "p_omega_a", "omega_b", "p_omega_b") if four else ())
+                for four in (False, True)}
+
+
 def _source_from_params(params: Mapping[str, float], variant: ProtocolVariant) -> SourceConfig:
-    kwargs = dict(
-        mu_a=params["mu_a"], nu_a=params["nu_a"],
-        p_mu_a=params["p_mu_a"], p_nu_a=params["p_nu_a"],
-        mu_b=params["mu_b"], nu_b=params["nu_b"],
-        p_mu_b=params["p_mu_b"], p_nu_b=params["p_nu_b"],
-        click_filtering=variant.click_filtering,
-    )
-    if variant.four_intensity:
-        kwargs.update(
-            omega_a=params["omega_a"], p_omega_a=params["p_omega_a"],
-            omega_b=params["omega_b"], p_omega_b=params["p_omega_b"],
-        )
-    return SourceConfig.from_params(**kwargs)
+    """The source of the flat ``params``, floats or (B,) columns."""
+    values = itemgetter(*_SOURCE_KEYS[variant.four_intensity])(params)
+    return SourceConfig.from_params(*values, click_filtering=variant.click_filtering)
 
 
 def evaluate(
@@ -215,10 +218,32 @@ def evaluate(
     )
 
 
-def __getattr__(name: str):
-    # the batch forms compile on first use, not when amdiqkd is imported
-    if name == "rate_batch":
-        from . import batch
+def rate_batch(columns: Mapping[str, np.ndarray], link: ChannelLink, det: DetectorPair,
+               n_pulses: float, eps: float, error_correction_f: float,
+               variant: ProtocolVariant = ProtocolVariant()) -> np.ndarray:
+    """``evaluate(...).rate_per_pulse`` for every row of ``columns``.
 
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    ``columns`` maps each parameter name ``evaluate`` reads (``tc_bins``
+    optional) to a (B,) array.  A row that ``evaluate`` would reject raises
+    ValueError here too.
+    """
+    from .batch import COLUMNS, click_table
+
+    source = _source_from_params(columns, variant)
+    window = link.pairing_window_bins
+    if "tc_bins" in columns:
+        window = np.asarray(columns["tc_bins"], dtype=float)
+        _require((window >= 1.0) & (window < math.inf),
+                 "pairing_window_bins must be finite and >= 1")
+    table = click_table(source, link, det)
+    obs = channel._observables(COLUMNS, source, link, det, n_pulses, window, table)
+    probs = decoy.pairing_probs(source, link.phase_slices)
+    groups = decoy.z_key_groups(source, variant.z_group_mode)
+    scan = None
+    if variant.double_scanning:
+        scan = decoy._double_scan(COLUMNS, obs.counts, obs.m_x, probs, source, eps)
+    est = decoy._estimate(COLUMNS, obs.counts, obs.m_x, probs, source, groups, eps,
+                          variant.phase_error_method, scan)
+    leakage = _leakage(COLUMNS, obs.counts, obs.z_qber, groups, error_correction_f)
+    ell = _key_length(COLUMNS, est.s0_z, est.s11_z, est.phi11_z, leakage, eps)
+    return np.where(obs.n_pairs > 0.0, ell, 0.0) / n_pulses

@@ -21,9 +21,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import baselines, keyrate
+from . import baselines
 from .channel import ChannelLink, DetectorPair, SourceConfig
-from .keyrate import KeyRateReport, ProtocolVariant, evaluate, repeaterless_bound
+from .keyrate import KeyRateReport, ProtocolVariant, evaluate, rate_batch, repeaterless_bound
 from .optimizer import SearchSpace, async_search_space, optimize_link, repair_async_params
 
 __all__ = [
@@ -237,7 +237,6 @@ def _optimize_async_point(
             params, link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
         ).rate_per_pulse
 
-    rate_batch = keyrate.rate_batch  # loads amdiqkd.batch before the optimizer runs
     objective.many = lambda batch: rate_batch(
         _columns(batch), link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
     )
@@ -289,10 +288,7 @@ def _evaluate_baseline(
         batch_rate = baselines.mdi_rate_batch
     else:
         def objective(params: dict) -> float:
-            ints = {"mu": params["mu_a"], "omega": params["omega_a"], "nu": params["nu_a"], "o": 0.0}
-            probs = {"mu": params["p_mu_a"], "omega": params["p_omega_a"], "nu": params["p_nu_a"]}
-            probs["o"] = 1.0 - sum(probs.values())
-            prm = baselines.Bb84Params(ints, probs, link, det, q_z=params["q_z"])
+            prm = baselines.Bb84Params.from_params(params, link, det)
             return baselines.bb84_key_rate(prm, n_pulses, preset.eps,
                                            preset.error_correction_f)["rate_per_pulse"]
 
@@ -402,6 +398,8 @@ class NetworkSpec:
             raise ValueError(f"budget must be >= 1, got {self.budget!r}")
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
+        if not self.variants:
+            raise ValueError("variant list must not be empty")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")

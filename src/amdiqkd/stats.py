@@ -203,15 +203,14 @@ def no_click(mean: float, p_d: float) -> tuple[float, float]:
 # The operations of the estimation bodies, on plain numbers.  Besides the
 # ``math`` functions: ``count`` passes a count through and rejects one that
 # is not finite and >= 0, ``beta`` is ln(1/eps) of a float eps, ``square`` is
-# v ** 2, ``all`` is whether every element of a condition holds, ``min_over``
-# is the least of fn(*point) over the points, ``sort_terms`` orders
-# (coefficient, count) terms by coefficient, stably, and ``first_max`` is the
-# first of the tuples with the largest first element.
+# v ** 2, ``min_over`` is the least of fn(*point) over the points,
+# ``sort_terms`` orders (coefficient, count) terms by coefficient, stably, and
+# ``first_max`` is the first of the tuples with the largest first element.
 FLOATS = with_helpers(
     SimpleNamespace(
         exp=math.exp, expm1=math.expm1, log=math.log, log1p=math.log1p, log2=math.log2,
         sin=math.sin, cos=math.cos, sqrt=math.sqrt, square=lambda v: v ** 2,
-        maximum=max, minimum=min, all=bool, where=lambda cond, yes, no: yes if cond else no,
+        maximum=max, minimum=min, where=lambda cond, yes, no: yes if cond else no,
         count=_count, beta=_beta, i0m1=i0m1,
         min_over=lambda fn, points: min(fn(*point) for point in points),
         sort_terms=partial(sorted, key=itemgetter(0)),

@@ -274,6 +274,35 @@ class TestBb84KeyRate:
                        *link_and_det(10.0, 0.0))
 
 
+class TestBb84Columns:
+    """``Bb84Params`` holding (B,) columns, checked by the float validators."""
+
+    def test_q_z_out_of_range_names_the_candidate(self):
+        link, det = link_and_det(50.0, 0.0)
+        ints = {k: np.full(3, v) for k, v in BB84_INTS.items()}
+        probs = {k: np.full(3, v) for k, v in BB84_PROBS.items()}
+        with pytest.raises(ValueError, match=r"candidate 2: q_z must be in \(0, 1\)"):
+            Bb84Params(ints, probs, link, det, q_z=np.array([0.5, 0.9, 1.0]))
+        with pytest.raises(ValueError, match=r"candidate 1: intensities must be finite"):
+            Bb84Params({**ints, "nu": np.array([0.05, 0.7, 0.05])}, probs, link, det)
+        Bb84Params(ints, probs, link, det, q_z=np.array([0.5, 0.9, 0.1]))
+
+    def test_from_params_matches_float_rows(self):
+        # the vacuum probability is what mu, omega and nu leave, in that order
+        link, det = link_and_det(50.0, 0.0)
+        rng = np.random.default_rng(4)
+        keys = ("mu_a", "omega_a", "nu_a", "p_mu_a", "p_omega_a", "p_nu_a", "q_z")
+        rows = [dict(zip(keys, (0.8, 0.3, 0.05, *rng.uniform(0.05, 0.3, 3), rng.uniform(0.1, 0.9))))
+                for _ in range(40)]
+        columns = Bb84Params.from_params({k: np.array([r[k] for r in rows]) for k in keys},
+                                         link, det)
+        for i, row in enumerate(rows):
+            prm = Bb84Params.from_params(row, link, det)
+            want = 1.0 - (row["p_mu_a"] + row["p_omega_a"] + row["p_nu_a"])
+            assert prm.probs["o"] == want == columns.probs["o"][i]
+            assert (prm.q_z, prm.intensities["o"]) == (columns.q_z[i], 0.0)
+
+
 def scalar_baseline(kind, params, link, det, n_pulses, preset):
     """The scalar reference, called as the sweep's baseline objective calls it."""
     if kind == "mdi-baseline":

@@ -339,7 +339,85 @@ class TestObservableInvariants:
         assert_observable_invariants(expected_observables(src, link, DET, 10.0**log_pulses))
 
 
+GOOD_INTS = {"mu": 0.5, "nu": 0.05, "o": 0.0}
+GOOD_PROBS = {"mu": 0.5, "nu": 0.3, "o": 0.2}
+# one party's levels and probabilities that break one rule each, as changes
+# to the good ones; the bad probabilities of a range case still sum to 1
+BAD_PARTIES = {
+    "ordering": ({"nu": 0.6}, {}),
+    "sum": ({}, {"o": 0.3}),
+    "probability-above-1": ({}, {"mu": 1.1, "nu": 0.1, "o": -0.2}),
+    "probability-zero": ({}, {"nu": 0.0, "o": 0.5}),
+    "nan-level": ({"mu": math.nan}, {}),
+    "inf-level": ({"mu": math.inf}, {}),
+    "minus-inf-level": ({"nu": -math.inf}, {}),
+}
+
+
+def flat_rows(four_intensity, rows, seed):
+    """``rows`` seeded flat parameter dicts of ``SourceConfig.from_params``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(rows):
+        p = {}
+        for side in "ab":
+            mu = rng.uniform(0.2, 0.8)
+            p[f"mu_{side}"], p[f"nu_{side}"] = mu, mu * rng.uniform(0.01, 0.5)
+            p[f"p_mu_{side}"], p[f"p_nu_{side}"] = rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.3)
+            if four_intensity:
+                p[f"omega_{side}"] = rng.uniform(p[f"nu_{side}"], mu)
+                p[f"p_omega_{side}"] = rng.uniform(0.05, 0.15)
+        out.append(p)
+    return out
+
+
 class TestValidation:
+    # one validator for floats and columns: a column source names its first
+    # bad row, here the last of three
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("case", list(BAD_PARTIES))
+    def test_rejected_on_floats_and_columns(self, case, side):
+        int_changes, prob_changes = BAD_PARTIES[case]
+        bad = ({**GOOD_INTS, **int_changes}, {**GOOD_PROBS, **prob_changes})
+        good = (GOOD_INTS, GOOD_PROBS)
+
+        def source(party, other):
+            a, b = (party, other) if side == "a" else (other, party)
+            return SourceConfig(*a, *b)
+
+        def rows(*parties):
+            return tuple({l: np.array([p[i][l] for p in parties]) for l in GOOD_INTS}
+                         for i in range(2))
+
+        with pytest.raises(ValueError, match="intensities must be finite") as info:
+            source(bad, good)
+        assert "candidate" not in str(info.value)
+        with pytest.raises(ValueError, match="candidate 2: intensities must be finite"):
+            source(rows(good, good, bad), rows(good, good, good))
+        source(rows(good, good, good), rows(good, good, good))
+
+    @pytest.mark.parametrize("click_filtering", [False, True])
+    @pytest.mark.parametrize("four_intensity", [False, True])
+    def test_column_source_matches_float_rows(self, four_intensity, click_filtering):
+        params = flat_rows(four_intensity, 60, seed=19 + four_intensity)
+        columns = SourceConfig.from_params(
+            **{k: np.array([p[k] for p in params]) for k in params[0]},
+            click_filtering=click_filtering,
+        )
+        assert columns.four_intensity == four_intensity
+        # without filtering every click survives, and the column source's
+        # survival probability is the float 1.0
+        survival = np.broadcast_to(columns.survival_prob, (len(params),))
+        for i, p in enumerate(params):
+            src = SourceConfig.from_params(**p, click_filtering=click_filtering)
+            for side in "ab":
+                # what mu, nu and omega leave, added left to right
+                want = 1.0 - (p[f"p_mu_{side}"] + p[f"p_nu_{side}"] + p.get(f"p_omega_{side}", 0.0))
+                assert getattr(src, f"probabilities_{side}")["o"] == want
+                assert getattr(columns, f"probabilities_{side}")["o"][i] == want
+            assert survival[i] == src.survival_prob
+            assert columns.intensities_a["o"][i] == src.intensities_a["o"] == 0.0
+
     def test_intensity_ordering_enforced(self):
         with pytest.raises(ValueError):
             make_source(nu_a=0.6)

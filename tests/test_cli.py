@@ -112,6 +112,33 @@ class TestConfigErrors:
         assert "configuration error" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    # each of these ended in a traceback, with exit code 1 only because Python
+    # exits 1 on an uncaught exception
+    @pytest.mark.parametrize("case, message", [
+        ("yaml-file", "scenario is not valid YAML"),
+        ("yaml-override", "override 'distances_km=[1' is not valid YAML"),
+        ("directory", "cannot read scenario file"),
+        ("user-not-pair", "users must be a list of [name, arm_km] pairs"),
+        ("negative-oracle-seed", "--seed must be >= 0"),
+    ])
+    def test_bad_input_is_config_error(self, tmp_path, capsys, case, message):
+        sweep = ["sweep", "--scenario", str(write_scenario(tmp_path, FIXTURE_SWEEP))]
+        argv = {
+            "yaml-file": ["sweep", "--scenario",
+                          str(write_scenario(tmp_path, "command: sweep\ndistances_km: [100\n",
+                                             "bad.yaml"))],
+            "yaml-override": [*sweep, "--set", "distances_km=[1"],
+            "directory": ["sweep", "--scenario", str(tmp_path)],
+            "user-not-pair": ["network", "--scenario",
+                              str(write_scenario(tmp_path, FIXTURE_NETWORK, "network.yaml")),
+                              "--set", "users=[5, 6]"],
+            "negative-oracle-seed": ["validate-oracle", "--seed", "-1", "--bins", "1e3"],
+        }[case]
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 FIXTURE_NETWORK = """
 command: network

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from amdiqkd import channel, decoy
-from amdiqkd.batch import COLUMNS, SourceBatch, _click_table
+from amdiqkd.batch import COLUMNS, click_table as click_columns
 from amdiqkd.channel import DetectorPair, SourceConfig, click_table, expected_observables
 from amdiqkd.decoy import (
     X_KEY,
@@ -358,7 +358,7 @@ class TestDoubleScan:
 def column_draws(four_intensity, click_filtering, rows=40):
     """``rows`` seeded parameter sets, each with its own link (0-500 km, 1e10-1e14
     pulses) and its closed-form observables, as float sources and counts plus
-    the same values as a ``SourceBatch`` and (rows,) count columns.  The last
+    the same values as a column ``SourceConfig`` and (rows,) count columns.  The last
     row's counts are all zero, like a batch row without pairs."""
     rng = np.random.default_rng(1410 + 2 * four_intensity + click_filtering)
     sources, tables, m_x, params = [], [], [], []
@@ -380,8 +380,8 @@ def column_draws(four_intensity, click_filtering, rows=40):
         tables.append({g: 0.0 if zero else v for g, v in obs.counts.items()})
         m_x.append(0.0 if zero else obs.m_x)
         params.append(p)
-    batch = SourceBatch.from_columns({k: np.array([p[k] for p in params]) for k in params[0]},
-                                     four_intensity, click_filtering)
+    batch = SourceConfig.from_params(**{k: np.array([p[k] for p in params]) for k in params[0]},
+                                     click_filtering=click_filtering)
     counts = {g: np.array([t[g] for t in tables]) for g in tables[0]}
     return sources, tables, m_x, batch, counts, np.array(m_x)
 
@@ -419,7 +419,7 @@ class TestColumns:
         still = dict(phase_drift_rad_per_s=0.0, laser_offset_hz=0.0, interference_error=0.0)
         link = make_link(70.0, 40.0, **({} if drift else still))
         windows = 10.0 ** np.random.default_rng(5).uniform(0.0, 7.0, len(sources))
-        table = _click_table(batch, link, DET)
+        table = click_columns(batch, link, DET)
         got = channel._observables(COLUMNS, batch, link, DET, 1e13, windows, table)
         for i, src in enumerate(sources):
             row_link = dataclasses.replace(link, pairing_window_bins=float(windows[i]))

@@ -163,6 +163,11 @@ class TestNetwork:
         with pytest.raises(ValueError):
             NetworkSpec(users=[("A", 10.0), ("A", 20.0)])
 
+    def test_empty_variants_rejected(self):
+        # as SweepSpec does; an empty list used to optimize nothing and exit 0
+        with pytest.raises(ValueError, match="variant list must not be empty"):
+            NetworkSpec(users=[("A", 10.0), ("B", 20.0)], variants=[])
+
     @pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
     def test_duration_finite_and_positive(self, duration_s):
         with pytest.raises(ValueError, match="duration_s must be finite and positive"):

@@ -21,11 +21,11 @@ phase-sifted groups) has one owner, :class:`GroupLayout`, built once per
 (labels, click_filtering) and read by every module that walks the groups.
 
 The observables are written once, as bodies that take an operations namespace
-first (see :mod:`amdiqkd.decoy`): the public functions run them on
+first (see :mod:`amdiqkd.decoy`): :func:`expected_observables` runs them on
 :data:`amdiqkd.stats.FLOATS`, and ``amdiqkd.keyrate.rate_batch`` on numpy
 columns, one row per source setting, with the click table as a
-{label pair: column} dict.  So a body never branches on a value; where a
-public function returns early, the body works on placeholder values.
+{label pair: column} dict.  So a body never branches on a value; without
+kept clicks or pairs, it works on placeholder values.
 :class:`SourceConfig` holds either form, floats for one candidate or (B,)
 columns for a batch, and :func:`validate_party` checks both.
 
@@ -57,10 +57,6 @@ __all__ = [
     "pair_gain_phase",
     "click_table",
     "kept_click_prob",
-    "pairing_statistics",
-    "coincidence_counts",
-    "xbasis_error_count",
-    "z_error_rates",
     "expected_observables",
     "split_sums",
     "validate_party",
@@ -432,18 +428,14 @@ def kept_click_prob(source: SourceConfig, table: Mapping[LabelPair, float]) -> f
     return q_tot
 
 
-def pairing_statistics(n_pulses: float, q_tot: float, link: ChannelLink) -> tuple[float, float]:
+def _pairing_statistics(ops, n_pulses: float, q_tot, window, clock_hz: float):
     """Number of formed pairs and mean pairing interval in seconds.
 
     A kept click pairs with the next kept click if it arrives within the
-    pairing window; otherwise it is dropped and the next click starts a new
-    attempt.  Without kept clicks (q_tot == 0) there are no pairs, and the
-    interval is infinite.
+    pairing window of ``window`` bins; otherwise it is dropped and the next
+    click starts a new attempt.  Without kept clicks (q_tot == 0) there are no
+    pairs, and the interval is infinite.
     """
-    return _pairing_statistics(FLOATS, n_pulses, q_tot, link.pairing_window_bins, link.clock_hz)
-
-
-def _pairing_statistics(ops, n_pulses: float, q_tot, window, clock_hz: float):
     if not 0.0 < n_pulses < math.inf:
         raise ValueError(f"n_pulses must be finite and positive, got {n_pulses!r}")
     _require((q_tot >= 0.0) & (q_tot < 1.0), "q_tot must be in [0, 1)", {"q_tot": q_tot})
@@ -456,27 +448,14 @@ def _pairing_statistics(ops, n_pulses: float, q_tot, window, clock_hz: float):
     return n_pairs, ops.where(live, t_mean, math.inf)
 
 
-def coincidence_counts(
-    source: SourceConfig,
-    link: ChannelLink,
-    det: DetectorPair,
-    n_pairs: float,
-    q_tot: float,
-    table: Mapping[LabelPair, float],
-) -> dict[CountKey, float]:
-    """Expected coincidence count per (total_a, total_b) group.
+def _coincidence_counts(ops, source, link: ChannelLink, det: DetectorPair, n_pairs, q_tot, table):
+    """Expected coincidence count per (total_a, total_b) group; ``q_tot`` > 0.
 
     Matched-phase groups (both parties using the same bright level in both
     bins) keep only the 2/M phase-sifted fraction, with both bins at the same
     phase, so the count carries the phase average of the squared click
     probability.
     """
-    if q_tot <= 0.0:
-        return dict.fromkeys(source.layout.groups, 0.0)
-    return _coincidence_counts(FLOATS, source, link, det, n_pairs, q_tot, table)
-
-
-def _coincidence_counts(ops, source, link: ChannelLink, det: DetectorPair, n_pairs, q_tot, table):
     layout = source.layout
     p_a, p_b = source.probabilities_a, source.probabilities_b
     fractions = {(la, lb): p_a[la] * p_b[lb] * table[(la, lb)] / q_tot for la, lb in layout.kept}
@@ -490,28 +469,15 @@ def _coincidence_counts(ops, source, link: ChannelLink, det: DetectorPair, n_pai
     return counts
 
 
-def xbasis_error_count(
-    source: SourceConfig,
-    link: ChannelLink,
-    det: DetectorPair,
-    n_pairs: float,
-    t_mean_s: float,
-    q_tot: float,
-) -> float:
-    """Expected error count in the matched-phase decoy-decoy group.
-
-    The late bin of a pair is evaluated at a phase shifted by the drift
-    accumulated over the mean pairing interval; the interferometer
-    misalignment swaps the error/no-error classification with probability
-    ``link.interference_error``.
-    """
-    if q_tot <= 0.0 or n_pairs <= 0.0:
-        return 0.0
-    return _xbasis_error_count(FLOATS, source, link, det, n_pairs, t_mean_s, q_tot)
-
-
 def _xbasis_error_count(ops, source, link: ChannelLink, det: DetectorPair, n_pairs, t_mean_s,
                         q_tot):
+    """Expected error count in the matched-phase decoy-decoy group; ``q_tot`` > 0.
+
+    The late bin of a pair is evaluated at a phase shifted by the drift
+    accumulated over the mean pairing interval ``t_mean_s``; the
+    interferometer misalignment swaps the error/no-error classification with
+    probability ``link.interference_error``.
+    """
     delta = link.drift_phase(t_mean_s)
     nu_a = source.intensities_a["nu"]
     nu_b = source.intensities_b["nu"]
@@ -521,17 +487,13 @@ def _xbasis_error_count(ops, source, link: ChannelLink, det: DetectorPair, n_pai
     return n_pairs * (2.0 / link.phase_slices) * weight * ((1.0 - e_mis) * wrong + e_mis * right)
 
 
-def z_error_rates(source: SourceConfig, table: Mapping[LabelPair, float]) -> dict[CountKey, float]:
+def _z_error_rates(ops, source, table):
     """Bit error rate of each single-bright-level coincidence group.
 
     A bit error happens exactly when both parties put their bright pulse in
     the same bin (the partner bin then clicks on dark counts or leakage);
     bright pulses in different bins always yield agreeing bits.
     """
-    return _z_error_rates(FLOATS, source, table)
-
-
-def _z_error_rates(ops, source, table):
     rates = {}
     bright = [l for l in source.labels if l != "o"]
     for ka in bright:

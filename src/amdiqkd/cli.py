@@ -22,7 +22,8 @@ from pathlib import Path
 import yaml
 
 from . import scenario as sc
-from .channel import SourceConfig
+from .channel import ChannelLink, DetectorPair, SourceConfig, expected_observables
+from .decoy import estimate, z_key_groups
 from .keyrate import _SOURCE_KEYS, ProtocolVariant, evaluate
 from .oracle import simulate
 
@@ -244,8 +245,9 @@ def _delta_sd(fn, counts: dict, m_x: float) -> tuple[list[float], list[float]]:
     return base, [math.sqrt(v) for v in var]
 
 
-def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
-    """Check the closed forms and the decoy bounds against the oracle.
+def _oracle_checks(src, link, det, run, n_bins: int) -> list[tuple[str, float, bool]]:
+    """Judge the oracle run ``run`` of ``n_bins`` bins against the closed forms
+    and the decoy bounds: (name, z, ok) per check.
 
     Observed counts must land within 5 sigma of the closed forms (two-sided).
     Each asymptotic bound may pass its oracle truth by at most 5 sigma, where
@@ -254,9 +256,46 @@ def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
     of many counts with large coefficients and scatter several times wider
     than the truth.
     """
-    from .channel import ChannelLink, DetectorPair, expected_observables
-    from .decoy import estimate, z_key_groups
+    obs = expected_observables(src, link, det, float(n_bins))
+    checks = []
 
+    def observed(name, got, expected):
+        z = (got - expected) / math.sqrt(max(expected, 1.0))
+        checks.append((name, z, abs(z) <= _SIGMAS))
+
+    observed("pairs", run.n_pairs, obs.n_pairs)
+    for key, expected in obs.counts.items():
+        if expected >= 25.0:
+            observed(f"count{key}", run.counts[key], expected)
+    if obs.m_x >= 25.0:
+        observed("m_x", run.m_x, obs.m_x)
+
+    def bounds(counts, m_x):
+        est = estimate(counts, m_x, src, link.phase_slices, eps=None)
+        return [est.s0_z_star, est.s11_z_star, est.t11_x, est.m0_x_star]
+
+    counts = {k: float(v) for k, v in run.counts.items()}
+    (s0, s11, t11x, m0), sds = _delta_sd(bounds, counts, float(run.m_x))
+    groups = z_key_groups(src)
+    truths = [
+        sum(max(run.z_truth[g].a_vacuum, run.z_truth[g].b_vacuum) for g in groups),
+        sum(run.z_truth[g].single_photon_pairs for g in groups),
+        run.x_truth.single_photon_errors,
+        run.x_vacuum_errors,
+    ]
+    # signed distance past the truth, on the side each bound must not cross
+    excess = [s0 - truths[0], s11 - truths[1], truths[2] - t11x, m0 - truths[3]]
+    for name, d, truth, sd in zip(
+        ("s0_sound", "s11_sound", "t11x_sound", "m0_sound"), excess, truths, sds
+    ):
+        z = d / math.sqrt(max(truth, 1) + sd * sd)
+        checks.append((name, z, z <= _SIGMAS))
+    return checks
+
+
+def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
+    """Check the closed forms and the decoy bounds against the oracle, as
+    :func:`_oracle_checks` judges them, on each of the oracle configurations."""
     if not 1.0 <= bins < math.inf:
         raise ConfigError(f"--bins must be a finite number >= 1, got {bins!r}")
     if seed < 0:
@@ -275,41 +314,7 @@ def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
         src = SourceConfig.from_params(**{f"{k}_{side}": cfg[k] for k in levels for side in "ab"},
                                        click_filtering=cfg["click_filtering"])
         run = simulate(src, link, det, n_bins, seed=seed + idx)
-        obs = expected_observables(src, link, det, float(n_bins))
-        checks = []
-
-        def observed(name, got, expected):
-            z = (got - expected) / math.sqrt(max(expected, 1.0))
-            checks.append((name, z, abs(z) <= _SIGMAS))
-
-        observed("pairs", run.n_pairs, obs.n_pairs)
-        for key, expected in obs.counts.items():
-            if expected >= 25.0:
-                observed(f"count{key}", run.counts[key], expected)
-        if obs.m_x >= 25.0:
-            observed("m_x", run.m_x, obs.m_x)
-
-        def bounds(counts, m_x):
-            est = estimate(counts, m_x, src, link.phase_slices, eps=None)
-            return [est.s0_z_star, est.s11_z_star, est.t11_x, est.m0_x_star]
-
-        counts = {k: float(v) for k, v in run.counts.items()}
-        (s0, s11, t11x, m0), sds = _delta_sd(bounds, counts, float(run.m_x))
-        groups = z_key_groups(src)
-        truths = [
-            sum(max(run.z_truth[g].a_vacuum, run.z_truth[g].b_vacuum) for g in groups),
-            sum(run.z_truth[g].single_photon_pairs for g in groups),
-            run.x_truth.single_photon_errors,
-            run.x_vacuum_errors,
-        ]
-        # signed distance past the truth, on the side each bound must not cross
-        excess = [s0 - truths[0], s11 - truths[1], truths[2] - t11x, m0 - truths[3]]
-        for name, d, truth, sd in zip(
-            ("s0_sound", "s11_sound", "t11x_sound", "m0_sound"), excess, truths, sds
-        ):
-            z = d / math.sqrt(max(truth, 1) + sd * sd)
-            checks.append((name, z, z <= _SIGMAS))
-
+        checks = _oracle_checks(src, link, det, run, n_bins)
         bad = [name for name, _, ok in checks if not ok]
         all_ok &= not bad
         lines.append(

@@ -24,14 +24,16 @@ first argument: :data:`amdiqkd.stats.FLOATS` runs it on plain numbers, and
 ``keyrate.rate_batch``.  So a body never branches on a value: ``where``,
 ``maximum`` and ``minimum`` stand for the branches, and a branch that the
 result does not use is worked out on placeholder values, never on a zero
-divisor.  The public functions run the bodies on floats; ``pairing_probs``
-and ``z_key_groups`` need no namespace and take either source.
+divisor.  Only ``estimate``, ``double_scan`` and
+``xbasis_vacuum_errors_lower`` have a public form that runs the body on floats;
+the other steps are called as bodies.  ``pairing_probs`` and ``z_key_groups``
+need no namespace and take either source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .channel import CountKey, SourceConfig, split_sums
 from .stats import FLOATS
@@ -39,11 +41,7 @@ from .stats import FLOATS
 __all__ = [
     "DecoyEstimate",
     "pairing_probs",
-    "joint_bound",
     "z_key_groups",
-    "vacuum_events_lower",
-    "single_photon_pairs_z_lower",
-    "zx_count_ratio",
     "xbasis_vacuum_errors_lower",
     "double_scan",
     "estimate",
@@ -74,11 +72,7 @@ def pairing_probs(source: SourceConfig, phase_slices: int) -> dict[CountKey, flo
 # joint constraints
 # ---------------------------------------------------------------------------
 
-def joint_bound(
-    terms: Iterable[tuple[float, float]],
-    direction: str,
-    eps: float | None,
-) -> float:
+def _joint_bound(ops, terms, direction: str, eps: float | None):
     """Bound the expected value of a positive linear combination of counts.
 
     ``terms`` are (coefficient, observed count) pairs.  Sorts coefficients
@@ -86,10 +80,6 @@ def joint_bound(
     observable once; always at least as tight as bounding every term
     separately.
     """
-    return _joint_bound(FLOATS, terms, direction, eps)
-
-
-def _joint_bound(ops, terms, direction: str, eps: float | None):
     if direction not in ("lower", "upper"):
         raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
     ordered = ops.sort_terms(terms)
@@ -127,23 +117,13 @@ def z_key_groups(source: SourceConfig, mode: str = "auto") -> list[CountKey]:
     ]
 
 
-def vacuum_events_lower(
-    counts: Mapping[CountKey, float],
-    probs: Mapping[CountKey, float],
-    source: SourceConfig,
-    groups: Sequence[CountKey],
-    eps: float | None,
-) -> float:
+def _vacuum_events_lower(ops, counts, probs, source, groups, eps):
     """Expected-value lower bound on vacuum events inside the key groups.
 
     For each group the better of the two one-sided estimates is used: the
     count with that party sending vacuum in both bins, rescaled by the
     no-emission probability and the group-probability ratio.
     """
-    return _vacuum_events_lower(FLOATS, counts, probs, source, groups, eps)
-
-
-def _vacuum_events_lower(ops, counts, probs, source, groups, eps):
     exp, expected_lower = ops.exp, ops.expected_lower
     ints_a, ints_b = source.intensities_a, source.intensities_b
     total = 0.0
@@ -186,23 +166,13 @@ def _zgroup_intensity_sum(ops, probs, source, groups):
     return acc
 
 
-def single_photon_pairs_z_lower(
-    counts: Mapping[CountKey, float],
-    probs: Mapping[CountKey, float],
-    source: SourceConfig,
-    groups: Sequence[CountKey],
-    eps: float | None,
-) -> float:
+def _single_photon_pairs_z_lower(ops, counts, probs, source, groups, eps):
     """Expected-value lower bound on single-photon pairs in the key groups.
 
     Decoy-state difference of the two bright levels below the signal, split
     into one positively- and one negatively-signed aggregate; each aggregate
     is bounded as a whole through the joint-constraints telescope.
     """
-    return _single_photon_pairs_z_lower(FLOATS, counts, probs, source, groups, eps)
-
-
-def _single_photon_pairs_z_lower(ops, counts, probs, source, groups, eps):
     exp = ops.exp
     hi, lo = _decoy_pair(source)
     hi_a, hi_b = source.intensities_a[hi], source.intensities_b[hi]
@@ -233,14 +203,8 @@ def _single_photon_pairs_z_lower(ops, counts, probs, source, groups, eps):
     return ops.maximum(prefactor * (plus - minus), 0.0)
 
 
-def zx_count_ratio(
-    probs: Mapping[CountKey, float], source: SourceConfig, groups: Sequence[CountKey]
-) -> float:
-    """Expected ratio of Z-group to X-group single-photon pair counts."""
-    return _zx_count_ratio(FLOATS, probs, source, groups)
-
-
 def _zx_count_ratio(ops, probs, source, groups):
+    """Expected ratio of Z-group to X-group single-photon pair counts."""
     nu_a = source.intensities_a["nu"]
     nu_b = source.intensities_b["nu"]
     x_weight = 4.0 * nu_a * nu_b * ops.exp(-2.0 * nu_a - 2.0 * nu_b) * probs[X_KEY]

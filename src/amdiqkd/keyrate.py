@@ -35,7 +35,6 @@ from .stats import FLOATS
 __all__ = [
     "ProtocolVariant",
     "KeyRateReport",
-    "error_correction_leakage",
     "key_length",
     "repeaterless_bound",
     "total_failure_prob",
@@ -63,21 +62,12 @@ class ProtocolVariant:
             raise ValueError("the four-intensity variant is defined with click filtering on")
 
 
-def error_correction_leakage(
-    counts: Mapping[decoy.CountKey, float],
-    qbers: Mapping[decoy.CountKey, float],
-    groups: list[decoy.CountKey],
-    efficiency: float,
-) -> float:
+def _leakage(ops, counts, qbers, groups, efficiency: float):
     """Bits disclosed during error correction, summed per key group.
 
     Correcting each intensity group separately never costs more than pooling,
     by concavity of the entropy.
     """
-    return _leakage(FLOATS, counts, qbers, groups, efficiency)
-
-
-def _leakage(ops, counts, qbers, groups, efficiency: float):
     total = 0.0
     for g in groups:
         n = counts[g]
@@ -200,7 +190,7 @@ def evaluate(
             phase_error_method=variant.phase_error_method,
             double_scanning=variant.double_scanning,
         )
-        leakage = error_correction_leakage(obs.counts, obs.z_qber, groups, error_correction_f)
+        leakage = _leakage(FLOATS, obs.counts, obs.z_qber, groups, error_correction_f)
         ell = key_length(est.s0_z, est.s11_z, est.phi11_z, leakage, eps)
 
     rate_pulse = ell / n_pulses

@@ -207,21 +207,14 @@ def optimize_link(
     }
 
     many = getattr(objective, "many", None)
-    # decoded parameter set -> value, keyed by a 128-bit digest of the values'
-    # bits: 16 bytes instead of 8 per value keeps the memo small next to a
-    # run's peak memory, and 3,000 keys collide with probability ~1e-32.
-    # hashlib is imported here, not with the module, because numpy.random
-    # (loaded by default_rng above) has already paid for it.
-    import hashlib
-
+    # decoded parameter set -> value, keyed by the bits of its values
     memo: dict[bytes, float] = {}
 
     def evaluate(genotypes: np.ndarray) -> np.ndarray:
         """Score the rows in order; after the last row the budget allows, stop."""
         n = min(len(genotypes), budget - state["evals"])
         batch = space.decode_many(genotypes[:n])
-        keys = [hashlib.blake2b(row.tobytes(), digest_size=16).digest()
-                for row in np.array([list(p.values()) for p in batch])]
+        keys = [row.tobytes() for row in np.array([list(p.values()) for p in batch])]
         fresh = {}
         for key, params in zip(keys, batch):
             if key not in memo:

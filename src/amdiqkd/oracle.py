@@ -31,7 +31,7 @@ Ground-truth tallies:
   across the two bins, so source attribution is resampled from the quantum
   posterior given the announced phases and the observed click pattern.  The
   posterior uses an exact small-photon-number model of the two-bin
-  interferometer (``pattern_given_arrived``); the slow phase drift is
+  interferometer (``_arrived_grid``); the slow phase drift is
   neglected inside the posterior only.
 """
 
@@ -47,7 +47,7 @@ import numpy as np
 
 from .channel import ChannelLink, DetectorPair, SourceConfig
 
-__all__ = ["OracleResult", "simulate", "pattern_given_arrived", "LayerPosterior"]
+__all__ = ["OracleResult", "simulate", "LayerPosterior"]
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +99,16 @@ def _arrived_grid(
     eta_d: float,
     p_d: float,
 ) -> np.ndarray:
-    """``pattern_given_arrived`` for every n_a <= cap_a, n_b <= cap_b at once.
+    """P(single-click pattern | n_a, n_b photons arrived at the beam splitter),
+    for every n_a <= cap_a, n_b <= cap_b at once, as a (cap_a + 1, cap_b + 1)
+    array.
 
-    Each occupancy keeps its own fire * quiet click product; occupancies that
-    share the sign-agreeing count p and the total N differ only in
-    1 / prod(o!) and the click products, so their sum is the anti-diagonal
-    N of one 2-D convolution of the early-bin and late-bin tables.
+    ``det_early``/``det_late`` select which detector clicked in each bin
+    (0 = left, 1 = right).  Each occupancy keeps its own fire * quiet click
+    product; occupancies that share the sign-agreeing count p and the total N
+    differ only in 1 / prod(o!) and the click products, so their sum is the
+    anti-diagonal N of one 2-D convolution of the early-bin and late-bin
+    tables.
     """
     n_max = cap_a + cap_b
     photons = np.arange(n_max + 1)
@@ -128,24 +132,6 @@ def _arrived_grid(
         sums = per_p @ _split_amplitudes(n)[:, n_a] ** 2
         out[n_a, n - n_a] = _FACT[n_a] * _FACT[n - n_a] / 4.0**n * sums
     return out
-
-
-def pattern_given_arrived(
-    n_a: int,
-    n_b: int,
-    matched_pi: bool,
-    det_early: int,
-    det_late: int,
-    eta_d: float,
-    p_d: float,
-) -> float:
-    """P(single-click pattern | photons arrived at the beam splitter).
-
-    ``det_early``/``det_late`` select which detector clicked in each bin
-    (0 = left, 1 = right).
-    """
-    grid = _arrived_grid(n_a, n_b, matched_pi, det_early, det_late, eta_d, p_d)
-    return float(grid[n_a, n_b])
 
 
 def _poisson_cap(mean: float, tail: float = 1e-9) -> int:

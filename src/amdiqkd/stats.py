@@ -11,8 +11,10 @@ Each formula but ``i0m1`` (whose series stops per element) is written once,
 as a body on the base operations of a namespace (``exp``, ``log``, ``sqrt``,
 ``maximum``, ``where``, ...), so it runs unchanged on plain numbers, numpy
 columns or at any precision; ``with_helpers`` binds the bodies to such a
-namespace.  ``FLOATS``, with the checked public functions in place of their
-bodies, and ``amdiqkd.batch.COLUMNS`` are the namespaces the bodies of
+namespace.  On ``FLOATS`` the checked public functions ``binary_entropy`` and
+``sampling_correction`` stand in for their bodies; the other formulas have
+one name, their body, and run on floats as ``FLOATS.no_click`` and so on.
+``FLOATS`` and ``amdiqkd.batch.COLUMNS`` are the namespaces the bodies of
 :mod:`amdiqkd.channel`, :mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and
 :mod:`amdiqkd.baselines` run on.  ``each`` applies a C-library ``math``
 function to every element of an array, for the batch forms and the
@@ -34,7 +36,6 @@ __all__ = [
     "chernoff_expected",
     "sampling_correction",
     "i0m1",
-    "no_click",
     "with_helpers",
     "FLOATS",
     "each",
@@ -43,6 +44,8 @@ __all__ = [
 # Error rates are clamped into this open interval before the log in
 # sampling_correction; the protocol can legitimately observe zero errors.
 RATE_FLOOR = 1e-12
+
+LN2 = math.log(2.0)
 
 
 def _beta(eps: float) -> float:
@@ -98,12 +101,19 @@ def _sampling_correction(ops, n, k, rate, eps: float):
 
 
 def _binary_entropy(ops, x):
+    # log1p(-x) keeps the digits that 1 - x rounds away for x near 0
     inner = (x > 0.0) & (x < 1.0)
     x = ops.where(inner, x, 0.5)
-    return ops.where(inner, -x * ops.log2(x) - (1.0 - x) * ops.log2(1.0 - x), 0.0)
+    return ops.where(inner, -x * ops.log2(x) - (1.0 - x) * ops.log1p(-x) / LN2, 0.0)
 
 
 def _no_click(ops, mean, p_d: float):
+    """Silence probability y = (1 - p_d) exp(-mean) of one threshold detector, and 1 - y.
+
+    ``mean`` is the mean detected photon number and ``p_d`` the dark-count
+    probability; 1 - y is formed without cancellation, so a bin that clicks
+    only on dark counts still gets full relative precision.
+    """
     log_y = ops.log1p(-p_d) - mean
     return ops.exp(log_y), -ops.expm1(log_y)
 
@@ -188,16 +198,6 @@ def i0m1(x: float) -> float:
         term *= q / (k * k)
         total += term
     return total
-
-
-def no_click(mean: float, p_d: float) -> tuple[float, float]:
-    """Silence probability y = (1 - p_d) exp(-mean) of one threshold detector, and 1 - y.
-
-    ``mean`` is the mean detected photon number and ``p_d`` the dark-count
-    probability; 1 - y is formed without cancellation, so a bin that clicks
-    only on dark counts still gets full relative precision.
-    """
-    return _no_click(FLOATS, mean, p_d)
 
 
 # The operations of the estimation bodies, on plain numbers.  Besides the

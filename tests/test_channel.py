@@ -10,21 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amdiqkd
+from amdiqkd import channel
 from amdiqkd.channel import (
     ChannelLink,
     DetectorPair,
     SourceConfig,
     click_table,
-    coincidence_counts,
     expected_observables,
     kept_click_prob,
     pair_gain,
     pair_gain_phase,
-    pairing_statistics,
     split_sums,
-    xbasis_error_count,
-    z_error_rates,
 )
+from amdiqkd.stats import FLOATS
 
 DET = DetectorPair(eta_d=0.8, dark_rate_hz=0.1)
 
@@ -133,19 +131,26 @@ class TestPairing:
     def test_every_click_pairs_in_wide_window(self):
         link = make_link(pairing_window_bins=1e9)
         q = 1e-3
-        n_pairs, t_mean = pairing_statistics(1e12, q, link)
+        n_pairs, t_mean = channel._pairing_statistics(
+            FLOATS, 1e12, q, link.pairing_window_bins, link.clock_hz
+        )
         assert n_pairs == pytest.approx(1e12 * q / 2.0, rel=1e-6)
         assert t_mean == pytest.approx(1.0 / (link.clock_hz * q), rel=1e-6)
 
     def test_degenerate_no_clicks(self):
-        n_pairs, t_mean = pairing_statistics(1e12, 0.0, make_link())
+        link = make_link()
+        n_pairs, t_mean = channel._pairing_statistics(
+            FLOATS, 1e12, 0.0, link.pairing_window_bins, link.clock_hz
+        )
         assert n_pairs == 0.0
         assert math.isinf(t_mean)
 
     def test_pairing_bound(self):
         link = make_link(pairing_window_bins=2000.0)
         for q in [1e-5, 1e-4, 1e-3]:
-            n_pairs, _ = pairing_statistics(1e10, q, link)
+            n_pairs, _ = channel._pairing_statistics(
+                FLOATS, 1e10, q, link.pairing_window_bins, link.clock_hz
+            )
             assert n_pairs <= 1e10 * q / 2.0 + 1.0
 
 
@@ -204,7 +209,7 @@ class TestCoincidenceCounts:
         src = make_source()
         link = make_link()
         table, q_tot = table_and_q_tot(src, link, det)
-        counts = coincidence_counts(src, link, det, 1e6, q_tot, table)
+        counts = channel._coincidence_counts(FLOATS, src, link, det, 1e6, q_tot, table)
         assert counts[(("o", "o"), ("o", "o"))] == 0.0
 
     def test_completeness_without_filtering(self):
@@ -219,7 +224,7 @@ class TestCoincidenceCounts:
         link = make_link()
         table, q_tot = table_and_q_tot(src, link)
         raw = raw_counts(src, link, 1e8)
-        sifted = coincidence_counts(src, link, DET, 1e8, q_tot, table)
+        sifted = channel._coincidence_counts(FLOATS, src, link, DET, 1e8, q_tot, table)
         key = (("nu", "nu"), ("nu", "nu"))
         # 2/M of the unsifted count, up to the phase-correlation factor
         assert sifted[key] < raw[key]
@@ -230,7 +235,7 @@ class TestCoincidenceCounts:
         src = make_source()
         link = make_link(25.0, 25.0)
         n_pairs, (table, q_tot) = 1e10, table_and_q_tot(src, link)
-        counts = coincidence_counts(src, link, DET, n_pairs, q_tot, table)
+        counts = channel._coincidence_counts(FLOATS, src, link, DET, n_pairs, q_tot, table)
         for lab in ("mu", "nu"):
             weight = src.probabilities_a[lab] * src.probabilities_b[lab] / q_tot
             q_l, q_r = pair_gain_phase(
@@ -289,12 +294,12 @@ class TestObservables:
         mixed = (1.0 - e_mis) * (q_l * q_r_d + q_r * q_l_d) + e_mis * (q_l * q_l_d + q_r * q_r_d)
         weight = (src.probabilities_a["nu"] * src.probabilities_b["nu"] / q_tot) ** 2
         averaged = n_pairs * (2.0 / link.phase_slices) * weight * np.mean(mixed)
-        closed = xbasis_error_count(src, link, DET, n_pairs, t_mean, q_tot)
+        closed = channel._xbasis_error_count(FLOATS, src, link, DET, n_pairs, t_mean, q_tot)
         assert closed == pytest.approx(averaged, rel=1e-12)
 
     def test_z_error_rates_between_zero_and_half(self):
         src = make_source(click_filtering=False)
-        rates = z_error_rates(src, click_table(src, make_link(100.0, 100.0), DET))
+        rates = channel._z_error_rates(FLOATS, src, click_table(src, make_link(100.0, 100.0), DET))
         assert len(rates) == 4
         for val in rates.values():
             assert 0.0 < val < 0.5
@@ -302,8 +307,10 @@ class TestObservables:
     def test_z_error_rate_increases_with_distance(self):
         src = make_source()
         key = (("mu", "o"), ("mu", "o"))
-        near = z_error_rates(src, click_table(src, make_link(10.0, 10.0), DET))[key]
-        far = z_error_rates(src, click_table(src, make_link(150.0, 150.0), DET))[key]
+        near = channel._z_error_rates(
+            FLOATS, src, click_table(src, make_link(10.0, 10.0), DET))[key]
+        far = channel._z_error_rates(
+            FLOATS, src, click_table(src, make_link(150.0, 150.0), DET))[key]
         assert near < far
 
 
@@ -446,5 +453,8 @@ class TestValidation:
     def test_n_pulses_finite_and_positive(self, n_pulses):
         with pytest.raises(ValueError, match="n_pulses must be finite and positive"):
             expected_observables(make_source(), make_link(), DET, n_pulses)
+        link = make_link()
         with pytest.raises(ValueError, match="n_pulses must be finite and positive"):
-            pairing_statistics(n_pulses, 0.0, make_link())
+            channel._pairing_statistics(
+                FLOATS, n_pulses, 0.0, link.pairing_window_bins, link.clock_hz
+            )

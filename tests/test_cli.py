@@ -1,5 +1,7 @@
 import csv
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -327,6 +329,18 @@ class TestEntryPoint:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[False, False, False]"
+
+
+class TestExports:
+    def test_every_exported_name_exists(self):
+        modules = [amdiqkd] + [
+            importlib.import_module(f"amdiqkd.{info.name}")
+            for info in pkgutil.iter_modules(amdiqkd.__path__)
+        ]
+        assert len(modules) > 1
+        stale = [f"{module.__name__}.{name}" for module in modules
+                 for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not stale, stale
 
 
 class TestValidateOracle:

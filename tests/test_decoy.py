@@ -12,13 +12,9 @@ from amdiqkd.decoy import (
     X_KEY,
     double_scan,
     estimate,
-    joint_bound,
     pairing_probs,
-    single_photon_pairs_z_lower,
-    vacuum_events_lower,
     xbasis_vacuum_errors_lower,
     z_key_groups,
-    zx_count_ratio,
 )
 from amdiqkd.stats import FLOATS, chernoff_expected
 
@@ -111,16 +107,16 @@ class TestPairingProbs:
 
 class TestJointBound:
     def test_single_term_matches_chernoff(self):
-        val = joint_bound([(2.5, 1000.0)], "lower", 1e-10)
+        val = decoy._joint_bound(FLOATS, [(2.5, 1000.0)], "lower", 1e-10)
         lower, _ = chernoff_expected(1000.0, 1e-10)
         assert val == pytest.approx(2.5 * lower, rel=1e-12)
 
     def test_equal_coefficients_collapse_to_sum(self):
         terms = [(3.0, 100.0), (3.0, 400.0), (3.0, 900.0)]
         lower, upper = chernoff_expected(1400.0, 1e-10)
-        lo = joint_bound(terms, "lower", 1e-10)
+        lo = decoy._joint_bound(FLOATS, terms, "lower", 1e-10)
         assert lo == pytest.approx(3.0 * lower, rel=1e-12)
-        up = joint_bound(terms, "upper", 1e-10)
+        up = decoy._joint_bound(FLOATS, terms, "upper", 1e-10)
         assert up == pytest.approx(3.0 * upper, rel=1e-12)
 
     def test_dominates_naive_on_random_instances(self):
@@ -130,16 +126,16 @@ class TestJointBound:
                 (float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.0, 1e5)))
                 for _ in range(4)
             ]
-            joint_lo = joint_bound(terms, "lower", 1e-10)
+            joint_lo = decoy._joint_bound(FLOATS, terms, "lower", 1e-10)
             naive_lo = sum(c * chernoff_expected(v, 1e-10)[0] for c, v in terms)
             assert joint_lo >= naive_lo - 1e-9
-            joint_up = joint_bound(terms, "upper", 1e-10)
+            joint_up = decoy._joint_bound(FLOATS, terms, "upper", 1e-10)
             naive_up = sum(c * chernoff_expected(v, 1e-10)[1] for c, v in terms)
             assert joint_up <= naive_up + 1e-9
 
     def test_rejects_bad_combos(self):
         with pytest.raises(ValueError):
-            joint_bound([(1.0, 1.0)], "sideways", 1e-10)
+            decoy._joint_bound(FLOATS, [(1.0, 1.0)], "sideways", 1e-10)
 
 
 class TestZGroups:
@@ -158,7 +154,8 @@ class TestVacuumEvents:
     def test_all_zero_counts(self):
         src = make_source()
         probs = pairing_probs(src, 16)
-        val = vacuum_events_lower(zero_counts(src), probs, src, z_key_groups(src), 1e-10)
+        val = decoy._vacuum_events_lower(
+            FLOATS, zero_counts(src), probs, src, z_key_groups(src), 1e-10)
         assert val == 0.0
 
     def test_symmetric_sides_agree(self):
@@ -181,7 +178,7 @@ class TestVacuumEvents:
         )
         obs, link = observables(src, 70.0, 30.0)
         probs = pairing_probs(src, 16)
-        got = vacuum_events_lower(obs.counts, probs, src, z_key_groups(src), None)
+        got = decoy._vacuum_events_lower(FLOATS, obs.counts, probs, src, z_key_groups(src), None)
         group = (("mu", "o"), ("mu", "o"))
         oo = ("o", "o")
         by_hand = max(
@@ -195,7 +192,8 @@ class TestSinglePhotonPairs:
     def test_all_zero_counts(self):
         src = make_source()
         probs = pairing_probs(src, 16)
-        val = single_photon_pairs_z_lower(zero_counts(src), probs, src, z_key_groups(src), 1e-10)
+        val = decoy._single_photon_pairs_z_lower(
+            FLOATS, zero_counts(src), probs, src, z_key_groups(src), 1e-10)
         assert val == 0.0
 
     def test_tie_case_branches_agree(self):
@@ -212,9 +210,11 @@ class TestSinglePhotonPairs:
         original = decoy_mod._primed_levels
         try:
             decoy_mod._primed_levels = lambda ops, s, hi, lo: (s.intensities_a[hi], s.intensities_a[lo])
-            via_a = single_photon_pairs_z_lower(obs.counts, probs, src_a, groups, None)
+            via_a = decoy._single_photon_pairs_z_lower(
+                FLOATS, obs.counts, probs, src_a, groups, None)
             decoy_mod._primed_levels = lambda ops, s, hi, lo: (s.intensities_b[hi], s.intensities_b[lo])
-            via_b = single_photon_pairs_z_lower(obs.counts, probs, src_a, groups, None)
+            via_b = decoy._single_photon_pairs_z_lower(
+                FLOATS, obs.counts, probs, src_a, groups, None)
         finally:
             decoy_mod._primed_levels = original
         assert via_a == pytest.approx(via_b, rel=1e-9)
@@ -226,7 +226,7 @@ class TestSinglePhotonPairs:
         obs, _ = observables(src3)
         probs3 = pairing_probs(src3, 16)
         groups = z_key_groups(src3)
-        val3 = single_photon_pairs_z_lower(obs.counts, probs3, src3, groups, None)
+        val3 = decoy._single_photon_pairs_z_lower(FLOATS, obs.counts, probs3, src3, groups, None)
 
         src4 = make_source(omega_a=0.45, p_omega_a=0.05, omega_b=0.45, p_omega_b=0.05)
         probs4 = pairing_probs(src4, 16)
@@ -250,7 +250,7 @@ class TestSinglePhotonPairs:
         )
         for (ta, tb) in probs3:
             probs4[(ta, tb)] = probs3[(ta, tb)]
-        val4 = single_photon_pairs_z_lower(counts4, probs4, src4, groups, None)
+        val4 = decoy._single_photon_pairs_z_lower(FLOATS, counts4, probs4, src4, groups, None)
         assert val4 == pytest.approx(val3, rel=1e-9)
 
 
@@ -259,10 +259,10 @@ class TestRatioAndErrors:
         src = make_source()
         probs = pairing_probs(src, 16)
         groups = z_key_groups(src)
-        r1 = zx_count_ratio(probs, src, groups)
+        r1 = decoy._zx_count_ratio(FLOATS, probs, src, groups)
         assert r1 > 0.0
         # pure probability ratio: no counts involved
-        assert zx_count_ratio(probs, src, groups) == r1
+        assert decoy._zx_count_ratio(FLOATS, probs, src, groups) == r1
 
     def test_filtering_collapses_ratio_to_single_term(self):
         src = make_source(click_filtering=True)
@@ -273,7 +273,7 @@ class TestRatioAndErrors:
         manual = (
             mu_a * mu_b * math.exp(-mu_a - mu_b) * probs[(("mu", "o"), ("mu", "o"))]
         ) / (4.0 * nu_a * nu_b * math.exp(-2 * nu_a - 2 * nu_b) * probs[X_KEY])
-        assert zx_count_ratio(probs, src, groups) == pytest.approx(manual, rel=1e-12)
+        assert decoy._zx_count_ratio(FLOATS, probs, src, groups) == pytest.approx(manual, rel=1e-12)
 
     def test_vacuum_error_bound_zero_counts(self):
         src = make_source()
@@ -478,7 +478,8 @@ class TestColumns:
             got = decoy._joint_bound(COLUMNS, [*zip(coefs, counts), (1.5, 0.0)], direction, eps)
             for i in range(coefs.shape[1]):
                 terms = [(float(c), float(v)) for c, v in zip(coefs[:, i], counts[:, i])]
-                assert got[i] == joint_bound([*terms, (1.5, 0.0)], direction, eps), (n_terms, i)
+                want = decoy._joint_bound(FLOATS, [*terms, (1.5, 0.0)], direction, eps)
+                assert got[i] == want, (n_terms, i)
 
     @pytest.mark.parametrize("eps", [None, 1e-10])
     @pytest.mark.parametrize("name", ["expected_lower", "expected_upper",

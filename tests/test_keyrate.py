@@ -11,7 +11,7 @@ from amdiqkd.channel import DetectorPair
 from amdiqkd.keyrate import (
     KeyRateReport,
     ProtocolVariant,
-    error_correction_leakage,
+    _leakage,
     evaluate,
     key_length,
     rate_batch,
@@ -19,7 +19,7 @@ from amdiqkd.keyrate import (
     total_failure_prob,
 )
 from amdiqkd.optimizer import async_search_space
-from amdiqkd.stats import binary_entropy
+from amdiqkd.stats import FLOATS, binary_entropy
 
 from test_channel import DET, make_link
 
@@ -33,11 +33,11 @@ PARAMS_50KM = dict(
 class TestLeakage:
     def test_zero_error_costs_nothing(self):
         g = (("mu", "o"), ("mu", "o"))
-        assert error_correction_leakage({g: 1e6}, {g: 0.0}, [g], 1.1) == 0.0
+        assert _leakage(FLOATS, {g: 1e6}, {g: 0.0}, [g], 1.1) == 0.0
 
     def test_half_error_costs_full_entropy(self):
         g = (("mu", "o"), ("mu", "o"))
-        assert error_correction_leakage({g: 1e6}, {g: 0.5}, [g], 1.1) == pytest.approx(1.1e6)
+        assert _leakage(FLOATS, {g: 1e6}, {g: 0.5}, [g], 1.1) == pytest.approx(1.1e6)
 
     def test_per_group_no_worse_than_pooled(self):
         import numpy as np
@@ -47,7 +47,7 @@ class TestLeakage:
             groups = [(("mu", "o"), ("mu", "o")), (("nu", "o"), ("nu", "o"))]
             counts = {g: float(rng.uniform(10.0, 1e6)) for g in groups}
             qbers = {g: float(rng.uniform(0.0, 0.5)) for g in groups}
-            split = error_correction_leakage(counts, qbers, groups, 1.1)
+            split = _leakage(FLOATS, counts, qbers, groups, 1.1)
             n = sum(counts.values())
             pooled_e = sum(counts[g] * qbers[g] for g in groups) / n
             pooled = n * 1.1 * binary_entropy(pooled_e)

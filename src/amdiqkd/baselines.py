@@ -15,11 +15,11 @@ parameter set, as for the protocol's own decoy chain.  So a body never
 branches on a value: ``where``, ``maximum`` and ``minimum`` stand for the
 branches, and a branch that the result does not use is worked out on
 placeholder values.
-``mdi_key_rate``, ``bb84_key_rate`` and the observables run the bodies on
-floats.  ``mdi_rate_batch`` and ``bb84_rate_batch``, beside them, give the
-rate per pulse of many parameter sets at once: they read the same flat keys
-into the same ``SourceConfig`` and ``Bb84Params``, holding (B,) columns, and
-import ``amdiqkd.batch`` on their first call.
+``mdi_key_rate``, ``bb84_key_rate`` and their observables are the one entry
+per protocol: a ``SourceConfig`` or ``Bb84Params`` of floats scores one
+candidate, and one of (B,) columns a batch, on the namespace that
+:func:`amdiqkd.stats.ops_for` picks.  The MDI counts of a batch come from
+(B, 4, 4) tables over all level pairs at once.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import (LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig, _require,
                       validate_party)
-from .stats import FLOATS
+from .stats import FLOATS, ops_for
 
 __all__ = [
     "MdiObservables",
@@ -41,8 +41,6 @@ __all__ = [
     "mdi_key_rate",
     "bb84_observables",
     "bb84_key_rate",
-    "mdi_rate_batch",
-    "bb84_rate_batch",
 ]
 
 # ---------------------------------------------------------------------------
@@ -99,19 +97,34 @@ def _mdi_pair_counts(ops, k_a, k_b, p_a, p_b, device: tuple) -> tuple:
 def mdi_observables(
     source: SourceConfig, link: ChannelLink, det: DetectorPair, n_pulses: float
 ) -> MdiObservables:
-    """Closed-form detection model; detector dead time keeps one Bell state."""
+    """Closed-form detection model; detector dead time keeps one Bell state.
+
+    A column source gets the counts of all 4 x 4 level pairs at once, from
+    (B, 4, 4) tables.
+    """
     if not source.four_intensity:
         raise ValueError("the time-bin MDI baseline needs four intensities")
     device = _mdi_device(link, det, n_pulses)
-    n_z, m_z, n_x, m_x = {}, {}, {}, {}
-    for ka_lab in LABEL_ORDER:
-        for kb_lab in LABEL_ORDER:
-            key = (ka_lab, kb_lab)
-            n_z[key], m_z[key], n_x[key], m_x[key] = _mdi_pair_counts(
-                FLOATS, source.intensities_a[ka_lab], source.intensities_b[kb_lab],
-                source.probabilities_a[ka_lab], source.probabilities_b[kb_lab], device,
-            )
-    return MdiObservables(n_z=n_z, m_z=m_z, n_x=n_x, m_x=m_x, n_pairs=device[0])
+    ints_a, ints_b = source.intensities_a, source.intensities_b
+    probs_a, probs_b = source.probabilities_a, source.probabilities_b
+    ops = ops_for(ints_a["mu"])
+    if ops is FLOATS:
+        n_z, m_z, n_x, m_x = {}, {}, {}, {}
+        for ka_lab in LABEL_ORDER:
+            for kb_lab in LABEL_ORDER:
+                key = (ka_lab, kb_lab)
+                n_z[key], m_z[key], n_x[key], m_x[key] = _mdi_pair_counts(
+                    FLOATS, ints_a[ka_lab], ints_b[kb_lab], probs_a[ka_lab], probs_b[kb_lab],
+                    device,
+                )
+        return MdiObservables(n_z=n_z, m_z=m_z, n_x=n_x, m_x=m_x, n_pairs=device[0])
+    from .batch import by_pair, stacked
+
+    k_a, k_b = stacked(ints_a, LABEL_ORDER), stacked(ints_b, LABEL_ORDER)
+    p_a, p_b = stacked(probs_a, LABEL_ORDER), stacked(probs_b, LABEL_ORDER)
+    tables = _mdi_pair_counts(ops, k_a[:, :, None], k_b[:, None, :], p_a[:, :, None],
+                              p_b[:, None, :], device)
+    return MdiObservables(*(by_pair(table, LABEL_ORDER) for table in tables), n_pairs=device[0])
 
 
 def mdi_key_rate(
@@ -128,11 +141,13 @@ def mdi_key_rate(
     The two aggregates built from the decoy-level X data are bracketed with
     joint/Chernoff bounds and the rate is minimized over their rectangle
     (corner evaluation, optional dense grid of ``scan_grid`` >= 2 points a side).
+    A column source gives every value as a (B,) column.
     """
     if scan_grid is not None and scan_grid < 2:
         raise ValueError(f"scan_grid must be >= 2, got {scan_grid!r}")
     obs = mdi_observables(source, link, det, n_pulses)
-    return _mdi_key(FLOATS, obs, source, n_pulses, eps, error_correction_f, scan_grid)
+    return _mdi_key(ops_for(source.intensities_a["mu"]), obs, source, n_pulses, eps,
+                    error_correction_f, scan_grid)
 
 
 def _mdi_key(ops, obs: MdiObservables, source, n_pulses: float, eps: float,
@@ -238,26 +253,6 @@ def _mdi_key(ops, obs: MdiObservables, source, n_pulses: float, eps: float,
     }
 
 
-def mdi_rate_batch(columns: Mapping[str, np.ndarray], link: ChannelLink, det: DetectorPair,
-                   n_pulses: float, eps: float, error_correction_f: float = 1.1) -> np.ndarray:
-    """``mdi_key_rate(...)["rate_per_pulse"]`` for every row of ``columns``,
-    the flat four-intensity keys of ``SourceConfig.from_params`` as (B,) columns."""
-    from .batch import COLUMNS, by_pair, stacked
-
-    source = SourceConfig.from_params(**columns)
-    if not source.four_intensity:
-        raise ValueError("the time-bin MDI baseline needs four intensities")
-    device = _mdi_device(link, det, n_pulses)
-    # the level-pair counts of all 4 x 4 pairs at once, as (B, 4, 4) tables
-    labels = source.labels
-    k_a, k_b = stacked(source.intensities_a, labels), stacked(source.intensities_b, labels)
-    p_a, p_b = stacked(source.probabilities_a, labels), stacked(source.probabilities_b, labels)
-    tables = _mdi_pair_counts(COLUMNS, k_a[:, :, None], k_b[:, None, :], p_a[:, :, None],
-                              p_b[:, None, :], device)
-    obs = MdiObservables(*(by_pair(table, labels) for table in tables), n_pairs=device[0])
-    return _mdi_key(COLUMNS, obs, source, n_pulses, eps, error_correction_f)["rate_per_pulse"]
-
-
 # ---------------------------------------------------------------------------
 # decoy-state BB84
 # ---------------------------------------------------------------------------
@@ -320,8 +315,9 @@ class Bb84Observables:
 
 def bb84_observables(params: Bb84Params, n_pulses: float) -> Bb84Observables:
     """Closed-form counts per intensity for both measurement bases."""
-    return _bb84_observables(FLOATS, params.intensities, params.probs, params.q_z, params.eta,
-                             params.dark_prob, params.misalignment, n_pulses)
+    return _bb84_observables(ops_for(params.intensities["mu"]), params.intensities, params.probs,
+                             params.q_z, params.eta, params.dark_prob, params.misalignment,
+                             n_pulses)
 
 
 def _bb84_observables(ops, intensities, probs, q_z, eta: float, p_d: float, e_m: float,
@@ -407,23 +403,11 @@ def bb84_oracle(params: Bb84Params, n_pulses: int, seed: int) -> dict:
 
 def bb84_key_rate(params: Bb84Params, n_pulses: float, eps: float,
                   error_correction_f: float = 1.1) -> dict:
-    """Finite-size decoy-state BB84 key, vacuum+single-photon estimator chain."""
+    """Finite-size decoy-state BB84 key, vacuum+single-photon estimator chain;
+    ``params`` of (B,) columns gives every value as a (B,) column."""
     obs = bb84_observables(params, n_pulses)
-    return _bb84_key(FLOATS, obs, params.intensities, params.probs, n_pulses, eps,
-                     error_correction_f)
-
-
-def bb84_rate_batch(columns: Mapping[str, np.ndarray], link: ChannelLink, det: DetectorPair,
-                    n_pulses: float, eps: float, error_correction_f: float = 1.1) -> np.ndarray:
-    """``bb84_key_rate(...)["rate_per_pulse"]`` for every row of ``columns``,
-    the keys of ``Bb84Params.from_params`` as (B,) columns."""
-    from .batch import COLUMNS
-
-    params = Bb84Params.from_params(columns, link, det)
-    obs = _bb84_observables(COLUMNS, params.intensities, params.probs, params.q_z, params.eta,
-                            params.dark_prob, params.misalignment, n_pulses)
-    return _bb84_key(COLUMNS, obs, params.intensities, params.probs, n_pulses, eps,
-                     error_correction_f)["rate_per_pulse"]
+    return _bb84_key(ops_for(params.intensities["mu"]), obs, params.intensities, params.probs,
+                     n_pulses, eps, error_correction_f)
 
 
 def _bb84_key(ops, obs: Bb84Observables, intensities, probs, n_pulses: float, eps: float,

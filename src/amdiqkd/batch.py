@@ -1,11 +1,11 @@
-"""Column-only helpers of the batch forms, which score many parameter sets on
+"""The column namespace and its helpers, for scoring many parameter sets on
 one link at once (the optimizer's generations, see :mod:`amdiqkd.optimizer`).
 
-The batch entries sit beside their scalar forms: ``keyrate.rate_batch``,
-``baselines.mdi_rate_batch`` and ``baselines.bb84_rate_batch`` read (B,)
-parameter columns into the same ``SourceConfig`` and ``Bb84Params`` as the
-scalar forms, checked by the same validators.  They import this module on
-their first call, so a process that never scores a batch does not compile it.
+There is one entry per protocol: ``keyrate.evaluate``,
+``baselines.mdi_key_rate`` and ``baselines.bb84_key_rate`` take floats (one
+candidate) or (B,) columns (a batch) and pick their operations with
+:func:`amdiqkd.stats.ops_for`, which imports this module on the first
+batch, so a process that never scores one does not load it.
 
 ``COLUMNS`` is the operations namespace of the bodies in
 :mod:`amdiqkd.channel`, :mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and
@@ -14,10 +14,11 @@ their first call, so a process that never scores a batch does not compile it.
 C library's exp, log, sin, cos and pow (through :func:`amdiqkd.stats.each`)
 where numpy's own may round differently, and the column forms of ``i0m1``,
 ``min_over``, ``sort_terms`` and ``first_max``; ``with_helpers`` binds the
-bodies of :mod:`amdiqkd.stats` to them.  So a batch rate equals the scalar
-rate to rounding, and bit for bit wherever the scalar sums add left to right.
-A row that the scalar form returns early on (no pairs, an infeasible bound)
-gets placeholder values that are masked out.
+bodies of :mod:`amdiqkd.stats` to them.  So a row of a batch equals the same
+candidate scored alone to rounding, and bit for bit wherever the float sums
+add left to right.  ``stacked`` and ``by_pair`` turn per-label columns into
+(B, L) arrays and (B, L, L) tables back into label-pair columns, for the
+tables that broadcast over all label pairs at once.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import channel
-from .channel import ChannelLink, DetectorPair, SourceConfig
 from .stats import FLOATS, _beta, each, with_helpers
 
-__all__ = ["COLUMNS", "stacked", "by_pair", "click_table"]
+__all__ = ["COLUMNS", "stacked", "by_pair"]
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +105,3 @@ def by_pair(table: np.ndarray, labels: Sequence[str]) -> dict:
     return {(la, lb): table[:, i, j] for i, la in enumerate(labels)
             for j, lb in enumerate(labels)}
 
-
-def click_table(source: SourceConfig, link: ChannelLink, det: DetectorPair) -> dict:
-    """``channel.click_table`` of a column source: the pair gain of all L x L
-    label pairs at once, as one (B, L, L) table."""
-    k_a = stacked(source.intensities_a, source.labels)
-    k_b = stacked(source.intensities_b, source.labels)
-    return by_pair(channel._pair_gain(COLUMNS, k_a[:, :, None], k_b[:, None, :], link, det),
-                   source.labels)

@@ -21,13 +21,14 @@ phase-sifted groups) has one owner, :class:`GroupLayout`, built once per
 (labels, click_filtering) and read by every module that walks the groups.
 
 The observables are written once, as bodies that take an operations namespace
-first (see :mod:`amdiqkd.decoy`): :func:`expected_observables` runs them on
-:data:`amdiqkd.stats.FLOATS`, and ``amdiqkd.keyrate.rate_batch`` on numpy
-columns, one row per source setting, with the click table as a
-{label pair: column} dict.  So a body never branches on a value; without
-kept clicks or pairs, it works on placeholder values.
-:class:`SourceConfig` holds either form, floats for one candidate or (B,)
-columns for a batch, and :func:`validate_party` checks both.
+first (see :mod:`amdiqkd.decoy`).  :func:`click_table` and
+:func:`expected_observables` are the one entry for a single candidate and a
+batch: :class:`SourceConfig` holds floats for one candidate or (B,) columns
+for a batch (checked by :func:`validate_party` either way), the link's
+``pairing_window_bins`` may be a (B,) column too, and the bodies run on
+:data:`amdiqkd.stats.FLOATS` or on numpy columns, one row per candidate, with
+the click table as a {label pair: column} dict.  So a body never branches on
+a value; without kept clicks or pairs, it works on placeholder values.
 
 Every phase average is an exact I0 closed form, accurate to rounding on long
 links; ``pair_gain_phase`` is the phase-resolved model it averages.  An
@@ -44,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .stats import FLOATS
+from .stats import FLOATS, ops_for
 
 __all__ = [
     "LABEL_ORDER",
@@ -104,7 +105,8 @@ class ChannelLink:
     phase_drift_rad_per_s       fibre phase drift rate
     laser_offset_hz             residual laser frequency difference
     interference_error          interferometer misalignment error rate
-    pairing_window_bins         maximum pairing gap, in time bins
+    pairing_window_bins         maximum pairing gap, in time bins; a (B,)
+                                column gives each candidate of a batch its own
     phase_slices                number of discrete global phases M (even)
     """
 
@@ -123,8 +125,9 @@ class ChannelLink:
             raise ValueError("fibre lengths must be finite and >= 0")
         if self.clock_hz <= 0.0:
             raise ValueError("clock_hz must be positive")
-        if not 1.0 <= self.pairing_window_bins < math.inf:
-            raise ValueError("pairing_window_bins must be finite and >= 1")
+        window = self.pairing_window_bins
+        _require((window >= 1.0) & (window < math.inf),
+                 "pairing_window_bins must be finite and >= 1")
         if self.phase_slices < 2 or self.phase_slices % 2:
             raise ValueError("phase_slices must be an even integer >= 2")
         if not 0.0 <= self.interference_error < 0.5:
@@ -411,13 +414,20 @@ def _click_correlations(ops, k_a, k_b, delta, link: ChannelLink, det: DetectorPa
 def click_table(
     source: SourceConfig, link: ChannelLink, det: DetectorPair
 ) -> dict[LabelPair, float]:
-    """Phase-averaged single-click probability of every single-bin label pair."""
-    ints_a, ints_b = source.intensities_a, source.intensities_b
-    return {
-        (la, lb): pair_gain(ints_a[la], ints_b[lb], link, det)
-        for la in source.labels
-        for lb in source.labels
-    }
+    """Phase-averaged single-click probability of every single-bin label pair.
+
+    A column source gets the pair gain of all L x L label pairs at once, from
+    one (B, L, L) table.
+    """
+    ints_a, ints_b, labels = source.intensities_a, source.intensities_b, source.labels
+    ops = ops_for(ints_a["mu"])
+    if ops is FLOATS:
+        return {(la, lb): pair_gain(ints_a[la], ints_b[lb], link, det)
+                for la in labels for lb in labels}
+    from .batch import by_pair, stacked
+
+    k_a, k_b = stacked(ints_a, labels), stacked(ints_b, labels)
+    return by_pair(_pair_gain(ops, k_a[:, :, None], k_b[:, None, :], link, det), labels)
 
 
 def kept_click_prob(source: SourceConfig, table: Mapping[LabelPair, float]) -> float:
@@ -509,7 +519,7 @@ def _z_error_rates(ops, source, table):
 @dataclass
 class ObservableSet:
     """Everything the estimation chain consumes about one link configuration;
-    from ``rate_batch``, every value but ``n_pulses`` is per row, in (B,) columns."""
+    for a batch, every value but ``n_pulses`` is per row, in (B,) columns."""
 
     n_pulses: float
     n_pairs: float
@@ -523,21 +533,18 @@ class ObservableSet:
 def expected_observables(
     source: SourceConfig, link: ChannelLink, det: DetectorPair, n_pulses: float
 ) -> ObservableSet:
-    """Full closed-form observable set for one configuration."""
+    """Full closed-form observable set of one configuration, or of each row of
+    a column source.  Without pairs, the counts and ``m_x`` are zero."""
     table = click_table(source, link, det)
-    obs = _observables(FLOATS, source, link, det, n_pulses, link.pairing_window_bins, table)
-    if obs.n_pairs == 0.0:
-        obs.counts, obs.m_x, obs.z_qber = dict.fromkeys(source.layout.groups, 0.0), 0.0, {}
-    return obs
+    return _observables(ops_for(source.intensities_a["mu"]), source, link, det, n_pulses, table)
 
 
-def _observables(ops, source, link: ChannelLink, det: DetectorPair, n_pulses: float, window,
+def _observables(ops, source, link: ChannelLink, det: DetectorPair, n_pulses: float,
                  table) -> ObservableSet:
-    """The observables of ``source`` from its click table, with pairing window
-    ``window`` (bins) in place of the link's.  Without pairs, the counts,
-    ``m_x`` and ``z_qber`` are placeholders."""
+    """``expected_observables`` from the click table of ``source``."""
     q_tot = kept_click_prob(source, table)
-    n_pairs, t_mean = _pairing_statistics(ops, n_pulses, q_tot, window, link.clock_hz)
+    n_pairs, t_mean = _pairing_statistics(ops, n_pulses, q_tot, link.pairing_window_bins,
+                                          link.clock_hz)
     q = ops.where(q_tot > 0.0, q_tot, 0.5)
     counts = _coincidence_counts(ops, source, link, det, n_pairs, q, table)
     m_x = _xbasis_error_count(ops, source, link, det, n_pairs,

@@ -37,10 +37,7 @@ class ConfigError(Exception):
 _SWEEP_KEYS = {f.name for f in dataclasses.fields(sc.SweepSpec)}
 _NETWORK_KEYS = {f.name for f in dataclasses.fields(sc.NetworkSpec)}
 _EVALUATE_KEYS = {"preset", "l_a_km", "l_b_km", "n_pulses", "variant", "params", "seed"}
-_OPTIMIZE_KEYS = {
-    "preset", "l_a_km", "l_b_km", "n_pulses", "variant", "budget", "seed",
-    "optimize_pairing_window",
-}
+_OPTIMIZE_KEYS = {"preset", "l_a_km", "l_b_km", "n_pulses", "variant", "budget", "seed"}
 _PARAM_KEYS = {*_SOURCE_KEYS[True], "tc_bins"}
 
 
@@ -208,7 +205,6 @@ def _cmd_optimize(data: dict, out_dir: Path) -> int:
             delta_km=float(data.get("l_a_km", 0.0)) - float(data.get("l_b_km", 0.0)),
             budget=int(data.get("budget", 3000)),
             seed=int(data.get("seed", 1)),
-            optimize_pairing_window=bool(data.get("optimize_pairing_window", True)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

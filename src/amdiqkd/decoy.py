@@ -20,13 +20,14 @@ probabilities and count tables are plain dicts keyed by (total_a, total_b).
 
 Each step is written once.  Its body takes an operations namespace as its
 first argument: :data:`amdiqkd.stats.FLOATS` runs it on plain numbers, and
-``amdiqkd.batch.COLUMNS`` on numpy columns, one row per parameter set, for
-``keyrate.rate_batch``.  So a body never branches on a value: ``where``,
-``maximum`` and ``minimum`` stand for the branches, and a branch that the
-result does not use is worked out on placeholder values, never on a zero
-divisor.  Only ``estimate``, ``double_scan`` and
-``xbasis_vacuum_errors_lower`` have a public form that runs the body on floats;
-the other steps are called as bodies.  ``pairing_probs`` and ``z_key_groups``
+``amdiqkd.batch.COLUMNS`` on numpy columns, one row per parameter set.  So a
+body never branches on a value: ``where``, ``maximum`` and ``minimum`` stand
+for the branches, and a branch that the result does not use is worked out on
+placeholder values, never on a zero divisor.  ``estimate`` and
+``double_scan`` are the one entry for a single candidate and a batch: they
+run their body on the namespace that :func:`amdiqkd.stats.ops_for` picks
+from ``m_x``.  ``xbasis_vacuum_errors_lower`` runs its body on floats; the
+other steps are called as bodies.  ``pairing_probs`` and ``z_key_groups``
 need no namespace and take either source.
 """
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .channel import CountKey, SourceConfig, split_sums
-from .stats import FLOATS
+from .stats import FLOATS, ops_for
 
 __all__ = [
     "DecoyEstimate",
@@ -272,9 +273,10 @@ def double_scan(
     remaining aggregates are fixed at their joint-constraint bounds.  The
     objective is a ratio of functions affine in (H, M), hence monotone along
     each edge: the four corners suffice.  ``grid`` switches on a dense scan
-    for debugging/validation.
+    for debugging/validation.  The counts, ``m_x`` and the source are floats
+    or (B,) columns.
     """
-    return _double_scan(FLOATS, counts, m_x, probs, source, eps, grid)
+    return _double_scan(ops_for(m_x), counts, m_x, probs, source, eps, grid)
 
 
 def _double_scan(ops, counts, m_x, probs, source, eps, grid=None):
@@ -375,13 +377,15 @@ def estimate(
     phase_error_method: str = "direct",
     double_scanning: bool = False,
 ) -> DecoyEstimate:
-    """Run the full estimation chain on one observable set."""
+    """Run the full estimation chain on one observable set, floats or (B,)
+    columns with one row per candidate."""
     if phase_error_method not in ("direct", "random_sampling"):
         raise ValueError(f"unknown phase error method {phase_error_method!r}")
     probs = pairing_probs(source, phase_slices)
     groups = z_key_groups(source, z_group_mode)
     scan = double_scan(counts, m_x, probs, source, eps) if double_scanning else None
-    return _estimate(FLOATS, counts, m_x, probs, source, groups, eps, phase_error_method, scan)
+    return _estimate(ops_for(m_x), counts, m_x, probs, source, groups, eps, phase_error_method,
+                     scan)
 
 
 def _estimate(ops, counts, m_x, probs, source, groups, eps, phase_error_method: str,

@@ -2,20 +2,18 @@
 
 Puts the pieces together: closed-form observables -> decoy estimation ->
 error-correction leakage -> extractable key length, for a configurable
-protocol variant.  ``evaluate`` is the reference and the single-call entry
-point: it takes the source settings as a flat parameter dict (the keys the
-optimizer decodes to) and reports rates per pulse and per second at the link
-clock; the source sends on every clock tick, so a run of ``T`` seconds is
-``clock_hz * T`` pulses.  ``rate_batch`` scores many parameter sets at once
-(the optimizer's generations) and returns only the rate per pulse.  The
-leakage and the key length are written once, as bodies that take an
-operations namespace first (see :mod:`amdiqkd.decoy`): ``evaluate`` runs them
-on :data:`amdiqkd.stats.FLOATS`, and ``rate_batch`` together with the
-observables and the decoy chain on numpy columns (``amdiqkd.batch.COLUMNS``,
-imported on its first call), so each of its rates equals the one
-``evaluate`` gives to rounding.  Both read the flat parameters through the
-same ``SourceConfig.from_params``: floats for ``evaluate``, (B,) columns for
-``rate_batch``.
+protocol variant.  ``evaluate`` is the one entry: it takes the source
+settings as a flat parameter dict (the keys the optimizer decodes to) and
+reports rates per pulse and per second at the link clock; the source sends
+on every clock tick, so a run of ``T`` seconds is ``clock_hz * T`` pulses.
+The values of the dict are floats (one candidate) or (B,) columns (a batch,
+the optimizer's generations); ``SourceConfig.from_params`` reads either, and
+every number of the report is then a float or a (B,) column.  The leakage
+and the key length are written once, as bodies that take an operations
+namespace first (see :mod:`amdiqkd.decoy`), and run with the observables and
+the decoy chain on :data:`amdiqkd.stats.FLOATS` or on numpy columns
+(``amdiqkd.batch.COLUMNS``), as :func:`amdiqkd.stats.ops_for` picks.  So each
+row of a batch equals the report of that candidate alone, to rounding.
 """
 
 from __future__ import annotations
@@ -25,12 +23,9 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Mapping
 
-import numpy as np
-
-from . import channel, decoy
-from .channel import (ChannelLink, DetectorPair, ObservableSet, SourceConfig, _require,
-                      expected_observables)
-from .stats import FLOATS
+from . import decoy
+from .channel import ChannelLink, DetectorPair, ObservableSet, SourceConfig, expected_observables
+from .stats import FLOATS, ops_for
 
 __all__ = [
     "ProtocolVariant",
@@ -39,7 +34,6 @@ __all__ = [
     "repeaterless_bound",
     "total_failure_prob",
     "evaluate",
-    "rate_batch",
 ]
 
 
@@ -132,8 +126,8 @@ class KeyRateReport:
     skc0_per_pulse: float
     skc0_per_second: float
     eps_tot: float
-    estimate: decoy.DecoyEstimate | None = None
-    observables: ObservableSet | None = None
+    estimate: decoy.DecoyEstimate
+    observables: ObservableSet
     params: dict = field(default_factory=dict)
 
 
@@ -159,39 +153,37 @@ def evaluate(
     error_correction_f: float,
     variant: ProtocolVariant = ProtocolVariant(),
 ) -> KeyRateReport:
-    """Evaluate the secure key rate of one link configuration.
+    """Evaluate the secure key rate of one link configuration, or of each row
+    of a batch whose ``params`` values are (B,) columns.
 
-    ``params`` may carry ``tc_bins`` to override the pairing window.  Any
-    infeasible configuration comes back with zero rate rather than raising,
-    so optimizers can probe freely.  skc0 is the repeaterless bound of the
-    fibre alone (detectors excluded).
+    ``params`` may carry ``tc_bins`` to override the pairing window.  A
+    configuration without key, pairs included, comes back with zero rate
+    rather than raising, so optimizers can probe freely; a row that breaks a
+    source or window check raises ValueError.  skc0 is the repeaterless bound
+    of the fibre alone (detectors excluded).
     """
     params = dict(params)
     source = _source_from_params(params, variant)
+    ops = ops_for(source.intensities_a["mu"])
     if "tc_bins" in params:
         link = replace(link, pairing_window_bins=params["tc_bins"])
     skc0_pulse = repeaterless_bound(link.eta_a * link.eta_b)
 
     obs = expected_observables(source, link, det, n_pulses)
     groups = decoy.z_key_groups(source, variant.z_group_mode)
-
-    if obs.n_pairs <= 0.0:
-        est = None
-        ell = 0.0
-        leakage = 0.0
-    else:
-        est = decoy.estimate(
-            obs.counts,
-            obs.m_x,
-            source,
-            link.phase_slices,
-            eps,
-            z_group_mode=variant.z_group_mode,
-            phase_error_method=variant.phase_error_method,
-            double_scanning=variant.double_scanning,
-        )
-        leakage = _leakage(FLOATS, obs.counts, obs.z_qber, groups, error_correction_f)
-        ell = key_length(est.s0_z, est.s11_z, est.phi11_z, leakage, eps)
+    est = decoy.estimate(
+        obs.counts,
+        obs.m_x,
+        source,
+        link.phase_slices,
+        eps,
+        z_group_mode=variant.z_group_mode,
+        phase_error_method=variant.phase_error_method,
+        double_scanning=variant.double_scanning,
+    )
+    leakage = _leakage(ops, obs.counts, obs.z_qber, groups, error_correction_f)
+    ell = _key_length(ops, est.s0_z, est.s11_z, est.phi11_z, leakage, eps)
+    ell = ops.where(obs.n_pairs > 0.0, ell, 0.0)
 
     rate_pulse = ell / n_pulses
     return KeyRateReport(
@@ -206,34 +198,3 @@ def evaluate(
         observables=obs,
         params=params,
     )
-
-
-def rate_batch(columns: Mapping[str, np.ndarray], link: ChannelLink, det: DetectorPair,
-               n_pulses: float, eps: float, error_correction_f: float,
-               variant: ProtocolVariant = ProtocolVariant()) -> np.ndarray:
-    """``evaluate(...).rate_per_pulse`` for every row of ``columns``.
-
-    ``columns`` maps each parameter name ``evaluate`` reads (``tc_bins``
-    optional) to a (B,) array.  A row that ``evaluate`` would reject raises
-    ValueError here too.
-    """
-    from .batch import COLUMNS, click_table
-
-    source = _source_from_params(columns, variant)
-    window = link.pairing_window_bins
-    if "tc_bins" in columns:
-        window = np.asarray(columns["tc_bins"], dtype=float)
-        _require((window >= 1.0) & (window < math.inf),
-                 "pairing_window_bins must be finite and >= 1")
-    table = click_table(source, link, det)
-    obs = channel._observables(COLUMNS, source, link, det, n_pulses, window, table)
-    probs = decoy.pairing_probs(source, link.phase_slices)
-    groups = decoy.z_key_groups(source, variant.z_group_mode)
-    scan = None
-    if variant.double_scanning:
-        scan = decoy._double_scan(COLUMNS, obs.counts, obs.m_x, probs, source, eps)
-    est = decoy._estimate(COLUMNS, obs.counts, obs.m_x, probs, source, groups, eps,
-                          variant.phase_error_method, scan)
-    leakage = _leakage(COLUMNS, obs.counts, obs.z_qber, groups, error_correction_f)
-    ell = _key_length(COLUMNS, est.s0_z, est.s11_z, est.phi11_z, leakage, eps)
-    return np.where(obs.n_pairs > 0.0, ell, 0.0) / n_pulses

@@ -144,24 +144,18 @@ def repair_async_params(params: dict) -> dict:
     return out
 
 
-def async_search_space(
-    four_intensity: bool = False,
-    optimize_pairing_window: bool = True,
-) -> SearchSpace:
-    """Default search space for the asynchronous protocol (weak-coherent boxes)."""
+def async_search_space(four_intensity: bool = False) -> SearchSpace:
+    """Default search space for the asynchronous protocol (weak-coherent boxes),
+    with the pairing window ``tc_bins`` on a log axis."""
     intensity_box = (1e-4, 1.0)
     prob_box = (1e-3, 0.99)
     names = ["mu", "nu"] + (["omega"] if four_intensity else [])
-    bounds: dict[str, tuple[float, float]] = {}
+    bounds: dict[str, tuple[float, float]] = {"tc_bins": (1e3, 1e7)}
     for n in names:
         for side in ("a", "b"):
             bounds[f"{n}_{side}"] = intensity_box
             bounds[f"p_{n}_{side}"] = prob_box
-    log_scale = set()
-    if optimize_pairing_window:
-        bounds["tc_bins"] = (1e3, 1e7)
-        log_scale.add("tc_bins")
-    return SearchSpace(bounds=bounds, log_scale=frozenset(log_scale), repair=repair_async_params)
+    return SearchSpace(bounds=bounds, log_scale=frozenset({"tc_bins"}), repair=repair_async_params)
 
 
 @dataclass

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import baselines
 from .channel import ChannelLink, DetectorPair, SourceConfig
-from .keyrate import KeyRateReport, ProtocolVariant, evaluate, rate_batch, repeaterless_bound
+from .keyrate import KeyRateReport, ProtocolVariant, evaluate, repeaterless_bound
 from .optimizer import SearchSpace, async_search_space, optimize_link, repair_async_params
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "NetworkSpec",
     "run_sweep",
     "run_network",
-    "solve_arm_from_skc0",
     "CSV_COLUMNS",
     "point_seed",
 ]
@@ -144,7 +143,6 @@ class SweepSpec:
     delta_km: float = 0.0  # l_a - l_b
     budget: int = 3000
     seed: int = 1
-    optimize_pairing_window: bool = True
     external_rates: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -202,15 +200,10 @@ def _row(preset: DevicePreset, dist: float, variant: str, rate_per_pulse: float,
 def _report_row(preset: DevicePreset, report: KeyRateReport, dist: float, variant: str,
                 **columns) -> dict:
     """``_row`` for an evaluated async point, plus its estimate columns."""
-    row = _row(preset, dist, variant, report.rate_per_pulse, report.params,
-               lambda_ec=report.leakage, eps_tot=report.eps_tot, **columns)
-    if report.estimate is not None:
-        row.update(
-            phi11z=report.estimate.phi11_z,
-            s11z=report.estimate.s11_z,
-            s0z=report.estimate.s0_z,
-        )
-    return row
+    est = report.estimate
+    return _row(preset, dist, variant, report.rate_per_pulse, report.params,
+                lambda_ec=report.leakage, eps_tot=report.eps_tot, phi11z=est.phi11_z,
+                s11z=est.s11_z, s0z=est.s0_z, **columns)
 
 
 def _columns(batch: Sequence[Mapping[str, float]]) -> dict[str, np.ndarray]:
@@ -227,7 +220,6 @@ def _optimize_async_point(
     budget: int,
     seed: int,
     warm_starts: list[dict],
-    optimize_pairing_window: bool,
 ) -> tuple[KeyRateReport, dict]:
     link = preset.link(l_a, l_b)
     det = preset.detector()
@@ -237,13 +229,8 @@ def _optimize_async_point(
             params, link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
         ).rate_per_pulse
 
-    objective.many = lambda batch: rate_batch(
-        _columns(batch), link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
-    )
-    space = async_search_space(
-        four_intensity=variant.four_intensity,
-        optimize_pairing_window=optimize_pairing_window,
-    )
+    objective.many = lambda batch: objective(_columns(batch))
+    space = async_search_space(four_intensity=variant.four_intensity)
     starts = _canonical_warm_starts(variant.four_intensity) + warm_starts
     result = optimize_link(objective, space, budget=budget, seed=seed, warm_starts=starts)
     report = evaluate(
@@ -284,18 +271,12 @@ def _evaluate_baseline(
         def objective(params: dict) -> float:
             return baselines.mdi_key_rate(SourceConfig.from_params(**params), link, det, n_pulses,
                                           preset.eps, preset.error_correction_f)["rate_per_pulse"]
-
-        batch_rate = baselines.mdi_rate_batch
     else:
         def objective(params: dict) -> float:
             prm = baselines.Bb84Params.from_params(params, link, det)
             return baselines.bb84_key_rate(prm, n_pulses, preset.eps,
                                            preset.error_correction_f)["rate_per_pulse"]
-
-        batch_rate = baselines.bb84_rate_batch
-    objective.many = lambda batch: batch_rate(
-        _columns(batch), link, det, n_pulses, preset.eps, preset.error_correction_f,
-    )
+    objective.many = lambda batch: objective(_columns(batch))
 
     warm = [
         dict(mu_a=0.8, omega_a=0.1, nu_a=0.02, p_mu_a=0.5, p_omega_a=0.15, p_nu_a=0.15,
@@ -335,8 +316,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             else:
                 warm = [previous_best[name]] if name in previous_best else []
                 report, best = _optimize_async_point(
-                    preset, l_a, l_b, n_pulses, VARIANTS[name], spec.budget, seed,
-                    warm, spec.optimize_pairing_window,
+                    preset, l_a, l_b, n_pulses, VARIANTS[name], spec.budget, seed, warm,
                 )
                 if report.rate_per_pulse > 0.0:
                     previous_best[name] = best
@@ -384,7 +364,6 @@ class NetworkSpec:
     variants: Sequence[str] = ("filtering",)
     budget: int = 3000
     seed: int = 1
-    optimize_pairing_window: bool = True
 
     def __post_init__(self) -> None:
         if self.preset not in DEVICE_PRESETS:
@@ -422,8 +401,7 @@ def run_network(spec: NetworkSpec) -> list[dict]:
             for v_idx, vname in enumerate(spec.variants):
                 seed = point_seed(spec.seed, pair_index * len(spec.variants) + v_idx)
                 report, _best = _optimize_async_point(
-                    preset, arm_a, arm_b, spec.n_pulses, VARIANTS[vname],
-                    spec.budget, seed, [], spec.optimize_pairing_window,
+                    preset, arm_a, arm_b, spec.n_pulses, VARIANTS[vname], spec.budget, seed, [],
                 )
                 rows.append(_report_row(
                     preset, report, arm_a + arm_b, vname, l_a_km=arm_a, l_b_km=arm_b,
@@ -433,12 +411,3 @@ def run_network(spec: NetworkSpec) -> list[dict]:
             pair_index += 1
     return rows
 
-
-def solve_arm_from_skc0(skc0_bps: float, clock_hz: float, attenuation_db_per_km: float) -> float:
-    """Total fibre length whose repeaterless bound equals ``skc0_bps``.
-
-    Inverts skc0 = -log2(1 - eta) * F with fibre-only transmittance; used to
-    recover unpublished network geometry from published capacity columns.
-    """
-    eta = 1.0 - 2.0 ** (-skc0_bps / clock_hz)
-    return -10.0 * math.log10(eta) / attenuation_db_per_km

@@ -16,9 +16,10 @@ namespace.  On ``FLOATS`` the checked public functions ``binary_entropy`` and
 one name, their body, and run on floats as ``FLOATS.no_click`` and so on.
 ``FLOATS`` and ``amdiqkd.batch.COLUMNS`` are the namespaces the bodies of
 :mod:`amdiqkd.channel`, :mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and
-:mod:`amdiqkd.baselines` run on.  ``each`` applies a C-library ``math``
-function to every element of an array, for the batch forms and the
-optimizer's decoding.
+:mod:`amdiqkd.baselines` run on; ``ops_for`` picks one of them from a value,
+so each public entry of those modules takes one candidate (floats) or a
+batch ((B,) columns).  ``each`` applies a C-library ``math`` function to
+every element of an array, for the column path and the optimizer's decoding.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "i0m1",
     "with_helpers",
     "FLOATS",
+    "ops_for",
     "each",
 ]
 
@@ -220,12 +222,24 @@ FLOATS = with_helpers(
 )
 
 
+def ops_for(value) -> SimpleNamespace:
+    """The namespace of the bodies for ``value``: ``amdiqkd.batch.COLUMNS`` for
+    a numpy array (a batch of candidates, imported on first use), ``FLOATS``
+    for anything else (one candidate)."""
+    if isinstance(value, np.ndarray):
+        from .batch import COLUMNS
+
+        return COLUMNS
+    return FLOATS
+
+
 def each(fn, x):
     """The ``math`` function ``fn`` applied to every element of ``x``; a float
     ``x`` gives ``fn(x)``.
 
     numpy's vectorized exp, log1p, expm1 and pow may differ from the C
-    library's in the last bit; this keeps the batch forms on the C library.
+    library's in the last bit; this keeps the column path on the C library,
+    so a batch and one candidate at a time give the same digits.
     """
     if isinstance(x, float):
         return fn(x)

@@ -39,7 +39,7 @@ def optimize_point(preset, dist, n_pulses, variant, seed, budget=3000, delta_km=
     l_a = (dist + delta_km) / 2.0
     l_b = (dist - delta_km) / 2.0
     rep, best = _optimize_async_point(
-        preset, l_a, l_b, n_pulses, variant, budget, seed, list(warm), True
+        preset, l_a, l_b, n_pulses, variant, budget, seed, list(warm)
     )
     return rep, best
 

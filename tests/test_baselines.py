@@ -11,10 +11,8 @@ from amdiqkd.baselines import (
     bb84_key_rate,
     bb84_observables,
     bb84_oracle,
-    bb84_rate_batch,
     mdi_key_rate,
     mdi_observables,
-    mdi_rate_batch,
 )
 from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
 from amdiqkd.stats import binary_entropy, chernoff_expected, chernoff_observed
@@ -316,7 +314,8 @@ def scalar_baseline(kind, params, link, det, n_pulses, preset):
 
 
 class TestRateBatch:
-    """``mdi_rate_batch`` and ``bb84_rate_batch`` against their scalar forms."""
+    """``mdi_key_rate`` and ``bb84_key_rate`` on (B,) columns against one
+    candidate at a time."""
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(scenario.BASELINE_VARIANTS), where=link_draws(), data=st.data())
@@ -329,11 +328,15 @@ class TestRateBatch:
         batch = space.decode_many(np.array(data.draw(genotype_batches(space))))
         n_pulses = 10.0 ** log_n
         columns = {k: np.array([p[k] for p in batch]) for k in batch[0]}
-        batch_rate = mdi_rate_batch if kind == "mdi-baseline" else bb84_rate_batch
-        got = batch_rate(columns, link, det, n_pulses, preset.eps, preset.error_correction_f)
+        if kind == "mdi-baseline":
+            got = mdi_key_rate(SourceConfig.from_params(**columns), link, det, n_pulses,
+                               preset.eps, preset.error_correction_f)
+        else:
+            got = bb84_key_rate(Bb84Params.from_params(columns, link, det), n_pulses,
+                                preset.eps, preset.error_correction_f)
         want = [scalar_baseline(kind, p, link, det, n_pulses, preset) for p in batch]
         # the baselines report no single-photon term; the vacuum term sets the scale
-        check_against_scalar(got, [w["rate_per_pulse"] for w in want],
+        check_against_scalar(got["rate_per_pulse"], [w["rate_per_pulse"] for w in want],
                              [w["n0"] / n_pulses for w in want])
 
     def test_rejects_what_the_scalar_form_rejects(self):
@@ -342,8 +345,8 @@ class TestRateBatch:
         columns.update({f"p_{k}_a": np.array([v, v]) for k, v in BB84_PROBS.items() if k != "o"})
         columns["q_z"] = np.array([0.5, 1.0])
         with pytest.raises(ValueError, match="q_z"):
-            bb84_rate_batch(columns, link, det, 1e12, 1e-10)
+            bb84_key_rate(Bb84Params.from_params(columns, link, det), 1e12, 1e-10)
         columns["q_z"] = np.array([0.5, 0.5])
         columns["omega_a"] = np.array([0.1, 0.9])  # omega above mu
         with pytest.raises(ValueError, match="candidate 1"):
-            bb84_rate_batch(columns, link, det, 1e12, 1e-10)
+            bb84_key_rate(Bb84Params.from_params(columns, link, det), 1e12, 1e-10)

@@ -159,15 +159,20 @@ class TestStrictConfig:
         scn = write_scenario(tmp_path, FIXTURE_SWEEP + "unknown_knob: 3\n")
         assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
 
-    # a run of T seconds is clock_hz * T pulses; there is no duty-cycle setting
+    # a run of T seconds is clock_hz * T pulses; there is no duty-cycle setting,
+    # and the optimizer always searches the pairing window
     @pytest.mark.parametrize("command, text, key", [
         ("sweep", FIXTURE_SWEEP, "duty_cycle"),
         ("network", FIXTURE_NETWORK, "duty_cycle"),
         ("evaluate", None, "duty_cycle"),
         ("optimize", FIXTURE_OPTIMIZE, "duty_cycle"),
         ("network", FIXTURE_NETWORK, "unknown_knob"),
+        ("sweep", FIXTURE_SWEEP, "optimize_pairing_window"),
+        ("network", FIXTURE_NETWORK, "optimize_pairing_window"),
+        ("optimize", FIXTURE_OPTIMIZE, "optimize_pairing_window"),
     ], ids=["sweep-duty_cycle", "network-duty_cycle", "evaluate-duty_cycle",
-            "optimize-duty_cycle", "network-unknown_knob"])
+            "optimize-duty_cycle", "network-unknown_knob", "sweep-pairing_window_knob",
+            "network-pairing_window_knob", "optimize-pairing_window_knob"])
     def test_unknown_field_is_config_error(self, tmp_path, capsys, command, text, key):
         source = ["--preset", "evaluate_300km"] if text is None else [
             "--scenario", str(write_scenario(tmp_path, text))]
@@ -329,6 +334,17 @@ class TestEntryPoint:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[False, False, False]"
+
+    def test_evaluate_run_leaves_batch_unloaded(self, tmp_path):
+        # one candidate runs on floats: the column namespace is never loaded
+        env = {**os.environ, "PYTHONPATH": str(Path(amdiqkd.__file__).resolve().parents[1])}
+        argv = ["evaluate", "--preset", "evaluate_300km", "--out", str(tmp_path / "o")]
+        code = (f"import sys; from amdiqkd.cli import main; rc = main({argv!r}); "
+                "print(rc, 'amdiqkd.batch' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "0 False"
+        assert (tmp_path / "o" / "results.csv").exists()
 
 
 class TestExports:

@@ -5,8 +5,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from amdiqkd import channel, decoy
-from amdiqkd.batch import COLUMNS, click_table as click_columns
+from amdiqkd import decoy
+from amdiqkd.batch import COLUMNS
 from amdiqkd.channel import DetectorPair, SourceConfig, click_table, expected_observables
 from amdiqkd.decoy import (
     X_KEY,
@@ -394,9 +394,9 @@ VARIANTS = [
 
 
 class TestColumns:
-    """The bodies on ``batch.COLUMNS`` against the public functions on floats,
-    row by row.  Both run the same operations in the same order, so every
-    value agrees exactly."""
+    """The public functions and bodies on (B,) columns against the same ones
+    on floats, row by row.  Both run the same operations in the same order, so
+    every value agrees exactly."""
 
     @pytest.mark.parametrize("four_intensity, click_filtering", VARIANTS)
     def test_pairing_probs(self, four_intensity, click_filtering):
@@ -419,8 +419,9 @@ class TestColumns:
         still = dict(phase_drift_rad_per_s=0.0, laser_offset_hz=0.0, interference_error=0.0)
         link = make_link(70.0, 40.0, **({} if drift else still))
         windows = 10.0 ** np.random.default_rng(5).uniform(0.0, 7.0, len(sources))
-        table = click_columns(batch, link, DET)
-        got = channel._observables(COLUMNS, batch, link, DET, 1e13, windows, table)
+        table = click_table(batch, link, DET)
+        got = expected_observables(batch, dataclasses.replace(link, pairing_window_bins=windows),
+                                   DET, 1e13)
         for i, src in enumerate(sources):
             row_link = dataclasses.replace(link, pairing_window_bins=float(windows[i]))
             for pair, want in click_table(src, row_link, DET).items():
@@ -445,11 +446,9 @@ class TestColumns:
     def test_estimate(self, four_intensity, click_filtering, method, double_scanning, eps):
         sources, tables, m_x, batch, counts, m_x_col = column_draws(four_intensity, click_filtering)
         probs = pairing_probs(batch, 16)
-        scan = None
-        if double_scanning:
-            scan = decoy._double_scan(COLUMNS, counts, m_x_col, probs, batch, eps)
-        got = decoy._estimate(COLUMNS, counts, m_x_col, probs, batch, z_key_groups(batch),
-                              eps, method, scan)
+        scan = double_scan(counts, m_x_col, probs, batch, eps) if double_scanning else None
+        got = estimate(counts, m_x_col, batch, 16, eps, phase_error_method=method,
+                       double_scanning=double_scanning)
         infeasible = 0
         for i, src in enumerate(sources):
             want = estimate(tables[i], m_x[i], src, 16, eps, phase_error_method=method,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -14,7 +15,6 @@ from amdiqkd.keyrate import (
     _leakage,
     evaluate,
     key_length,
-    rate_batch,
     repeaterless_bound,
     total_failure_prob,
 )
@@ -193,11 +193,11 @@ def link_draws():
 
 
 def check_against_scalar(batch_rates, scalar_rates, scales):
-    """Batch rates within 1e-12 of the scalar ones on the rate's own scale,
-    with the same zero/positive verdict.
+    """Batch rates within 1e-12 of the one-candidate ones on the rate's own
+    scale, with the same zero/positive verdict.
 
-    The batch forms repeat the scalar operation order and call the same C
-    library functions, so they agree bit for bit wherever the scalar forms'
+    A batch runs the same operations in the same order and calls the same C
+    library functions, so it agrees bit for bit wherever the float path's
     sum() adds left to right; from Python 3.12 on, sum() rounds a float sum
     once, which may move the last bit.
     """
@@ -207,7 +207,7 @@ def check_against_scalar(batch_rates, scalar_rates, scales):
 
 
 class TestRateBatch:
-    """``rate_batch`` against ``evaluate``, its scalar reference."""
+    """``evaluate`` on (B,) columns against ``evaluate`` one candidate at a time."""
 
     @settings(max_examples=150, deadline=None)
     @given(variant=st.sampled_from(sorted(scenario.VARIANTS)), where=link_draws(), data=st.data())
@@ -222,20 +222,17 @@ class TestRateBatch:
         batch = space.decode_many(np.array(data.draw(genotype_batches(space, anchors))))
         n_pulses = 10.0 ** log_n
         args = (link, det, n_pulses, preset.eps, preset.error_correction_f, var)
-        columns = {k: np.array([p[k] for p in batch]) for k in batch[0]}
         reports = [evaluate(p, *args) for p in batch]
-        scales = [
-            (r.estimate.s0_z + r.estimate.s11_z) / n_pulses if r.estimate is not None else 0.0
-            for r in reports
-        ]
-        check_against_scalar(rate_batch(columns, *args), [r.rate_per_pulse for r in reports], scales)
+        scales = [(r.estimate.s0_z + r.estimate.s11_z) / n_pulses for r in reports]
+        check_against_scalar(evaluate(scenario._columns(batch), *args).rate_per_pulse,
+                             [r.rate_per_pulse for r in reports], scales)
 
     def test_rejects_what_evaluate_rejects(self):
         link = make_link(25.0, 25.0)
         columns = {k: np.array([v, v]) for k, v in PARAMS_50KM.items()}
         columns["nu_b"] = np.array([0.02, 0.7])  # nu above mu on the second row
         with pytest.raises(ValueError, match="candidate 1"):
-            rate_batch(columns, link, DET, 1e12, EPS, 1.1)
+            evaluate(columns, link, DET, 1e12, EPS, 1.1)
         with pytest.raises(ValueError):
             evaluate({k: float(v[1]) for k, v in columns.items()}, link, DET, 1e12, EPS, 1.1)
 
@@ -244,14 +241,15 @@ class TestRateBatch:
         columns = {k: np.array([v, v]) for k, v in PARAMS_50KM.items()}
         columns["mu_a"] = np.array([0.5, level])
         with pytest.raises(ValueError, match="candidate 1: intensities must be finite"):
-            rate_batch(columns, make_link(25.0, 25.0), DET, 1e12, EPS, 1.1)
+            evaluate(columns, make_link(25.0, 25.0), DET, 1e12, EPS, 1.1)
 
     @pytest.mark.parametrize("window", [math.nan, 0.5, math.inf])
     def test_rejects_bad_pairing_window(self, window):
         columns = {k: np.array([v, v]) for k, v in PARAMS_50KM.items()}
         columns["tc_bins"] = np.array([1e5, window])
-        with pytest.raises(ValueError, match="pairing_window_bins must be finite and >= 1"):
-            rate_batch(columns, make_link(25.0, 25.0), DET, 1e12, EPS, 1.1)
+        with pytest.raises(ValueError,
+                           match="candidate 1: pairing_window_bins must be finite and >= 1"):
+            evaluate(columns, make_link(25.0, 25.0), DET, 1e12, EPS, 1.1)
         with pytest.raises(ValueError, match="pairing_window_bins must be finite and >= 1"):
             evaluate(dict(PARAMS_50KM, tc_bins=window), make_link(25.0, 25.0), DET, 1e12, EPS, 1.1)
 
@@ -259,19 +257,32 @@ class TestRateBatch:
     def test_rejects_bad_n_pulses(self, n_pulses):
         columns = {k: np.array([v, v]) for k, v in PARAMS_50KM.items()}
         with pytest.raises(ValueError, match="n_pulses must be finite and positive"):
-            rate_batch(columns, make_link(25.0, 25.0), DET, n_pulses, EPS, 1.1)
+            evaluate(columns, make_link(25.0, 25.0), DET, n_pulses, EPS, 1.1)
 
     @pytest.mark.parametrize("variant", sorted(scenario.VARIANTS))
     def test_rows_without_pairs_score_zero(self, variant):
         # no light arrives and no detector fires in the dark: no kept click
-        # and no pair on any row
+        # and no pair on any row; the chain still runs, on zero counts, and
+        # finds no vacuum or single-photon events, the phase error at 0.5
+        # and nothing to correct
         var = scenario.VARIANTS[variant]
         link, det = make_link(30000.0, 30000.0), DetectorPair(eta_d=0.8, dark_rate_hz=0.0)
         space = async_search_space(four_intensity=var.four_intensity)
         rng = np.random.default_rng(8)
         batch = space.decode_many(rng.uniform(size=(20, len(space.names))))
-        columns = {k: np.array([p[k] for p in batch]) for k in batch[0]}
-        for p in batch:
+        got = evaluate(scenario._columns(batch), link, det, 1e12, EPS, 1.1, var)
+        assert got.rate_per_pulse.tolist() == [0.0] * 20
+        for i, p in enumerate(batch):
             rep = evaluate(p, link, det, 1e12, EPS, 1.1, var)
-            assert (rep.observables.n_pairs, rep.rate_per_pulse) == (0.0, 0.0)
-        assert rate_batch(columns, link, det, 1e12, EPS, 1.1, var).tolist() == [0.0] * 20
+            assert (rep.observables.n_pairs, rep.rate_per_pulse, rep.ell) == (0.0, 0.0, 0.0)
+            assert (rep.estimate.s0_z, rep.estimate.s11_z, rep.estimate.phi11_z) == (0.0, 0.0, 0.5)
+            assert rep.leakage == 0.0
+            for name in ("ell", "rate_per_pulse", "rate_per_second", "leakage",
+                         "skc0_per_pulse", "skc0_per_second", "eps_tot"):
+                assert np.broadcast_to(getattr(got, name), (20,))[i] == getattr(rep, name), name
+            for field in dataclasses.fields(rep.estimate):
+                assert (np.broadcast_to(getattr(got.estimate, field.name), (20,))[i]
+                        == getattr(rep.estimate, field.name)), field.name
+            for key, value in rep.observables.counts.items():
+                assert got.observables.counts[key][i] == value == 0.0, key
+            assert got.observables.m_x[i] == rep.observables.m_x == 0.0

@@ -12,6 +12,7 @@ on ``MP``, the base operations at 50 digits, and the float results must hold
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -313,7 +314,8 @@ def test_async_chain_at_fifty_digits(variant_name):
         table = {(la, lb): channel._pair_gain(MP, src.intensities_a[la], src.intensities_b[lb],
                                               link, DET)
                  for la in src.labels for lb in src.labels}
-        obs = channel._observables(MP, src, link, DET, N_PULSES, params["tc_bins"], table)
+        obs = channel._observables(MP, src, replace(link, pairing_window_bins=params["tc_bins"]),
+                                   DET, N_PULSES, table)
         probs = decoy.pairing_probs(src, link.phase_slices)
         groups = decoy.z_key_groups(src, variant.z_group_mode)
         scan = (decoy._double_scan(MP, obs.counts, obs.m_x, probs, src, EPS)

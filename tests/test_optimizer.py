@@ -5,7 +5,7 @@ import pytest
 
 from amdiqkd import scenario
 from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
-from amdiqkd.keyrate import ProtocolVariant, evaluate, rate_batch
+from amdiqkd.keyrate import ProtocolVariant, evaluate
 from amdiqkd.optimizer import (
     SearchSpace,
     async_search_space,
@@ -215,14 +215,13 @@ class TestBatchScoring:
             assert batched.batches  # the population went through ``many``
 
     def test_same_result_on_the_rate(self):
-        """The scenario's pairing: ``evaluate`` one by one, ``rate_batch`` for batches."""
-        args = (LINK, DET, 1e12, 1e-10, 1.1, ProtocolVariant())
+        """The scenario's pairing: ``evaluate`` one by one, and on columns for batches."""
 
         def objective(params):
             return rate_objective(params)
 
-        objective.many = lambda batch: rate_batch(
-            {k: np.array([p[k] for p in batch]) for k in batch[0]}, *args)
+        objective.many = lambda batch: rate_objective(
+            {k: np.array([p[k] for p in batch]) for k in batch[0]})
         space = async_search_space()
         plain = optimize_link(rate_objective, space, budget=600, seed=5, warm_starts=WARM)
         res = optimize_link(objective, space, budget=600, seed=5, warm_starts=WARM)
@@ -293,7 +292,6 @@ def old_decode(space: SearchSpace, genotype) -> dict:
 SPACES = {
     "async": async_search_space(),
     "async-four": async_search_space(four_intensity=True),
-    "async-fixed-window": async_search_space(optimize_pairing_window=False),
     "mdi-baseline": scenario._baseline_space("mdi-baseline"),
     "bb84-baseline": scenario._baseline_space("bb84-baseline"),
 }

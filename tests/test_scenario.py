@@ -10,8 +10,17 @@ from amdiqkd.scenario import (
     point_seed,
     run_network,
     run_sweep,
-    solve_arm_from_skc0,
 )
+
+
+def solve_arm_from_skc0(skc0_bps: float, clock_hz: float, attenuation_db_per_km: float) -> float:
+    """Total fibre length whose repeaterless bound equals ``skc0_bps``.
+
+    Inverts skc0 = -log2(1 - eta) * F with fibre-only transmittance; used to
+    recover unpublished network geometry from published capacity columns.
+    """
+    eta = 1.0 - 2.0 ** (-skc0_bps / clock_hz)
+    return -10.0 * math.log10(eta) / attenuation_db_per_km
 
 
 class TestSpecs:

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .channel import (LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig, _require,
                       validate_party)
 from .stats import FLOATS, ops_for
@@ -346,59 +344,6 @@ def _bb84_observables(ops, intensities, probs, q_z, eta: float, p_d: float, e_m:
             (e_0 - e_m) * dark_click * ops.exp(-k * q_x * eta) + e_m * click_x
         )
     return Bb84Observables(n_z=n_z, m_z=m_z, n_x=n_x, m_x=m_x, q_z=q_z, q_x=q_x)
-
-
-def bb84_oracle(params: Bb84Params, n_pulses: int, seed: int) -> dict:
-    """Photon-number-resolved Monte Carlo of the BB84 receiver.
-
-    Passive basis choice: each emitted photon independently enters the Z
-    apparatus with probability q_z and is detected there with the channel
-    efficiency; an apparatus click is photons-or-darks, and double-apparatus
-    clicks are assigned to a basis by coin flip.  Dark-only clicks carry a
-    random bit; photon clicks flip with the misalignment probability.
-    Returns observed counts plus ground-truth single-photon tallies.
-    """
-    rng = np.random.default_rng(seed)
-    labels = list(LABEL_ORDER)
-    probs = np.array([params.probs[l] for l in labels])
-    intensities = np.array([params.intensities[l] for l in labels])
-    eta = params.eta
-    p_d = params.dark_prob
-    q_z = params.q_z
-
-    which = rng.choice(len(labels), size=n_pulses, p=probs)
-    photons = rng.poisson(intensities[which])
-    detected_z = rng.binomial(photons, q_z * eta)
-    detected_x = rng.binomial(photons - detected_z, (1.0 - q_z) * eta / (1.0 - q_z * eta))
-    dark_z = rng.random(n_pulses) < 1.0 - (1.0 - p_d) ** 2
-    dark_x = rng.random(n_pulses) < 1.0 - (1.0 - p_d) ** 2
-    click_z = (detected_z > 0) | dark_z
-    click_x = (detected_x > 0) | dark_x
-    coin = rng.random(n_pulses) < 0.5
-    counted_z = click_z & (~click_x | coin)
-    counted_x = click_x & (~click_z | ~coin)
-    err_draw = rng.random(n_pulses)
-    error_z = np.where(detected_z > 0, err_draw < params.misalignment, err_draw < 0.5)
-    error_x = np.where(detected_x > 0, err_draw < params.misalignment, err_draw < 0.5)
-
-    out = {"n_z": {}, "m_z": {}, "n_x": {}, "m_x": {},
-           "single_z": 0, "single_z_err": 0, "single_x": 0, "single_x_err": 0,
-           "vacuum_z": 0}
-    single = photons == 1
-    for idx, lab in enumerate(labels):
-        sel = which == idx
-        out["n_z"][lab] = int(np.count_nonzero(sel & counted_z))
-        out["m_z"][lab] = int(np.count_nonzero(sel & counted_z & error_z))
-        out["n_x"][lab] = int(np.count_nonzero(sel & counted_x))
-        out["m_x"][lab] = int(np.count_nonzero(sel & counted_x & error_x))
-    signal = (which == 0) | (which == 2)  # mu and nu feed the Z-basis estimate
-    out["single_z"] = int(np.count_nonzero(signal & single & counted_z))
-    out["single_z_err"] = int(np.count_nonzero(signal & single & counted_z & error_z))
-    omega_sel = which == 1
-    out["single_x"] = int(np.count_nonzero(omega_sel & single & counted_x))
-    out["single_x_err"] = int(np.count_nonzero(omega_sel & single & counted_x & error_x))
-    out["vacuum_z"] = int(np.count_nonzero(signal & (photons == 0) & counted_z))
-    return out
 
 
 def bb84_key_rate(params: Bb84Params, n_pulses: float, eps: float,

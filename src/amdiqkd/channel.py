@@ -19,6 +19,10 @@ click filtering, the per-party two-bin totals, the (total_a, total_b)
 coincidence groups with their surviving (early, late) splits, and the
 phase-sifted groups) has one owner, :class:`GroupLayout`, built once per
 (labels, click_filtering) and read by every module that walks the groups.
+The per-group tables (:func:`split_sums`, the counts, the Z error rates and
+:func:`amdiqkd.decoy.pairing_probs`) are :class:`GroupValues` mappings: a
+group is worked out on its first read, so the chain pays only for the groups
+it reads, and iterating yields every group, in order.
 
 The observables are written once, as bodies that take an operations namespace
 first (see :mod:`amdiqkd.decoy`).  :func:`click_table` and
@@ -31,17 +35,16 @@ the click table as a {label pair: column} dict.  So a body never branches on
 a value; without kept clicks or pairs, it works on placeholder values.
 
 Every phase average is an exact I0 closed form, accurate to rounding on long
-links; ``pair_gain_phase`` is the phase-resolved model it averages.  An
-event-level Monte Carlo counterpart lives in :mod:`amdiqkd.oracle`; every
-closed form here is validated against it.
+links.  An event-level Monte Carlo counterpart lives in
+:mod:`amdiqkd.oracle`; every closed form here is validated against it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -52,10 +55,10 @@ __all__ = [
     "DetectorPair",
     "ChannelLink",
     "GroupLayout",
+    "GroupValues",
     "SourceConfig",
     "ObservableSet",
     "pair_gain",
-    "pair_gain_phase",
     "click_table",
     "kept_click_prob",
     "expected_observables",
@@ -133,11 +136,11 @@ class ChannelLink:
         if not 0.0 <= self.interference_error < 0.5:
             raise ValueError("interference_error must be in [0, 0.5)")
 
-    @property
+    @cached_property
     def eta_a(self) -> float:
         return 10.0 ** (-self.attenuation_db_per_km * self.length_a_km / 10.0)
 
-    @property
+    @cached_property
     def eta_b(self) -> float:
         return 10.0 ** (-self.attenuation_db_per_km * self.length_b_km / 10.0)
 
@@ -200,7 +203,7 @@ class SourceConfig:
     single-bin clicks where the two parties used different non-vacuum levels
     are discarded before pairing.  The levels and probabilities are floats
     (one candidate) or (B,) columns (a batch, one row per candidate), each
-    checked by :func:`validate_party`.
+    checked by :func:`validate_party`; ``layout`` is shared per label set.
     """
 
     intensities_a: Mapping[str, float]
@@ -208,33 +211,30 @@ class SourceConfig:
     intensities_b: Mapping[str, float]
     probabilities_b: Mapping[str, float]
     click_filtering: bool = True
+    layout: "GroupLayout" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_party(self.intensities_a, self.probabilities_a)
         validate_party(self.intensities_b, self.probabilities_b)
         if set(self.intensities_a) != set(self.intensities_b):
             raise ValueError("both parties must use the same label set")
+        object.__setattr__(self, "layout",
+                           _group_layout(tuple(self.intensities_a), self.click_filtering))
 
-    @cached_property
+    @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(l for l in LABEL_ORDER if l in self.intensities_a)
+        return self.layout.labels
 
-    @cached_property
+    @property
     def four_intensity(self) -> bool:
-        return "omega" in self.intensities_a
+        return "omega" in self.layout.labels
 
-    @cached_property
-    def layout(self) -> "GroupLayout":
-        return _group_layout(self.labels, self.click_filtering)
-
-    @cached_property
+    @property
     def survival_prob(self) -> float:
         """Probability that a click survives filtering, from send probabilities."""
         p_s = 1.0
-        for la in self.labels:
-            for lb in self.labels:
-                if (la, lb) not in self.layout.kept:
-                    p_s -= self.probabilities_a[la] * self.probabilities_b[lb]
+        for la, lb in self.layout.dropped:
+            p_s -= self.probabilities_a[la] * self.probabilities_b[lb]
         return p_s
 
     @classmethod
@@ -279,18 +279,20 @@ class SourceConfig:
 class GroupLayout:
     """Coincidence-group structure of one label set under one filtering choice.
 
-    labels  the label set, in LABEL_ORDER
-    kept    single-bin label pairs (label_a, label_b) that survive click
-            filtering, in LABEL_ORDER
-    totals  one party's unordered two-bin label combinations, canonically ordered
-    groups  the (total_a, total_b) coincidence groups, total_a major
-    splits  per group, the (early, late) single-bin label pairs it arises
-            from, skipping those with a filtered bin
-    sifted  matched-phase groups: the same bright level in all four bins
+    labels   the label set, in LABEL_ORDER
+    kept     single-bin label pairs (label_a, label_b) that survive click
+             filtering, in LABEL_ORDER
+    dropped  the other single-bin label pairs, in LABEL_ORDER
+    totals   one party's unordered two-bin label combinations, canonically ordered
+    groups   the (total_a, total_b) coincidence groups, total_a major
+    splits   per group, the (early, late) single-bin label pairs it arises
+             from, skipping those with a filtered bin
+    sifted   matched-phase groups: the same bright level in all four bins
     """
 
     labels: tuple[str, ...]
     kept: tuple[LabelPair, ...]
+    dropped: tuple[LabelPair, ...]
     totals: tuple[LabelPair, ...]
     groups: tuple[CountKey, ...]
     splits: tuple[tuple[tuple[LabelPair, LabelPair], ...], ...]
@@ -301,16 +303,27 @@ class GroupLayout:
         """Position of each group in ``groups``."""
         return {g: i for i, g in enumerate(self.groups)}
 
+    @cached_property
+    def splits_of(self) -> dict[CountKey, tuple[tuple[LabelPair, LabelPair], ...]]:
+        """``splits`` keyed by group."""
+        return dict(zip(self.groups, self.splits))
+
+    @cached_property
+    def single_level(self) -> dict[CountKey, LabelPair]:
+        """Each group ((k_a, o), (k_b, o)) of bright levels, mapped to (k_a, k_b)."""
+        bright = [l for l in self.labels if l != "o"]
+        return {((ka, "o"), (kb, "o")): (ka, kb) for ka in bright for kb in bright}
+
 
 @lru_cache(maxsize=None)
-def _group_layout(labels: tuple[str, ...], click_filtering: bool) -> GroupLayout:
+def _group_layout(names: tuple[str, ...], click_filtering: bool) -> GroupLayout:
+    """The layout of the label set ``names``, given in any order."""
+    labels = tuple(l for l in LABEL_ORDER if l in names)
     bright = [l for l in labels if l != "o"]
-    kept = tuple(
-        (la, lb)
-        for la in labels
-        for lb in labels
-        if not (click_filtering and la != lb and la in bright and lb in bright)
-    )
+    pairs = [(la, lb) for la in labels for lb in labels]
+    kept = tuple((la, lb) for la, lb in pairs
+                 if not (click_filtering and la != lb and la in bright and lb in bright))
+    dropped = tuple(pair for pair in pairs if pair not in kept)
     totals = tuple((l1, l2) for i, l1 in enumerate(labels) for l2 in labels[i:])
     groups = tuple((ta, tb) for ta in totals for tb in totals)
 
@@ -327,54 +340,70 @@ def _group_layout(labels: tuple[str, ...], click_filtering: bool) -> GroupLayout
         for ta, tb in groups
     )
     sifted = tuple(((l, l), (l, l)) for l in bright)
-    return GroupLayout(labels, kept, totals, groups, splits, sifted)
+    return GroupLayout(labels, kept, dropped, totals, groups, splits, sifted)
 
 
-def split_sums(layout: GroupLayout, weight: Mapping[LabelPair, float]) -> dict[CountKey, float]:
+_UNSET = object()
+
+
+class GroupValues(Mapping):
+    """A read-only {group: value} mapping over the keys of the dict ``groups``.
+
+    ``value(group)`` works out a group's value on its first read, and the
+    mapping keeps it; it raises KeyError for a key that is not a group.
+    Iterating yields every group, in order, so ``items()``, ``len``, ``==``,
+    ``dict(m)`` and ``{**m}`` see the whole table.
+    """
+
+    __slots__ = ("_groups", "_value", "_known")
+
+    def __init__(self, groups: Mapping[CountKey, object], value) -> None:
+        self._groups = groups
+        self._value = value
+        self._known: dict[CountKey, float] = {}
+
+    def __getitem__(self, key: CountKey) -> float:
+        # a sentinel, not KeyError, marks a first read: raising costs more
+        # than the sum
+        value = self._known.get(key, _UNSET)
+        if value is _UNSET:
+            value = self._known[key] = self._value(key)
+        return value
+
+    def __iter__(self):
+        return iter(self._groups)
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+def split_sums(layout: GroupLayout, weight: Mapping[LabelPair, float],
+               finish=None) -> GroupValues:
     """Sum over (early, late) splits of weight[early] * weight[late], per group.
 
     ``weight`` maps each kept single-bin label pair (label_a, label_b) to its
-    weight; the result is keyed by the (total_a, total_b) coincidence groups.
+    weight; the result is keyed by the (total_a, total_b) coincidence groups
+    and works out a group's sum on its first read (see :class:`GroupValues`).
+    ``finish(group, sum)``, if given, turns the sum into the group's value.
     """
-    sums = []
-    for splits in layout.splits:
+    splits_of = layout.splits_of
+
+    def split_sum(key: CountKey):
         acc = 0.0
-        for early, late in splits:
+        for early, late in splits_of[key]:
             acc += weight[early] * weight[late]
-        sums.append(acc)
-    return dict(zip(layout.groups, sums))
+        return acc if finish is None else finish(key, acc)
 
-
-def _click_given_means(mean_l, mean_r, p_d):
-    """Single-click probabilities for given mean detected photon numbers."""
-    silent_l = (1.0 - p_d) * np.exp(-mean_l)
-    silent_r = (1.0 - p_d) * np.exp(-mean_r)
-    q_l = (1.0 - silent_l) * silent_r
-    q_r = silent_l * (1.0 - silent_r)
-    return q_l, q_r
-
-
-def pair_gain_phase(
-    k_a: float, k_b: float, theta, link: ChannelLink, det: DetectorPair
-) -> tuple[float, float]:
-    """Left/right single-click probabilities at interference phase ``theta``.
-
-    The two output ports see mean detected photon numbers
-    eta_d * [ (eta_a k_a + eta_b k_b)/2 +- sqrt(eta_a k_a eta_b k_b) cos(theta) ].
-    Accepts a scalar or an ndarray of phases.
-    """
-    if k_a < 0.0 or k_b < 0.0:
-        raise ValueError("intensities must be >= 0")
-    s = 0.5 * (link.eta_a * k_a + link.eta_b * k_b)
-    c = math.sqrt(link.eta_a * k_a * link.eta_b * k_b)
-    p_d = det.dark_prob(link.clock_hz)
-    cos_t = np.cos(theta)
-    return _click_given_means(det.eta_d * (s + c * cos_t), det.eta_d * (s - c * cos_t), p_d)
+    return GroupValues(layout.group_pos, split_sum)
 
 
 def _pair_terms(ops, k_a, k_b, link: ChannelLink, det: DetectorPair):
     """Silence probability y of one port at its phase-free mean, 1 - y, and the
-    Bessel argument c = eta_d sqrt(eta_a k_a eta_b k_b) (see pair_gain_phase)."""
+    Bessel argument c = eta_d sqrt(eta_a k_a eta_b k_b): at phase theta the
+    ports see eta_d (eta_a k_a + eta_b k_b)/2 +- c cos(theta) photons."""
     t_a, t_b = link.eta_a * k_a, link.eta_b * k_b
     y, click = ops.no_click(0.5 * det.eta_d * (t_a + t_b), det.dark_prob(link.clock_hz))
     return y, click, det.eta_d * ops.sqrt(t_a * t_b)
@@ -388,8 +417,8 @@ def _pair_gain(ops, k_a, k_b, link: ChannelLink, det: DetectorPair):
 def pair_gain(k_a: float, k_b: float, link: ChannelLink, det: DetectorPair) -> float:
     """Phase-averaged single-click probability for intensities (k_a | k_b).
 
-    Equals the average of the two pair_gain_phase outputs over theta,
-    2y I0(c) - 2y^2, written as 2y [(I0(c) - 1) + (1 - y)].
+    Equals the average over theta of the left plus right single-click
+    probabilities, 2y I0(c) - 2y^2, written as 2y [(I0(c) - 1) + (1 - y)].
     """
     if k_a < 0.0 or k_b < 0.0:
         raise ValueError("intensities must be >= 0")
@@ -460,6 +489,7 @@ def _pairing_statistics(ops, n_pulses: float, q_tot, window, clock_hz: float):
 
 def _coincidence_counts(ops, source, link: ChannelLink, det: DetectorPair, n_pairs, q_tot, table):
     """Expected coincidence count per (total_a, total_b) group; ``q_tot`` > 0.
+    A group's count is worked out on its first read (see :func:`split_sums`).
 
     Matched-phase groups (both parties using the same bright level in both
     bins) keep only the 2/M phase-sifted fraction, with both bins at the same
@@ -469,14 +499,18 @@ def _coincidence_counts(ops, source, link: ChannelLink, det: DetectorPair, n_pai
     layout = source.layout
     p_a, p_b = source.probabilities_a, source.probabilities_b
     fractions = {(la, lb): p_a[la] * p_b[lb] * table[(la, lb)] / q_tot for la, lb in layout.kept}
-    counts = {key: n_pairs * acc for key, acc in split_sums(layout, fractions).items()}
-    for ta, tb in layout.sifted:
-        weight = p_a[ta[0]] * p_b[tb[0]] / q_tot
+
+    def count(key: CountKey, acc):
+        if key not in layout.sifted:
+            return n_pairs * acc
+        (level_a, _), (level_b, _) = key
+        weight = p_a[level_a] * p_b[level_b] / q_tot
         opposite, same = _click_correlations(
-            ops, source.intensities_a[ta[0]], source.intensities_b[tb[0]], 0.0, link, det
+            ops, source.intensities_a[level_a], source.intensities_b[level_b], 0.0, link, det
         )
-        counts[(ta, tb)] = n_pairs * (2.0 / link.phase_slices) * weight * weight * (opposite + same)
-    return counts
+        return n_pairs * (2.0 / link.phase_slices) * weight * weight * (opposite + same)
+
+    return split_sums(layout, fractions, count)
 
 
 def _xbasis_error_count(ops, source, link: ChannelLink, det: DetectorPair, n_pairs, t_mean_s,
@@ -502,32 +536,38 @@ def _z_error_rates(ops, source, table):
 
     A bit error happens exactly when both parties put their bright pulse in
     the same bin (the partner bin then clicks on dark counts or leakage);
-    bright pulses in different bins always yield agreeing bits.
+    bright pulses in different bins always yield agreeing bits.  A group's
+    rate is worked out on its first read (see :class:`GroupValues`).
     """
-    rates = {}
-    bright = [l for l in source.labels if l != "o"]
-    for ka in bright:
-        for kb in bright:
-            same = table[(ka, kb)] * table[("o", "o")] if (ka, kb) in source.layout.kept else 0.0
-            diff = table[(ka, "o")] * table[("o", kb)]
-            total = same + diff
-            some = total > 0.0
-            rates[((ka, "o"), (kb, "o"))] = ops.where(some, same / ops.where(some, total, 1.0), 0.0)
-    return rates
+    kept, levels = source.layout.kept, source.layout.single_level
+
+    def rate(key: CountKey):
+        ka, kb = levels[key]
+        same = table[(ka, kb)] * table[("o", "o")] if (ka, kb) in kept else 0.0
+        diff = table[(ka, "o")] * table[("o", kb)]
+        total = same + diff
+        some = total > 0.0
+        return ops.where(some, same / ops.where(some, total, 1.0), 0.0)
+
+    return GroupValues(levels, rate)
 
 
 @dataclass
 class ObservableSet:
     """Everything the estimation chain consumes about one link configuration;
-    for a batch, every value but ``n_pulses`` is per row, in (B,) columns."""
+    for a batch, every value but ``n_pulses`` is per row, in (B,) columns.
+
+    ``counts`` and ``z_qber`` are :class:`GroupValues`: a group is worked out
+    on its first read, and iterating yields every group, in layout order.
+    """
 
     n_pulses: float
     n_pairs: float
     t_mean_s: float
     q_tot: float
-    counts: dict[CountKey, float]
+    counts: Mapping[CountKey, float]
     m_x: float
-    z_qber: dict[CountKey, float] = field(default_factory=dict)
+    z_qber: Mapping[CountKey, float] = field(default_factory=dict)
 
 
 def expected_observables(

@@ -16,7 +16,9 @@ a map through the helpers ``expected_lower/upper`` and
 ``observed_lower/upper`` of its operations namespace.  Passing
 ``eps=None`` runs the whole chain without statistical slack, which is how the
 soundness tests compare against Monte Carlo ground truth.  Group
-probabilities and count tables are plain dicts keyed by (total_a, total_b).
+probabilities and count tables are mappings keyed by (total_a, total_b)
+that work out a group on its first read (:class:`amdiqkd.channel.GroupValues`),
+so the chain pays only for the groups it reads; iterating yields them all.
 
 Each step is written once.  Its body takes an operations namespace as its
 first argument: :data:`amdiqkd.stats.FLOATS` runs it on plain numbers, and
@@ -33,10 +35,10 @@ need no namespace and take either source.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
-from .channel import CountKey, SourceConfig, split_sums
+from .channel import CountKey, GroupValues, SourceConfig, split_sums
 from .stats import FLOATS, ops_for
 
 __all__ = [
@@ -51,22 +53,24 @@ __all__ = [
 X_KEY: CountKey = (("nu", "nu"), ("nu", "nu"))
 
 
-def pairing_probs(source: SourceConfig, phase_slices: int) -> dict[CountKey, float]:
+def pairing_probs(source: SourceConfig, phase_slices: int) -> GroupValues:
     """Conditional probability of each coincidence group, given a coincidence.
 
     Each kept bin carries label pair (la, lb) with probability
     p_a(la) p_b(lb) / p_s; a group probability sums the products over the
     early/late splits that survive filtering.  Matched-phase groups carry the
-    extra 2/M factor for the phase-sifting condition.
+    extra 2/M factor for the phase-sifting condition.  A group is worked out
+    on its first read; iterating yields every group in layout order.
     """
     layout = source.layout
     p_a, p_b = source.probabilities_a, source.probabilities_b
     p_s = source.survival_prob
     weights = {(la, lb): p_a[la] * p_b[lb] / p_s for la, lb in layout.kept}
-    probs = split_sums(layout, weights)
-    for key in layout.sifted:
-        probs[key] *= 2.0 / phase_slices
-    return probs
+
+    def sift(key: CountKey, acc):
+        return acc * (2.0 / phase_slices) if key in layout.sifted else acc
+
+    return split_sums(layout, weights, sift)
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +88,14 @@ def _joint_bound(ops, terms, direction: str, eps: float | None):
     if direction not in ("lower", "upper"):
         raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
     ordered = ops.sort_terms(terms)
+    values = [v for _, v in ordered]
     bound_fn = ops.expected_lower if direction == "lower" else ops.expected_upper
     maximum = ops.maximum
     total = 0.0
     prev_coef = 0.0
     for j, (coef, _) in enumerate(ordered):
         # a step that does not rise (tied coefficients) adds nothing
-        tail = sum(v for _, v in ordered[j:])
+        tail = sum(values[j:])
         total += maximum(coef - prev_coef, 0.0) * bound_fn(tail, eps)
         prev_coef = coef
     return total

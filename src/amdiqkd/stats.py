@@ -25,7 +25,7 @@ every element of an array, for the column path and the optimizer's decoding.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -50,8 +50,10 @@ RATE_FLOOR = 1e-12
 LN2 = math.log(2.0)
 
 
+@lru_cache(maxsize=64)
 def _beta(eps: float) -> float:
-    """Log-inverse exponent ln(1/eps) of a failure probability eps in (0, 1)."""
+    """Log-inverse exponent ln(1/eps) of a failure probability eps in (0, 1),
+    kept per eps (a chain reads it ~20 times); a bad eps raises every time."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {eps!r}")
     return math.log(1.0 / eps)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amdiqkd
-from amdiqkd import channel
+from amdiqkd import channel, scenario
+from amdiqkd.batch import COLUMNS
 from amdiqkd.channel import (
     ChannelLink,
     DetectorPair,
@@ -19,10 +21,12 @@ from amdiqkd.channel import (
     expected_observables,
     kept_click_prob,
     pair_gain,
-    pair_gain_phase,
     split_sums,
 )
+from amdiqkd.decoy import pairing_probs
 from amdiqkd.stats import FLOATS
+
+from phase_model import pair_gain_phase
 
 DET = DetectorPair(eta_d=0.8, dark_rate_hz=0.1)
 
@@ -458,3 +462,114 @@ class TestValidation:
             channel._pairing_statistics(
                 FLOATS, n_pulses, 0.0, link.pairing_window_bins, link.clock_hz
             )
+
+
+def variant_source(name, rows=None):
+    """The source of the scenario variant ``name``: floats, or with ``rows``
+    a column source of that many seeded rows."""
+    var = scenario.VARIANTS[name]
+    params = flat_rows(var.four_intensity, rows or 1, seed=31)
+    if rows is None:
+        return SourceConfig.from_params(**params[0], click_filtering=var.click_filtering)
+    return SourceConfig.from_params(**{k: np.array([p[k] for p in params]) for k in params[0]},
+                                    click_filtering=var.click_filtering)
+
+
+def eager_split_sums(layout, weight):
+    """Every group's split sum, added in split order as ``split_sums`` does."""
+    sums = {}
+    for group, splits in zip(layout.groups, layout.splits):
+        acc = 0.0
+        for early, late in splits:
+            acc += weight[early] * weight[late]
+        sums[group] = acc
+    return sums
+
+
+def bits(value):
+    return np.asarray(value).dtype, np.asarray(value).shape, np.asarray(value).tobytes()
+
+
+class TestLazyGroups:
+    """``pairing_probs`` and the coincidence counts work out a group on its
+    first read; the mappings still hold every group, in layout order, with
+    the values of the sums worked out all at once."""
+
+    def check_mapping(self, got, want, groups):
+        assert list(got) == list(got.keys()) == list(groups) == list(want)
+        assert len(got) == len(want) == len(groups)
+        for key, value in got.items():
+            assert bits(value) == bits(want[key]), key
+        for copy in (dict(got), {**got}):
+            assert list(copy) == list(groups)
+            assert all(bits(copy[key]) == bits(want[key]) for key in groups)
+        assert got == dict(got) and dict(got) == got
+        assert (("x", "x"), ("x", "x")) not in got
+        with pytest.raises(KeyError):
+            got[(("x", "x"), ("x", "x"))]
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["floats", "columns"])
+    @pytest.mark.parametrize("name", list(scenario.VARIANTS))
+    def test_pairing_probs(self, name, rows):
+        src = variant_source(name, rows)
+        layout, p_a, p_b = src.layout, src.probabilities_a, src.probabilities_b
+        p_s = src.survival_prob
+        want = eager_split_sums(layout, {(la, lb): p_a[la] * p_b[lb] / p_s
+                                         for la, lb in layout.kept})
+        for key in layout.sifted:
+            want[key] *= 2.0 / 16
+        got = pairing_probs(src, 16)
+        self.check_mapping(got, want, layout.groups)
+        if rows is None:
+            assert got == want and want == got
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["floats", "columns"])
+    @pytest.mark.parametrize("name", list(scenario.VARIANTS))
+    def test_counts(self, name, rows):
+        src = variant_source(name, rows)
+        ops = FLOATS if rows is None else COLUMNS
+        link = make_link(60.0, 45.0)
+        obs = expected_observables(src, link, DET, 1e12)
+        table, q_tot = table_and_q_tot(src, link)
+        layout, p_a, p_b = src.layout, src.probabilities_a, src.probabilities_b
+        want = eager_split_sums(layout, {(la, lb): p_a[la] * p_b[lb] * table[(la, lb)] / q_tot
+                                         for la, lb in layout.kept})
+        want = {key: obs.n_pairs * acc for key, acc in want.items()}
+        for ta, tb in layout.sifted:
+            weight = p_a[ta[0]] * p_b[tb[0]] / q_tot
+            opposite, same = channel._click_correlations(
+                ops, src.intensities_a[ta[0]], src.intensities_b[tb[0]], 0.0, link, DET)
+            want[(ta, tb)] = obs.n_pairs * (2.0 / link.phase_slices) * weight * weight * (
+                opposite + same)
+        self.check_mapping(obs.counts, want, layout.groups)
+        if rows is None:
+            assert obs.counts == want and want == obs.counts
+
+    def test_split_sums_reads_only_what_is_asked(self):
+        src = make_source()
+        reads = []
+
+        class Weights(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return dict.__getitem__(self, key)
+
+        sums = split_sums(src.layout, Weights.fromkeys(src.layout.kept, 0.5))
+        assert reads == []
+        key = (("mu", "o"), ("mu", "o"))
+        splits = src.layout.splits_of[key]
+        assert len(splits) == 4
+        assert sums[key] == sums[key] == 4 * 0.25
+        assert len(reads) == 2 * len(splits)  # once, on the first read
+
+
+class TestTransmittance:
+    def test_replaced_link_gets_its_own(self):
+        link = make_link(50.0, 50.0)
+        assert link.eta_a == link.eta_b == 10.0 ** (-0.16 * 50.0 / 10.0)
+        longer = dataclasses.replace(link, length_a_km=80.0)
+        assert longer.eta_a == 10.0 ** (-0.16 * 80.0 / 10.0) != link.eta_a
+        assert longer.eta_b == link.eta_b
+        shorter = dataclasses.replace(longer, length_b_km=10.0)
+        assert shorter.eta_b == 10.0 ** (-0.16 * 10.0 / 10.0)
+        assert pair_gain(0.5, 0.5, longer, DET) < pair_gain(0.5, 0.5, link, DET)

@@ -229,7 +229,7 @@ class TestSinglePhotonPairs:
         val3 = decoy._single_photon_pairs_z_lower(FLOATS, obs.counts, probs3, src3, groups, None)
 
         src4 = make_source(omega_a=0.45, p_omega_a=0.05, omega_b=0.45, p_omega_b=0.05)
-        probs4 = pairing_probs(src4, 16)
+        probs4 = dict(pairing_probs(src4, 16))  # a copy to edit
         counts4 = zero_counts(src4)
         # copy the three-intensity table and mirror mu-entries into omega slots
         def promote(total):

@@ -171,6 +171,45 @@ class TestEvaluate:
         labels = 4 if var.four_intensity else 3
         assert calls == {"expected_observables": 1, "pair_gain": labels ** 2, "estimate": 1}
 
+    # groups one evaluate works out: (pairing probabilities, counts) of the
+    # 36 groups (100 with four intensities); the decoy chain and the leakage
+    # read these, so a step that walks a whole mapping shows up here
+    GROUPS_READ = {
+        "filtering": (10, 9), "filtering-rs": (10, 9), "nofilter-signal-only": (10, 9),
+        "nofilter-4group": (12, 11), "double-scan": (13, 13), "four-intensity": (13, 12),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(scenario.VARIANTS))
+    def test_works_out_only_the_groups_read(self, monkeypatch, variant):
+        from amdiqkd import channel, decoy
+
+        worked_out = {}
+        for module, name in ((decoy, "probs"), (channel, "counts")):
+            def counting(layout, weight, finish, _name=name, _split_sums=module.split_sums):
+                def counted(key, acc):
+                    worked_out[_name] = worked_out.get(_name, 0) + 1
+                    return finish(key, acc)
+                return _split_sums(layout, weight, counted)
+
+            monkeypatch.setattr(module, "split_sums", counting)
+        var = scenario.VARIANTS[variant]
+        params = dict(PARAMS_50KM)
+        if var.four_intensity:
+            params.update(omega_a=0.1, p_omega_a=0.1, omega_b=0.1, p_omega_b=0.1)
+        rep = evaluate(params, make_link(25.0, 25.0), DET, 1e12, EPS, 1.1, var)
+        assert rep.rate_per_pulse > 0.0
+        assert (worked_out["probs"], worked_out["counts"]) == self.GROUPS_READ[variant]
+        # the report's counts still hold every group
+        assert len(dict(rep.observables.counts)) == (100 if var.four_intensity else 36)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-10, math.nan])
+    def test_bad_eps_raises_after_a_good_one(self, eps):
+        link = make_link(25.0, 25.0)
+        assert evaluate(PARAMS_50KM, link, DET, 1e12, EPS, 1.1).rate_per_pulse > 0.0
+        for _ in range(2):
+            with pytest.raises(ValueError, match="failure probability"):
+                evaluate(PARAMS_50KM, link, DET, 1e12, eps, 1.1)
+
 
 def genotype_batches(space, anchors=()):
     """1-8 genotypes of ``space``: free points, with the cube's faces (where the

@@ -12,7 +12,6 @@ from amdiqkd.channel import (
     DetectorPair,
     SourceConfig,
     expected_observables,
-    pair_gain_phase,
 )
 from amdiqkd.decoy import estimate, pairing_probs, xbasis_vacuum_errors_lower, z_key_groups
 from amdiqkd import oracle
@@ -22,6 +21,8 @@ from amdiqkd.oracle import (
     _pair_scan,
     simulate,
 )
+
+from phase_model import pair_gain_phase
 
 # a bright, short-reach configuration keeps counts healthy at small n_bins
 DET = DetectorPair(0.8, 1e5)

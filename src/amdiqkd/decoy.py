@@ -172,7 +172,7 @@ def _zgroup_intensity_sum(ops, probs, source, groups):
     return acc
 
 
-def _single_photon_pairs_z_lower(ops, counts, probs, source, groups, eps):
+def _single_photon_pairs_z_lower(ops, counts, probs, source, z_sum, eps):
     """Expected-value lower bound on single-photon pairs in the key groups.
 
     Decoy-state difference of the two bright levels below the signal, split
@@ -203,18 +203,16 @@ def _single_photon_pairs_z_lower(ops, counts, probs, source, groups, eps):
     plus = _joint_bound(ops, plus_terms, "lower", eps)
     minus = _joint_bound(ops, minus_terms, "upper", eps)
 
-    prefactor = _zgroup_intensity_sum(ops, probs, source, groups) / (
-        lo_a * lo_b * hi_a * hi_b * (hi_p - lo_p)
-    )
+    prefactor = z_sum / (lo_a * lo_b * hi_a * hi_b * (hi_p - lo_p))
     return ops.maximum(prefactor * (plus - minus), 0.0)
 
 
-def _zx_count_ratio(ops, probs, source, groups):
+def _zx_count_ratio(ops, probs, source, z_sum):
     """Expected ratio of Z-group to X-group single-photon pair counts."""
     nu_a = source.intensities_a["nu"]
     nu_b = source.intensities_b["nu"]
     x_weight = 4.0 * nu_a * nu_b * ops.exp(-2.0 * nu_a - 2.0 * nu_b) * probs[X_KEY]
-    return _zgroup_intensity_sum(ops, probs, source, groups) / x_weight
+    return z_sum / x_weight
 
 
 def xbasis_vacuum_errors_lower(
@@ -403,10 +401,11 @@ def _estimate(ops, counts, m_x, probs, source, groups, eps, phase_error_method: 
     s0_star = _vacuum_events_lower(ops, counts, probs, source, groups, eps)
     s0_obs = observed_lower(s0_star, eps)
 
-    s11z_star = _single_photon_pairs_z_lower(ops, counts, probs, source, groups, eps)
+    z_sum = _zgroup_intensity_sum(ops, probs, source, groups)
+    s11z_star = _single_photon_pairs_z_lower(ops, counts, probs, source, z_sum, eps)
     s11z_obs = observed_lower(s11z_star, eps)
 
-    ratio = _zx_count_ratio(ops, probs, source, groups)
+    ratio = _zx_count_ratio(ops, probs, source, z_sum)
 
     m0_star = _xbasis_vacuum_errors_lower(ops, counts, probs, source, eps)
 

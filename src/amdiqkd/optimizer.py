@@ -12,14 +12,18 @@ values, never on the budget: a longer run replays a shorter run exactly and
 then keeps going.  Runs are therefore bit-reproducible and the best value is
 non-decreasing in the budget.
 
-The initial population and each generation are decoded and scored as one
-batch: an objective that carries a ``many`` attribute (a list of parameter
-dicts -> their values) gets the whole batch in one call, and the polish
-trials, one candidate each, go through the plain call, which is the reference
-path.  Either way the candidates are counted and compared in order, so a run
-is the same whichever path scored it, as long as ``many`` returns what the
-plain call would.  A parameter set scored once in a run is not scored again:
-its stored value is reused and still counts against the budget.
+Candidates are decoded and scored in batches: the initial population, each
+generation, and each polish pass, which holds the coordinate moves still to
+come from the incumbent.  An objective with a ``many`` attribute (name ->
+(B,) columns -> their values) gets a batch's new parameter sets in one call;
+a lone new set goes through the plain call on a dict, the reference path.
+Candidates are counted and compared in order, a polish pass only up to its
+first improvement: its later rows are memoized but not counted, and the
+moves after it are built again from the new incumbent.  So a run is the same
+whichever path scored it, as long as ``many`` returns what the plain call
+would; an objective without ``many`` is called on a candidate only when it
+is counted.  A parameter set scored once in a run is not scored again: its
+stored value is reused and still counts against the budget.
 """
 
 from __future__ import annotations
@@ -79,6 +83,12 @@ class SearchSpace:
 
     def decode_many(self, genotypes: np.ndarray) -> list[dict]:
         """Parameter dicts of the rows of an (n, dim) genotype stack."""
+        columns = self.decode_columns(genotypes)
+        rows = zip(*(column.tolist() for column in columns.values()))
+        return [dict(zip(columns, row)) for row in rows]
+
+    def decode_columns(self, genotypes: np.ndarray) -> dict[str, np.ndarray]:
+        """Parameter sets of the rows of an (n, dim) genotype stack as name -> (n,) columns."""
         genes = np.clip(np.asarray(genotypes, dtype=float), 0.0, 1.0)
         lo, hi = np.array([self.bounds[name] for name in self.names]).T
         params = dict(zip(self.names, (lo + (hi - lo) * genes).T))
@@ -90,8 +100,7 @@ class SearchSpace:
             params[dst] = params[src]
         if self.repair is not None:
             params = self.repair(params)
-        rows = zip(*(np.asarray(v).tolist() for v in params.values()))
-        return [dict(zip(params, row)) for row in rows]
+        return {name: np.asarray(v, dtype=float) for name, v in params.items()}
 
     def encode(self, params: Mapping[str, float]) -> np.ndarray:
         geno = np.empty(len(self.names))
@@ -110,7 +119,7 @@ def repair_async_params(params: dict) -> dict:
 
     Repairs each side whose ``mu_<side>`` is present, so a one-party search
     space (the BB84 baseline) goes through the same step.  Values may be
-    floats or equal-length arrays of candidates (the columns ``decode_many``
+    floats or equal-length arrays of candidates (the columns ``decode_columns``
     builds); floats come back as floats.
     """
     out = dict(params)
@@ -182,13 +191,13 @@ def optimize_link(
 
     ``warm_starts`` are parameter dicts injected into the initial population
     (clipped into the boxes through the genotype encoding).  If ``objective``
-    has a ``many`` attribute, batches of more than one new parameter set go
-    through ``objective.many(list_of_dicts)`` (see the module docstring).
+    has a ``many`` attribute, a batch's new parameter sets go through
+    ``objective.many`` as name -> (B,) columns; a polish pass is counted up to
+    its first improvement, its later rows memoized (see the module docstring).
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    names = space.names
-    dim = len(names)
+    dim = len(space.names)
     population = min(_POPULATION, budget)
     rng = np.random.default_rng(seed)
 
@@ -204,30 +213,37 @@ def optimize_link(
     # decoded parameter set -> value, keyed by the bits of its values
     memo: dict[bytes, float] = {}
 
-    def evaluate(genotypes: np.ndarray) -> np.ndarray:
-        """Score the rows in order; after the last row the budget allows, stop."""
+    def evaluate(genotypes: np.ndarray, to_first_gain: bool = False):
+        """Count the rows in order and return their values; after the last row
+        the budget allows, stop.  With ``to_first_gain``, stop after the first
+        row that beats the best and return its index (None if none does)."""
         n = min(len(genotypes), budget - state["evals"])
-        batch = space.decode_many(genotypes[:n])
-        keys = [row.tobytes() for row in np.array([list(p.values()) for p in batch])]
-        fresh = {}
-        for key, params in zip(keys, batch):
+        columns = space.decode_columns(genotypes[:n])
+        sets = np.column_stack(list(columns.values()))
+        keys = [row.tobytes() for row in sets]
+        fresh: dict[bytes, int] = {}
+        for i, key in enumerate(keys):
             if key not in memo:
-                fresh.setdefault(key, params)
+                fresh.setdefault(key, i)
         if len(fresh) > 1 and many is not None:
-            memo.update(zip(fresh, map(float, many(list(fresh.values())))))
-        else:
-            memo.update((key, objective(params)) for key, params in fresh.items())
-        values = np.array([memo[key] for key in keys])
-        for genotype, params, value in zip(genotypes, batch, values.tolist()):
+            rows = np.fromiter(fresh.values(), dtype=np.intp, count=len(fresh))
+            values = many({name: column[rows] for name, column in columns.items()})
+            memo.update(zip(fresh, map(float, values)))
+        for i, key in enumerate(keys):
+            if key not in memo:  # scored when its turn comes
+                memo[key] = float(objective(dict(zip(columns, sets[i].tolist()))))
+            value = memo[key]
             state["evals"] += 1
             if value > state["best_rate"]:
                 state["best_rate"] = value
-                state["best_params"] = params
-                state["best_geno"] = genotype.copy()
+                state["best_params"] = dict(zip(columns, sets[i].tolist()))
+                state["best_geno"] = genotypes[i].copy()
                 state["trace"].append((state["evals"], value))
+                if to_first_gain:
+                    return i
         if n < len(genotypes):
             raise _BudgetExhausted
-        return values
+        return None if to_first_gain else np.array([memo[key] for key in keys])
 
     pop = rng.random((population, dim))
     for slot, start in enumerate(warm_starts):
@@ -237,48 +253,42 @@ def optimize_link(
     def evolve(generation: int, fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sigma = max(0.25 * 0.93**generation, 0.02)
         order = np.argsort(-fitness)
-        children = [pop[order[0]], pop[order[1 % population]]]  # the elites
+        elites = [pop[order[0]], pop[order[1 % population]]]
         if state["best_geno"] is not None:
-            children[1] = state["best_geno"]
-        # draw per child, in the stream's order; then breed all children at once
-        draws = [
-            (rng.integers(0, population, size=(2, 3)), rng.random(dim), rng.uniform(-0.1, 1.1, size=dim),
-             rng.random(dim), rng.normal(0.0, sigma, size=dim))
-            for _ in range(population - 2)
-        ]
-        if draws:
-            picks, cross, blend, mutate, step = map(np.stack, zip(*draws))
-            # tournament of three: the first of the fittest, for each parent
-            best = np.argmax(fitness[picks], axis=2)[..., None]
-            parents = pop[np.take_along_axis(picks, best, axis=2)[..., 0]]
-            pa, pb = parents[:, 0], parents[:, 1]
-            child = np.where(cross < _CROSSOVER_PROB, blend * pa + (1.0 - blend) * pb, pa)
-            child = np.where(mutate < 1.5 / dim, child + step, child)
-            children.extend(np.clip(child, 0.0, 1.0))
-        new_pop = np.stack(children)
+            elites[1] = state["best_geno"]
+        picks, cross, blend, mutate, step = _breeding_draws(rng, population, dim, sigma)
+        # tournament of three: the first of the fittest, for each parent
+        best = np.argmax(fitness[picks], axis=2)[..., None]
+        parents = pop[np.take_along_axis(picks, best, axis=2)[..., 0]]
+        pa, pb = parents[:, 0], parents[:, 1]
+        child = np.where(cross < _CROSSOVER_PROB, blend * pa + (1.0 - blend) * pb, pa)
+        child = np.where(mutate < 1.5 / dim, child + step, child)
+        new_pop = np.concatenate([np.stack(elites), np.clip(child, 0.0, 1.0)])
         return new_pop, evaluate(new_pop)
 
+    moves = [(i, sign) for i in range(dim) for sign in (+1.0, -1.0)]
+
     def polish() -> None:
-        # deterministic local refinement, re-run while it keeps helping
+        # deterministic local refinement, re-run while it keeps helping; a batch
+        # holds the symmetrized incumbent (once, first) and the pass's moves to come
+        if state["best_geno"] is None:
+            return
         sym = _symmetrized(state["best_params"])
-        if sym is not None:
-            evaluate(space.encode(sym)[None, :])
+        head = space.encode(sym)[None, :] if sym is not None else np.empty((0, dim))
         for step in (0.05, 0.01):
-            improving = True
-            while improving:
-                improving = False
-                base = state["best_geno"]
-                if base is None:
-                    return
-                for i in range(dim):
-                    for sign in (+1.0, -1.0):
-                        trial = base.copy()
-                        trial[i] = min(max(trial[i] + sign * step, 0.0), 1.0)
-                        before = state["best_rate"]
-                        evaluate(trial[None, :])
-                        if state["best_rate"] > before:
-                            improving = True
-                            base = state["best_geno"]
+            done, improving = 0, False  # moves of the pass counted; any gain
+            while done < len(moves) or improving:
+                if done == len(moves):
+                    done, improving = 0, False
+                trials = np.repeat(state["best_geno"][None, :], len(moves) - done, axis=0)
+                for trial, (i, sign) in zip(trials, moves[done:]):
+                    trial[i] = min(max(trial[i] + sign * step, 0.0), 1.0)
+                hit = evaluate(np.concatenate([head, trials]), to_first_gain=True)
+                if hit is None:
+                    done = len(moves)
+                elif hit >= len(head):
+                    done, improving = done + hit - len(head) + 1, True
+                head = head[:0]
 
     try:
         fitness = evaluate(pop)
@@ -303,6 +313,24 @@ def optimize_link(
         seed=seed,
         trace=state["trace"],
     )
+
+
+def _breeding_draws(rng: np.random.Generator, population: int, dim: int, sigma: float):
+    """Tournament picks, crossover, blend and mutation uniforms and mutation
+    steps of a generation's bred children.  Per child, in the stream's order,
+    the uniform and normal blocks draw what ``random``, ``uniform(-0.1, 1.1)``,
+    ``random`` and ``normal(0.0, sigma)`` would; one draw across children
+    would reorder the stream."""
+    children = max(population - 2, 0)
+    picks = np.empty((children, 2, 3), dtype=np.int64)
+    uniform = np.empty((children, 3, dim))
+    normal = np.empty((children, dim))
+    for c in range(children):
+        picks[c] = rng.integers(0, population, size=(2, 3))
+        rng.random(out=uniform[c])
+        rng.standard_normal(out=normal[c])
+    cross, blend, mutate = uniform.transpose(1, 0, 2)
+    return picks, cross, -0.1 + (1.1 - (-0.1)) * blend, mutate, 0.0 + sigma * normal
 
 
 def _symmetrized(params: Mapping[str, float]) -> dict | None:

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import baselines
 from .channel import ChannelLink, DetectorPair, SourceConfig
 from .keyrate import KeyRateReport, ProtocolVariant, evaluate, repeaterless_bound
@@ -206,11 +204,6 @@ def _report_row(preset: DevicePreset, report: KeyRateReport, dist: float, varian
                 s11z=est.s11_z, s0z=est.s0_z, **columns)
 
 
-def _columns(batch: Sequence[Mapping[str, float]]) -> dict[str, np.ndarray]:
-    """A list of parameter dicts with one key set as name -> (B,) arrays."""
-    return {k: np.array([params[k] for params in batch]) for k in batch[0]}
-
-
 def _optimize_async_point(
     preset: DevicePreset,
     l_a: float,
@@ -229,7 +222,7 @@ def _optimize_async_point(
             params, link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
         ).rate_per_pulse
 
-    objective.many = lambda batch: objective(_columns(batch))
+    objective.many = objective
     space = async_search_space(four_intensity=variant.four_intensity)
     starts = _canonical_warm_starts(variant.four_intensity) + warm_starts
     result = optimize_link(objective, space, budget=budget, seed=seed, warm_starts=starts)
@@ -276,7 +269,7 @@ def _evaluate_baseline(
             prm = baselines.Bb84Params.from_params(params, link, det)
             return baselines.bb84_key_rate(prm, n_pulses, preset.eps,
                                            preset.error_correction_f)["rate_per_pulse"]
-    objective.many = lambda batch: objective(_columns(batch))
+    objective.many = objective
 
     warm = [
         dict(mu_a=0.8, omega_a=0.1, nu_a=0.02, p_mu_a=0.5, p_omega_a=0.15, p_nu_a=0.15,

@@ -192,8 +192,8 @@ class TestSinglePhotonPairs:
     def test_all_zero_counts(self):
         src = make_source()
         probs = pairing_probs(src, 16)
-        val = decoy._single_photon_pairs_z_lower(
-            FLOATS, zero_counts(src), probs, src, z_key_groups(src), 1e-10)
+        z_sum = decoy._zgroup_intensity_sum(FLOATS, probs, src, z_key_groups(src))
+        val = decoy._single_photon_pairs_z_lower(FLOATS, zero_counts(src), probs, src, z_sum, 1e-10)
         assert val == 0.0
 
     def test_tie_case_branches_agree(self):
@@ -204,17 +204,17 @@ class TestSinglePhotonPairs:
         )
         obs, _ = observables(src_a, 40.0, 60.0)
         probs = pairing_probs(src_a, 16)
-        groups = z_key_groups(src_a)
+        z_sum = decoy._zgroup_intensity_sum(FLOATS, probs, src_a, z_key_groups(src_a))
         from amdiqkd import decoy as decoy_mod
 
         original = decoy_mod._primed_levels
         try:
             decoy_mod._primed_levels = lambda ops, s, hi, lo: (s.intensities_a[hi], s.intensities_a[lo])
             via_a = decoy._single_photon_pairs_z_lower(
-                FLOATS, obs.counts, probs, src_a, groups, None)
+                FLOATS, obs.counts, probs, src_a, z_sum, None)
             decoy_mod._primed_levels = lambda ops, s, hi, lo: (s.intensities_b[hi], s.intensities_b[lo])
             via_b = decoy._single_photon_pairs_z_lower(
-                FLOATS, obs.counts, probs, src_a, groups, None)
+                FLOATS, obs.counts, probs, src_a, z_sum, None)
         finally:
             decoy_mod._primed_levels = original
         assert via_a == pytest.approx(via_b, rel=1e-9)
@@ -226,7 +226,8 @@ class TestSinglePhotonPairs:
         obs, _ = observables(src3)
         probs3 = pairing_probs(src3, 16)
         groups = z_key_groups(src3)
-        val3 = decoy._single_photon_pairs_z_lower(FLOATS, obs.counts, probs3, src3, groups, None)
+        z_sum3 = decoy._zgroup_intensity_sum(FLOATS, probs3, src3, groups)
+        val3 = decoy._single_photon_pairs_z_lower(FLOATS, obs.counts, probs3, src3, z_sum3, None)
 
         src4 = make_source(omega_a=0.45, p_omega_a=0.05, omega_b=0.45, p_omega_b=0.05)
         probs4 = dict(pairing_probs(src4, 16))  # a copy to edit
@@ -250,7 +251,8 @@ class TestSinglePhotonPairs:
         )
         for (ta, tb) in probs3:
             probs4[(ta, tb)] = probs3[(ta, tb)]
-        val4 = decoy._single_photon_pairs_z_lower(FLOATS, counts4, probs4, src4, groups, None)
+        z_sum4 = decoy._zgroup_intensity_sum(FLOATS, probs4, src4, groups)
+        val4 = decoy._single_photon_pairs_z_lower(FLOATS, counts4, probs4, src4, z_sum4, None)
         assert val4 == pytest.approx(val3, rel=1e-9)
 
 
@@ -258,22 +260,22 @@ class TestRatioAndErrors:
     def test_ratio_invariant_under_count_rescaling(self):
         src = make_source()
         probs = pairing_probs(src, 16)
-        groups = z_key_groups(src)
-        r1 = decoy._zx_count_ratio(FLOATS, probs, src, groups)
+        z_sum = decoy._zgroup_intensity_sum(FLOATS, probs, src, z_key_groups(src))
+        r1 = decoy._zx_count_ratio(FLOATS, probs, src, z_sum)
         assert r1 > 0.0
         # pure probability ratio: no counts involved
-        assert decoy._zx_count_ratio(FLOATS, probs, src, groups) == r1
+        assert decoy._zx_count_ratio(FLOATS, probs, src, z_sum) == r1
 
     def test_filtering_collapses_ratio_to_single_term(self):
         src = make_source(click_filtering=True)
         probs = pairing_probs(src, 16)
-        groups = z_key_groups(src)
+        z_sum = decoy._zgroup_intensity_sum(FLOATS, probs, src, z_key_groups(src))
         mu_a, mu_b = 0.5, 0.5
         nu_a, nu_b = 0.05, 0.05
         manual = (
             mu_a * mu_b * math.exp(-mu_a - mu_b) * probs[(("mu", "o"), ("mu", "o"))]
         ) / (4.0 * nu_a * nu_b * math.exp(-2 * nu_a - 2 * nu_b) * probs[X_KEY])
-        assert decoy._zx_count_ratio(FLOATS, probs, src, groups) == pytest.approx(manual, rel=1e-12)
+        assert decoy._zx_count_ratio(FLOATS, probs, src, z_sum) == pytest.approx(manual, rel=1e-12)
 
     def test_vacuum_error_bound_zero_counts(self):
         src = make_source()

@@ -226,6 +226,11 @@ def genotype_batches(space, anchors=()):
     return st.lists(points, min_size=1, max_size=8)
 
 
+def as_columns(batch):
+    """A list of parameter dicts with one key set as name -> (B,) arrays."""
+    return {k: np.array([params[k] for params in batch]) for k in batch[0]}
+
+
 def link_draws():
     """(total km, asymmetry km, log10 pulses) over 0-600 km, 0-100 km, 1e11-1e15."""
     return st.tuples(st.floats(0.0, 600.0), st.floats(0.0, 100.0), st.floats(11.0, 15.0))
@@ -263,7 +268,7 @@ class TestRateBatch:
         args = (link, det, n_pulses, preset.eps, preset.error_correction_f, var)
         reports = [evaluate(p, *args) for p in batch]
         scales = [(r.estimate.s0_z + r.estimate.s11_z) / n_pulses for r in reports]
-        check_against_scalar(evaluate(scenario._columns(batch), *args).rate_per_pulse,
+        check_against_scalar(evaluate(as_columns(batch), *args).rate_per_pulse,
                              [r.rate_per_pulse for r in reports], scales)
 
     def test_rejects_what_evaluate_rejects(self):
@@ -309,7 +314,7 @@ class TestRateBatch:
         space = async_search_space(four_intensity=var.four_intensity)
         rng = np.random.default_rng(8)
         batch = space.decode_many(rng.uniform(size=(20, len(space.names))))
-        got = evaluate(scenario._columns(batch), link, det, 1e12, EPS, 1.1, var)
+        got = evaluate(as_columns(batch), link, det, 1e12, EPS, 1.1, var)
         assert got.rate_per_pulse.tolist() == [0.0] * 20
         for i, p in enumerate(batch):
             rep = evaluate(p, link, det, 1e12, EPS, 1.1, var)

@@ -8,6 +8,7 @@ from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
 from amdiqkd.keyrate import ProtocolVariant, evaluate
 from amdiqkd.optimizer import (
     SearchSpace,
+    _breeding_draws,
     async_search_space,
     optimize_link,
     repair_async_params,
@@ -175,7 +176,8 @@ def toy_objective(params):
 
 
 class Batched:
-    """An objective with a ``many`` form that records what it was given."""
+    """An objective with a ``many`` form (name -> (B,) columns) that records
+    what it was given, as parameter dicts."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -186,8 +188,10 @@ class Batched:
         self.scalar_calls.append(params)
         return self.fn(params)
 
-    def many(self, batch):
-        self.batches.append(list(batch))
+    def many(self, columns):
+        rows = zip(*(column.tolist() for column in columns.values()))
+        batch = [dict(zip(columns, row)) for row in rows]
+        self.batches.append(batch)
         return np.array([self.fn(p) for p in batch])
 
 
@@ -220,8 +224,7 @@ class TestBatchScoring:
         def objective(params):
             return rate_objective(params)
 
-        objective.many = lambda batch: rate_objective(
-            {k: np.array([p[k] for p in batch]) for k in batch[0]})
+        objective.many = rate_objective
         space = async_search_space()
         plain = optimize_link(rate_objective, space, budget=600, seed=5, warm_starts=WARM)
         res = optimize_link(objective, space, budget=600, seed=5, warm_starts=WARM)
@@ -243,7 +246,31 @@ class TestBatchScoring:
         plain = []
         optimize_link(lambda p: plain.append(p) or toy_objective(p), async_search_space(),
                       budget=3000, seed=7)
-        assert len(plain) == len(seen)
+        # the batched run scores what the plain run scores, plus the polish
+        # moves scored past a pass's first improvement
+        assert {np.array(list(p.values())).tobytes() for p in plain} <= set(seen)
+        assert len(seen) <= len(plain) + 0.05 * 3000
+        # polish goes out as batches, not one set at a time
+        assert len(batched.scalar_calls) <= 0.01 * 3000
+
+    def test_plain_objective_is_scored_only_on_counted_sets(self):
+        """Without ``many``, a set is scored when its turn to be counted comes:
+        with every call beating the last, every call is on the trace.  With
+        ``many``, the polish moves after a pass's first gain are scored too."""
+        for batched in (False, True):
+            calls = []
+
+            def rising(params):
+                calls.append(params)
+                return float(len(calls))
+
+            res = optimize_link(Batched(rising) if batched else rising, async_search_space(),
+                                budget=1000, seed=7)
+            values = [value for _, value in res.trace]
+            if batched:
+                assert len(values) < len(calls)
+            else:
+                assert values == [float(k) for k in range(1, len(calls) + 1)]
 
 
 def old_repair(params: dict) -> dict:
@@ -271,6 +298,39 @@ def old_repair(params: dict) -> dict:
             for p in prob_names:
                 out[p] *= ceiling / total
     return out
+
+
+def old_draws(rng, population: int, dim: int, sigma: float):
+    """``evolve``'s breeding draws as they were before they went into blocks:
+    five calls per child, stacked; None with no child to breed."""
+    draws = [
+        (rng.integers(0, population, size=(2, 3)), rng.random(dim), rng.uniform(-0.1, 1.1, size=dim),
+         rng.random(dim), rng.normal(0.0, sigma, size=dim))
+        for _ in range(population - 2)
+    ]
+    return tuple(map(np.stack, zip(*draws))) if draws else None
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 17, 3000])
+def test_draw_blocks_are_the_five_call_stream(budget):
+    population = min(50, budget)
+    for seed in range(6):
+        for dim in range(5, 14):
+            for sigma in (0.25, 0.25 * 0.93**7, 0.02):
+                old_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = old_draws(old_rng, population, dim, sigma)
+                got = _breeding_draws(rng, population, dim, sigma)
+                if want is None:
+                    assert all(block.size == 0 for block in got)
+                else:
+                    for w, g in zip(want, got):  # picks, cross, blend, mutate, step
+                        assert (w.dtype, w.shape) == (g.dtype, g.shape)
+                        assert w.tobytes() == g.tobytes()
+                # the next generation starts from the same point of the stream
+                assert rng.bit_generator.state == old_rng.bit_generator.state
+    if budget <= 2:  # a run with no child to breed
+        res = optimize_link(toy_objective, async_search_space(), budget=budget, seed=0)
+        assert res.eval_count == budget
 
 
 def old_decode(space: SearchSpace, genotype) -> dict:

@@ -28,11 +28,12 @@ The observables are written once, as bodies that take an operations namespace
 first (see :mod:`amdiqkd.decoy`).  :func:`click_table` and
 :func:`expected_observables` are the one entry for a single candidate and a
 batch: :class:`SourceConfig` holds floats for one candidate or (B,) columns
-for a batch (checked by :func:`validate_party` either way), the link's
-``pairing_window_bins`` may be a (B,) column too, and the bodies run on
-:data:`amdiqkd.stats.FLOATS` or on numpy columns, one row per candidate, with
-the click table as a {label pair: column} dict.  So a body never branches on
-a value; without kept clicks or pairs, it works on placeholder values.
+for a batch, its pairing window included (checked either way), and the
+bodies run on :data:`amdiqkd.stats.FLOATS` or on numpy columns, one row per
+candidate, with the click table as a {label pair: column} dict.  So a body
+never branches on a value; without kept clicks or pairs, it works on
+placeholder values.  A :class:`ChannelLink` holds only the fibre and timing
+constants, so one link serves every candidate.
 
 Every phase average is an exact I0 closed form, accurate to rounding on long
 links.  An event-level Monte Carlo counterpart lives in
@@ -108,8 +109,6 @@ class ChannelLink:
     phase_drift_rad_per_s       fibre phase drift rate
     laser_offset_hz             residual laser frequency difference
     interference_error          interferometer misalignment error rate
-    pairing_window_bins         maximum pairing gap, in time bins; a (B,)
-                                column gives each candidate of a batch its own
     phase_slices                number of discrete global phases M (even)
     """
 
@@ -120,7 +119,6 @@ class ChannelLink:
     phase_drift_rad_per_s: float = 0.0
     laser_offset_hz: float = 0.0
     interference_error: float = 0.0
-    pairing_window_bins: float = 1e6
     phase_slices: int = 16
 
     def __post_init__(self) -> None:
@@ -128,9 +126,6 @@ class ChannelLink:
             raise ValueError("fibre lengths must be finite and >= 0")
         if self.clock_hz <= 0.0:
             raise ValueError("clock_hz must be positive")
-        window = self.pairing_window_bins
-        _require((window >= 1.0) & (window < math.inf),
-                 "pairing_window_bins must be finite and >= 1")
         if self.phase_slices < 2 or self.phase_slices % 2:
             raise ValueError("phase_slices must be an even integer >= 2")
         if not 0.0 <= self.interference_error < 0.5:
@@ -196,14 +191,17 @@ def validate_party(intensities: Mapping[str, float], probabilities: Mapping[str,
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Per-party intensity sets and send probabilities.
+    """Per-party intensity sets and send probabilities, and the relay's
+    post-processing of the clicks.
 
     Three-intensity operation uses labels {mu, nu, o}; adding "omega" on both
     sides selects the four-intensity variant.  With ``click_filtering`` on,
     single-bin clicks where the two parties used different non-vacuum levels
-    are discarded before pairing.  The levels and probabilities are floats
-    (one candidate) or (B,) columns (a batch, one row per candidate), each
-    checked by :func:`validate_party`; ``layout`` is shared per label set.
+    are discarded before pairing; a kept click pairs with the next one only
+    within ``pairing_window_bins`` time bins.  The levels, probabilities and
+    window are floats (one candidate) or (B,) columns (a batch, one row per
+    candidate), each checked in ``__post_init__``; ``layout`` is shared per
+    label set.
     """
 
     intensities_a: Mapping[str, float]
@@ -211,6 +209,7 @@ class SourceConfig:
     intensities_b: Mapping[str, float]
     probabilities_b: Mapping[str, float]
     click_filtering: bool = True
+    pairing_window_bins: float = 1e6
     layout: "GroupLayout" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -218,6 +217,9 @@ class SourceConfig:
         validate_party(self.intensities_b, self.probabilities_b)
         if set(self.intensities_a) != set(self.intensities_b):
             raise ValueError("both parties must use the same label set")
+        window = self.pairing_window_bins
+        _require((window >= 1.0) & (window < math.inf),
+                 "pairing_window_bins must be finite and >= 1")
         object.__setattr__(self, "layout",
                            _group_layout(tuple(self.intensities_a), self.click_filtering))
 
@@ -238,41 +240,27 @@ class SourceConfig:
         return p_s
 
     @classmethod
-    def from_params(
-        cls,
-        mu_a: float,
-        nu_a: float,
-        p_mu_a: float,
-        p_nu_a: float,
-        mu_b: float,
-        nu_b: float,
-        p_mu_b: float,
-        p_nu_b: float,
-        omega_a: float | None = None,
-        p_omega_a: float | None = None,
-        omega_b: float | None = None,
-        p_omega_b: float | None = None,
-        click_filtering: bool = True,
-    ) -> "SourceConfig":
-        """Build a config from flat parameters, floats or (B,) columns; the
-        vacuum probability is what the send probabilities leave, added left to
-        right."""
-
-        def party(mu, nu, p_mu, p_nu, omega, p_omega):
-            zero = np.zeros_like(mu) if isinstance(mu, np.ndarray) else 0.0
-            ints = {"mu": mu, "nu": nu, "o": zero}
-            probs = {"mu": p_mu, "nu": p_nu}
-            total = p_mu + p_nu
-            if omega is not None:
-                ints["omega"] = omega
-                probs["omega"] = p_omega
-                total = total + p_omega
+    def from_params(cls, params: Mapping[str, float], four_intensity: bool = False,
+                    click_filtering: bool = True) -> "SourceConfig":
+        """Build a config from a flat candidate, floats or (B,) columns: per
+        side ``mu_<side>``, ``nu_<side>`` (and ``omega_<side>`` with
+        ``four_intensity``) with their ``p_`` send probabilities, and the
+        window ``tc_bins`` if present.  The vacuum probability is what the
+        send probabilities leave, added left to right."""
+        levels = ("mu", "nu", "omega") if four_intensity else ("mu", "nu")
+        parties = []
+        for side in "ab":
+            ints = {l: params[f"{l}_{side}"] for l in levels}
+            probs = {l: params[f"p_{l}_{side}"] for l in levels}
+            total = 0.0
+            for p in probs.values():
+                total = total + p
+            mu = ints["mu"]
+            ints["o"] = np.zeros_like(mu) if isinstance(mu, np.ndarray) else 0.0
             probs["o"] = 1.0 - total
-            return ints, probs
-
-        ia, pa = party(mu_a, nu_a, p_mu_a, p_nu_a, omega_a, p_omega_a)
-        ib, pb = party(mu_b, nu_b, p_mu_b, p_nu_b, omega_b, p_omega_b)
-        return cls(ia, pa, ib, pb, click_filtering=click_filtering)
+            parties += [ints, probs]
+        return cls(*parties, click_filtering=click_filtering,
+                   pairing_window_bins=params.get("tc_bins", cls.pairing_window_bins))
 
 
 @dataclass(frozen=True)
@@ -583,7 +571,7 @@ def _observables(ops, source, link: ChannelLink, det: DetectorPair, n_pulses: fl
                  table) -> ObservableSet:
     """``expected_observables`` from the click table of ``source``."""
     q_tot = kept_click_prob(source, table)
-    n_pairs, t_mean = _pairing_statistics(ops, n_pulses, q_tot, link.pairing_window_bins,
+    n_pairs, t_mean = _pairing_statistics(ops, n_pulses, q_tot, source.pairing_window_bins,
                                           link.clock_hz)
     q = ops.where(q_tot > 0.0, q_tot, 0.5)
     counts = _coincidence_counts(ops, source, link, det, n_pairs, q, table)

@@ -24,7 +24,8 @@ import yaml
 from . import scenario as sc
 from .channel import ChannelLink, DetectorPair, SourceConfig, expected_observables
 from .decoy import estimate, z_key_groups
-from .keyrate import _SOURCE_KEYS, ProtocolVariant, evaluate
+from .keyrate import ProtocolVariant, evaluate
+from .optimizer import async_search_space
 from .oracle import simulate
 
 __all__ = ["main"]
@@ -38,7 +39,6 @@ _SWEEP_KEYS = {f.name for f in dataclasses.fields(sc.SweepSpec)}
 _NETWORK_KEYS = {f.name for f in dataclasses.fields(sc.NetworkSpec)}
 _EVALUATE_KEYS = {"preset", "l_a_km", "l_b_km", "n_pulses", "variant", "params", "seed"}
 _OPTIMIZE_KEYS = {"preset", "l_a_km", "l_b_km", "n_pulses", "variant", "budget", "seed"}
-_PARAM_KEYS = {*_SOURCE_KEYS[True], "tc_bins"}
 
 
 def _yaml(text: str, what: str):
@@ -172,9 +172,11 @@ def _cmd_evaluate(data: dict, out_dir: Path) -> int:
     params = data.get("params")
     if not isinstance(params, dict):
         raise ConfigError("evaluate needs a 'params' mapping with pinned source settings")
-    _check_keys(params, _PARAM_KEYS, "params")
     variant = _variant_from_name(data.get("variant", "filtering"))
-    missing = [k for k in _SOURCE_KEYS[variant.four_intensity] if k not in params]
+    # the keys the variant's optimizer searches, the pairing window optional
+    names = set(async_search_space(variant.four_intensity).names)
+    _check_keys(params, names, "params")
+    missing = sorted(names - {"tc_bins"} - set(params))
     if missing:
         raise ConfigError(f"params lacks {missing}")
     params = {key: _number(params, key, None) for key in params}
@@ -303,12 +305,11 @@ def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
         det = DetectorPair(0.8, cfg["dark_rate_hz"])
         link = ChannelLink(cfg["l_a"], cfg["l_b"], 0.16, clock_hz=1e9,
                            phase_drift_rad_per_s=5.9e3, laser_offset_hz=10.0,
-                           interference_error=0.04, pairing_window_bins=2000.0,
-                           phase_slices=cfg["phase_slices"])
+                           interference_error=0.04, phase_slices=cfg["phase_slices"])
         # both parties send the same levels
         levels = [k for k in ("mu", "nu", "omega", "p_mu", "p_nu", "p_omega") if k in cfg]
-        src = SourceConfig.from_params(**{f"{k}_{side}": cfg[k] for k in levels for side in "ab"},
-                                       click_filtering=cfg["click_filtering"])
+        params = {f"{k}_{side}": cfg[k] for k in levels for side in "ab"} | {"tc_bins": 2000.0}
+        src = SourceConfig.from_params(params, "omega" in cfg, cfg["click_filtering"])
         run = simulate(src, link, det, n_bins, seed=seed + idx)
         checks = _oracle_checks(src, link, det, run, n_bins)
         bad = [name for name, _, ok in checks if not ok]

@@ -3,12 +3,14 @@
 Puts the pieces together: closed-form observables -> decoy estimation ->
 error-correction leakage -> extractable key length, for a configurable
 protocol variant.  ``evaluate`` is the one entry: it takes the source
-settings as a flat parameter dict (the keys the optimizer decodes to) and
-reports rates per pulse and per second at the link clock; the source sends
-on every clock tick, so a run of ``T`` seconds is ``clock_hz * T`` pulses.
-The values of the dict are floats (one candidate) or (B,) columns (a batch,
-the optimizer's generations); ``SourceConfig.from_params`` reads either, and
-every number of the report is then a float or a (B,) column.  The leakage
+settings and the pairing window as a flat parameter dict (the keys the
+optimizer decodes to) and reports rates per pulse and per second at the link
+clock; the source sends on every clock tick, so a run of ``T`` seconds is
+``clock_hz * T`` pulses.  The values of the dict are floats (one candidate)
+or (B,) columns (a batch, the optimizer's generations);
+``SourceConfig.from_params`` reads either, and every number of the report is
+then a float or a (B,) column.  The link is used as given: it holds only the
+fibre and timing constants, which every candidate shares.  The leakage
 and the key length are written once, as bodies that take an operations
 namespace first (see :mod:`amdiqkd.decoy`), and run with the observables and
 the decoy chain on :data:`amdiqkd.stats.FLOATS` or on numpy columns
@@ -19,8 +21,7 @@ row of a batch equals the report of that candidate alone, to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import decoy
@@ -131,19 +132,6 @@ class KeyRateReport:
     params: dict = field(default_factory=dict)
 
 
-# the flat keys of a three- and a four-intensity source, in the order of the
-# arguments of SourceConfig.from_params
-_SOURCE_KEYS = {four: ("mu_a", "nu_a", "p_mu_a", "p_nu_a", "mu_b", "nu_b", "p_mu_b", "p_nu_b")
-                + (("omega_a", "p_omega_a", "omega_b", "p_omega_b") if four else ())
-                for four in (False, True)}
-
-
-def _source_from_params(params: Mapping[str, float], variant: ProtocolVariant) -> SourceConfig:
-    """The source of the flat ``params``, floats or (B,) columns."""
-    values = itemgetter(*_SOURCE_KEYS[variant.four_intensity])(params)
-    return SourceConfig.from_params(*values, click_filtering=variant.click_filtering)
-
-
 def evaluate(
     params: Mapping[str, float],
     link: ChannelLink,
@@ -156,17 +144,16 @@ def evaluate(
     """Evaluate the secure key rate of one link configuration, or of each row
     of a batch whose ``params`` values are (B,) columns.
 
-    ``params`` may carry ``tc_bins`` to override the pairing window.  A
-    configuration without key, pairs included, comes back with zero rate
-    rather than raising, so optimizers can probe freely; a row that breaks a
-    source or window check raises ValueError.  skc0 is the repeaterless bound
-    of the fibre alone (detectors excluded).
+    ``params`` may carry the pairing window ``tc_bins`` (see
+    ``SourceConfig.from_params``).  A configuration without key, pairs
+    included, comes back with zero rate rather than raising, so optimizers can
+    probe freely; a row that breaks a source or window check raises
+    ValueError.  skc0 is the repeaterless bound of the fibre alone (detectors
+    excluded).
     """
     params = dict(params)
-    source = _source_from_params(params, variant)
+    source = SourceConfig.from_params(params, variant.four_intensity, variant.click_filtering)
     ops = ops_for(source.intensities_a["mu"])
-    if "tc_bins" in params:
-        link = replace(link, pairing_window_bins=params["tc_bins"])
     skc0_pulse = repeaterless_bound(link.eta_a * link.eta_b)
 
     obs = expected_observables(source, link, det, n_pulses)

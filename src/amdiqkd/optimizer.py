@@ -78,15 +78,6 @@ class SearchSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self.bounds))
 
-    def decode(self, genotype: np.ndarray) -> dict:
-        return self.decode_many(np.asarray(genotype)[None, :])[0]
-
-    def decode_many(self, genotypes: np.ndarray) -> list[dict]:
-        """Parameter dicts of the rows of an (n, dim) genotype stack."""
-        columns = self.decode_columns(genotypes)
-        rows = zip(*(column.tolist() for column in columns.values()))
-        return [dict(zip(columns, row)) for row in rows]
-
     def decode_columns(self, genotypes: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter sets of the rows of an (n, dim) genotype stack as name -> (n,) columns."""
         genes = np.clip(np.asarray(genotypes, dtype=float), 0.0, 1.0)
@@ -118,38 +109,35 @@ def repair_async_params(params: dict) -> dict:
     """Restore intensity ordering and the probability simplex per party.
 
     Repairs each side whose ``mu_<side>`` is present, so a one-party search
-    space (the BB84 baseline) goes through the same step.  Values may be
-    floats or equal-length arrays of candidates (the columns ``decode_columns``
-    builds); floats come back as floats.
+    space (the BB84 baseline) goes through the same step; the sides share one
+    label set, as :class:`~amdiqkd.channel.SourceConfig` requires.  Values may
+    be floats or equal-length arrays of candidates (the columns
+    ``decode_columns`` builds); floats come back as floats.
     """
     out = dict(params)
-    parties: dict[tuple, list[str]] = {}  # label set -> the sides that use it
-    for side in ("a", "b"):
-        if f"mu_{side}" in out:
-            labels = ("mu",) + (("omega",) if f"omega_{side}" in out else ()) + ("nu",)
-            parties.setdefault(labels, []).append(side)
-    for labels, sides in parties.items():
-        # (label, side[, candidate]) arrays: every side of one label set at once
-        levels = [[f"{l}_{s}" for s in sides] for l in labels]
-        probs = [[f"p_{l}_{s}" for s in sides] for l in labels]
-        scalar = np.ndim(out[levels[0][0]]) == 0
-        values = -np.sort(-np.array([[out[n] for n in row] for row in levels]), axis=0)
-        for i in range(1, len(values)):
-            values[i] = np.minimum(values[i], values[i - 1] - _MIN_INTENSITY_GAP)
-        values = np.maximum(values, _MIN_INTENSITY_GAP / 10.0)
-        # the floor can merge the lowest levels; lift each merged one above the next
-        for i in range(len(values) - 2, -1, -1):
-            values[i] = np.where(values[i] <= values[i + 1],
-                                 values[i + 1] + _MIN_INTENSITY_GAP / 10.0, values[i])
-        p = np.array([[out[n] for n in row] for row in probs])
-        total = 0.0
-        for row in p:
-            total = total + row
-        ceiling = 1.0 - _MIN_VACUUM_PROB
-        p = p * np.where(total > ceiling, ceiling / total, 1.0)  # x * 1.0 is x exactly
-        for names, new in ((levels, values), (probs, p)):
-            for row, new_row in zip(names, new):
-                out.update(zip(row, new_row.tolist() if scalar else new_row))
+    sides = [side for side in ("a", "b") if f"mu_{side}" in out]
+    labels = ("mu",) + (("omega",) if f"omega_{sides[0]}" in out else ()) + ("nu",)
+    # (label, side[, candidate]) arrays: every side at once
+    levels = [[f"{l}_{s}" for s in sides] for l in labels]
+    probs = [[f"p_{l}_{s}" for s in sides] for l in labels]
+    scalar = np.ndim(out[levels[0][0]]) == 0
+    values = -np.sort(-np.array([[out[n] for n in row] for row in levels]), axis=0)
+    for i in range(1, len(values)):
+        values[i] = np.minimum(values[i], values[i - 1] - _MIN_INTENSITY_GAP)
+    values = np.maximum(values, _MIN_INTENSITY_GAP / 10.0)
+    # the floor can merge the lowest levels; lift each merged one above the next
+    for i in range(len(values) - 2, -1, -1):
+        values[i] = np.where(values[i] <= values[i + 1],
+                             values[i + 1] + _MIN_INTENSITY_GAP / 10.0, values[i])
+    p = np.array([[out[n] for n in row] for row in probs])
+    total = 0.0
+    for row in p:
+        total = total + row
+    ceiling = 1.0 - _MIN_VACUUM_PROB
+    p = p * np.where(total > ceiling, ceiling / total, 1.0)  # x * 1.0 is x exactly
+    for names, new in ((levels, values), (probs, p)):
+        for row, new_row in zip(names, new):
+            out.update(zip(row, new_row.tolist() if scalar else new_row))
     return out
 
 
@@ -304,7 +292,8 @@ def optimize_link(
         pass
 
     if not state["best_params"]:
-        state["best_params"] = space.decode(pop[0])
+        state["best_params"] = {name: float(column[0])
+                                for name, column in space.decode_columns(pop[:1]).items()}
         state["best_rate"] = -math.inf
     return OptimResult(
         best_params=state["best_params"],

@@ -8,7 +8,8 @@ sum of the weights, and a candidate is accepted with its exact click
 probability over the bound.  At a candidate: its row, the phase-slice
 draws, first-order interference at the relay's beam splitter, detector
 inefficiency and dark counts; then nearest-neighbour pairing of the kept
-clicks inside the window, sifting and classification.
+clicks inside the source's pairing window (``SourceConfig.pairing_window_bins``),
+sifting and classification.
 Used exclusively to validate the closed forms in :mod:`amdiqkd.channel` and
 the soundness of the decoy bounds; never part of the key-rate pipeline.
 
@@ -423,8 +424,8 @@ def simulate(
     the number of bins.
 
     Kept clicks pair greedily with their nearest successor: inside each
-    maximal run of clicks whose successive gaps are at most the pairing
-    window, clicks (r, r+1), (r+2, r+3), ... pair from the run start r.
+    maximal run of clicks whose successive gaps are at most the source's
+    pairing window, clicks (r, r+1), (r+2, r+3), ... pair from the run start r.
     That walk holds at most one pending click, so each chunk is paired and
     tallied as it lands, in chunk order, behind the previous chunk's last
     click when that one is unpaired; memory is bounded by the chunk, not by
@@ -492,7 +493,7 @@ def simulate(
             if carry:
                 parts = [np.concatenate(pair) for pair in zip(carry, parts)]
             idx, la, lb, sa, sb, na, nb, det_click = parts
-            early, late = _pair_scan(idx, link.pairing_window_bins)
+            early, late = _pair_scan(idx, source.pairing_window_bins)
             paired = late.size > 0 and late[-1] == idx.size - 1
             carry = [p[p.size - 1:] if p.size and not paired else p[:0] for p in parts]
             n_pairs += early.size

@@ -49,7 +49,6 @@ class DevicePreset:
     laser_offset_hz: float = 10.0
     interference_error: float = 0.04
     phase_slices: int = 16
-    pairing_window_bins: float = 1e6
     error_correction_f: float = 1.1
     eps: float = 1e-10
 
@@ -65,7 +64,6 @@ class DevicePreset:
             phase_drift_rad_per_s=self.phase_drift_rad_per_s,
             laser_offset_hz=self.laser_offset_hz,
             interference_error=self.interference_error,
-            pairing_window_bins=self.pairing_window_bins,
             phase_slices=self.phase_slices,
         )
 
@@ -262,7 +260,7 @@ def _evaluate_baseline(
 
     if kind == "mdi-baseline":
         def objective(params: dict) -> float:
-            return baselines.mdi_key_rate(SourceConfig.from_params(**params), link, det, n_pulses,
+            return baselines.mdi_key_rate(SourceConfig.from_params(params, True), link, det, n_pulses,
                                           preset.eps, preset.error_correction_f)["rate_per_pulse"]
     else:
         def objective(params: dict) -> float:

@@ -202,17 +202,17 @@ def _oracle_setup(cfg):
     link = ChannelLink(cfg["l_a"], cfg["l_b"], 0.16, clock_hz=1e9,
                        phase_drift_rad_per_s=cfg.get("drift_rad_per_s", 5.9e3),
                        laser_offset_hz=cfg.get("laser_offset_hz", 10.0),
-                       interference_error=0.04, pairing_window_bins=2000.0,
-                       phase_slices=cfg["phase_slices"])
-    kwargs = dict(
+                       interference_error=0.04, phase_slices=cfg["phase_slices"])
+    params = dict(
         mu_a=cfg["mu"], nu_a=cfg["nu"], p_mu_a=cfg["p_mu"], p_nu_a=cfg["p_nu"],
         mu_b=cfg["mu"], nu_b=cfg["nu"], p_mu_b=cfg["p_mu"], p_nu_b=cfg["p_nu"],
-        click_filtering=cfg["click_filtering"],
+        tc_bins=2000.0,
     )
-    if cfg["omega"] is not None:
-        kwargs.update(omega_a=cfg["omega"], p_omega_a=cfg["p_omega"],
+    four = cfg["omega"] is not None
+    if four:
+        params.update(omega_a=cfg["omega"], p_omega_a=cfg["p_omega"],
                       omega_b=cfg["omega"], p_omega_b=cfg["p_omega"])
-    return SourceConfig.from_params(**kwargs), link, det
+    return SourceConfig.from_params(params, four, cfg["click_filtering"]), link, det
 
 
 def _oracle_failures(tag, cfg, seed):

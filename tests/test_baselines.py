@@ -16,7 +16,7 @@ from amdiqkd.baselines import (
 from amdiqkd.channel import LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig
 from amdiqkd.stats import binary_entropy, chernoff_expected, chernoff_observed
 
-from test_keyrate import check_against_scalar, genotype_batches, link_draws
+from test_keyrate import check_against_scalar, decoded_rows, genotype_batches, link_draws
 
 F = 4e9
 PD = 0.1 / F
@@ -134,8 +134,8 @@ class TestMdiObservables:
         assert obs.m_x[("mu", "mu")] == pytest.approx(m_x, rel=1e-12)
 
     def test_needs_four_intensities(self):
-        three = SourceConfig.from_params(mu_a=0.7, nu_a=0.02, p_mu_a=0.5, p_nu_a=0.3,
-                                         mu_b=0.7, nu_b=0.02, p_mu_b=0.5, p_nu_b=0.3)
+        three = SourceConfig.from_params(dict(mu_a=0.7, nu_a=0.02, p_mu_a=0.5, p_nu_a=0.3,
+                                              mu_b=0.7, nu_b=0.02, p_mu_b=0.5, p_nu_b=0.3))
         with pytest.raises(ValueError, match="four intensities"):
             mdi_observables(three, *link_and_det(50.0, 50.0), 1e12)
 
@@ -356,7 +356,7 @@ class TestBb84Columns:
 def scalar_baseline(kind, params, link, det, n_pulses, preset):
     """The scalar reference, called as the sweep's baseline objective calls it."""
     if kind == "mdi-baseline":
-        return mdi_key_rate(SourceConfig.from_params(**params), link, det, n_pulses,
+        return mdi_key_rate(SourceConfig.from_params(params, True), link, det, n_pulses,
                             preset.eps, preset.error_correction_f)
     ints = {"mu": params["mu_a"], "omega": params["omega_a"], "nu": params["nu_a"], "o": 0.0}
     probs = {"mu": params["p_mu_a"], "omega": params["p_omega_a"], "nu": params["p_nu_a"]}
@@ -377,11 +377,11 @@ class TestRateBatch:
         preset = scenario.DEVICE_PRESETS["fig4"]
         link, det = preset.link((dist + asym) / 2.0, (dist - asym) / 2.0), preset.detector()
         space = scenario._baseline_space(kind)
-        batch = space.decode_many(np.array(data.draw(genotype_batches(space))))
+        batch = decoded_rows(space, np.array(data.draw(genotype_batches(space))))
         n_pulses = 10.0 ** log_n
         columns = {k: np.array([p[k] for p in batch]) for k in batch[0]}
         if kind == "mdi-baseline":
-            got = mdi_key_rate(SourceConfig.from_params(**columns), link, det, n_pulses,
+            got = mdi_key_rate(SourceConfig.from_params(columns, True), link, det, n_pulses,
                                preset.eps, preset.error_correction_f)
         else:
             got = bb84_key_rate(Bb84Params.from_params(columns, link, det), n_pulses,

@@ -41,7 +41,6 @@ def make_link(l_a=50.0, l_b=50.0, clock_hz=1e9, **kw):
         phase_drift_rad_per_s=5900.0,
         laser_offset_hz=10.0,
         interference_error=0.04,
-        pairing_window_bins=1e6,
         phase_slices=16,
     )
     defaults.update(kw)
@@ -54,7 +53,7 @@ def make_source(click_filtering=True, **kw):
         mu_b=0.5, nu_b=0.05, p_mu_b=0.5, p_nu_b=0.3,
     )
     params.update(kw)
-    return SourceConfig.from_params(click_filtering=click_filtering, **params)
+    return SourceConfig.from_params(params, "omega_a" in params, click_filtering)
 
 
 def assert_observable_invariants(obs):
@@ -133,27 +132,27 @@ class TestPairGain:
 
 class TestPairing:
     def test_every_click_pairs_in_wide_window(self):
-        link = make_link(pairing_window_bins=1e9)
+        link, src = make_link(), make_source(tc_bins=1e9)
         q = 1e-3
         n_pairs, t_mean = channel._pairing_statistics(
-            FLOATS, 1e12, q, link.pairing_window_bins, link.clock_hz
+            FLOATS, 1e12, q, src.pairing_window_bins, link.clock_hz
         )
         assert n_pairs == pytest.approx(1e12 * q / 2.0, rel=1e-6)
         assert t_mean == pytest.approx(1.0 / (link.clock_hz * q), rel=1e-6)
 
     def test_degenerate_no_clicks(self):
-        link = make_link()
+        link, src = make_link(), make_source()
         n_pairs, t_mean = channel._pairing_statistics(
-            FLOATS, 1e12, 0.0, link.pairing_window_bins, link.clock_hz
+            FLOATS, 1e12, 0.0, src.pairing_window_bins, link.clock_hz
         )
         assert n_pairs == 0.0
         assert math.isinf(t_mean)
 
     def test_pairing_bound(self):
-        link = make_link(pairing_window_bins=2000.0)
+        link, src = make_link(), make_source(tc_bins=2000.0)
         for q in [1e-5, 1e-4, 1e-3]:
             n_pairs, _ = channel._pairing_statistics(
-                FLOATS, 1e10, q, link.pairing_window_bins, link.clock_hz
+                FLOATS, 1e10, q, src.pairing_window_bins, link.clock_hz
             )
             assert n_pairs <= 1e10 * q / 2.0 + 1.0
 
@@ -183,9 +182,9 @@ class TestClickFiltering:
         code = (
             "from amdiqkd.channel import SourceConfig\n"
             "from amdiqkd.decoy import pairing_probs\n"
-            "src = SourceConfig.from_params(mu_a=0.6, nu_a=0.05, p_mu_a=0.3, p_nu_a=0.2,"
+            "src = SourceConfig.from_params(dict(mu_a=0.6, nu_a=0.05, p_mu_a=0.3, p_nu_a=0.2,"
             " omega_a=0.2, p_omega_a=0.17, mu_b=0.55, nu_b=0.04, p_mu_b=0.31, p_nu_b=0.21,"
-            " omega_b=0.21, p_omega_b=0.13)\n"
+            " omega_b=0.21, p_omega_b=0.13), four_intensity=True)\n"
             "print(repr(src.survival_prob), repr(pairing_probs(src, 16)))\n"
         )
         outputs = set()
@@ -332,7 +331,7 @@ def sources(draw):
         if four:
             params[f"omega_{side}"] = nu + (mu - nu) * draw(st.floats(0.1, 0.9))
             params[f"p_omega_{side}"] = draw(st.floats(0.05, 0.1))
-    return SourceConfig.from_params(click_filtering=draw(st.booleans()), **params)
+    return SourceConfig.from_params(params, four, draw(st.booleans()))
 
 
 class TestObservableInvariants:
@@ -346,7 +345,8 @@ class TestObservableInvariants:
         log_pulses=st.floats(9.0, 15.0),
     )
     def test_counts_bound_pairs_and_errors(self, src, l_a, l_b, clock_hz, log_window, log_pulses):
-        link = make_link(l_a, l_b, clock_hz=clock_hz, pairing_window_bins=10.0**log_window)
+        link = make_link(l_a, l_b, clock_hz=clock_hz)
+        src = dataclasses.replace(src, pairing_window_bins=10.0**log_window)
         assert_observable_invariants(expected_observables(src, link, DET, 10.0**log_pulses))
 
 
@@ -412,15 +412,15 @@ class TestValidation:
     def test_column_source_matches_float_rows(self, four_intensity, click_filtering):
         params = flat_rows(four_intensity, 60, seed=19 + four_intensity)
         columns = SourceConfig.from_params(
-            **{k: np.array([p[k] for p in params]) for k in params[0]},
-            click_filtering=click_filtering,
+            {k: np.array([p[k] for p in params]) for k in params[0]},
+            four_intensity, click_filtering,
         )
         assert columns.four_intensity == four_intensity
         # without filtering every click survives, and the column source's
         # survival probability is the float 1.0
         survival = np.broadcast_to(columns.survival_prob, (len(params),))
         for i, p in enumerate(params):
-            src = SourceConfig.from_params(**p, click_filtering=click_filtering)
+            src = SourceConfig.from_params(p, four_intensity, click_filtering)
             for side in "ab":
                 # what mu, nu and omega leave, added left to right
                 want = 1.0 - (p[f"p_mu_{side}"] + p[f"p_nu_{side}"] + p.get(f"p_omega_{side}", 0.0))
@@ -451,16 +451,16 @@ class TestValidation:
     @pytest.mark.parametrize("window", [math.nan, 0.5, math.inf])
     def test_pairing_window_finite_and_at_least_one_bin(self, window):
         with pytest.raises(ValueError, match="pairing_window_bins"):
-            make_link(pairing_window_bins=window)
+            make_source(tc_bins=window)
 
     @pytest.mark.parametrize("n_pulses", [0.0, -1.0, math.nan, math.inf])
     def test_n_pulses_finite_and_positive(self, n_pulses):
         with pytest.raises(ValueError, match="n_pulses must be finite and positive"):
             expected_observables(make_source(), make_link(), DET, n_pulses)
-        link = make_link()
+        link, src = make_link(), make_source()
         with pytest.raises(ValueError, match="n_pulses must be finite and positive"):
             channel._pairing_statistics(
-                FLOATS, n_pulses, 0.0, link.pairing_window_bins, link.clock_hz
+                FLOATS, n_pulses, 0.0, src.pairing_window_bins, link.clock_hz
             )
 
 
@@ -470,9 +470,9 @@ def variant_source(name, rows=None):
     var = scenario.VARIANTS[name]
     params = flat_rows(var.four_intensity, rows or 1, seed=31)
     if rows is None:
-        return SourceConfig.from_params(**params[0], click_filtering=var.click_filtering)
-    return SourceConfig.from_params(**{k: np.array([p[k] for p in params]) for k in params[0]},
-                                    click_filtering=var.click_filtering)
+        return SourceConfig.from_params(params[0], var.four_intensity, var.click_filtering)
+    return SourceConfig.from_params({k: np.array([p[k] for p in params]) for k in params[0]},
+                                    var.four_intensity, var.click_filtering)
 
 
 def eager_split_sums(layout, weight):

@@ -73,6 +73,31 @@ class TestConfigErrors:
         assert main(argv) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    # a level the variant does not use was read as nothing, and results.csv
+    # showed it; the four-intensity variant takes the omega levels and every
+    # variant runs without the optional pairing window
+    FOUR_LEVELS = dict(omega_a=0.2, p_omega_a=0.1, omega_b=0.2, p_omega_b=0.1)
+
+    @pytest.mark.parametrize("variant, changes, code", [
+        pytest.param("filtering", dict(omega_a=0.9, p_omega_a=0.5, omega_b=0.1, p_omega_b=0.5,
+                                       tc_bins="1.0e+6"), 1, id="omega-on-three-levels"),
+        pytest.param("double-scan", dict(omega_a=0.2), 1, id="one-omega-on-three-levels"),
+        pytest.param("four-intensity", dict(FOUR_LEVELS, q_z=0.5), 1, id="q_z"),
+        pytest.param("four-intensity", dict(FOUR_LEVELS, omega_b=None), 1, id="missing-omega_b"),
+        pytest.param("four-intensity", FOUR_LEVELS, 0, id="four-levels"),
+        pytest.param("filtering", {}, 0, id="no-window"),
+    ])
+    def test_evaluate_takes_the_variant_keys(self, tmp_path, capsys, variant, changes, code):
+        out = tmp_path / "o"
+        argv = ["evaluate", "--preset", "evaluate_300km", "--set", f"variant={variant}",
+                "--set", params_override(**changes), "--out", str(out)]
+        assert main(argv) == code
+        if code:
+            assert "configuration error" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert (out / "results.csv").is_file()
+
     # a pulse count that is not finite and positive is rejected before any
     # output, in the scalar and the per-point form
     @pytest.mark.parametrize("command, n_pulses", [

@@ -171,11 +171,10 @@ class TestVacuumEvents:
 
     def test_hand_evaluated_asymmetric_case(self):
         # spreadsheet-style evaluation on closed-form counts
-        src = SourceConfig.from_params(
+        src = SourceConfig.from_params(dict(
             mu_a=0.6, nu_a=0.06, p_mu_a=0.45, p_nu_a=0.3,
             mu_b=0.4, nu_b=0.04, p_mu_b=0.55, p_nu_b=0.25,
-            click_filtering=True,
-        )
+        ), click_filtering=True)
         obs, link = observables(src, 70.0, 30.0)
         probs = pairing_probs(src, 16)
         got = decoy._vacuum_events_lower(FLOATS, obs.counts, probs, src, z_key_groups(src), None)
@@ -198,10 +197,10 @@ class TestSinglePhotonPairs:
 
     def test_tie_case_branches_agree(self):
         # mu_a/mu_b == nu_a/nu_b: both primed-level selections coincide
-        src_a = SourceConfig.from_params(
+        src_a = SourceConfig.from_params(dict(
             mu_a=0.5, nu_a=0.05, p_mu_a=0.5, p_nu_a=0.3,
             mu_b=0.25, nu_b=0.025, p_mu_b=0.5, p_nu_b=0.3,
-        )
+        ))
         obs, _ = observables(src_a, 40.0, 60.0)
         probs = pairing_probs(src_a, 16)
         z_sum = decoy._zgroup_intensity_sum(FLOATS, probs, src_a, z_key_groups(src_a))
@@ -373,7 +372,7 @@ def column_draws(four_intensity, click_filtering, rows=40):
             if four_intensity:
                 p[f"omega_{side}"] = rng.uniform(p[f"nu_{side}"], mu)
                 p[f"p_omega_{side}"] = rng.uniform(0.05, 0.15)
-        src = SourceConfig.from_params(**p, click_filtering=click_filtering)
+        src = SourceConfig.from_params(p, four_intensity, click_filtering)
         dist = rng.uniform(0.0, 500.0)
         obs = expected_observables(src, make_link(dist / 2.0, dist / 2.0), DET,
                                    10.0 ** rng.uniform(10.0, 14.0))
@@ -382,8 +381,8 @@ def column_draws(four_intensity, click_filtering, rows=40):
         tables.append({g: 0.0 if zero else v for g, v in obs.counts.items()})
         m_x.append(0.0 if zero else obs.m_x)
         params.append(p)
-    batch = SourceConfig.from_params(**{k: np.array([p[k] for p in params]) for k in params[0]},
-                                     click_filtering=click_filtering)
+    batch = SourceConfig.from_params({k: np.array([p[k] for p in params]) for k in params[0]},
+                                     four_intensity, click_filtering)
     counts = {g: np.array([t[g] for t in tables]) for g in tables[0]}
     return sources, tables, m_x, batch, counts, np.array(m_x)
 
@@ -422,13 +421,13 @@ class TestColumns:
         link = make_link(70.0, 40.0, **({} if drift else still))
         windows = 10.0 ** np.random.default_rng(5).uniform(0.0, 7.0, len(sources))
         table = click_table(batch, link, DET)
-        got = expected_observables(batch, dataclasses.replace(link, pairing_window_bins=windows),
-                                   DET, 1e13)
+        got = expected_observables(dataclasses.replace(batch, pairing_window_bins=windows),
+                                   link, DET, 1e13)
         for i, src in enumerate(sources):
-            row_link = dataclasses.replace(link, pairing_window_bins=float(windows[i]))
-            for pair, want in click_table(src, row_link, DET).items():
+            src = dataclasses.replace(src, pairing_window_bins=float(windows[i]))
+            for pair, want in click_table(src, link, DET).items():
                 assert table[pair][i] == want, (i, pair)
-            want = expected_observables(src, row_link, DET, 1e13)
+            want = expected_observables(src, link, DET, 1e13)
             assert want.n_pairs > 0.0
             for name in ("n_pairs", "t_mean_s", "q_tot", "m_x"):
                 assert getattr(got, name)[i] == getattr(want, name), (i, name)

@@ -202,6 +202,27 @@ class TestEvaluate:
         # the report's counts still hold every group
         assert len(dict(rep.observables.counts)) == (100 if var.four_intensity else 36)
 
+    @pytest.mark.parametrize("rows", [None, 3], ids=["floats", "columns"])
+    def test_uses_the_link_it_is_given(self, monkeypatch, rows):
+        # the pairing window rides on the source, so evaluate builds no link
+        from amdiqkd.channel import ChannelLink
+
+        link = make_link(25.0, 25.0)
+        built = []
+        post_init = ChannelLink.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ChannelLink, "__post_init__", counted)
+        params = dict(PARAMS_50KM, tc_bins=1e5)
+        if rows is not None:
+            params = {k: np.full(rows, v) for k, v in params.items()}
+        rep = evaluate(params, link, DET, 1e12, EPS, 1.1)
+        assert np.all(rep.rate_per_pulse > 0.0)
+        assert built == []
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-10, math.nan])
     def test_bad_eps_raises_after_a_good_one(self, eps):
         link = make_link(25.0, 25.0)
@@ -229,6 +250,13 @@ def genotype_batches(space, anchors=()):
 def as_columns(batch):
     """A list of parameter dicts with one key set as name -> (B,) arrays."""
     return {k: np.array([params[k] for params in batch]) for k in batch[0]}
+
+
+def decoded_rows(space, genotypes):
+    """The parameter dicts of the rows of an (n, dim) genotype stack, read
+    from ``space.decode_columns``."""
+    columns = space.decode_columns(genotypes)
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 def link_draws():
@@ -263,7 +291,7 @@ class TestRateBatch:
         link, det = preset.link((dist + asym) / 2.0, (dist - asym) / 2.0), preset.detector()
         space = async_search_space(four_intensity=var.four_intensity)
         anchors = scenario._canonical_warm_starts(var.four_intensity)
-        batch = space.decode_many(np.array(data.draw(genotype_batches(space, anchors))))
+        batch = decoded_rows(space, np.array(data.draw(genotype_batches(space, anchors))))
         n_pulses = 10.0 ** log_n
         args = (link, det, n_pulses, preset.eps, preset.error_correction_f, var)
         reports = [evaluate(p, *args) for p in batch]
@@ -313,7 +341,7 @@ class TestRateBatch:
         link, det = make_link(30000.0, 30000.0), DetectorPair(eta_d=0.8, dark_rate_hz=0.0)
         space = async_search_space(four_intensity=var.four_intensity)
         rng = np.random.default_rng(8)
-        batch = space.decode_many(rng.uniform(size=(20, len(space.names))))
+        batch = decoded_rows(space, rng.uniform(size=(20, len(space.names))))
         got = evaluate(as_columns(batch), link, det, 1e12, EPS, 1.1, var)
         assert got.rate_per_pulse.tolist() == [0.0] * 20
         for i, p in enumerate(batch):

@@ -12,7 +12,6 @@ on ``MP``, the base operations at 50 digits, and the float results must hold
 """
 
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -65,11 +64,11 @@ PRESET = DEVICE_PRESETS["fig4"]
 DET = PRESET.detector()
 P_D = DET.dark_prob(PRESET.clock_hz)
 
-SOURCE = SourceConfig.from_params(
+SOURCE = SourceConfig.from_params(dict(
     mu_a=0.6, nu_a=0.03, p_mu_a=0.6, p_nu_a=0.25,
     mu_b=0.5, nu_b=0.04, p_mu_b=0.55, p_nu_b=0.3,
     omega_a=0.15, p_omega_a=0.1, omega_b=0.12, p_omega_b=0.1,
-)
+), four_intensity=True)
 MDI_INTS = {"mu": 0.7, "omega": 0.1, "nu": 0.02, "o": 0.0}
 MDI_PROBS = {"mu": 0.5, "omega": 0.2, "nu": 0.15, "o": 0.15}
 
@@ -293,7 +292,8 @@ def mp_dict(values):
 def mp_source(src):
     return SourceConfig(mp_dict(src.intensities_a), mp_dict(src.probabilities_a),
                         mp_dict(src.intensities_b), mp_dict(src.probabilities_b),
-                        click_filtering=src.click_filtering)
+                        click_filtering=src.click_filtering,
+                        pairing_window_bins=src.pairing_window_bins)
 
 
 def with_vacuum(levels):
@@ -310,12 +310,12 @@ def test_async_chain_at_fifty_digits(variant_name):
     for l_a, l_b in CHAIN_LINKS:
         link = PRESET.link(l_a, l_b)
         report = keyrate.evaluate(params, link, DET, N_PULSES, EPS, F_EC, variant)
-        src = mp_source(keyrate._source_from_params(params, variant))
+        src = mp_source(SourceConfig.from_params(params, variant.four_intensity,
+                                                 variant.click_filtering))
         table = {(la, lb): channel._pair_gain(MP, src.intensities_a[la], src.intensities_b[lb],
                                               link, DET)
                  for la in src.labels for lb in src.labels}
-        obs = channel._observables(MP, src, replace(link, pairing_window_bins=params["tc_bins"]),
-                                   DET, N_PULSES, table)
+        obs = channel._observables(MP, src, link, DET, N_PULSES, table)
         probs = decoy.pairing_probs(src, link.phase_slices)
         groups = decoy.z_key_groups(src, variant.z_group_mode)
         scan = (decoy._double_scan(MP, obs.counts, obs.m_x, probs, src, EPS)

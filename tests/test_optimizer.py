@@ -14,6 +14,8 @@ from amdiqkd.optimizer import (
     repair_async_params,
 )
 
+from test_keyrate import decoded_rows
+
 DET = DetectorPair(0.8, 0.1)
 LINK = ChannelLink(
     25.0, 25.0, 0.16, clock_hz=4e9,
@@ -24,6 +26,11 @@ LINK = ChannelLink(
 
 def rate_objective(params):
     return evaluate(params, LINK, DET, 1e12, 1e-10, 1.1, ProtocolVariant()).rate_per_pulse
+
+
+def decode(space, genotype):
+    """The parameter dict of one genotype, read from ``space.decode_columns``."""
+    return decoded_rows(space, np.asarray(genotype)[None, :])[0]
 
 
 BASE = dict(
@@ -37,7 +44,7 @@ class TestSearchSpace:
         space = async_search_space()
         rng = np.random.default_rng(1)
         for _ in range(200):
-            params = space.decode(rng.random(len(space.names)))
+            params = decode(space, rng.random(len(space.names)))
             for side in ("a", "b"):
                 assert params[f"mu_{side}"] > params[f"nu_{side}"]
                 total = params[f"p_mu_{side}"] + params[f"p_nu_{side}"]
@@ -46,7 +53,7 @@ class TestSearchSpace:
 
     def test_mirrored_parties(self):
         space = scenario._baseline_space("mdi-baseline")
-        params = space.decode(np.full(len(space.names), 0.3))
+        params = decode(space, np.full(len(space.names), 0.3))
         assert params["mu_a"] == params["mu_b"]
         assert params["p_nu_a"] == params["p_nu_b"]
 
@@ -59,9 +66,7 @@ class TestSearchSpace:
         for _ in range(2000):
             geno = rng.choice(choices, size=len(space.names))
             geno = np.where(np.isnan(geno), rng.random(len(space.names)), geno)
-            params = space.decode(geno)
-            params.pop("tc_bins")
-            SourceConfig.from_params(**params)
+            SourceConfig.from_params(decode(space, geno), four_intensity)
 
     def test_repair_keeps_floored_levels_apart(self):
         fixed = repair_async_params(
@@ -104,7 +109,7 @@ class TestOptimizeLink:
         space = SearchSpace(bounds={"mu_a": (0.1, 1.0)})
         res = optimize_link(objective, space, budget=300, seed=1)
         grid = np.linspace(0.1, 1.0, 901)
-        grid_rates = [objective(space.decode(np.array([(g - 0.1) / 0.9]))) for g in grid]
+        grid_rates = [objective(decode(space, np.array([(g - 0.1) / 0.9]))) for g in grid]
         assert res.best_rate >= max(grid_rates) * (1.0 - 1e-3)
 
     def test_deterministic(self):
@@ -367,9 +372,7 @@ def test_decode_is_bitwise_the_scalar_decode(name):
     genes[faces < 0.1] = 0.0
     genes[faces > 0.9] = 1.0
     genes[(faces > 0.45) & (faces < 0.47)] = 1.3
-    decoded = space.decode_many(genes)
-    for row, params in zip(genes, decoded):
+    for row, params in zip(genes, decoded_rows(space, genes)):
         want = old_decode(space, row)
         assert list(params) == list(want)
         assert np.array(list(params.values())).tobytes() == np.array(list(want.values())).tobytes()
-    assert space.decode(genes[0]) == decoded[0]

@@ -29,13 +29,12 @@ DET = DetectorPair(0.8, 1e5)
 LINK = ChannelLink(
     10.0, 15.0, 0.16, clock_hz=1e9,
     phase_drift_rad_per_s=5900.0, laser_offset_hz=10.0,
-    interference_error=0.04, pairing_window_bins=2000.0, phase_slices=8,
+    interference_error=0.04, phase_slices=8,
 )
-SRC = SourceConfig.from_params(
+SRC = SourceConfig.from_params(dict(
     mu_a=0.5, nu_a=0.15, p_mu_a=0.35, p_nu_a=0.35,
-    mu_b=0.45, nu_b=0.12, p_mu_b=0.35, p_nu_b=0.35,
-    click_filtering=True,
-)
+    mu_b=0.45, nu_b=0.12, p_mu_b=0.35, p_nu_b=0.35, tc_bins=2000.0,
+), click_filtering=True)
 
 
 @pytest.fixture(scope="module")
@@ -101,10 +100,10 @@ class TestInterferenceEngine:
 class TestSimulation:
     def test_dark_only_and_silent_limits(self):
         silent = DetectorPair(0.8, 0.0)
-        src = SourceConfig.from_params(
+        src = SourceConfig.from_params(dict(
             mu_a=1e-3, nu_a=1e-4, p_mu_a=0.3, p_nu_a=0.3,
             mu_b=1e-3, nu_b=1e-4, p_mu_b=0.3, p_nu_b=0.3,
-        )
+        ))
         res = simulate(src, ChannelLink(400.0, 400.0, 0.16, clock_hz=1e9, phase_slices=8),
                        silent, 200_000, seed=3)
         assert res.n_clicks == 0 and res.n_pairs == 0
@@ -377,7 +376,7 @@ def whole_run_simulate(source, link, det, n_bins, seed, chunk_bins=1_000_000):
             store.append(arr)
     idx, la, lb, sa, sb, na, nb, det_click = (np.concatenate(f) for f in fields)
 
-    early, late = _pair_scan(idx, link.pairing_window_bins)
+    early, late = _pair_scan(idx, source.pairing_window_bins)
     n_pairs = early.size
     gaps = idx[late] - idx[early]
 
@@ -518,14 +517,13 @@ GOLDEN_DET = DetectorPair(0.8, 1e5)
 GOLDEN_LINK = ChannelLink(
     15.0, 15.0, 0.16, clock_hz=1e9,
     phase_drift_rad_per_s=5900.0, laser_offset_hz=10.0,
-    interference_error=0.04, pairing_window_bins=2000.0, phase_slices=8,
+    interference_error=0.04, phase_slices=8,
 )
-GOLDEN_SRC = SourceConfig.from_params(
+GOLDEN_SRC = SourceConfig.from_params(dict(
     mu_a=0.6, nu_a=0.12, p_mu_a=0.3, p_nu_a=0.3,
     mu_b=0.5, nu_b=0.15, p_mu_b=0.3, p_nu_b=0.35,
-    omega_a=0.3, p_omega_a=0.15, omega_b=0.25, p_omega_b=0.15,
-    click_filtering=True,
-)
+    omega_a=0.3, p_omega_a=0.15, omega_b=0.25, p_omega_b=0.15, tc_bins=2000.0,
+), four_intensity=True, click_filtering=True)
 GOLDEN_COUNTS = {
     (("mu", "mu"), ("mu", "mu")): 622, (("mu", "mu"), ("mu", "o")): 1925,
     (("mu", "mu"), ("o", "o")): 403, (("mu", "omega"), ("mu", "omega")): 715,
@@ -581,11 +579,10 @@ def test_random_stream_is_pinned():
 # mu near 3 on a short link: most candidate bins carry n >= 2 photons,
 # where the click bound B(n) is loose and the thinning rejects
 BRIGHT_LINK = replace(GOLDEN_LINK, length_a_km=2.0, length_b_km=3.0)
-BRIGHT_SRC = SourceConfig.from_params(
+BRIGHT_SRC = SourceConfig.from_params(dict(
     mu_a=3.0, nu_a=0.6, p_mu_a=0.3, p_nu_a=0.3,
-    mu_b=2.8, nu_b=0.5, p_mu_b=0.3, p_nu_b=0.35,
-    click_filtering=True,
-)
+    mu_b=2.8, nu_b=0.5, p_mu_b=0.3, p_nu_b=0.35, tc_bins=2000.0,
+), click_filtering=True)
 
 
 def tallies(res, groups):
@@ -704,11 +701,10 @@ class TestEventSampler:
         assert dark_link.eta_a == dark_link.eta_b == 0.0
         silent = simulate(SRC, dark_link, DetectorPair(0.8, 0.0), 200_000, seed=3)
         assert silent.n_clicks == 0 and silent.n_pairs == 0
-        src = SourceConfig.from_params(
+        src = SourceConfig.from_params(dict(
             mu_a=0.5, nu_a=0.15, p_mu_a=0.35, p_nu_a=0.35,
             mu_b=0.45, nu_b=0.12, p_mu_b=0.35, p_nu_b=0.35,
-            click_filtering=False,
-        )
+        ), click_filtering=False)
         det = DetectorPair(0.8, 1e5)
         p_d = det.dark_prob(dark_link.clock_hz)
         res = simulate(src, dark_link, det, 1_000_000, seed=3)
@@ -868,11 +864,11 @@ class TestStreaming:
     FAR_LINK = ChannelLink(
         60.0, 60.0, 0.16, clock_hz=1e9,
         phase_drift_rad_per_s=5900.0, laser_offset_hz=10.0,
-        interference_error=0.04, pairing_window_bins=2000.0, phase_slices=8,
+        interference_error=0.04, phase_slices=8,
     )
     CASES = {
         # the pairing window spans hundreds of chunks
-        "window-longer-than-chunk": (SRC, replace(LINK, pairing_window_bins=3e6), 300_000, 7_000),
+        "window-longer-than-chunk": (replace(SRC, pairing_window_bins=3e6), LINK, 300_000, 7_000),
         # about one click per chunk, so many chunks click not at all
         "empty-chunks": (SRC, FAR_LINK, 40_000, 50),
         "single-bin": (SRC, LINK, 1, 1_000_000),

@@ -27,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .channel import (LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig, _require,
-                      validate_party)
+from .channel import (LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig, _read_sides,
+                      _require, validate_party)
+from .decoy import _primed_levels, _scan_points
+from .keyrate import _bb84_composition, _composition, _key_length
 from .stats import FLOATS, ops_for
 
 __all__ = [
@@ -138,11 +140,9 @@ def mdi_key_rate(
 
     The two aggregates built from the decoy-level X data are bracketed with
     joint/Chernoff bounds and the rate is minimized over their rectangle
-    (corner evaluation, optional dense grid of ``scan_grid`` >= 2 points a side).
-    A column source gives every value as a (B,) column.
+    (corner evaluation, or a dense grid of ``scan_grid`` points a side, at
+    least 2).  A column source gives every value as a (B,) column.
     """
-    if scan_grid is not None and scan_grid < 2:
-        raise ValueError(f"scan_grid must be >= 2, got {scan_grid!r}")
     obs = mdi_observables(source, link, det, n_pulses)
     return _mdi_key(ops_for(source.intensities_a["mu"]), obs, source, n_pulses, eps,
                     error_correction_f, scan_grid)
@@ -158,8 +158,7 @@ def _mdi_key(ops, obs: MdiObservables, source, n_pulses: float, eps: float,
     mu_a, mu_b = ia["mu"], ib["mu"]
     om_a, om_b = ia["omega"], ib["omega"]
     nu_a, nu_b = ia["nu"], ib["nu"]
-    a_side = om_a / om_b <= nu_a / nu_b
-    om_p, nu_p = where(a_side, om_a, om_b), where(a_side, nu_a, nu_b)
+    om_p, nu_p = _primed_levels(ops, source, "omega", "nu")
 
     n0_star = maximum(
         exp(-mu_a) * pa["mu"] / pa["o"] * expected_lower(obs.n_z[("o", "mu")], eps),
@@ -212,13 +211,9 @@ def _mdi_key(ops, obs: MdiObservables, source, n_pulses: float, eps: float,
         nu_a * nu_b * exp(-nu_a - nu_b) * pa["nu"] * pb["nu"]
     )
 
-    n_z_signal = obs.n_z[("mu", "mu")]
-    counted = n_z_signal > 0.0
-    qber = where(counted, obs.m_z[("mu", "mu")] / where(counted, n_z_signal, 1.0), 0.5)
-    leakage = n_z_signal * error_correction_f * ops.entropy(minimum(qber, 0.5))
-    eps_terms = (
-        ops.log2(2.0 / eps) + 2.0 * ops.log2(2.0 / (eps * eps)) + 2.0 * ops.log2(1.0 / (2.0 * eps))
-    )
+    qber, leakage = _pooled_leakage(ops, obs.n_z[("mu", "mu")], obs.m_z[("mu", "mu")],
+                                    error_correction_f)
+    composition = _composition(ops, eps)
 
     def key_at(h, m):
         n11 = ops.observed_lower(pref_11 * (plus - minus + m - h), eps)
@@ -230,18 +225,9 @@ def _mdi_key(ops, obs: MdiObservables, source, n_pulses: float, eps: float,
         )
         t11z = ops.observed_upper(ratio_zx * maximum(t11x_star, 0.0), eps)
         phi = minimum(maximum(t11z / where(feasible, n11, 1.0), 0.0), 0.5)
-        ell = n0_obs + n11 * (1.0 - ops.entropy(phi)) - leakage - eps_terms
-        return where(feasible, maximum(ell, 0.0), 0.0)
+        return where(feasible, _key_length(ops, n0_obs, n11, phi, leakage, composition), 0.0)
 
-    if scan_grid:
-        points = [
-            (h_lo + (h_hi - h_lo) * i / (scan_grid - 1), m_lo + (m_hi - m_lo) * j / (scan_grid - 1))
-            for i in range(scan_grid)
-            for j in range(scan_grid)
-        ]
-    else:
-        points = [(h_lo, m_lo), (h_lo, m_hi), (h_hi, m_lo), (h_hi, m_hi)]
-    ell = ops.min_over(key_at, points)
+    ell = ops.min_over(key_at, _scan_points(h_lo, h_hi, m_lo, m_hi, scan_grid))
     return {
         "ell": ell,
         "rate_per_pulse": ell / n_pulses,
@@ -249,6 +235,14 @@ def _mdi_key(ops, obs: MdiObservables, source, n_pulses: float, eps: float,
         "n0": n0_obs,
         "qber_z": qber,
     }
+
+
+def _pooled_leakage(ops, n, m, efficiency: float) -> tuple:
+    """(qber, leakage) of the key counts ``n`` with ``m`` errors corrected as
+    one pool: qber = m/n (0.5 without counts), leakage n f h(min(qber, 0.5))."""
+    counted = n > 0.0
+    qber = ops.where(counted, m / ops.where(counted, n, 1.0), 0.5)
+    return qber, n * efficiency * ops.entropy(ops.minimum(qber, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +262,6 @@ class Bb84Params:
     probs: Mapping[str, float]
     link: ChannelLink
     det: DetectorPair
-    insert_loss_db: float = 2.0
     misalignment: float = 0.02
     q_z: float = 0.5
 
@@ -282,18 +275,15 @@ class Bb84Params:
     @classmethod
     def from_params(cls, params: Mapping[str, float], link: ChannelLink,
                     det: DetectorPair) -> "Bb84Params":
-        """The side-a levels ``mu_a, omega_a, nu_a``, their ``p_*_a`` and
-        ``q_z`` of ``params``, floats or (B,) columns; the vacuum probability
-        is what the three send probabilities leave, added mu, omega, nu."""
-        ints = {"mu": params["mu_a"], "omega": params["omega_a"], "nu": params["nu_a"], "o": 0.0}
-        probs = {"mu": params["p_mu_a"], "omega": params["p_omega_a"], "nu": params["p_nu_a"]}
-        probs["o"] = 1.0 - (probs["mu"] + probs["omega"] + probs["nu"])
+        """The side-a levels mu, omega, nu of ``params`` as ``_read_sides``
+        reads them, and ``q_z``; floats or (B,) columns."""
+        ints, probs = _read_sides(params, ("mu", "omega", "nu"), "a", required=("q_z",))
         return cls(ints, probs, link, det, q_z=params["q_z"])
 
     @property
     def eta(self) -> float:
-        """Receiver transmittance: fibre, insertion loss and detector efficiency."""
-        loss_db = self.link.attenuation_db_per_km * self.link.total_km + self.insert_loss_db
+        """Receiver transmittance: fibre, a 2 dB insertion loss and detector efficiency."""
+        loss_db = self.link.attenuation_db_per_km * self.link.total_km + 2.0
         return self.det.eta_d * 10.0 ** (-loss_db / 10.0)
 
     @property
@@ -396,18 +386,10 @@ def _bb84_key(ops, obs: Bb84Observables, intensities, probs, n_pulses: float, ep
         e1x + ops.sampling_correction(n1z_safe, n1x_safe, minimum(e1x, 1.0), eps), 0.5
     )
 
-    n_ec = obs.n_z["mu"] + obs.n_z["nu"]
-    counted = n_ec > 0.0
-    qber = where(counted, (obs.m_z["mu"] + obs.m_z["nu"]) / where(counted, n_ec, 1.0), 0.5)
-    leakage = n_ec * error_correction_f * ops.entropy(minimum(qber, 0.5))
-    ell = (
-        n0_obs
-        + n1z * (1.0 - ops.entropy(phi))
-        - leakage
-        - 6.0 * ops.log2(23.0 / eps)
-        - 2.0 * ops.log2(2.0 / eps)
-    )
-    ell = where(feasible, maximum(ell, 0.0), 0.0)
+    qber, leakage = _pooled_leakage(ops, obs.n_z["mu"] + obs.n_z["nu"],
+                                    obs.m_z["mu"] + obs.m_z["nu"], error_correction_f)
+    ell = where(feasible, _key_length(ops, n0_obs, n1z, phi, leakage,
+                                      _bb84_composition(ops, eps)), 0.0)
     return {
         "ell": ell,
         "rate_per_pulse": ell / n_pulses,

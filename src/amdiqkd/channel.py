@@ -242,25 +242,43 @@ class SourceConfig:
     @classmethod
     def from_params(cls, params: Mapping[str, float], four_intensity: bool = False,
                     click_filtering: bool = True) -> "SourceConfig":
-        """Build a config from a flat candidate, floats or (B,) columns: per
-        side ``mu_<side>``, ``nu_<side>`` (and ``omega_<side>`` with
-        ``four_intensity``) with their ``p_`` send probabilities, and the
-        window ``tc_bins`` if present.  The vacuum probability is what the
-        send probabilities leave, added left to right."""
+        """Build a config from a flat candidate, floats or (B,) columns: the
+        levels mu, nu (and omega with ``four_intensity``) of sides a and b as
+        ``_read_sides`` reads them, and the window ``tc_bins`` if present."""
         levels = ("mu", "nu", "omega") if four_intensity else ("mu", "nu")
-        parties = []
-        for side in "ab":
-            ints = {l: params[f"{l}_{side}"] for l in levels}
-            probs = {l: params[f"p_{l}_{side}"] for l in levels}
-            total = 0.0
-            for p in probs.values():
-                total = total + p
-            mu = ints["mu"]
-            ints["o"] = np.zeros_like(mu) if isinstance(mu, np.ndarray) else 0.0
-            probs["o"] = 1.0 - total
-            parties += [ints, probs]
-        return cls(*parties, click_filtering=click_filtering,
+        return cls(*_read_sides(params, levels, "ab", optional=("tc_bins",)),
+                   click_filtering=click_filtering,
                    pairing_window_bins=params.get("tc_bins", cls.pairing_window_bins))
+
+
+@lru_cache(maxsize=None)
+def _flat_keys(levels: tuple, sides: str, required: tuple, optional: tuple) -> tuple:
+    """The keys a flat candidate must carry, and those it may carry."""
+    must = frozenset(f"{p}{l}_{s}" for s in sides for l in levels for p in ("", "p_"))
+    return must.union(required), must.union(required, optional)
+
+
+def _read_sides(params: Mapping[str, float], levels: tuple, sides: str, required: tuple = (),
+                optional: tuple = ()) -> list:
+    """[levels, send probabilities] of each side of a flat candidate that holds
+    exactly ``<l>_<side>``, ``p_<l>_<side>`` and ``required`` (and may hold
+    ``optional``), else ValueError naming the keys.  The vacuum probability is
+    what the others leave, added left to right in ``levels`` order."""
+    must, allowed = _flat_keys(levels, sides, required, optional)
+    if not must <= params.keys() <= allowed:
+        raise ValueError(f"flat parameters: missing keys {sorted(must - params.keys())}, "
+                         f"unread keys {sorted(params.keys() - allowed)}")
+    read = []
+    for side in sides:
+        ints = {l: params[f"{l}_{side}"] for l in levels}
+        probs = {l: params[f"p_{l}_{side}"] for l in levels}
+        total = 0.0
+        for p in probs.values():
+            total = total + p
+        ints["o"] = np.zeros_like(ints["mu"]) if isinstance(ints["mu"], np.ndarray) else 0.0
+        probs["o"] = 1.0 - total
+        read += [ints, probs]
+    return read
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from . import scenario as sc
 from .channel import ChannelLink, DetectorPair, SourceConfig, expected_observables
 from .decoy import estimate, z_key_groups
 from .keyrate import ProtocolVariant, evaluate
-from .optimizer import async_search_space
 from .oracle import simulate
 
 __all__ = ["main"]
@@ -173,12 +172,6 @@ def _cmd_evaluate(data: dict, out_dir: Path) -> int:
     if not isinstance(params, dict):
         raise ConfigError("evaluate needs a 'params' mapping with pinned source settings")
     variant = _variant_from_name(data.get("variant", "filtering"))
-    # the keys the variant's optimizer searches, the pairing window optional
-    names = set(async_search_space(variant.four_intensity).names)
-    _check_keys(params, names, "params")
-    missing = sorted(names - {"tc_bins"} - set(params))
-    if missing:
-        raise ConfigError(f"params lacks {missing}")
     params = {key: _number(params, key, None) for key in params}
     l_a = _number(data, "l_a_km", 0.0)
     l_b = _number(data, "l_b_km", 0.0)

@@ -254,6 +254,16 @@ def _xbasis_vacuum_errors_lower(ops, counts, probs, source, eps):
 # double scanning
 # ---------------------------------------------------------------------------
 
+def _scan_points(h_lo, h_hi, m_lo, m_hi, grid: int | None) -> list[tuple]:
+    """The (H, M) points of a double scan: the corners, or ``grid`` >= 2 a side."""
+    if grid is None:
+        return [(h_lo, m_lo), (h_lo, m_hi), (h_hi, m_lo), (h_hi, m_hi)]
+    if grid < 2:
+        raise ValueError(f"scan_grid must be >= 2, got {grid!r}")
+    return [(h_lo + (h_hi - h_lo) * i / (grid - 1), m_lo + (m_hi - m_lo) * j / (grid - 1))
+            for i in range(grid) for j in range(grid)]
+
+
 @dataclass(frozen=True)
 class DoubleScanResult:
     e11x_star: float
@@ -275,9 +285,9 @@ def double_scan(
     H aggregates the vacuum-flank observables and M the X-error count; the
     remaining aggregates are fixed at their joint-constraint bounds.  The
     objective is a ratio of functions affine in (H, M), hence monotone along
-    each edge: the four corners suffice.  ``grid`` switches on a dense scan
-    for debugging/validation.  The counts, ``m_x`` and the source are floats
-    or (B,) columns.
+    each edge: the four corners suffice.  ``grid`` (at least 2) switches on a
+    dense scan of ``grid`` points a side for debugging/validation.  The
+    counts, ``m_x`` and the source are floats or (B,) columns.
     """
     return _double_scan(ops_for(m_x), counts, m_x, probs, source, eps, grid)
 
@@ -287,9 +297,8 @@ def _double_scan(ops, counts, m_x, probs, source, eps, grid=None):
     expected_lower, expected_upper = ops.expected_lower, ops.expected_upper
     mu_a, mu_b = source.intensities_a["mu"], source.intensities_b["mu"]
     nu_a, nu_b = source.intensities_a["nu"], source.intensities_b["nu"]
-    a_side = mu_a / mu_b <= nu_a / nu_b
-    mu_t = where(a_side, 2.0 * mu_a, 2.0 * mu_b)
-    nu_t = where(a_side, 2.0 * nu_a, 2.0 * nu_b)
+    mu_p, nu_p = _primed_levels(ops, source, "mu", "nu")
+    mu_t, nu_t = 2.0 * mu_p, 2.0 * nu_p
 
     oo = ("o", "o")
     two_nu, two_mu = ("nu", "nu"), ("mu", "mu")
@@ -331,16 +340,7 @@ def _double_scan(ops, counts, m_x, probs, source, eps, grid=None):
         e11x = where(feasible, t11x / where(feasible, s11x, 1.0), 1.0)
         return e11x, where(feasible, s11x, 0.0), t11x
 
-    if grid:
-        points = [
-            (h_lo + (h_hi - h_lo) * i / (grid - 1), m_lo + (m_hi - m_lo) * j / (grid - 1))
-            for i in range(grid)
-            for j in range(grid)
-        ]
-    else:
-        points = [(h_lo, m_lo), (h_lo, m_hi), (h_hi, m_lo), (h_hi, m_hi)]
-
-    scanned = [rate_at(h, m) for h, m in points]
+    scanned = [rate_at(h, m) for h, m in _scan_points(h_lo, h_hi, m_lo, m_hi, grid)]
     e, s, t = ops.first_max(scanned)
     return DoubleScanResult(
         e11x_star=ops.minimum(e, 1.0), s11x_star=s, t11x_star=t,

@@ -83,19 +83,24 @@ def key_length(
     Composition terms: one verification hash, two smoothing terms and the
     privacy-amplification term, all at the same failure probability.
     """
-    return _key_length(FLOATS, vacuum_events, single_photon_pairs, phase_error_rate, leakage, eps)
+    return _key_length(FLOATS, vacuum_events, single_photon_pairs, phase_error_rate, leakage,
+                       _composition(FLOATS, eps))
 
 
-def _key_length(ops, vacuum_events, single_photon_pairs, phase_error_rate, leakage, eps: float):
-    ell = (
-        vacuum_events
-        + single_photon_pairs * (1.0 - ops.entropy(phase_error_rate))
-        - leakage
-        - ops.log2(2.0 / eps)
-        - 2.0 * ops.log2(2.0 / (eps * eps))
-        - 2.0 * ops.log2(1.0 / (2.0 * eps))
-    )
-    return ops.maximum(ell, 0.0)
+def _key_length(ops, s0, s11, phi, leakage, composition):
+    """max(s0 + s11 (1 - h(phi)) - leakage - composition, 0), for every protocol."""
+    return ops.maximum(s0 + s11 * (1.0 - ops.entropy(phi)) - leakage - composition, 0.0)
+
+
+def _composition(ops, eps: float):
+    """The asynchronous and time-bin MDI composition term at failure probability eps."""
+    return (ops.log2(2.0 / eps) + 2.0 * ops.log2(2.0 / (eps * eps))
+            + 2.0 * ops.log2(1.0 / (2.0 * eps)))
+
+
+def _bb84_composition(ops, eps: float):
+    """The decoy-state BB84 composition term: 6 log2(23/eps) + 2 log2(2/eps)."""
+    return 6.0 * ops.log2(23.0 / eps) + 2.0 * ops.log2(2.0 / eps)
 
 
 def total_failure_prob(eps: float) -> float:
@@ -144,8 +149,9 @@ def evaluate(
     """Evaluate the secure key rate of one link configuration, or of each row
     of a batch whose ``params`` values are (B,) columns.
 
-    ``params`` may carry the pairing window ``tc_bins`` (see
-    ``SourceConfig.from_params``).  A configuration without key, pairs
+    ``params`` holds exactly the variant's levels, their send probabilities
+    and optionally ``tc_bins``; ``SourceConfig.from_params`` raises
+    ValueError on a missing or unread key.  A configuration without key, pairs
     included, comes back with zero rate rather than raising, so optimizers can
     probe freely; a row that breaks a source or window check raises
     ValueError.  skc0 is the repeaterless bound of the fibre alone (detectors
@@ -169,7 +175,7 @@ def evaluate(
         double_scanning=variant.double_scanning,
     )
     leakage = _leakage(ops, obs.counts, obs.z_qber, groups, error_correction_f)
-    ell = _key_length(ops, est.s0_z, est.s11_z, est.phi11_z, leakage, eps)
+    ell = _key_length(ops, est.s0_z, est.s11_z, est.phi11_z, leakage, _composition(ops, eps))
     ell = ops.where(obs.n_pairs > 0.0, ell, 0.0)
 
     rate_pulse = ell / n_pulses

@@ -135,9 +135,9 @@ def _arrived_grid(
     return out
 
 
-def _poisson_cap(mean: float, tail: float = 1e-9) -> int:
+def _poisson_cap(mean: float) -> int:
     n, cum, term = 0, math.exp(-mean), math.exp(-mean)
-    while 1.0 - cum > tail and n < 40:
+    while 1.0 - cum > 1e-9 and n < 40:
         n += 1
         term *= mean / n
         cum += term

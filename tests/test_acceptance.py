@@ -16,13 +16,7 @@ from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
 from amdiqkd.cli import _oracle_checks
 from amdiqkd.keyrate import ProtocolVariant
 from amdiqkd.oracle import simulate
-from amdiqkd.scenario import (
-    DEVICE_PRESETS,
-    SweepSpec,
-    _evaluate_baseline,
-    _optimize_async_point,
-    run_sweep,
-)
+from amdiqkd.scenario import DEVICE_PRESETS, _evaluate_baseline, _optimize_async_point
 from amdiqkd.stats import FLOATS, chernoff_expected, chernoff_observed
 
 FIG4 = DEVICE_PRESETS["fig4"]

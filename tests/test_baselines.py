@@ -14,7 +14,7 @@ from amdiqkd.baselines import (
     mdi_observables,
 )
 from amdiqkd.channel import LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig
-from amdiqkd.stats import binary_entropy, chernoff_expected, chernoff_observed
+from amdiqkd.stats import binary_entropy, chernoff_observed
 
 from test_keyrate import check_against_scalar, decoded_rows, genotype_batches, link_draws
 
@@ -351,6 +351,19 @@ class TestBb84Columns:
             want = 1.0 - (row["p_mu_a"] + row["p_omega_a"] + row["p_nu_a"])
             assert prm.probs["o"] == want == columns.probs["o"][i]
             assert (prm.q_z, prm.intensities["o"]) == (columns.q_z[i], 0.0)
+
+    # BB84 reads side a and q_z only; a side-b level or a window is rejected
+    @pytest.mark.parametrize("changes, named", [
+        (dict(mu_b=0.5), r"unread keys \['mu_b'\]"),
+        (dict(tc_bins=1e6), r"unread keys \['tc_bins'\]"),
+        (dict(q_z=None), r"missing keys \['q_z'\]"),
+    ], ids=["mu_b", "tc_bins", "no-q_z"])
+    def test_from_params_takes_exactly_its_keys(self, changes, named):
+        params = dict(mu_a=0.6, omega_a=0.1, nu_a=0.05, p_mu_a=0.5, p_omega_a=0.2, p_nu_a=0.15,
+                      q_z=0.5)
+        params = {k: v for k, v in {**params, **changes}.items() if v is not None}
+        with pytest.raises(ValueError, match=named):
+            Bb84Params.from_params(params, *link_and_det(50.0, 0.0))
 
 
 def scalar_baseline(kind, params, link, det, n_pulses, preset):

@@ -7,7 +7,7 @@ import pytest
 
 from amdiqkd import decoy
 from amdiqkd.batch import COLUMNS
-from amdiqkd.channel import DetectorPair, SourceConfig, click_table, expected_observables
+from amdiqkd.channel import SourceConfig, click_table, expected_observables
 from amdiqkd.decoy import (
     X_KEY,
     double_scan,
@@ -353,6 +353,15 @@ class TestDoubleScan:
         grid = double_scan(obs.counts, obs.m_x, probs, src, eps=1e-10, grid=50)
         assert corners.e11x_star >= grid.e11x_star - 1e-9
         assert corners.e11x_star == pytest.approx(grid.e11x_star, rel=1e-9)
+
+    # a dense grid needs two points a side: one would divide by zero
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_rejects_grid_below_two(self, grid):
+        src = make_source()
+        obs, _ = observables(src)
+        probs = pairing_probs(src, 16)
+        with pytest.raises(ValueError, match="scan_grid"):
+            double_scan(obs.counts, obs.m_x, probs, src, eps=1e-10, grid=grid)
 
 
 @lru_cache(maxsize=None)

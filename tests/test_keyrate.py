@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from amdiqkd import scenario
 from amdiqkd.channel import DetectorPair
 from amdiqkd.keyrate import (
-    KeyRateReport,
     ProtocolVariant,
     _leakage,
     evaluate,
@@ -222,6 +221,21 @@ class TestEvaluate:
         rep = evaluate(params, link, DET, 1e12, EPS, 1.1)
         assert np.all(rep.rate_per_pulse > 0.0)
         assert built == []
+
+    # a level the variant does not use would be dropped while the report's
+    # params still showed it, so it is rejected like a missing one
+    @pytest.mark.parametrize("rows", [None, 3], ids=["floats", "columns"])
+    @pytest.mark.parametrize("changes, named", [
+        (dict(omega_a=0.9, p_omega_a=0.5, bogus=3.0),
+         r"unread keys \['bogus', 'omega_a', 'p_omega_a'\]"),
+        (dict(nu_b=None), r"missing keys \['nu_b'\]"),
+    ], ids=["unread", "missing"])
+    def test_takes_exactly_the_variant_keys(self, rows, changes, named):
+        params = {k: v for k, v in {**PARAMS_50KM, **changes}.items() if v is not None}
+        if rows is not None:
+            params = {k: np.full(rows, v) for k, v in params.items()}
+        with pytest.raises(ValueError, match=named):
+            evaluate(params, make_link(25.0, 25.0), DET, 1e12, EPS, 1.1, ProtocolVariant())
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-10, math.nan])
     def test_bad_eps_raises_after_a_good_one(self, eps):

@@ -323,7 +323,8 @@ def test_async_chain_at_fifty_digits(variant_name):
         est = decoy._estimate(MP, obs.counts, obs.m_x, probs, src, groups, EPS,
                               variant.phase_error_method, scan)
         leakage = keyrate._leakage(MP, obs.counts, obs.z_qber, groups, F_EC)
-        ell = keyrate._key_length(MP, est.s0_z, est.s11_z, est.phi11_z, leakage, EPS)
+        ell = keyrate._key_length(MP, est.s0_z, est.s11_z, est.phi11_z, leakage,
+                                  keyrate._composition(MP, EPS))
         got = report.estimate
         where = (l_a, l_b)
         assert close(got.s0_z, est.s0_z), where

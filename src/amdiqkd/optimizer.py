@@ -94,10 +94,18 @@ class SearchSpace:
         return {name: np.asarray(v, dtype=float) for name, v in params.items()}
 
     def encode(self, params: Mapping[str, float]) -> np.ndarray:
+        """Genotype of a parameter set that holds every searched key and
+        possibly mirror keys, else ValueError naming the keys; values are
+        clipped into the boxes."""
+        missing = self.bounds.keys() - params.keys()
+        unread = params.keys() - self.bounds.keys() - self.mirror.keys()
+        if missing or unread:
+            raise ValueError(f"warm start: missing keys {sorted(missing)}, "
+                             f"unread keys {sorted(unread)}")
         geno = np.empty(len(self.names))
         for i, name in enumerate(self.names):
             lo, hi = self.bounds[name]
-            v = min(max(float(params.get(name, lo)), lo), hi)
+            v = min(max(float(params[name]), lo), hi)
             if name in self.log_scale:
                 geno[i] = math.log(v / lo) / math.log(hi / lo)
             else:

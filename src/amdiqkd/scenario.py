@@ -10,6 +10,14 @@ repeaterless bound of the total fibre length.  A transmission time ``T``
 deterministic given (spec, seed): per-point seeds are derived from the
 scenario seed and the point index, and sweep points warm-start from canonical
 source settings plus the previous point's optimum.
+
+Sweeps and networks run their independent searches in worker processes, one
+per CPU this process may use: one task per async variant's chain of sweep
+distances (its warm starts run in order), per (distance, baseline) and per
+(user pair, variant).  The rows do not depend on that count, and there is no
+setting for it.  Workers are forked where the platform can fork, so a caller
+must not run a sweep or a network from a process with live threads (Python
+3.12 and later warn about such a fork; see the README).
 """
 
 from __future__ import annotations
@@ -17,9 +25,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Container, Mapping, Sequence
 
-from . import baselines
+from . import baselines, oracle
 from .channel import ChannelLink, DetectorPair, SourceConfig
 from .keyrate import KeyRateReport, ProtocolVariant, evaluate, repeaterless_bound
 from .optimizer import SearchSpace, async_search_space, optimize_link, repair_async_params
@@ -122,6 +131,17 @@ def _canonical_warm_starts(four_intensity: bool) -> list[dict]:
     return starts
 
 
+def _check_variants(variants: Sequence[str], known: Container[str]) -> None:
+    """ValueError unless ``variants`` lists known names, each once."""
+    if not variants:
+        raise ValueError("variant list must not be empty")
+    for i, v in enumerate(variants):
+        if v not in known:
+            raise ValueError(f"unknown variant {v!r}")
+        if v in variants[:i]:
+            raise ValueError(f"variant {v!r} listed twice")
+
+
 @dataclass
 class SweepSpec:
     """Distance sweep over one or more protocol variants.
@@ -144,11 +164,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.preset not in DEVICE_PRESETS:
             raise ValueError(f"unknown device preset {self.preset!r}")
-        if not self.variants:
-            raise ValueError("variant list must not be empty")
-        for v in self.variants:
-            if v not in VARIANTS and v not in BASELINE_VARIANTS:
-                raise ValueError(f"unknown variant {v!r}")
+        _check_variants(self.variants, (*VARIANTS, *BASELINE_VARIANTS))
         if not self.distances_km:
             raise ValueError("distance list must not be empty")
         if not all(0.0 <= d < math.inf for d in self.distances_km):
@@ -270,14 +286,63 @@ def _evaluate_baseline(
     objective.many = objective
 
     warm = [
-        dict(mu_a=0.8, omega_a=0.1, nu_a=0.02, p_mu_a=0.5, p_omega_a=0.15, p_nu_a=0.15,
-             q_z=0.5),
-        dict(mu_a=0.5, omega_a=0.08, nu_a=0.01, p_mu_a=0.35, p_omega_a=0.2, p_nu_a=0.2,
-             q_z=0.5),
+        dict(mu_a=0.8, omega_a=0.1, nu_a=0.02, p_mu_a=0.5, p_omega_a=0.15, p_nu_a=0.15),
+        dict(mu_a=0.5, omega_a=0.08, nu_a=0.01, p_mu_a=0.35, p_omega_a=0.2, p_nu_a=0.2),
     ]
+    if kind == "bb84-baseline":
+        warm = [dict(w, q_z=0.5) for w in warm]
     result = optimize_link(objective, _baseline_space(kind), budget=budget, seed=seed,
                            warm_starts=warm)
     return max(objective(result.best_params), 0.0), result.best_params
+
+
+def _search_points(preset: DevicePreset, variant: str,
+                   points: list[tuple[float, dict]]) -> list[dict]:
+    """Rows of one variant's ``(distance, columns)`` points, searched in order.
+
+    ``columns`` holds the point's arms, pulses, budget and seed (and any
+    other CSV column).  An async point warm-starts from the optimum of the
+    last earlier point whose rate was positive.
+    """
+    rows: list[dict] = []
+    warm: list[dict] = []
+    for dist, columns in points:
+        args = (preset, columns["l_a_km"], columns["l_b_km"], columns["n_pulses"])
+        if variant in BASELINE_VARIANTS:
+            rate, params = _evaluate_baseline(variant, *args, columns["budget"], columns["seed"])
+            rows.append(_row(preset, dist, variant, rate, params, **columns))
+        else:
+            report, best = _optimize_async_point(*args, VARIANTS[variant], columns["budget"],
+                                                 columns["seed"], warm)
+            if report.rate_per_pulse > 0.0:
+                warm = [best]
+            rows.append(_report_row(preset, report, dist, variant, **columns))
+    return rows
+
+
+def _run_searches(preset: DevicePreset, tasks: list[tuple[str, list]]) -> list[list[dict]]:
+    """``_search_points`` of each ``(variant, points)`` task, in task order.
+
+    Each task runs in a worker process, one worker per CPU this process may
+    use and no more than there are tasks; tasks with more points are
+    submitted first.  A task's exception is raised here, and the tasks not
+    yet started are cancelled.
+    """
+    if not tasks:
+        return []
+    # imported here, not with the module, so that the CLI starts without them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(min(len(tasks), oracle._cpus()),
+                               mp_context=multiprocessing.get_context(method))
+    try:
+        order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][1]))
+        futures = {i: pool.submit(_search_points, preset, *tasks[i]) for i in order}
+        return [futures[i].result() for i in range(len(tasks))]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -285,33 +350,27 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     Rows are ordered by distance then by the spec's variant order; the
     ``delta_vs_first`` column holds the relative rate difference against the
-    first variant at the same distance.
+    first variant at the same distance.  An async variant's distances, in
+    increasing order, are one search task; each baseline point is its own.
     """
     preset = DEVICE_PRESETS[spec.preset]
-    rows: list[dict] = []
-    previous_best: dict[str, dict] = {}
     order = sorted(range(len(spec.distances_km)), key=lambda i: spec.distances_km[i])
-    for rank, idx in enumerate(order):
-        dist = float(spec.distances_km[idx])
-        l_a = (dist + spec.delta_km) / 2.0
-        l_b = (dist - spec.delta_km) / 2.0
-        n_pulses = spec.pulses_at(idx)
-        at_point: list[dict] = []
-        for v_idx, name in enumerate(spec.variants):
+    tasks: list[tuple[str, list]] = []
+    for v_idx, name in enumerate(spec.variants):
+        points = []
+        for rank, idx in enumerate(order):
+            dist = float(spec.distances_km[idx])
             seed = point_seed(spec.seed, rank * len(spec.variants) + v_idx)
-            columns = dict(l_a_km=l_a, l_b_km=l_b, n_pulses=n_pulses, budget=spec.budget, seed=seed)
-            if name in BASELINE_VARIANTS:
-                rate, params = _evaluate_baseline(name, preset, l_a, l_b, n_pulses,
-                                                  spec.budget, seed)
-                at_point.append(_row(preset, dist, name, rate, params, **columns))
-            else:
-                warm = [previous_best[name]] if name in previous_best else []
-                report, best = _optimize_async_point(
-                    preset, l_a, l_b, n_pulses, VARIANTS[name], spec.budget, seed, warm,
-                )
-                if report.rate_per_pulse > 0.0:
-                    previous_best[name] = best
-                at_point.append(_report_row(preset, report, dist, name, **columns))
+            points.append((dist, dict(
+                l_a_km=(dist + spec.delta_km) / 2.0, l_b_km=(dist - spec.delta_km) / 2.0,
+                n_pulses=spec.pulses_at(idx), budget=spec.budget, seed=seed,
+            )))
+        tasks += [(name, [p]) for p in points] if name in BASELINE_VARIANTS else [(name, points)]
+    by_variant: dict[str, list[dict]] = {name: [] for name in spec.variants}
+    for (name, _), found in zip(tasks, _run_searches(preset, tasks)):
+        by_variant[name] += found
+    rows: list[dict] = []
+    for at_point in zip(*by_variant.values()):
         first = at_point[0]["rate_bps"]
         if first != 0.0:
             for row in at_point:
@@ -368,11 +427,7 @@ class NetworkSpec:
             raise ValueError(f"budget must be >= 1, got {self.budget!r}")
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
-        if not self.variants:
-            raise ValueError("variant list must not be empty")
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ValueError(f"unknown variant {v!r}")
+        _check_variants(self.variants, VARIANTS)
 
     @property
     def n_pulses(self) -> float:
@@ -380,25 +435,14 @@ class NetworkSpec:
 
 
 def run_network(spec: NetworkSpec) -> list[dict]:
-    """Optimize every unordered user pair through the shared relay."""
-    preset = DEVICE_PRESETS[spec.preset]
-    rows: list[dict] = []
-    users = list(spec.users)
-    pair_index = 0
-    for i in range(len(users)):
-        for j in range(i + 1, len(users)):
-            name_a, arm_a = users[i]
-            name_b, arm_b = users[j]
-            for v_idx, vname in enumerate(spec.variants):
-                seed = point_seed(spec.seed, pair_index * len(spec.variants) + v_idx)
-                report, _best = _optimize_async_point(
-                    preset, arm_a, arm_b, spec.n_pulses, VARIANTS[vname], spec.budget, seed, [],
-                )
-                rows.append(_report_row(
-                    preset, report, arm_a + arm_b, vname, l_a_km=arm_a, l_b_km=arm_b,
-                    link=f"{name_a}-{name_b}", n_pulses=spec.n_pulses,
-                    budget=spec.budget, seed=seed,
-                ))
-            pair_index += 1
-    return rows
-
+    """Optimize every unordered user pair through the shared relay; each
+    (pair, variant) is one search task."""
+    tasks: list[tuple[str, list]] = []
+    for pair_index, ((name_a, arm_a), (name_b, arm_b)) in enumerate(combinations(spec.users, 2)):
+        for v_idx, vname in enumerate(spec.variants):
+            seed = point_seed(spec.seed, pair_index * len(spec.variants) + v_idx)
+            tasks.append((vname, [(arm_a + arm_b, dict(
+                l_a_km=arm_a, l_b_km=arm_b, link=f"{name_a}-{name_b}",
+                n_pulses=spec.n_pulses, budget=spec.budget, seed=seed,
+            ))]))
+    return [row for rows in _run_searches(DEVICE_PRESETS[spec.preset], tasks) for row in rows]

@@ -147,6 +147,8 @@ class TestConfigErrors:
         ("directory", "cannot read scenario file"),
         ("user-not-pair", "users must be a list of [name, arm_km] pairs"),
         ("negative-oracle-seed", "--seed must be >= 0"),
+        ("sweep-variant-twice", "variant 'filtering' listed twice"),
+        ("network-variant-twice", "variant 'filtering' listed twice"),
     ])
     def test_bad_input_is_config_error(self, tmp_path, capsys, case, message):
         sweep = ["sweep", "--scenario", str(write_scenario(tmp_path, FIXTURE_SWEEP))]
@@ -160,6 +162,10 @@ class TestConfigErrors:
                               str(write_scenario(tmp_path, FIXTURE_NETWORK, "network.yaml")),
                               "--set", "users=[5, 6]"],
             "negative-oracle-seed": ["validate-oracle", "--seed", "-1", "--bins", "1e3"],
+            "sweep-variant-twice": [*sweep, "--set", "variants=[filtering, filtering]"],
+            "network-variant-twice": ["network", "--scenario",
+                                      str(write_scenario(tmp_path, FIXTURE_NETWORK, "network.yaml")),
+                                      "--set", "variants=[filtering, filtering]"],
         }[case]
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 1
@@ -350,15 +356,16 @@ class TestEntryPoint:
 
 
     def test_cli_import_leaves_batch_unloaded(self):
-        # the batch forms and the oracle's thread pool load on first use, so a
-        # run that needs neither (and the benchmark's setup time) does not pay
-        # for them; mpmath serves the tests only
+        # the batch forms, the oracle's thread pool and the scenario's process
+        # pool load on first use, so a run that needs none of them (and the
+        # benchmark's setup time) does not pay for them; mpmath serves the tests only
         env = {**os.environ, "PYTHONPATH": str(Path(amdiqkd.__file__).resolve().parents[1])}
         code = ("import sys, amdiqkd.cli; print([m in sys.modules for m in "
-                "('amdiqkd.batch', 'concurrent.futures', 'mpmath')])")
+                "('amdiqkd.batch', 'concurrent.futures', 'concurrent.futures.process', "
+                "'multiprocessing', 'mpmath')])")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[False, False, False]"
+        assert result.stdout.strip() == "[False, False, False, False, False]"
 
     def test_evaluate_run_leaves_batch_unloaded(self, tmp_path):
         # one candidate runs on floats: the column namespace is never loaded

@@ -9,6 +9,7 @@ from amdiqkd.keyrate import ProtocolVariant, evaluate
 from amdiqkd.optimizer import (
     SearchSpace,
     _breeding_draws,
+    _symmetrized,
     async_search_space,
     optimize_link,
     repair_async_params,
@@ -56,6 +57,24 @@ class TestSearchSpace:
         params = decode(space, np.full(len(space.names), 0.3))
         assert params["mu_a"] == params["mu_b"]
         assert params["p_nu_a"] == params["p_nu_b"]
+
+    @pytest.mark.parametrize("start, message", [
+        (dict(mu_a=0.8), r"missing keys \['nu_a', 'omega_a', 'p_mu_a', 'p_nu_a', 'p_omega_a'\]"),
+        (dict(mu_a=0.8, omega_a=0.1, nu_a=0.02, p_mu_a=0.5, p_omega_a=0.15, p_nu_a=0.15,
+              q_z=0.5), r"missing keys \[\], unread keys \['q_z'\]"),
+    ], ids=["missing", "unread"])
+    def test_encode_takes_exactly_the_searched_keys(self, start, message):
+        # a missing key used to start at its box's lower bound, an unread one was dropped
+        with pytest.raises(ValueError, match=message):
+            scenario._baseline_space("mdi-baseline").encode(start)
+
+    def test_encode_takes_a_symmetrized_mirrored_best(self):
+        # polish encodes the symmetrized incumbent, which carries the mirror keys
+        space = scenario._baseline_space("mdi-baseline")
+        best = _symmetrized(decode(space, np.full(len(space.names), 0.3)))
+        searched = {k: v for k, v in best.items() if k not in space.mirror}
+        assert best.keys() > searched.keys()
+        assert np.array_equal(space.encode(best), space.encode(searched))
 
     @pytest.mark.parametrize("four_intensity", [False, True])
     def test_decoded_sets_are_valid_sources(self, four_intensity):

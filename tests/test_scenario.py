@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+from amdiqkd import oracle, scenario
+from amdiqkd.cli import main
 from amdiqkd.scenario import (
     CSV_COLUMNS,
     DEVICE_PRESETS,
+    VARIANTS,
     NetworkSpec,
     SweepSpec,
     point_seed,
@@ -37,6 +40,13 @@ class TestSpecs:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec(variants=["teleportation"])
+
+    @pytest.mark.parametrize("spec", [SweepSpec, lambda variants: NetworkSpec(
+        users=[("A", 10.0), ("B", 20.0)], variants=variants)], ids=["sweep", "network"])
+    def test_variant_listed_twice_rejected(self, spec):
+        # a second entry wrote indistinguishable rows, warm-started from the first's optimum
+        with pytest.raises(ValueError, match="variant 'filtering' listed twice"):
+            spec(variants=["filtering", "filtering"])
 
     def test_delta_bounded_by_distance(self):
         with pytest.raises(ValueError):
@@ -113,6 +123,92 @@ class TestSweep:
         assert row["variant"] == "bb84-baseline"
         assert row["rate_bps"] > 0.0
         assert row["q_z"] != ""
+
+
+POOL_SWEEP = SweepSpec(
+    preset="fig4", distances_km=[150.0, 90.0], variants=["filtering", "bb84-baseline", "mdi-baseline"],
+    n_pulses=1e12, budget=120, seed=7,  # the 150 km point's warm start moves its optimum
+)
+POOL_NETWORK = NetworkSpec(
+    users=[("A", 20.0), ("B", 45.0), ("C", 30.0)], preset="table3", duration_s=3600.0,
+    variants=("filtering", "double-scan"), budget=60, seed=4,
+)
+
+
+def one_call_at_a_time_sweep(spec):
+    """The rows of ``run_sweep(spec)``, each point searched in this process, in
+    distance then variant order; an async point warm-starts from the optimum of
+    the variant's last point with a positive rate."""
+    preset = DEVICE_PRESETS[spec.preset]
+    rows, previous_best = [], {}
+    for rank, dist in enumerate(sorted(spec.distances_km)):
+        l_a, l_b = (dist + spec.delta_km) / 2.0, (dist - spec.delta_km) / 2.0
+        at_point = []
+        for v_idx, name in enumerate(spec.variants):
+            seed = point_seed(spec.seed, rank * len(spec.variants) + v_idx)
+            columns = dict(l_a_km=l_a, l_b_km=l_b, n_pulses=spec.n_pulses, budget=spec.budget,
+                           seed=seed)
+            if name in scenario.BASELINE_VARIANTS:
+                rate, params = scenario._evaluate_baseline(name, preset, l_a, l_b, spec.n_pulses,
+                                                           spec.budget, seed)
+                at_point.append(scenario._row(preset, dist, name, rate, params, **columns))
+            else:
+                warm = [previous_best[name]] if name in previous_best else []
+                report, best = scenario._optimize_async_point(
+                    preset, l_a, l_b, spec.n_pulses, VARIANTS[name], spec.budget, seed, warm)
+                if report.rate_per_pulse > 0.0:
+                    previous_best[name] = best
+                at_point.append(scenario._report_row(preset, report, dist, name, **columns))
+        first = at_point[0]["rate_bps"]
+        for row in at_point:
+            row["delta_vs_first"] = (row["rate_bps"] - first) / first
+        rows += at_point
+    return rows
+
+
+def one_call_at_a_time_network(spec):
+    preset = DEVICE_PRESETS[spec.preset]
+    rows, index = [], 0
+    for i, (name_a, arm_a) in enumerate(spec.users):
+        for name_b, arm_b in spec.users[i + 1:]:
+            for v_idx, name in enumerate(spec.variants):
+                seed = point_seed(spec.seed, index * len(spec.variants) + v_idx)
+                report, _ = scenario._optimize_async_point(
+                    preset, arm_a, arm_b, spec.n_pulses, VARIANTS[name], spec.budget, seed, [])
+                rows.append(scenario._report_row(
+                    preset, report, arm_a + arm_b, name, l_a_km=arm_a, l_b_km=arm_b,
+                    link=f"{name_a}-{name_b}", n_pulses=spec.n_pulses, budget=spec.budget,
+                    seed=seed))
+            index += 1
+    return rows
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("run, spec, reference", [
+        (run_sweep, POOL_SWEEP, one_call_at_a_time_sweep),
+        (run_network, POOL_NETWORK, one_call_at_a_time_network),
+    ], ids=["sweep", "network"])
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch, run, spec, reference):
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(oracle, "_cpus", lambda: workers)
+            runs.append(run(spec))
+        assert runs[0] == runs[1]
+        assert runs[0] == reference(spec)
+        assert all(row["rate_bps"] > 0.0 for row in runs[0])
+
+    def test_task_error_reaches_the_caller(self, monkeypatch, tmp_path):
+        def broken(*args):
+            raise RuntimeError("baseline search failed")
+
+        monkeypatch.setattr(scenario, "_evaluate_baseline", broken)
+        with pytest.raises(RuntimeError, match="baseline search failed"):
+            run_sweep(POOL_SWEEP)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="baseline search failed"):
+            main(["sweep", "--preset", "fig4", "--budget", "30", "--set", "distances_km=[100]",
+                  "--out", str(out)])
+        assert not out.exists()
 
 
 class TestExternalRates:

@@ -15,15 +15,14 @@ non-decreasing in the budget.
 Candidates are decoded and scored in batches: the initial population, each
 generation, and each polish pass, which holds the coordinate moves still to
 come from the incumbent.  An objective with a ``many`` attribute (name ->
-(B,) columns -> their values) gets a batch's new parameter sets in one call;
-a lone new set goes through the plain call on a dict, the reference path.
-Candidates are counted and compared in order, a polish pass only up to its
-first improvement: its later rows are memoized but not counted, and the
-moves after it are built again from the new incumbent.  So a run is the same
-whichever path scored it, as long as ``many`` returns what the plain call
-would; an objective without ``many`` is called on a candidate only when it
-is counted.  A parameter set scored once in a run is not scored again: its
-stored value is reused and still counts against the budget.
+(B,) columns -> their (B,) values) gets every batch's new parameter sets in
+one call; one without it is called on a dict per set when the set is counted,
+the reference path.  Candidates are counted and compared in order, a polish
+pass only up to its first improvement: its later rows are memoized but not
+counted, and the moves after it are built again from the new incumbent.  So
+a run is the same whichever path scored it, as long as ``many`` returns what
+the plain call would.  A parameter set scored once in a run is not scored
+again: its stored value is reused and still counts against the budget.
 """
 
 from __future__ import annotations
@@ -118,17 +117,16 @@ def repair_async_params(params: dict) -> dict:
 
     Repairs each side whose ``mu_<side>`` is present, so a one-party search
     space (the BB84 baseline) goes through the same step; the sides share one
-    label set, as :class:`~amdiqkd.channel.SourceConfig` requires.  Values may
-    be floats or equal-length arrays of candidates (the columns
-    ``decode_columns`` builds); floats come back as floats.
+    label set, as :class:`~amdiqkd.channel.SourceConfig` requires.  Values are
+    equal-length (B,) arrays of candidates, the columns ``decode_columns``
+    builds.
     """
     out = dict(params)
     sides = [side for side in ("a", "b") if f"mu_{side}" in out]
     labels = ("mu",) + (("omega",) if f"omega_{sides[0]}" in out else ()) + ("nu",)
-    # (label, side[, candidate]) arrays: every side at once
+    # (label, side, candidate) arrays: every side at once
     levels = [[f"{l}_{s}" for s in sides] for l in labels]
     probs = [[f"p_{l}_{s}" for s in sides] for l in labels]
-    scalar = np.ndim(out[levels[0][0]]) == 0
     values = -np.sort(-np.array([[out[n] for n in row] for row in levels]), axis=0)
     for i in range(1, len(values)):
         values[i] = np.minimum(values[i], values[i - 1] - _MIN_INTENSITY_GAP)
@@ -145,7 +143,7 @@ def repair_async_params(params: dict) -> dict:
     p = p * np.where(total > ceiling, ceiling / total, 1.0)  # x * 1.0 is x exactly
     for names, new in ((levels, values), (probs, p)):
         for row, new_row in zip(names, new):
-            out.update(zip(row, new_row.tolist() if scalar else new_row))
+            out.update(zip(row, new_row))
     return out
 
 
@@ -168,7 +166,6 @@ class OptimResult:
     best_params: dict
     best_rate: float
     eval_count: int
-    seed: int
     trace: list[tuple[int, float]] = field(default_factory=list)
 
 
@@ -187,7 +184,7 @@ def optimize_link(
 
     ``warm_starts`` are parameter dicts injected into the initial population
     (clipped into the boxes through the genotype encoding).  If ``objective``
-    has a ``many`` attribute, a batch's new parameter sets go through
+    has a ``many`` attribute, every batch's new parameter sets go through
     ``objective.many`` as name -> (B,) columns; a polish pass is counted up to
     its first improvement, its later rows memoized (see the module docstring).
     """
@@ -221,12 +218,14 @@ def optimize_link(
         for i, key in enumerate(keys):
             if key not in memo:
                 fresh.setdefault(key, i)
-        if len(fresh) > 1 and many is not None:
+        if fresh and many is not None:
             rows = np.fromiter(fresh.values(), dtype=np.intp, count=len(fresh))
-            values = many({name: column[rows] for name, column in columns.items()})
+            values = np.asarray(many({name: column[rows] for name, column in columns.items()}))
+            if values.shape != rows.shape:
+                raise ValueError(f"objective.many returned shape {values.shape} for {len(rows)} sets")
             memo.update(zip(fresh, map(float, values)))
         for i, key in enumerate(keys):
-            if key not in memo:  # scored when its turn comes
+            if key not in memo:  # no ``many``: scored when its turn comes
                 memo[key] = float(objective(dict(zip(columns, sets[i].tolist()))))
             value = memo[key]
             state["evals"] += 1
@@ -307,7 +306,6 @@ def optimize_link(
         best_params=state["best_params"],
         best_rate=state["best_rate"],
         eval_count=state["evals"],
-        seed=seed,
         trace=state["trace"],
     )
 

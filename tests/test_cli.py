@@ -329,6 +329,35 @@ class TestFig4Preset:
         assert rates[(480.0, "filtering")] > 0.0
 
 
+# rate_bps of ``amdiqkd sweep --preset fig2b`` (l_a - l_b = 100 km) per total
+# distance (km), as (filtering, nofilter-4group, nofilter-signal-only), as this
+# program computed them (1 GHz, N = 1e13, seed 103, budget 3000).  A regression
+# reference for this code, not the published figure.
+FIG2B_RATES = {
+    150: (123368.260759, 107237.261102, 99482.9284038),
+    250: (14512.3601061, 12402.8218061, 10892.8059059),
+    350: (1591.90416331, 1375.57124255, 1085.47434614),
+}
+FIG2B_VARIANTS = ("filtering", "nofilter-4group", "nofilter-signal-only")
+
+
+class TestFig2bPreset:
+    def test_preset_rates_pinned(self, tmp_path):
+        """The nine rows of the asymmetric fig2b preset, the only preset whose
+        search is not tied across the parties, keep this program's pinned rates
+        to 1e-9 relative (a regression pin, not the paper's figure)."""
+        out = tmp_path / "o"
+        assert main(["sweep", "--preset", "fig2b", "--out", str(out)]) == 0
+        with (out / "results.csv").open(newline="", encoding="utf-8") as fh:
+            rates = {(float(r["distance_km"]), r["variant"]): float(r["rate_bps"])
+                     for r in csv.DictReader(fh)}
+        pinned = {(float(d), v): rate for d, row in FIG2B_RATES.items()
+                  for v, rate in zip(FIG2B_VARIANTS, row)}
+        assert rates.keys() == pinned.keys()
+        for key, rate in pinned.items():
+            assert rates[key] == pytest.approx(rate, rel=1e-9), key
+
+
 class TestNetworkCommand:
     def test_preset_rates_pinned(self, tmp_path):
         """The ten links of the network preset keep this program's pinned

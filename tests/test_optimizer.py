@@ -34,6 +34,13 @@ def decode(space, genotype):
     return decoded_rows(space, np.asarray(genotype)[None, :])[0]
 
 
+def repair_one_row(params):
+    """``repair_async_params`` on one candidate, passed and read back as one-row columns."""
+    fixed = repair_async_params({name: np.array([value]) for name, value in params.items()})
+    assert all(np.shape(column) == (1,) for column in fixed.values())
+    return {name: float(column[0]) for name, column in fixed.items()}
+
+
 BASE = dict(
     nu_a=0.03, p_mu_a=0.3, p_nu_a=0.15,
     nu_b=0.03, p_mu_b=0.3, p_nu_b=0.15, tc_bins=1e6,
@@ -88,13 +95,13 @@ class TestSearchSpace:
             SourceConfig.from_params(decode(space, geno), four_intensity)
 
     def test_repair_keeps_floored_levels_apart(self):
-        fixed = repair_async_params(
+        fixed = repair_one_row(
             dict(mu_a=1e-4, omega_a=1e-4, nu_a=1e-4, p_mu_a=0.3, p_omega_a=0.2, p_nu_a=0.2)
         )
         assert (fixed["mu_a"], fixed["omega_a"], fixed["nu_a"]) == (1e-4, 2e-5, 1e-5)
 
     def test_repair_sorts_intensities(self):
-        fixed = repair_async_params(
+        fixed = repair_one_row(
             dict(mu_a=0.1, nu_a=0.5, p_mu_a=0.6, p_nu_a=0.5,
                  mu_b=0.3, nu_b=0.1, p_mu_b=0.2, p_nu_b=0.2)
         )
@@ -103,7 +110,7 @@ class TestSearchSpace:
 
     def test_repair_one_party(self):
         # the BB84 baseline searches side a only, with a decoy level omega
-        fixed = repair_async_params(
+        fixed = repair_one_row(
             dict(mu_a=0.1, omega_a=0.3, nu_a=0.3, p_mu_a=0.6, p_omega_a=0.3, p_nu_a=0.3, q_z=0.4)
         )
         assert sorted(fixed) == ["mu_a", "nu_a", "omega_a", "p_mu_a", "p_nu_a", "p_omega_a", "q_z"]
@@ -122,14 +129,17 @@ class TestSearchSpace:
 
 class TestOptimizeLink:
     def test_matches_dense_grid_in_one_dimension(self):
-        def objective(p):
-            return rate_objective(repair_async_params({**BASE, "mu_b": 0.55, **p}))
+        def objective(columns):
+            fixed = {name: np.full(len(columns["mu_a"]), value)
+                     for name, value in {**BASE, "mu_b": 0.55}.items()}
+            return rate_objective(repair_async_params({**fixed, **columns}))
 
+        objective.many = objective
         space = SearchSpace(bounds={"mu_a": (0.1, 1.0)})
         res = optimize_link(objective, space, budget=300, seed=1)
         grid = np.linspace(0.1, 1.0, 901)
-        grid_rates = [objective(decode(space, np.array([(g - 0.1) / 0.9]))) for g in grid]
-        assert res.best_rate >= max(grid_rates) * (1.0 - 1e-3)
+        grid_rates = objective(space.decode_columns((grid[:, None] - 0.1) / 0.9))
+        assert res.best_rate >= grid_rates.max() * (1.0 - 1e-3)
 
     def test_deterministic(self):
         space = async_search_space()
@@ -201,11 +211,12 @@ def toy_objective(params):
 
 class Batched:
     """An objective with a ``many`` form (name -> (B,) columns) that records
-    what it was given, as parameter dicts."""
+    what it was given: the columns, and their rows as parameter dicts."""
 
     def __init__(self, fn):
         self.fn = fn
         self.scalar_calls = []
+        self.columns = []
         self.batches = []
 
     def __call__(self, params):
@@ -213,6 +224,7 @@ class Batched:
         return self.fn(params)
 
     def many(self, columns):
+        self.columns.append(columns)
         rows = zip(*(column.tolist() for column in columns.values()))
         batch = [dict(zip(columns, row)) for row in rows]
         self.batches.append(batch)
@@ -236,11 +248,28 @@ class TestBatchScoring:
         batched = Batched(toy_objective)
         res = optimize_link(batched, space, budget=budget, seed=3, warm_starts=starts)
         assert result_tuple(res) == result_tuple(plain)
-        scored = len(batched.scalar_calls) + sum(len(b) for b in batched.batches)
-        assert scored <= budget
-        assert all(len(b) > 1 for b in batched.batches)
-        if budget > 1:
-            assert batched.batches  # the population went through ``many``
+        # every new set went through ``many``, a lone one as a one-row batch
+        assert not batched.scalar_calls
+        assert batched.batches
+        assert sum(len(b) for b in batched.batches) <= budget
+
+    @pytest.mark.parametrize("name", ["async", "mdi-baseline"])
+    def test_many_gets_float_columns(self, name):
+        """Every call of ``many`` gets float64 (B,) columns, B >= 1, under the
+        space's names and its mirror keys; a lone new set arrives as B = 1."""
+        space = SPACES[name]
+        for budget, last in ((600, None), (1, 1), (53, 1)):
+            # at 53 the next generation's two elites are memoized, its first child new
+            batched = Batched(lambda p: p["mu_a"] * p["p_mu_a"] + p["nu_b"])
+            optimize_link(batched, space, budget=budget, seed=3)
+            assert not batched.scalar_calls
+            for columns in batched.columns:
+                assert columns.keys() == set(space.names) | set(space.mirror)
+                b = len(columns["mu_a"])
+                assert b >= 1
+                assert all(c.dtype == np.float64 and c.shape == (b,) for c in columns.values())
+            if last is not None:
+                assert len(batched.batches[-1]) == last
 
     def test_same_result_on_the_rate(self):
         """The scenario's pairing: ``evaluate`` one by one, and on columns for batches."""
@@ -275,7 +304,8 @@ class TestBatchScoring:
         assert {np.array(list(p.values())).tobytes() for p in plain} <= set(seen)
         assert len(seen) <= len(plain) + 0.05 * 3000
         # polish goes out as batches, not one set at a time
-        assert len(batched.scalar_calls) <= 0.01 * 3000
+        assert not batched.scalar_calls
+        assert sum(len(b) == 1 for b in batched.batches) <= 0.01 * 3000
 
     def test_plain_objective_is_scored_only_on_counted_sets(self):
         """Without ``many``, a set is scored when its turn to be counted comes:
@@ -295,6 +325,20 @@ class TestBatchScoring:
                 assert len(values) < len(calls)
             else:
                 assert values == [float(k) for k in range(1, len(calls) + 1)]
+
+    @pytest.mark.parametrize("returned, shape", [
+        (lambda columns: np.zeros(len(columns["mu_a"]) - 1), r"\(49,\)"),
+        (lambda columns: 0.0, r"\(\)"),
+    ], ids=["short", "scalar"])
+    def test_many_must_return_one_value_per_set(self, returned, shape):
+        # neither is filled in by plain calls; the first batch is the population
+        def objective(params):
+            raise AssertionError("a plain call beside ``many``")
+
+        objective.many = returned
+        with pytest.raises(ValueError, match=rf"objective.many returned shape {shape} "
+                                             r"for 50 sets"):
+            optimize_link(objective, async_search_space(), budget=120, seed=0)
 
 
 def old_repair(params: dict) -> dict:

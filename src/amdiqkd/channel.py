@@ -143,9 +143,14 @@ class ChannelLink:
     def total_km(self) -> float:
         return self.length_a_km + self.length_b_km
 
+    @property
+    def phase_rate_rad_per_s(self) -> float:
+        """Relative phase rate of the two parties' fields, 2π·laser offset + drift."""
+        return 2.0 * math.pi * self.laser_offset_hz + self.phase_drift_rad_per_s
+
     def drift_phase(self, t_mean_s: float) -> float:
         """Phase offset accumulated over the mean pairing interval."""
-        return t_mean_s * (2.0 * math.pi * self.laser_offset_hz + self.phase_drift_rad_per_s)
+        return t_mean_s * self.phase_rate_rad_per_s
 
 
 def _require(ok, message: str, *shown: Mapping) -> None:

@@ -443,7 +443,7 @@ def simulate(
     layout = source.layout
     candidates = _Candidates(source, link, det)
 
-    drift_per_bin = (2.0 * math.pi * link.laser_offset_hz + link.phase_drift_rad_per_s) / link.clock_hz
+    drift_per_bin = link.phase_rate_rad_per_s / link.clock_hz
     n_chunks = (n_bins + chunk_bins - 1) // chunk_bins
     streams = np.random.SeedSequence(seed).spawn(n_chunks + 2)
     class_rng = np.random.default_rng(streams[-2])

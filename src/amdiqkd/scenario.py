@@ -1,11 +1,13 @@
 """Reproduction drivers: distance sweeps, protocol comparisons and the
 multi-user star network.
 
-Every point kind (an optimized async variant, a BB84 or time-bin MDI
-baseline, a row of an external rate table) becomes one flat row dict with the
-fixed column set ``CSV_COLUMNS`` through the same row builder: per-second
-columns are per-pulse values times the preset clock, and skc0 is the
-repeaterless bound of the total fibre length.  A transmission time ``T``
+Every optimized point, of an async variant or of a BB84 or time-bin MDI
+baseline, goes through one search (``_search_point``), which differs by
+variant only in its objective, search space and canonical starts.  Every
+point kind, a row of an external rate table too, becomes one flat row dict
+with the fixed column set ``CSV_COLUMNS`` through the same row builder:
+per-second columns are per-pulse values times the preset clock, and skc0 is
+the repeaterless bound of the total fibre length.  A transmission time ``T``
 (``NetworkSpec.duration_s``) is ``clock_hz * T`` pulses.  Drivers are
 deterministic given (spec, seed): per-point seeds are derived from the
 scenario seed and the point index, and sweep points warm-start from canonical
@@ -218,37 +220,13 @@ def _report_row(preset: DevicePreset, report: KeyRateReport, dist: float, varian
                 s11z=est.s11_z, s0z=est.s0_z, **columns)
 
 
-def _optimize_async_point(
-    preset: DevicePreset,
-    l_a: float,
-    l_b: float,
-    n_pulses: float,
-    variant: ProtocolVariant,
-    budget: int,
-    seed: int,
-    warm_starts: list[dict],
-) -> tuple[KeyRateReport, dict]:
-    link = preset.link(l_a, l_b)
-    det = preset.detector()
+# canonical starting points of the reference protocols (one party: the MDI
+# search mirrors it onto Bob, and BB84 adds its basis bias q_z)
+_BASELINE_STARTS = (
+    dict(mu_a=0.8, omega_a=0.1, nu_a=0.02, p_mu_a=0.5, p_omega_a=0.15, p_nu_a=0.15),
+    dict(mu_a=0.5, omega_a=0.08, nu_a=0.01, p_mu_a=0.35, p_omega_a=0.2, p_nu_a=0.2),
+)
 
-    def objective(params: dict) -> float:
-        return evaluate(
-            params, link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
-        ).rate_per_pulse
-
-    objective.many = objective
-    space = async_search_space(four_intensity=variant.four_intensity)
-    starts = _canonical_warm_starts(variant.four_intensity) + warm_starts
-    result = optimize_link(objective, space, budget=budget, seed=seed, warm_starts=starts)
-    report = evaluate(
-        result.best_params, link, det, n_pulses, preset.eps, preset.error_correction_f, variant,
-    )
-    return report, result.best_params
-
-
-# ---------------------------------------------------------------------------
-# baseline evaluation glue
-# ---------------------------------------------------------------------------
 
 def _baseline_space(kind: str) -> SearchSpace:
     bounds = {
@@ -266,57 +244,58 @@ def _baseline_space(kind: str) -> SearchSpace:
     return SearchSpace(bounds=bounds, mirror=mirror, repair=repair_async_params)
 
 
-def _evaluate_baseline(
-    kind: str, preset: DevicePreset, l_a: float, l_b: float, n_pulses: float,
-    budget: int, seed: int,
-) -> tuple[float, dict]:
-    """Optimized ``(rate_per_pulse, best_params)`` of one reference protocol;
-    the rate comes from one scalar call on the best parameters."""
-    link, det = preset.link(l_a, l_b), preset.detector()
+def _search_point(preset: DevicePreset, variant: str, dist: float, columns: Mapping,
+                  warm_starts: Sequence[Mapping[str, float]]) -> tuple[dict, dict]:
+    """Optimized ``(row, best_params)`` of one point of ``variant``, an async
+    variant or a reference protocol.
 
-    if kind == "mdi-baseline":
+    ``columns`` holds the point's arms, pulses, budget and seed (and any other
+    CSV column).  The search starts from the variant's canonical settings and
+    then ``warm_starts``; the objective takes floats or (B,) columns.  The
+    row's numbers come from one float call on the best parameters.
+    """
+    link, det = preset.link(columns["l_a_km"], columns["l_b_km"]), preset.detector()
+    n_pulses, eps, f_ec = columns["n_pulses"], preset.eps, preset.error_correction_f
+    protocol = VARIANTS.get(variant)
+    if protocol is not None:
         def objective(params: dict) -> float:
-            return baselines.mdi_key_rate(SourceConfig.from_params(params, True), link, det, n_pulses,
-                                          preset.eps, preset.error_correction_f)["rate_per_pulse"]
+            return evaluate(params, link, det, n_pulses, eps, f_ec, protocol).rate_per_pulse
+
+        space = async_search_space(four_intensity=protocol.four_intensity)
+        starts = _canonical_warm_starts(protocol.four_intensity)
+    elif variant == "mdi-baseline":
+        def objective(params: dict) -> float:
+            return baselines.mdi_key_rate(SourceConfig.from_params(params, True), link, det,
+                                          n_pulses, eps, f_ec)["rate_per_pulse"]
+
+        space, starts = _baseline_space(variant), _BASELINE_STARTS
     else:
         def objective(params: dict) -> float:
             prm = baselines.Bb84Params.from_params(params, link, det)
-            return baselines.bb84_key_rate(prm, n_pulses, preset.eps,
-                                           preset.error_correction_f)["rate_per_pulse"]
-    objective.many = objective
+            return baselines.bb84_key_rate(prm, n_pulses, eps, f_ec)["rate_per_pulse"]
 
-    warm = [
-        dict(mu_a=0.8, omega_a=0.1, nu_a=0.02, p_mu_a=0.5, p_omega_a=0.15, p_nu_a=0.15),
-        dict(mu_a=0.5, omega_a=0.08, nu_a=0.01, p_mu_a=0.35, p_omega_a=0.2, p_nu_a=0.2),
-    ]
-    if kind == "bb84-baseline":
-        warm = [dict(w, q_z=0.5) for w in warm]
-    result = optimize_link(objective, _baseline_space(kind), budget=budget, seed=seed,
-                           warm_starts=warm)
-    return max(objective(result.best_params), 0.0), result.best_params
+        space, starts = _baseline_space(variant), [dict(s, q_z=0.5) for s in _BASELINE_STARTS]
+    objective.many = objective
+    best = optimize_link(objective, space, budget=columns["budget"], seed=columns["seed"],
+                         warm_starts=[*starts, *warm_starts]).best_params
+    if protocol is None:
+        return _row(preset, dist, variant, max(objective(best), 0.0), best, **columns), best
+    report = evaluate(best, link, det, n_pulses, eps, f_ec, protocol)
+    return _report_row(preset, report, dist, variant, **columns), best
 
 
 def _search_points(preset: DevicePreset, variant: str,
                    points: list[tuple[float, dict]]) -> list[dict]:
-    """Rows of one variant's ``(distance, columns)`` points, searched in order.
-
-    ``columns`` holds the point's arms, pulses, budget and seed (and any
-    other CSV column).  An async point warm-starts from the optimum of the
-    last earlier point whose rate was positive.
-    """
+    """Rows of one variant's ``(distance, columns)`` points, searched in order;
+    each point warm-starts from the optimum of the last earlier point whose
+    rate was positive."""
     rows: list[dict] = []
     warm: list[dict] = []
     for dist, columns in points:
-        args = (preset, columns["l_a_km"], columns["l_b_km"], columns["n_pulses"])
-        if variant in BASELINE_VARIANTS:
-            rate, params = _evaluate_baseline(variant, *args, columns["budget"], columns["seed"])
-            rows.append(_row(preset, dist, variant, rate, params, **columns))
-        else:
-            report, best = _optimize_async_point(*args, VARIANTS[variant], columns["budget"],
-                                                 columns["seed"], warm)
-            if report.rate_per_pulse > 0.0:
-                warm = [best]
-            rows.append(_report_row(preset, report, dist, variant, **columns))
+        row, best = _search_point(preset, variant, dist, columns, warm)
+        if row["rate_bits_per_pulse"] > 0.0:
+            warm = [best]
+        rows.append(row)
     return rows
 
 
@@ -382,13 +361,24 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
 def _external_table(path: str) -> list[tuple[float, float]]:
     """(distance_km, rate_bps) records of an external rate table; ValueError
-    if the file cannot be read or lacks those columns."""
+    if the file cannot be read, lacks those columns or has a row whose two
+    values are not finite numbers >= 0."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"distance_km", "rate_bps"} <= set(reader.fieldnames):
                 raise ValueError(f"external table {path!r} needs distance_km,rate_bps columns")
-            return [(float(r["distance_km"]), float(r["rate_bps"])) for r in reader]
+            records = []
+            for r in reader:
+                try:
+                    record = float(r["distance_km"]), float(r["rate_bps"])
+                except (TypeError, ValueError):  # a missing or non-numeric field
+                    record = (math.nan, math.nan)
+                if not all(0.0 <= x < math.inf for x in record):
+                    raise ValueError(f"external table {path!r} line {reader.line_num}: distance_km "
+                                     f"and rate_bps must be finite numbers >= 0, got {r!r}")
+                records.append(record)
+            return records
     except OSError as exc:
         raise ValueError(f"cannot read external table {path!r}: {exc.strerror}") from None
 

@@ -14,9 +14,9 @@ import pytest
 from amdiqkd import decoy
 from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
 from amdiqkd.cli import _oracle_checks
-from amdiqkd.keyrate import ProtocolVariant
+from amdiqkd.keyrate import ProtocolVariant, evaluate
 from amdiqkd.oracle import simulate
-from amdiqkd.scenario import DEVICE_PRESETS, _evaluate_baseline, _optimize_async_point
+from amdiqkd.scenario import DEVICE_PRESETS, VARIANTS, _search_point
 from amdiqkd.stats import FLOATS, chernoff_expected, chernoff_observed
 
 FIG4 = DEVICE_PRESETS["fig4"]
@@ -32,9 +32,11 @@ def optimize_point(preset, dist, n_pulses, variant, seed, budget=3000, delta_km=
                    warm=()):
     l_a = (dist + delta_km) / 2.0
     l_b = (dist - delta_km) / 2.0
-    rep, best = _optimize_async_point(
-        preset, l_a, l_b, n_pulses, variant, budget, seed, list(warm)
-    )
+    name = next(k for k, v in VARIANTS.items() if v == variant)
+    columns = dict(l_a_km=l_a, l_b_km=l_b, n_pulses=n_pulses, budget=budget, seed=seed)
+    _, best = _search_point(preset, name, dist, columns, warm)
+    rep = evaluate(best, preset.link(l_a, l_b), preset.detector(), n_pulses, preset.eps,
+                   preset.error_correction_f, variant)
     return rep, best
 
 
@@ -166,11 +168,12 @@ class TestCriterion7DecoyBb84Crossover:
         for idx, dist in enumerate(np.arange(120.0, 221.0, 10.0)):
             rep, _ = optimize_point(FIG4, float(dist), N_22H, ProtocolVariant(),
                                     seed=61 + idx, budget=2500)
-            bb84_rate, _ = _evaluate_baseline(
-                "bb84-baseline", FIG4, dist / 2.0, dist / 2.0, N_22H,
-                budget=2000, seed=71 + idx,
+            bb84_row, _ = _search_point(
+                FIG4, "bb84-baseline", float(dist),
+                dict(l_a_km=dist / 2.0, l_b_km=dist / 2.0, n_pulses=N_22H, budget=2000,
+                     seed=71 + idx), [],
             )
-            bb84 = bb84_rate * FIG4.clock_hz
+            bb84 = bb84_row["rate_bits_per_pulse"] * FIG4.clock_hz
             rows.append((dist, rep.rate_per_second, bb84))
             if crossover is None and rep.rate_per_second > bb84:
                 crossover = float(dist)

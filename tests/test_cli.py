@@ -248,7 +248,11 @@ class TestSweepCommand:
                      "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() != (out2 / "results.csv").read_bytes()
 
-    @pytest.mark.parametrize("table", [None, "km,bps\n100,5\n"], ids=["missing", "no-columns"])
+    @pytest.mark.parametrize("table", [
+        None, "km,bps\n100,5\n", "distance_km,rate_bps\n-10,5\n", "distance_km,rate_bps\n100,-5\n",
+        "distance_km,rate_bps\n200,inf\n", "distance_km,rate_bps\n300,nan\n",
+    ], ids=["missing", "no-columns", "negative-distance", "negative-rate", "infinite-rate",
+            "nan-rate"])
     def test_bad_external_table_is_config_error(self, tmp_path, capsys, table):
         """A missing or malformed external rate table is a configuration error,
         reported before any point is optimized (the output is never written)."""

@@ -124,6 +124,38 @@ class TestSweep:
         assert row["rate_bps"] > 0.0
         assert row["q_z"] != ""
 
+    # rate_bps of every variant at 100 and 200 km, as this program computed
+    # them when pinned: a regression reference that takes each one through
+    # run_sweep, four-intensity and double-scan included, which no preset runs
+    EVERY_VARIANT_RATES = {
+        (100.0, "filtering"): 3009477.2173437164,
+        (100.0, "filtering-rs"): 2920581.061245758,
+        (100.0, "nofilter-4group"): 2699160.5191017035,
+        (100.0, "nofilter-signal-only"): 2523766.8232586123,
+        (100.0, "four-intensity"): 2147588.374934041,
+        (100.0, "double-scan"): 3009477.217343713,
+        (100.0, "mdi-baseline"): 166434.18959610618,
+        (100.0, "bb84-baseline"): 5155081.815506718,
+        (200.0, "filtering"): 383825.38541401585,
+        (200.0, "filtering-rs"): 347181.37731542834,
+        (200.0, "nofilter-4group"): 339378.1324455151,
+        (200.0, "nofilter-signal-only"): 317320.84644824354,
+        (200.0, "four-intensity"): 305248.86463116,
+        (200.0, "double-scan"): 383547.2848303267,
+        (200.0, "mdi-baseline"): 2164.514051911128,
+        (200.0, "bb84-baseline"): 118318.20263968765,
+    }
+
+    def test_every_variant_is_pinned(self):
+        spec = SweepSpec(
+            preset="fig4", distances_km=[100.0, 200.0],
+            variants=[*VARIANTS, *scenario.BASELINE_VARIANTS], n_pulses=1e13, budget=200, seed=5,
+        )
+        rates = {(r["distance_km"], r["variant"]): r["rate_bps"] for r in run_sweep(spec)}
+        assert rates.keys() == self.EVERY_VARIANT_RATES.keys()
+        for key, rate in self.EVERY_VARIANT_RATES.items():
+            assert rates[key] == pytest.approx(rate, rel=1e-9), key
+
 
 POOL_SWEEP = SweepSpec(
     preset="fig4", distances_km=[150.0, 90.0], variants=["filtering", "bb84-baseline", "mdi-baseline"],
@@ -148,17 +180,11 @@ def one_call_at_a_time_sweep(spec):
             seed = point_seed(spec.seed, rank * len(spec.variants) + v_idx)
             columns = dict(l_a_km=l_a, l_b_km=l_b, n_pulses=spec.n_pulses, budget=spec.budget,
                            seed=seed)
-            if name in scenario.BASELINE_VARIANTS:
-                rate, params = scenario._evaluate_baseline(name, preset, l_a, l_b, spec.n_pulses,
-                                                           spec.budget, seed)
-                at_point.append(scenario._row(preset, dist, name, rate, params, **columns))
-            else:
-                warm = [previous_best[name]] if name in previous_best else []
-                report, best = scenario._optimize_async_point(
-                    preset, l_a, l_b, spec.n_pulses, VARIANTS[name], spec.budget, seed, warm)
-                if report.rate_per_pulse > 0.0:
-                    previous_best[name] = best
-                at_point.append(scenario._report_row(preset, report, dist, name, **columns))
+            warm = [previous_best[name]] if name in previous_best else []
+            row, best = scenario._search_point(preset, name, dist, columns, warm)
+            if name in VARIANTS and row["rate_bits_per_pulse"] > 0.0:
+                previous_best[name] = best
+            at_point.append(row)
         first = at_point[0]["rate_bps"]
         for row in at_point:
             row["delta_vs_first"] = (row["rate_bps"] - first) / first
@@ -173,12 +199,11 @@ def one_call_at_a_time_network(spec):
         for name_b, arm_b in spec.users[i + 1:]:
             for v_idx, name in enumerate(spec.variants):
                 seed = point_seed(spec.seed, index * len(spec.variants) + v_idx)
-                report, _ = scenario._optimize_async_point(
-                    preset, arm_a, arm_b, spec.n_pulses, VARIANTS[name], spec.budget, seed, [])
-                rows.append(scenario._report_row(
-                    preset, report, arm_a + arm_b, name, l_a_km=arm_a, l_b_km=arm_b,
-                    link=f"{name_a}-{name_b}", n_pulses=spec.n_pulses, budget=spec.budget,
-                    seed=seed))
+                row, _ = scenario._search_point(
+                    preset, name, arm_a + arm_b, dict(
+                        l_a_km=arm_a, l_b_km=arm_b, link=f"{name_a}-{name_b}",
+                        n_pulses=spec.n_pulses, budget=spec.budget, seed=seed), [])
+                rows.append(row)
             index += 1
     return rows
 
@@ -201,7 +226,7 @@ class TestWorkerPool:
         def broken(*args):
             raise RuntimeError("baseline search failed")
 
-        monkeypatch.setattr(scenario, "_evaluate_baseline", broken)
+        monkeypatch.setattr(scenario, "_search_point", broken)
         with pytest.raises(RuntimeError, match="baseline search failed"):
             run_sweep(POOL_SWEEP)
         out = tmp_path / "o"
@@ -238,6 +263,10 @@ class TestExternalRates:
             )
         with pytest.raises(ValueError, match="cannot read"):
             SweepSpec(external_rates={"x": str(tmp_path / "missing.csv")})
+        for row in ("-10,5", "100,-5", "200,inf", "300,nan", "100", "x,5"):
+            table.write_text(f"distance_km,rate_bps\n50,1\n{row}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=r"bad.csv' line 3: .* finite numbers >= 0"):
+                SweepSpec(external_rates={"x": str(table)})
 
 
 class TestNetwork:

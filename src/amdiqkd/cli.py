@@ -287,8 +287,8 @@ def _oracle_checks(src, link, det, run, n_bins: int) -> list[tuple[str, float, b
 def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
     """Check the closed forms and the decoy bounds against the oracle, as
     :func:`_oracle_checks` judges them, on each of the oracle configurations."""
-    if not 1.0 <= bins < math.inf:
-        raise ConfigError(f"--bins must be a finite number >= 1, got {bins!r}")
+    if not (1.0 <= bins < math.inf and float(bins).is_integer()):
+        raise ConfigError(f"--bins must be a whole number >= 1, got {bins!r}")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed!r}")
     n_bins = int(bins)

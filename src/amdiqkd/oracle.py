@@ -5,11 +5,11 @@ thinning.  One table holds a joint row per label and arrived photon count
 of each party, kept label pairs only, weighted by its prior times a bound
 on its single-click probability; a bin is a candidate with probability the
 sum of the weights, and a candidate is accepted with its exact click
-probability over the bound.  At a candidate: its row, the phase-slice
-draws, first-order interference at the relay's beam splitter, detector
-inefficiency and dark counts; then nearest-neighbour pairing of the kept
-clicks inside the source's pairing window (``SourceConfig.pairing_window_bins``),
-sifting and classification.
+probability over the bound.  At a candidate: its row, the draw of the
+parties' phase-slice difference, first-order interference at the relay's
+beam splitter, detector inefficiency and dark counts; then
+nearest-neighbour pairing of the kept clicks inside the source's pairing
+window (``SourceConfig.pairing_window_bins``), sifting and classification.
 Used exclusively to validate the closed forms in :mod:`amdiqkd.channel` and
 the soundness of the decoy bounds; never part of the key-rate pipeline.
 
@@ -21,8 +21,10 @@ Clicks are sampled in the classical-field picture, which reproduces the
 coherent-state statistics of the closed forms exactly: photons arriving in a
 bin are routed to the left port independently with weight
 ``1/2 + sqrt(AB) cos(phase) / (A + B)`` set by the arriving intensities.
-The source photon number of a click is its arrived count plus the photons
-the fibre lost, an independent Poisson draw (Poisson thinning).
+A tally reads only whether a party's source photons in a pair number 0, 1
+or more, so each row of the table also carries its emission class: the
+arrived count plus the photons the fibre lost (Poisson thinning), capped at
+2, with its exact conditional weight.
 
 Ground-truth tallies:
 
@@ -296,10 +298,28 @@ def _party_rows(intensities, probabilities, labels, eta: float):
     return label, count, prior, mean, (1.0 - eta) * k
 
 
+def _emitted_rows(label, count, prior, lost):
+    """Each party row (l, n) split by its source photon number, capped at 2:
+    the n arrived photons plus the Poisson(m) the fibre lost, m = lost[l],
+    which is all a tally reads of it.  n = 0 becomes e = 0, 1 or 2+ with
+    weights e**-m, m e**-m and the rest, n = 1 becomes e = 1 or 2+ with
+    e**-m and 1 - e**-m, and n >= 2 stays 2+.  Returns (l, n, e, P(l, n, e))
+    of the rows with a positive weight."""
+    rows = []
+    for l, n, p in zip(label.tolist(), count.tolist(), prior.tolist()):
+        m = float(lost[l])
+        kept, gone = math.exp(-m), -math.expm1(-m)  # no photon lost, some lost
+        shares = {0: [(0, kept), (1, m * kept), (2, gone - m * kept)],
+                  1: [(1, kept), (2, gone)]}.get(n, [(2, 1.0)])
+        rows.extend((l, n, e, p * share) for e, share in shares if share > 0.0)
+    return (np.array(column) for column in zip(*rows))
+
+
 class _Candidates:
-    """The joint rows (l_a, n_a, l_b, n_b) a candidate bin draws from: every
-    pair of party rows whose label pair is kept, n = 0 rows included, so a
-    dark-only click is one more row.  A row weighs P_a P_b B(n), n = n_a + n_b,
+    """The joint rows (l_a, n_a, e_a, l_b, n_b, e_b) a candidate bin draws
+    from: every pair of party rows split by emission class (``_emitted_rows``)
+    whose label pair is kept, n = 0 rows included, so a dark-only click is one
+    more row.  A row weighs P_a P_b B(n), n = n_a + n_b,
 
         B(n) = c (1 + t**n - 2 c t**n),  c = 1 - p_d,  t = 1 - eta_d,
 
@@ -310,10 +330,12 @@ class _Candidates:
 
     def __init__(self, source: SourceConfig, link: ChannelLink, det: DetectorPair) -> None:
         labels = source.labels
-        la, na, pa, mean_a, lost_a = _party_rows(
+        *rows_a, mean_a, lost_a = _party_rows(
             source.intensities_a, source.probabilities_a, labels, link.eta_a)
-        lb, nb, pb, mean_b, lost_b = _party_rows(
+        *rows_b, mean_b, lost_b = _party_rows(
             source.intensities_b, source.probabilities_b, labels, link.eta_b)
+        la, na, ea, pa = _emitted_rows(*rows_a, lost_a)
+        lb, nb, eb, pb = _emitted_rows(*rows_b, lost_b)
         kept = np.zeros((len(labels), len(labels)), dtype=bool)
         for l_a, l_b in source.layout.kept:
             kept[labels.index(l_a), labels.index(l_b)] = True
@@ -328,10 +350,10 @@ class _Candidates:
         a, b = mean_a[la[i]], mean_b[lb[j]]
         self.visibility = np.sqrt(a * b) / np.where(a + b > 0.0, a + b, 1.0)
         self.label_a, self.label_b = la[i].astype(np.int8), lb[j].astype(np.int8)
-        self.count_a, self.count_b = na[i].astype(np.int16), nb[j].astype(np.int16)
+        self.count_a, self.count_b = na[i], nb[j]
+        self.emitted_a, self.emitted_b = ea[i].astype(np.int8), eb[j].astype(np.int8)
         self.photons, self.bound = n[i, j].astype(float), bound[i, j]
         self.quiet = c * t**self.photons  # a detector holding all n photons stays silent
-        self.lost_a, self.lost_b = lost_a[la[i]], lost_b[lb[j]]
 
 
 def _bernoulli_sites(rng, p: float, size: int) -> np.ndarray:
@@ -346,24 +368,26 @@ def _bernoulli_sites(rng, p: float, size: int) -> np.ndarray:
 
 
 def _click_chunk(rng, size, start_idx, candidates, link, det, drift_per_bin):
-    """Simulate one chunk of time bins; return compact arrays of kept clicks.
+    """Simulate one chunk of time bins; return compact arrays of kept clicks:
+    bin index, both labels, slice difference, both emission classes and the
+    detector that clicked.
 
     Thinning (Lewis and Shedler): candidate bins are Bernoulli(rate) trials
-    placed by geometric gaps, and one uniform draws each one's row.  After
-    the slice draws its n photons route left with weight w; with
-    t = 1 - eta_d and c = 1 - p_d, only the left detector clicks with
+    placed by geometric gaps, and one uniform draws each one's row, which
+    fixes the labels, the arrived photons and the emission classes.  The
+    phase reads only the slice difference d = (s_a - s_b) mod M, so that is
+    drawn in place of the two slices.  Its n photons route left with weight
+    w; with t = 1 - eta_d and c = 1 - p_d, only the left detector clicks with
     probability c ((w + (1 - w) t)**n - c t**n), only the right with w and
     1 - w swapped, and one more uniform times the row's B(n) picks left,
-    right or reject.  The source photon number of a click is its arrived
-    count plus an independent Poisson((1 - eta) k_l) of lost photons.
+    right or reject.
     """
     m_slices = link.phase_slices
     bins = _bernoulli_sites(rng, candidates.rate, size)
     row = _draw(candidates.rows, rng.random(bins.size))
-    sa = rng.integers(0, m_slices, size=bins.size, dtype=np.int16)
-    sb = rng.integers(0, m_slices, size=bins.size, dtype=np.int16)
+    diff = rng.integers(0, m_slices, size=bins.size, dtype=np.int16)
 
-    phase = (2.0 * math.pi / m_slices) * (sa - sb) + drift_per_bin * (start_idx + bins)
+    phase = (2.0 * math.pi / m_slices) * diff + drift_per_bin * (start_idx + bins)
     weight = np.clip(0.5 + candidates.visibility[row] * np.cos(phase), 0.0, 1.0)
     n, quiet = candidates.photons[row], candidates.quiet[row]
     t, c = 1.0 - det.eta_d, 1.0 - det.dark_prob(link.clock_hz)
@@ -373,11 +397,9 @@ def _click_chunk(rng, size, start_idx, candidates, link, det, drift_per_bin):
     sel = np.flatnonzero(u < p_left + p_right)
 
     row = row[sel]
-    lost_a, lost_b = rng.poisson(candidates.lost_a[row]), rng.poisson(candidates.lost_b[row])
     return (
-        start_idx + bins[sel], candidates.label_a[row], candidates.label_b[row], sa[sel], sb[sel],
-        (candidates.count_a[row] + lost_a).astype(np.int16),
-        (candidates.count_b[row] + lost_b).astype(np.int16),
+        start_idx + bins[sel], candidates.label_a[row], candidates.label_b[row], diff[sel],
+        candidates.emitted_a[row], candidates.emitted_b[row],
         (u[sel] >= p_left[sel]).astype(np.int8),  # 0 = left detector, 1 = right
     )
 
@@ -474,9 +496,9 @@ def simulate(
         p_d=det.dark_prob(link.clock_hz),
     )
 
-    # per group: pairs, Z errors, a vacuum, b vacuum, single-photon pairs and
-    # their errors (the GroupTruth fields, in order), then matched-phase pairs
-    group_tally = np.zeros((7, n_totals**2), dtype=np.int64)
+    # a pair's flag bits; each group tallies its pairs in one histogram over them
+    z_err, a_vac, b_vac, single_pair, matched_bit = 1, 2, 4, 8, 16
+    hist = np.zeros((n_totals**2, 32), dtype=np.int64)
     # X group: pairs, errors, single-photon pairs and their errors, pairs
     # with a vacuum layer and their errors
     x_tally = np.zeros(6, dtype=np.int64)
@@ -492,32 +514,29 @@ def simulate(
             n_clicks += parts[0].size
             if carry:
                 parts = [np.concatenate(pair) for pair in zip(carry, parts)]
-            idx, la, lb, sa, sb, na, nb, det_click = parts
+            idx, la, lb, diff, ea, eb, det_click = parts
             early, late = _pair_scan(idx, source.pairing_window_bins)
             paired = late.size > 0 and late[-1] == idx.size - 1
-            carry = [p[p.size - 1:] if p.size and not paired else p[:0] for p in parts]
+            carry = () if paired or not idx.size else [p[-1:] for p in parts]
             n_pairs += early.size
             gap_sum += int((idx[late] - idx[early]).sum())
 
             t_a = tot_code[la[early], la[late]]
             t_b = tot_code[lb[early], lb[late]]
             group = t_a.astype(np.intp) * n_totals + t_b
-            phi_a = np.mod(sa[late].astype(np.int32) - sa[early], m_slices)
-            phi_b = np.mod(sb[late].astype(np.int32) - sb[early], m_slices)
-            phi_ab = np.mod(phi_a - phi_b, m_slices)
+            phi_ab = np.mod(diff[late] - diff[early], m_slices)
             matched0 = phi_ab == 0
             matched_pi = phi_ab == m_slices // 2
             matched = matched0 | matched_pi
 
             # Z-basis truth, tallied from the physical emission record
-            z_error = (la[early] != o_code) == (lb[early] != o_code)
-            a_single = (na[early].astype(np.int32) + na[late]) == 1
-            singles = a_single & ((nb[early].astype(np.int32) + nb[late]) == 1)
-            a_vacuum, b_vacuum = (na[early] + na[late]) == 0, (nb[early] + nb[late]) == 0
-            flags = (np.ones(early.size, dtype=bool), z_error, a_vacuum, b_vacuum,
-                     singles, singles & z_error, matched)
-            for row, flag in enumerate(flags):
-                group_tally[row] += np.bincount(group[flag], minlength=n_totals**2)
+            e_a, e_b = ea[early] + ea[late], eb[early] + eb[late]
+            flags = (
+                ((la[early] != o_code) == (lb[early] != o_code)) * z_err
+                + (e_a == 0) * a_vac + (e_b == 0) * b_vac
+                + ((e_a == 1) & (e_b == 1)) * single_pair + matched * matched_bit
+            )
+            hist += np.bincount(group * 32 + flags, minlength=hist.size).reshape(hist.shape)
 
             # X-basis classification on the matched decoy-decoy group
             x_pos = np.flatnonzero((group == nu_group) & matched)
@@ -532,6 +551,13 @@ def simulate(
                 np.count_nonzero(f) for f in (x_error, single, single & x_error, vacuum, vacuum & x_error)
             ]
 
+    # per group: pairs, Z errors, a vacuum, b vacuum, single-photon pairs and
+    # their errors (the GroupTruth fields, in order), then matched-phase pairs
+    bits = np.arange(32)
+    group_tally = np.array([
+        hist[:, (bits & mask) == mask].sum(axis=1)
+        for mask in (0, z_err, a_vac, b_vac, single_pair, single_pair | z_err, matched_bit)
+    ])
     column = layout.group_pos
     counts = dict(zip(layout.groups, group_tally[0].tolist()))
     for key in layout.sifted:

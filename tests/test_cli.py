@@ -11,6 +11,8 @@ import pytest
 import amdiqkd
 from amdiqkd.cli import main
 
+from golden_rates import assert_rates_match
+
 FIXTURE_SWEEP = """
 command: sweep
 preset: fig2
@@ -147,6 +149,8 @@ class TestConfigErrors:
         ("directory", "cannot read scenario file"),
         ("user-not-pair", "users must be a list of [name, arm_km] pairs"),
         ("negative-oracle-seed", "--seed must be >= 0"),
+        # ran 1000 bins without a word
+        ("fractional-oracle-bins", "--bins must be a whole number >= 1, got 1000.5"),
         ("sweep-variant-twice", "variant 'filtering' listed twice"),
         ("network-variant-twice", "variant 'filtering' listed twice"),
     ])
@@ -162,6 +166,7 @@ class TestConfigErrors:
                               str(write_scenario(tmp_path, FIXTURE_NETWORK, "network.yaml")),
                               "--set", "users=[5, 6]"],
             "negative-oracle-seed": ["validate-oracle", "--seed", "-1", "--bins", "1e3"],
+            "fractional-oracle-bins": ["validate-oracle", "--bins", "1000.5"],
             "sweep-variant-twice": [*sweep, "--set", "variants=[filtering, filtering]"],
             "network-variant-twice": ["network", "--scenario",
                                       str(write_scenario(tmp_path, FIXTURE_NETWORK, "network.yaml")),
@@ -360,6 +365,16 @@ class TestFig2bPreset:
         assert rates.keys() == pinned.keys()
         for key, rate in pinned.items():
             assert rates[key] == pytest.approx(rate, rel=1e-9), key
+
+
+class TestGoldenPresets:
+    @pytest.mark.parametrize("preset", ["table4", "fig1", "fig2"])
+    def test_preset_rates_pinned(self, tmp_path, preset):
+        """Every row of the preset keeps its rate in ``golden/<preset>.csv``
+        to 1e-9 relative (a regression pin, not the paper's figure)."""
+        out = tmp_path / "o"
+        assert main(["sweep", "--preset", preset, "--out", str(out)]) == 0
+        assert_rates_match(out / "results.csv", preset)
 
 
 class TestNetworkCommand:

@@ -198,8 +198,8 @@ def _cmd_optimize(data: dict, out_dir: Path) -> int:
             variants=[data.get("variant", "filtering")],
             n_pulses=float(data.get("n_pulses", 1e12)),
             delta_km=float(data.get("l_a_km", 0.0)) - float(data.get("l_b_km", 0.0)),
-            budget=int(data.get("budget", 3000)),
-            seed=int(data.get("seed", 1)),
+            budget=data.get("budget", 3000),
+            seed=data.get("seed", 1),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -217,6 +217,20 @@ _ORACLE_CONFIGS: list[dict] = [
     dict(l_a=15.0, l_b=15.0, dark_rate_hz=10.0, phase_slices=8, click_filtering=True,
          mu=0.6, nu=0.12, p_mu=0.3, p_nu=0.3, omega=0.3, p_omega=0.15),
 ]
+
+
+_DEVICE_FIELDS = {f.name for f in dataclasses.fields(sc.DevicePreset)}
+
+
+def _oracle_setup(cfg: dict) -> tuple[SourceConfig, ChannelLink, DetectorPair]:
+    """(source, link, detector) of an oracle configuration: a
+    :class:`~amdiqkd.scenario.DevicePreset` with the config's device fields,
+    and both parties sending the same levels."""
+    device = sc.DevicePreset(**{k: v for k, v in cfg.items() if k in _DEVICE_FIELDS})
+    levels = [k for k in ("mu", "nu", "omega", "p_mu", "p_nu", "p_omega") if k in cfg]
+    params = {f"{k}_{side}": cfg[k] for k in levels for side in "ab"} | {"tc_bins": 2000.0}
+    src = SourceConfig.from_params(params, "omega" in cfg, cfg["click_filtering"])
+    return src, device.link(cfg["l_a"], cfg["l_b"]), device.detector()
 
 
 _SIGMAS = 5.0
@@ -295,14 +309,7 @@ def _cmd_validate_oracle(bins: float, seed: int, out_dir: Path) -> int:
     lines = []
     all_ok = True
     for idx, cfg in enumerate(_ORACLE_CONFIGS):
-        det = DetectorPair(0.8, cfg["dark_rate_hz"])
-        link = ChannelLink(cfg["l_a"], cfg["l_b"], 0.16, clock_hz=1e9,
-                           phase_drift_rad_per_s=5.9e3, laser_offset_hz=10.0,
-                           interference_error=0.04, phase_slices=cfg["phase_slices"])
-        # both parties send the same levels
-        levels = [k for k in ("mu", "nu", "omega", "p_mu", "p_nu", "p_omega") if k in cfg]
-        params = {f"{k}_{side}": cfg[k] for k in levels for side in "ab"} | {"tc_bins": 2000.0}
-        src = SourceConfig.from_params(params, "omega" in cfg, cfg["click_filtering"])
+        src, link, det = _oracle_setup(cfg)
         run = simulate(src, link, det, n_bins, seed=seed + idx)
         checks = _oracle_checks(src, link, det, run, n_bins)
         bad = [name for name, _, ok in checks if not ok]

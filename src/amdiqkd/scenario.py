@@ -144,6 +144,15 @@ def _check_variants(variants: Sequence[str], known: Container[str]) -> None:
             raise ValueError(f"variant {v!r} listed twice")
 
 
+def _check_budget_and_seed(budget: int, seed: int) -> None:
+    """ValueError unless both are integers (a bool is not) and ``budget`` is >= 1."""
+    for name, value in (("budget", budget), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not budget >= 1:
+        raise ValueError(f"budget must be >= 1, got {budget!r}")
+
+
 @dataclass
 class SweepSpec:
     """Distance sweep over one or more protocol variants.
@@ -173,8 +182,7 @@ class SweepSpec:
             raise ValueError(f"distances must be finite and >= 0, got {self.distances_km!r}")
         if not all(abs(self.delta_km) <= d for d in self.distances_km):
             raise ValueError(f"asymmetry delta {self.delta_km!r} exceeds a total distance")
-        if not self.budget >= 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget!r}")
+        _check_budget_and_seed(self.budget, self.seed)
         pulses = self.n_pulses
         if isinstance(pulses, (int, float)):
             pulses = [pulses]
@@ -413,8 +421,7 @@ class NetworkSpec:
             raise ValueError("duplicate user names")
         if not all(0.0 <= arm < math.inf for _, arm in self.users):
             raise ValueError("arm lengths must be finite and >= 0")
-        if not self.budget >= 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget!r}")
+        _check_budget_and_seed(self.budget, self.seed)
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
         _check_variants(self.variants, VARIANTS)

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from amdiqkd import decoy
-from amdiqkd.channel import ChannelLink, DetectorPair, SourceConfig
-from amdiqkd.cli import _oracle_checks
+from amdiqkd.cli import _ORACLE_CONFIGS, _oracle_checks, _oracle_setup
 from amdiqkd.keyrate import ProtocolVariant, evaluate
 from amdiqkd.oracle import simulate
 from amdiqkd.scenario import DEVICE_PRESETS, VARIANTS, _search_point
@@ -184,34 +183,6 @@ class TestCriterion7DecoyBb84Crossover:
         assert ok, f"crossover at {crossover} km ({detail})"
 
 
-ORACLE_CONFIGS = [
-    dict(l_a=10.0, l_b=15.0, dark_rate_hz=1e5, phase_slices=8, click_filtering=True,
-         mu=0.5, nu=0.15, p_mu=0.35, p_nu=0.35, omega=None, p_omega=None),
-    dict(l_a=30.0, l_b=10.0, dark_rate_hz=0.1, phase_slices=8, click_filtering=False,
-         mu=0.6, nu=0.2, p_mu=0.3, p_nu=0.4, omega=None, p_omega=None),
-    dict(l_a=15.0, l_b=15.0, dark_rate_hz=10.0, phase_slices=8, click_filtering=True,
-         mu=0.6, nu=0.12, p_mu=0.3, p_nu=0.3, omega=0.3, p_omega=0.15),
-]
-
-
-def _oracle_setup(cfg):
-    det = DetectorPair(0.8, cfg["dark_rate_hz"])
-    link = ChannelLink(cfg["l_a"], cfg["l_b"], 0.16, clock_hz=1e9,
-                       phase_drift_rad_per_s=cfg.get("drift_rad_per_s", 5.9e3),
-                       laser_offset_hz=cfg.get("laser_offset_hz", 10.0),
-                       interference_error=0.04, phase_slices=cfg["phase_slices"])
-    params = dict(
-        mu_a=cfg["mu"], nu_a=cfg["nu"], p_mu_a=cfg["p_mu"], p_nu_a=cfg["p_nu"],
-        mu_b=cfg["mu"], nu_b=cfg["nu"], p_mu_b=cfg["p_mu"], p_nu_b=cfg["p_nu"],
-        tc_bins=2000.0,
-    )
-    four = cfg["omega"] is not None
-    if four:
-        params.update(omega_a=cfg["omega"], p_omega_a=cfg["p_omega"],
-                      omega_b=cfg["omega"], p_omega_b=cfg["p_omega"])
-    return SourceConfig.from_params(params, four, cfg["click_filtering"]), link, det
-
-
 def _oracle_failures(tag, cfg, seed):
     """Checks (a) and (b) of Criterion 8 on one oracle run of 3e7 bins, judged
     as validate-oracle judges them: (a) the closed forms hold within five
@@ -227,7 +198,7 @@ def _oracle_failures(tag, cfg, seed):
 class TestCriterion8OracleSoundness:
     def test_suite(self):
         failures = []
-        for idx, cfg in enumerate(ORACLE_CONFIGS):
+        for idx, cfg in enumerate(_ORACLE_CONFIGS):
             failures += _oracle_failures(f"cfg{idx}", cfg, seed=7 + idx)
 
         # (c) joint constraints dominate naive bounds on random combinations
@@ -264,12 +235,12 @@ class TestCriterion8OracleSoundness:
 # offset, a 5/45 km split, and 60+60 km with 1e4 Hz darks
 MORE_ORACLE_CONFIGS = [
     dict(l_a=20.0, l_b=20.0, dark_rate_hz=10.0, phase_slices=8, click_filtering=True,
-         mu=0.5, nu=0.15, p_mu=0.35, p_nu=0.35, omega=None, p_omega=None,
-         drift_rad_per_s=5.9e4, laser_offset_hz=100.0),
+         mu=0.5, nu=0.15, p_mu=0.35, p_nu=0.35,
+         phase_drift_rad_per_s=5.9e4, laser_offset_hz=100.0),
     dict(l_a=5.0, l_b=45.0, dark_rate_hz=10.0, phase_slices=8, click_filtering=False,
-         mu=0.6, nu=0.2, p_mu=0.3, p_nu=0.4, omega=None, p_omega=None),
+         mu=0.6, nu=0.2, p_mu=0.3, p_nu=0.4),
     dict(l_a=60.0, l_b=60.0, dark_rate_hz=1e4, phase_slices=8, click_filtering=True,
-         mu=0.5, nu=0.15, p_mu=0.35, p_nu=0.35, omega=None, p_omega=None),
+         mu=0.5, nu=0.15, p_mu=0.35, p_nu=0.35),
 ]
 
 

@@ -1,4 +1,3 @@
-import csv
 import importlib
 import os
 import pkgutil
@@ -11,7 +10,7 @@ import pytest
 import amdiqkd
 from amdiqkd.cli import main
 
-from golden_rates import assert_rates_match
+from golden_rates import GOLDEN, RUNS, assert_rates_match, read_rates
 
 FIXTURE_SWEEP = """
 command: sweep
@@ -115,8 +114,8 @@ class TestConfigErrors:
         assert not (out / "results.csv").exists()
 
 
-    # bad geometry and budgets, rejected before any output; each of these
-    # ended in a traceback, or (an infinite distance) in rows and exit code 2
+    # bad geometry, budgets and seeds, rejected before any output; each of
+    # these ended in a traceback, or (an infinite distance) in rows and exit code 2
     @pytest.mark.parametrize("command, extra", [
         ("sweep", ["--set", "distances_km=[100]", "--set", "delta_km=-300"]),
         ("sweep", ["--set", "delta_km=.nan"]),
@@ -128,9 +127,15 @@ class TestConfigErrors:
         ("network", ["--set", "users=[[A, .inf], [B, 25.0]]"]),
         ("network", ["--budget", "0"]),
         ("evaluate", ["--set", "l_a_km=.nan"]),
+        ("sweep", ["--set", "budget=60.5"]),
+        ("network", ["--set", "budget=true"]),
+        ("sweep", ["--set", "seed=1.5"]),
+        ("network", ["--set", 'seed="x"']),
+        ("optimize", ["--set", "budget=20.5"]),
     ], ids=["delta-beyond-distance", "nan-delta", "inf-distance", "negative-distance",
             "sweep-budget-0", "negative-arm", "nan-user-arm", "inf-user-arm",
-            "network-budget-0", "nan-length"])
+            "network-budget-0", "nan-length", "fractional-budget", "bool-budget",
+            "fractional-seed", "text-seed", "optimize-fractional-budget"])
     def test_bad_geometry_or_budget(self, tmp_path, capsys, command, extra):
         text = {"sweep": FIXTURE_SWEEP, "optimize": FIXTURE_OPTIMIZE,
                 "network": FIXTURE_NETWORK}.get(command)
@@ -281,113 +286,41 @@ class TestSweepCommand:
         assert main(["sweep", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
 
 
-# rate_bps of each link of ``amdiqkd network --preset network_table3``, as
-# this program computed them when the preset was pinned (4 GHz, 22 h, seed
-# 106, budget 3000).  They are a regression reference for this code, not the
-# published network table, whose rates are not in this repository.
-NETWORK_TABLE3_RATES = {
-    "A-B": 14668.1253529, "A-C": 23474.1375222, "A-D": 40397.2006355,
-    "A-E": 14668.2393747, "B-C": 13541.0940795, "B-D": 20544.653856,
-    "B-E": 9457.7370367, "C-D": 35562.5306847, "C-E": 13560.2214779,
-    "D-E": 20527.0130192,
-}
+@pytest.fixture(scope="module")
+def pinned_results(tmp_path_factory):
+    """``results.csv`` of a pinned run by name; each run runs once per module."""
+    done = {}
+
+    def results(run):
+        if run not in done:
+            out = tmp_path_factory.mktemp(run) / "o"
+            assert main([*RUNS[run], "--out", str(out)]) == 0
+            done[run] = out / "results.csv"
+        return done[run]
+    return results
 
 
-# rate_bps of ``amdiqkd sweep --preset fig4`` per distance (km), as
-# (filtering, bb84-baseline, mdi-baseline), as this program computed them
-# (4 GHz, 22 h, seed 104, budget 3000).  A regression reference for this code,
-# not the published figure.
-FIG4_RATES = {
-    120: (2558656.97719, 4075488.18829, 279931.191418),
-    170: (940856.058196, 639364.969107, 38387.2043858),
-    220: (349677.931134, 99536.0158063, 4941.17037712),
-    270: (129702.355047, 15283.984778, 575.017708297),
-    300: (71341.0540359, 4909.15629427, 147.099015137),
-    320: (47806.5194991, 2284.66885634, 57.5738101433),
-    340: (31979.6995422, 1053.44857434, 21.3930113275),
-    360: (21338.8155482, 478.929637646, 7.41785748421),
-    420: (6262.19323976, 38.4256375212, 0.0916936717558),
-    480: (1789.64767767, 1.58008826917, 0.0),
-}
-FIG4_VARIANTS = ("filtering", "bb84-baseline", "mdi-baseline")
+class TestPinnedRuns:
+    @pytest.mark.parametrize("run", RUNS)
+    def test_rates_match_golden(self, pinned_results, run):
+        """Every row of the run keeps its rate in ``golden/<run>.csv`` to 1e-9
+        relative (a regression pin, not the paper's figures)."""
+        assert_rates_match(pinned_results(run), run)
 
+    def test_every_preset_and_golden_file_is_a_run(self):
+        presets = {p.stem for p in (Path(amdiqkd.__file__).parent / "presets").glob("*.yaml")}
+        golden = {p.stem for p in GOLDEN.glob("*.csv")}
+        assert presets - RUNS.keys() == set(), "presets without a pinned run"
+        assert golden ^ RUNS.keys() == set(), "runs and golden files differ"
 
-class TestFig4Preset:
-    @pytest.fixture(scope="class")
-    def rates(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("fig4") / "o"
-        assert main(["sweep", "--preset", "fig4", "--out", str(out)]) == 0
-        with (out / "results.csv").open(newline="", encoding="utf-8") as fh:
-            return {(float(r["distance_km"]), r["variant"]): float(r["rate_bps"])
-                    for r in csv.DictReader(fh)}
-
-    def test_preset_rates_pinned(self, rates):
-        """The 30 rows of the fig4 preset keep this program's pinned rates to
-        1e-9 relative (a regression pin, not the paper's figure)."""
-        pinned = {(float(d), v): rate for d, row in FIG4_RATES.items()
-                  for v, rate in zip(FIG4_VARIANTS, row)}
-        assert rates.keys() == pinned.keys()
-        for key, rate in pinned.items():
-            assert rates[key] == pytest.approx(rate, rel=1e-9), key
-
-    def test_async_beats_time_bin_mdi(self, rates):
+    def test_async_beats_time_bin_mdi(self, pinned_results):
         """The abstract's ordering: async MDI with click filtering has more key
-        than time-bin MDI at every distance, and still has key at 480 km."""
-        for dist in FIG4_RATES:
-            assert rates[(float(dist), "filtering")] > rates[(float(dist), "mdi-baseline")], dist
-        assert rates[(480.0, "filtering")] > 0.0
-
-
-# rate_bps of ``amdiqkd sweep --preset fig2b`` (l_a - l_b = 100 km) per total
-# distance (km), as (filtering, nofilter-4group, nofilter-signal-only), as this
-# program computed them (1 GHz, N = 1e13, seed 103, budget 3000).  A regression
-# reference for this code, not the published figure.
-FIG2B_RATES = {
-    150: (123368.260759, 107237.261102, 99482.9284038),
-    250: (14512.3601061, 12402.8218061, 10892.8059059),
-    350: (1591.90416331, 1375.57124255, 1085.47434614),
-}
-FIG2B_VARIANTS = ("filtering", "nofilter-4group", "nofilter-signal-only")
-
-
-class TestFig2bPreset:
-    def test_preset_rates_pinned(self, tmp_path):
-        """The nine rows of the asymmetric fig2b preset, the only preset whose
-        search is not tied across the parties, keep this program's pinned rates
-        to 1e-9 relative (a regression pin, not the paper's figure)."""
-        out = tmp_path / "o"
-        assert main(["sweep", "--preset", "fig2b", "--out", str(out)]) == 0
-        with (out / "results.csv").open(newline="", encoding="utf-8") as fh:
-            rates = {(float(r["distance_km"]), r["variant"]): float(r["rate_bps"])
-                     for r in csv.DictReader(fh)}
-        pinned = {(float(d), v): rate for d, row in FIG2B_RATES.items()
-                  for v, rate in zip(FIG2B_VARIANTS, row)}
-        assert rates.keys() == pinned.keys()
-        for key, rate in pinned.items():
-            assert rates[key] == pytest.approx(rate, rel=1e-9), key
-
-
-class TestGoldenPresets:
-    @pytest.mark.parametrize("preset", ["table4", "fig1", "fig2"])
-    def test_preset_rates_pinned(self, tmp_path, preset):
-        """Every row of the preset keeps its rate in ``golden/<preset>.csv``
-        to 1e-9 relative (a regression pin, not the paper's figure)."""
-        out = tmp_path / "o"
-        assert main(["sweep", "--preset", preset, "--out", str(out)]) == 0
-        assert_rates_match(out / "results.csv", preset)
-
-
-class TestNetworkCommand:
-    def test_preset_rates_pinned(self, tmp_path):
-        """The ten links of the network preset keep this program's pinned
-        rates to 1e-9 relative (a regression pin, not the paper's table)."""
-        out = tmp_path / "o"
-        assert main(["network", "--preset", "network_table3", "--out", str(out)]) == 0
-        with (out / "results.csv").open(newline="", encoding="utf-8") as fh:
-            rates = {r["link"]: float(r["rate_bps"]) for r in csv.DictReader(fh)}
-        assert rates.keys() == NETWORK_TABLE3_RATES.keys()
-        for link, pinned in NETWORK_TABLE3_RATES.items():
-            assert rates[link] == pytest.approx(pinned, rel=1e-9), link
+        than time-bin MDI at every distance of fig4, and still has key at 480 km."""
+        rates = {(d, v): rate for (d, _, _, v, _), rate
+                 in read_rates(pinned_results("fig4")).items()}
+        for dist in {d for d, _ in rates}:
+            assert rates[(dist, "filtering")] > rates[(dist, "mdi-baseline")], dist
+        assert rates[("480", "filtering")] > 0.0
 
 
 class TestEntryPoint:

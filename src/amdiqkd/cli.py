@@ -88,10 +88,10 @@ def _check_keys(data: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
 
 
-def _number(data: dict, key: str, default, kind=float):
-    """``kind(data[key])``, or ``default`` if absent; a bad value is a configuration error."""
+def _number(data: dict, key: str, default):
+    """``float(data[key])``, or ``default`` if absent; a bad value is a configuration error."""
     try:
-        return kind(data.get(key, default))
+        return float(data.get(key, default))
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {data[key]!r}") from None
 
@@ -176,8 +176,9 @@ def _cmd_evaluate(data: dict, out_dir: Path) -> int:
     l_a = _number(data, "l_a_km", 0.0)
     l_b = _number(data, "l_b_km", 0.0)
     n_pulses = _number(data, "n_pulses", 1e12)
-    seed = _number(data, "seed", 0, int)
+    seed = data.get("seed", 0)
     try:
+        sc._check_budget_and_seed(1, seed)  # evaluate runs no search, so only the seed counts
         report = evaluate(
             params, preset.link(l_a, l_b), preset.detector(), n_pulses,
             preset.eps, preset.error_correction_f, variant,

@@ -207,7 +207,7 @@ class LayerPosterior:
         """
         code = (matched_pi.astype(np.int64) * 2 + det_early) * 2 + det_late
         cdfs = {}
-        for c in np.unique(code).tolist():
+        for c in sorted(set(code.tolist())):  # not np.unique, whose first call imports numpy.ma
             flat = self.probs(bool(c >> 2), (c >> 1) & 1, c & 1).reshape(-1)
             total = flat.sum()
             if total > 0.0:
@@ -263,14 +263,12 @@ def _inverse_cdf(weights) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(u, side="right")`` for uniforms u: each starts at
-    the row of its guide cell and steps up, a few array passes in all."""
+    """``cdf.searchsorted(u, side="right")`` for uniforms u: the row of u's
+    guide cell if its cdf is above u, else one searchsorted of all such u."""
     cdf, guide = table
     row = guide[(u * guide.size).astype(np.intp)]
     step = np.flatnonzero(u >= cdf[row])
-    while step.size:
-        row[step] += 1
-        step = step[u[step] >= cdf[row[step]]]
+    row[step] = cdf.searchsorted(u[step], side="right")
     return row
 
 
@@ -315,6 +313,12 @@ def _emitted_rows(label, count, prior, lost):
     return (np.array(column) for column in zip(*rows))
 
 
+def _class_code(l_a, e_a, l_b, e_b, n_labels: int) -> np.ndarray:
+    """A click's class ((l_a 3 + e_a) L + l_b) 3 + e_b, l the labels, e the
+    emission classes, L labels: all a tally reads but slice and detector."""
+    return np.ravel_multi_index((l_a, e_a, l_b, e_b), (n_labels, 3) * 2).astype(np.int16)
+
+
 class _Candidates:
     """The joint rows (l_a, n_a, e_a, l_b, n_b, e_b) a candidate bin draws
     from: every pair of party rows split by emission class (``_emitted_rows``)
@@ -349,9 +353,8 @@ class _Candidates:
         # weight 1/2 + sqrt(ab) cos(phase) / (a + b) of the arriving intensities
         a, b = mean_a[la[i]], mean_b[lb[j]]
         self.visibility = np.sqrt(a * b) / np.where(a + b > 0.0, a + b, 1.0)
-        self.label_a, self.label_b = la[i].astype(np.int8), lb[j].astype(np.int8)
         self.count_a, self.count_b = na[i], nb[j]
-        self.emitted_a, self.emitted_b = ea[i].astype(np.int8), eb[j].astype(np.int8)
+        self.cls = _class_code(la[i], ea[i], lb[j], eb[j], len(labels))
         self.photons, self.bound = n[i, j].astype(float), bound[i, j]
         self.quiet = c * t**self.photons  # a detector holding all n photons stays silent
 
@@ -369,8 +372,8 @@ def _bernoulli_sites(rng, p: float, size: int) -> np.ndarray:
 
 def _click_chunk(rng, size, start_idx, candidates, link, det, drift_per_bin):
     """Simulate one chunk of time bins; return compact arrays of kept clicks:
-    bin index, both labels, slice difference, both emission classes and the
-    detector that clicked.
+    bin index, class (``_class_code``: both labels and emission classes),
+    slice difference and the detector that clicked.
 
     Thinning (Lewis and Shedler): candidate bins are Bernoulli(rate) trials
     placed by geometric gaps, and one uniform draws each one's row, which
@@ -383,25 +386,20 @@ def _click_chunk(rng, size, start_idx, candidates, link, det, drift_per_bin):
     right or reject.
     """
     m_slices = link.phase_slices
-    bins = _bernoulli_sites(rng, candidates.rate, size)
-    row = _draw(candidates.rows, rng.random(bins.size))
-    diff = rng.integers(0, m_slices, size=bins.size, dtype=np.int16)
+    idx = start_idx + _bernoulli_sites(rng, candidates.rate, size)
+    row = _draw(candidates.rows, rng.random(idx.size))
+    diff = rng.integers(0, m_slices, size=idx.size, dtype=np.int16)
 
-    phase = (2.0 * math.pi / m_slices) * diff + drift_per_bin * (start_idx + bins)
+    phase = (2.0 * math.pi / m_slices) * diff + drift_per_bin * idx
     weight = np.clip(0.5 + candidates.visibility[row] * np.cos(phase), 0.0, 1.0)
     n, quiet = candidates.photons[row], candidates.quiet[row]
     t, c = 1.0 - det.eta_d, 1.0 - det.dark_prob(link.clock_hz)
     p_left = c * ((weight + (1.0 - weight) * t) ** n - quiet)
     p_right = c * ((1.0 - weight + weight * t) ** n - quiet)
-    u = rng.random(bins.size) * candidates.bound[row]
+    u = rng.random(idx.size) * candidates.bound[row]
     sel = np.flatnonzero(u < p_left + p_right)
-
-    row = row[sel]
-    return (
-        start_idx + bins[sel], candidates.label_a[row], candidates.label_b[row], diff[sel],
-        candidates.emitted_a[row], candidates.emitted_b[row],
-        (u[sel] >= p_left[sel]).astype(np.int8),  # 0 = left detector, 1 = right
-    )
+    right = (u >= p_left)[sel].view(np.int8)  # 0 = left detector, 1 = right
+    return idx[sel], candidates.cls[row[sel]], diff[sel], right
 
 
 def _pair_scan(indices: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:
@@ -410,15 +408,37 @@ def _pair_scan(indices: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarr
     Walking the clicks in order, a click pairs with the pending one before it
     when their gap is at most ``window``.  Inside each maximal run of clicks
     whose successive gaps are all within the window this pairs (r, r+1),
-    (r+2, r+3), ... from the run start r, so the late clicks are the ones at
-    odd offsets from their run start.
+    (r+2, r+3), ... from the run start r, so the k-th late click of the scan
+    (from 0) is at r + 1 + 2 (k - P), with P the pairs of the runs before r.
     """
-    pos = np.arange(indices.size)
-    run_start = np.ones(indices.size, dtype=bool)
-    run_start[1:] = np.diff(indices) > window
-    offset = pos - np.maximum.accumulate(np.where(run_start, pos, 0))
-    late = pos[offset % 2 == 1]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(indices) > window) + 1))
+    pairs = np.diff(starts, append=indices.size) // 2
+    late = np.repeat(starts + 1 - 2 * (np.cumsum(pairs) - pairs), pairs) + 2 * np.arange(pairs.sum())
     return late - 1, late
+
+
+# a pair's flag bits, under its group in its key group * 32 + flags; each
+# group tallies its pairs in one histogram over the flags
+_Z_ERR, _A_VAC, _B_VAC, _SINGLE_PAIR, _MATCHED = 1, 2, 4, 8, 16
+
+
+def _pair_keys(source: SourceConfig) -> np.ndarray:
+    """The (C, C) table of pair keys, the matched phase aside, by the classes
+    of the early and late click, C = 9 L**2 (``_class_code``); the group, the
+    position of (total_a, total_b) in ``layout.groups``, is t_a * T + t_b."""
+    labels, totals = source.labels, source.layout.totals
+    n = len(labels)
+    tot_code = np.empty((n, n), dtype=np.intp)
+    for code, (l1, l2) in enumerate(totals):
+        i, j = labels.index(l1), labels.index(l2)
+        tot_code[i, j] = tot_code[j, i] = code
+    la, ea, lb, eb = (f[:, None] for f in np.unravel_index(np.arange(9 * n**2), (n, 3) * 2))
+    e_a, e_b, o = ea + ea.T, eb + eb.T, labels.index("o")
+    return (
+        (tot_code[la, la.T] * len(totals) + tot_code[lb, lb.T]) * 32
+        + ((la != o) == (lb != o)) * _Z_ERR  # Z truth reads the early click's labels
+        + (e_a == 0) * _A_VAC + (e_b == 0) * _B_VAC + ((e_a == 1) & (e_b == 1)) * _SINGLE_PAIR
+    )
 
 
 def _cpus() -> int:
@@ -451,7 +471,8 @@ def simulate(
     That walk holds at most one pending click, so each chunk is paired and
     tallied as it lands, in chunk order, behind the previous chunk's last
     click when that one is unpaired; memory is bounded by the chunk, not by
-    the run.  Drawing the class flips and posterior layers per chunk, in
+    the run.  A pair is tallied by one ``_pair_keys`` lookup of its click
+    classes.  Drawing the class flips and posterior layers per chunk, in
     chunk order, consumes their streams as one draw over the run would.
     """
     # imported here, not with the module, so that the CLI starts without it
@@ -460,8 +481,6 @@ def simulate(
     for name, value in (("n_bins", n_bins), ("chunk_bins", chunk_bins)):
         if not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    labels = source.labels
-    n_labels = len(labels)
     layout = source.layout
     candidates = _Candidates(source, link, det)
 
@@ -476,17 +495,8 @@ def simulate(
         rng = np.random.default_rng(streams[chunk])
         return _click_chunk(rng, size, chunk * chunk_bins, candidates, link, det, drift_per_bin)
 
-    # party totals: canonical unordered label pair per party; a pair's group
-    # is t_a * n_totals + t_b, the position of (total_a, total_b) in layout.groups
-    n_totals = len(layout.totals)
-    tot_code = np.empty((n_labels, n_labels), dtype=np.int16)
-    code_of = {}
-    for code, (l1, l2) in enumerate(layout.totals):
-        i, j = labels.index(l1), labels.index(l2)
-        tot_code[i, j] = tot_code[j, i] = code_of[(l1, l2)] = code
-    nu_group = code_of[("nu", "nu")] * (n_totals + 1)
+    nu_group = layout.group_pos[(("nu", "nu"), ("nu", "nu"))]
     m_slices = link.phase_slices
-    o_code = labels.index("o")
     posterior = LayerPosterior(
         emitted_a=2.0 * source.intensities_a["nu"],
         emitted_b=2.0 * source.intensities_b["nu"],
@@ -496,9 +506,11 @@ def simulate(
         p_d=det.dark_prob(link.clock_hz),
     )
 
-    # a pair's flag bits; each group tallies its pairs in one histogram over them
-    z_err, a_vac, b_vac, single_pair, matched_bit = 1, 2, 4, 8, 16
-    hist = np.zeros((n_totals**2, 32), dtype=np.int64)
+    hist = np.zeros((len(layout.groups), 32), dtype=np.int64)
+    pair_key = _pair_keys(source)
+    n_classes = np.intp(len(pair_key))  # an intp, so that the class products do not wrap
+    # d_late - d_early lies in (-M, M), and a negative index wraps to its value mod M
+    is_matched = np.isin(np.arange(m_slices), (0, m_slices // 2))
     # X group: pairs, errors, single-photon pairs and their errors, pairs
     # with a vacuum layer and their errors
     x_tally = np.zeros(6, dtype=np.int64)
@@ -514,37 +526,26 @@ def simulate(
             n_clicks += parts[0].size
             if carry:
                 parts = [np.concatenate(pair) for pair in zip(carry, parts)]
-            idx, la, lb, diff, ea, eb, det_click = parts
+            idx, cls, diff, det_click = parts
             early, late = _pair_scan(idx, source.pairing_window_bins)
             paired = late.size > 0 and late[-1] == idx.size - 1
             carry = () if paired or not idx.size else [p[-1:] for p in parts]
             n_pairs += early.size
             gap_sum += int((idx[late] - idx[early]).sum())
 
-            t_a = tot_code[la[early], la[late]]
-            t_b = tot_code[lb[early], lb[late]]
-            group = t_a.astype(np.intp) * n_totals + t_b
-            phi_ab = np.mod(diff[late] - diff[early], m_slices)
-            matched0 = phi_ab == 0
-            matched_pi = phi_ab == m_slices // 2
-            matched = matched0 | matched_pi
-
-            # Z-basis truth, tallied from the physical emission record
-            e_a, e_b = ea[early] + ea[late], eb[early] + eb[late]
-            flags = (
-                ((la[early] != o_code) == (lb[early] != o_code)) * z_err
-                + (e_a == 0) * a_vac + (e_b == 0) * b_vac
-                + ((e_a == 1) & (e_b == 1)) * single_pair + matched * matched_bit
-            )
-            hist += np.bincount(group * 32 + flags, minlength=hist.size).reshape(hist.shape)
+            key = pair_key.take(cls[early] * n_classes + cls[late])  # flat [early, late]
+            matched = is_matched[diff[late] - diff[early]]
+            hist += np.bincount(key + matched * _MATCHED, minlength=hist.size).reshape(hist.shape)
 
             # X-basis classification on the matched decoy-decoy group
-            x_pos = np.flatnonzero((group == nu_group) & matched)
-            det_early, det_late = det_click[early[x_pos]], det_click[late[x_pos]]
+            x_pos = np.flatnonzero(((key >> 5) == nu_group) & matched)
+            x_early, x_late = early[x_pos], late[x_pos]
+            phi_x = np.mod(diff[x_late] - diff[x_early], m_slices)
+            det_early, det_late = det_click[x_early], det_click[x_late]
             same_det = det_early == det_late
-            raw_error = np.where(matched0[x_pos], ~same_det, same_det)
+            raw_error = np.where(phi_x == 0, ~same_det, same_det)
             x_error = raw_error ^ (class_rng.random(x_pos.size) < link.interference_error)
-            lay_a, lay_b = posterior.sample(matched_pi[x_pos], det_early, det_late, posterior_rng)
+            lay_a, lay_b = posterior.sample(phi_x == m_slices // 2, det_early, det_late, posterior_rng)
             single = (lay_a == 1) & (lay_b == 1)
             vacuum = (lay_a == 0) | (lay_b == 0)
             x_tally += [x_pos.size] + [
@@ -556,15 +557,13 @@ def simulate(
     bits = np.arange(32)
     group_tally = np.array([
         hist[:, (bits & mask) == mask].sum(axis=1)
-        for mask in (0, z_err, a_vac, b_vac, single_pair, single_pair | z_err, matched_bit)
+        for mask in (0, _Z_ERR, _A_VAC, _B_VAC, _SINGLE_PAIR, _SINGLE_PAIR | _Z_ERR, _MATCHED)
     ])
     column = layout.group_pos
     counts = dict(zip(layout.groups, group_tally[0].tolist()))
     for key in layout.sifted:
         counts[key] = int(group_tally[6, column[key]])
-    bright = [l for l in labels if l != "o"]
-    z_keys = [((ka, "o"), (kb, "o")) for ka in bright for kb in bright]
-    z_truth = {key: GroupTruth(*group_tally[:6, column[key]].tolist()) for key in z_keys}
+    z_truth = {key: GroupTruth(*group_tally[:6, column[key]].tolist()) for key in layout.single_level}
     x_count, x_errors, x_single, x_single_errors, x_vac, x_vac_err = x_tally.tolist()
 
     return OracleResult(

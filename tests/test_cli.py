@@ -67,6 +67,8 @@ class TestConfigErrors:
         pytest.param(params_override(nu_a=None), id="missing-nu_a"),
         pytest.param(params_override(mu_a="abc"), id="text-mu_a"),
         "l_a_km=abc",
+        pytest.param("seed=1.5", id="fractional-seed"),
+        pytest.param("seed=true", id="bool-seed"),
     ])
     def test_bad_evaluate_field(self, tmp_path, capsys, override):
         argv = ["evaluate", "--preset", "evaluate_300km", "--set", override,

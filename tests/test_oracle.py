@@ -14,7 +14,7 @@ from amdiqkd.channel import (
     expected_observables,
 )
 from amdiqkd.decoy import estimate, pairing_probs, xbasis_vacuum_errors_lower, z_key_groups
-from amdiqkd import oracle
+from amdiqkd import cli, oracle
 from amdiqkd.oracle import (
     LayerPosterior,
     GroupTruth,
@@ -283,9 +283,10 @@ def bright_bins(labels, intensities):
 def per_bin_click_chunk(rng, size, start_idx, src_arrays, link, det, drift_per_bin):
     """The sampler that draws every bin: labels, slices, Poisson emission,
     binomial fibre loss and routing, and both detectors' click uniforms.
-    It returns the fields of ``oracle._click_chunk``: the slice difference
-    and the source photon numbers capped at 2.  The oracle's event sampler
-    must reproduce its tallies in distribution."""
+    It returns the fields of ``oracle._click_chunk``: the slice difference,
+    and the labels and source photon numbers capped at 2 encoded by
+    ``oracle._class_code``.  The oracle's event sampler must reproduce its
+    tallies in distribution."""
     (ints_a, cdf_a, ints_b, cdf_b, kept_matrix) = src_arrays
     m_slices = link.phase_slices
     eta_a, eta_b, eta_d = link.eta_a, link.eta_b, det.eta_d
@@ -329,10 +330,9 @@ def per_bin_click_chunk(rng, size, start_idx, src_arrays, link, det, drift_per_b
     click_r = rng.random(size) < thr_r
     single = np.nonzero(click_l != click_r)[0]
     sel = single[kept_matrix[la[single], lb[single]]]
-    return (
-        start_idx + sel, la[sel], lb[sel], np.mod(sa[sel] - sb[sel], m_slices),
-        np.minimum(n_src_a[sel], 2), np.minimum(n_src_b[sel], 2), click_r[sel].astype(np.int8),
-    )
+    cls = oracle._class_code(la[sel], np.minimum(n_src_a[sel], 2), lb[sel], np.minimum(n_src_b[sel], 2),
+                             ints_a.size)
+    return start_idx + sel, cls, np.mod(sa[sel] - sb[sel], m_slices), click_r[sel].astype(np.int8)
 
 
 def per_bin_sampler(source):
@@ -355,28 +355,38 @@ def per_bin_sampler(source):
     return click_chunk
 
 
+def decode_class(cls, n_labels):
+    """(l_a, e_a, l_b, e_b) of click classes ((l_a 3 + e_a) L + l_b) 3 + e_b."""
+    rest, e_b = np.divmod(np.asarray(cls, dtype=np.int64), 3)
+    rest, l_b = np.divmod(rest, n_labels)
+    l_a, e_a = np.divmod(rest, 3)
+    return l_a, e_a, l_b, e_b
+
+
 def whole_run_simulate(source, link, det, n_bins, seed, chunk_bins=1_000_000):
     """``simulate`` that keeps every kept click of the run, then pairs and
-    tallies them in one pass.  The streaming oracle must equal it exactly."""
+    tallies them in one pass, field by field from the decoded click classes.
+    The streaming oracle must equal it exactly."""
     labels = source.labels
     n_labels = len(labels)
     layout = source.layout
     tables = oracle._Candidates(source, link, det)
 
-    drift_per_bin = (2.0 * math.pi * link.laser_offset_hz + link.phase_drift_rad_per_s) / link.clock_hz
+    drift_per_bin = link.phase_rate_rad_per_s / link.clock_hz
     n_chunks = (n_bins + chunk_bins - 1) // chunk_bins
     streams = np.random.SeedSequence(seed).spawn(n_chunks + 2)
     class_rng = np.random.default_rng(streams[-2])
     posterior_rng = np.random.default_rng(streams[-1])
 
-    fields = [[] for _ in range(7)]
+    fields = [[] for _ in range(4)]
     for chunk in range(n_chunks):
         size = min(chunk_bins, n_bins - chunk * chunk_bins)
         rng = np.random.default_rng(streams[chunk])
         parts = oracle._click_chunk(rng, size, chunk * chunk_bins, tables, link, det, drift_per_bin)
         for store, arr in zip(fields, parts):
             store.append(arr)
-    idx, la, lb, diff, na, nb, det_click = (np.concatenate(f) for f in fields)
+    idx, cls, diff, det_click = (np.concatenate(f) for f in fields)
+    la, na, lb, nb = decode_class(cls, n_labels)  # n: the source photons, capped at 2
 
     early, late = _pair_scan(idx, source.pairing_window_bins)
     n_pairs = early.size
@@ -576,6 +586,59 @@ def test_random_stream_is_pinned():
     assert {k: tuple(vars(g).values()) for k, g in res.z_truth.items()} == GOLDEN_Z_TRUTH
 
 
+# every field of simulate's result on each validate-oracle config (three
+# labels filtered, three unfiltered on an asymmetric link, four filtered) at
+# 1e6 bins in chunks that do not divide the run: counts in the order of
+# layout.groups, the GroupTruth fields of x_truth and of each Z group
+# ((bright label of a, of b) -> fields), x_vacuum with its errors
+ORACLE_CONFIG_PINS = [
+    dict(seed=7, n_clicks=121734, n_pairs=60867, t_mean_s=8.203114988417368e-09,
+         counts=[2106, 0, 8785, 0, 0, 2380, 0, 6381, 2987, 0, 3291, 1590, 7644, 2612, 4062, 0,
+                 1366, 3, 0, 0, 0, 299, 1163, 290, 0, 2765, 1335, 962, 483, 2, 1644, 1143, 7,
+                 203, 0, 0],
+         m_x=75, x_matched=299, x_truth=(299, 75, 0, 0, 87, 3), x_vacuum=(130, 56),
+         z_truth={("mu", "mu"): (4062, 9, 6, 11, 2162, 2), ("mu", "nu"): (1366, 0, 1, 4, 906, 0),
+                  ("nu", "mu"): (1335, 0, 2, 1, 871, 0), ("nu", "nu"): (483, 1, 2, 2, 397, 0)}),
+    dict(seed=8, n_clicks=172823, n_pairs=86411, t_mean_s=5.769300204835033e-09,
+         counts=[765, 5181, 2306, 2178, 1962, 440, 6594, 10206, 3840, 3728, 2679, 433, 4300,
+                 6023, 1641, 1888, 869, 0, 3646, 4787, 1219, 375, 857, 107, 4790, 5605, 859,
+                 1694, 422, 0, 1520, 1636, 0, 407, 0, 0],
+         m_x=108, x_matched=375, x_truth=(375, 108, 0, 0, 87, 2), x_vacuum=(159, 80),
+         z_truth={("mu", "mu"): (1641, 0, 0, 0, 722, 0), ("mu", "nu"): (869, 0, 0, 0, 487, 0),
+                  ("nu", "mu"): (859, 0, 0, 0, 514, 0), ("nu", "nu"): (422, 0, 0, 0, 323, 0)}),
+    dict(seed=9, n_clicks=100773, n_pairs=50386, t_mean_s=9.885543603381892e-09,
+         counts=[1605, 0, 0, 5834, 0, 0, 0, 0, 0, 1414, 0, 1766, 0, 1637, 0, 0, 842, 0, 0, 753,
+                 0, 0, 3171, 1407, 0, 0, 0, 0, 1532, 690, 5926, 1647, 1392, 2899, 0, 0, 763, 0,
+                 714, 0, 0, 0, 0, 0, 42, 0, 228, 0, 0, 123, 0, 0, 0, 0, 0, 477, 196, 0, 422,
+                 178, 0, 912, 0, 800, 218, 180, 225, 0, 168, 0, 0, 0, 0, 0, 0, 0, 0, 124, 356,
+                 81, 0, 0, 1557, 661, 0, 431, 199, 364, 127, 0, 1464, 743, 641, 0, 89, 190, 0,
+                 92, 0, 0],
+         m_x=29, x_matched=124, x_truth=(124, 29, 0, 0, 43, 0), x_vacuum=(51, 26),
+         z_truth={("mu", "mu"): (2899, 0, 0, 0, 1317, 0), ("mu", "omega"): (763, 0, 0, 0, 420, 0),
+                  ("mu", "nu"): (714, 0, 0, 0, 467, 0), ("omega", "mu"): (800, 0, 0, 0, 452, 0),
+                  ("omega", "omega"): (225, 0, 0, 0, 147, 0),
+                  ("omega", "nu"): (168, 0, 0, 0, 136, 0), ("nu", "mu"): (661, 0, 0, 0, 408, 0),
+                  ("nu", "omega"): (199, 0, 0, 0, 147, 0), ("nu", "nu"): (127, 0, 0, 0, 105, 0)}),
+]
+
+
+@pytest.mark.parametrize("config", range(len(ORACLE_CONFIG_PINS)))
+def test_validate_oracle_configs_are_pinned(config):
+    pin = ORACLE_CONFIG_PINS[config]
+    src, link, det = cli._oracle_setup(cli._ORACLE_CONFIGS[config])
+    res = simulate(src, link, det, 1_000_000, seed=pin["seed"], chunk_bins=300_007)
+    assert list(res.counts) == list(src.layout.groups)
+    assert res == oracle.OracleResult(
+        n_bins=1_000_000, n_clicks=pin["n_clicks"], n_pairs=pin["n_pairs"],
+        t_mean_s=pin["t_mean_s"], counts=dict(zip(src.layout.groups, pin["counts"])),
+        m_x=pin["m_x"], x_matched=pin["x_matched"],
+        z_truth={((ka, "o"), (kb, "o")): GroupTruth(*fields)
+                 for (ka, kb), fields in pin["z_truth"].items()},
+        x_truth=GroupTruth(*pin["x_truth"]),
+        x_vacuum=pin["x_vacuum"][0], x_vacuum_errors=pin["x_vacuum"][1],
+    )
+
+
 # mu near 3 on a short link: most candidate bins carry n >= 2 photons,
 # where the click bound B(n) is loose and the thinning rejects
 BRIGHT_LINK = replace(GOLDEN_LINK, length_a_km=2.0, length_b_km=3.0)
@@ -662,8 +725,9 @@ class TestEventSampler:
         # of the candidate rows carry an emission class above their arrived count
         link = replace(GOLDEN_LINK, length_a_km=40.0, length_b_km=40.0)
         candidates = oracle._Candidates(GOLDEN_SRC, link, GOLDEN_DET)
-        lost = ((candidates.emitted_a > np.minimum(candidates.count_a, 2))
-                | (candidates.emitted_b > np.minimum(candidates.count_b, 2)))
+        _, emitted_a, _, emitted_b = decode_class(candidates.cls, len(GOLDEN_SRC.labels))
+        lost = ((emitted_a > np.minimum(candidates.count_a, 2))
+                | (emitted_b > np.minimum(candidates.count_b, 2)))
         assert np.diff(candidates.rows[0], prepend=0.0)[lost].sum() > 0.3
         n_bins = 1_000_000
         obs = expected_observables(GOLDEN_SRC, link, GOLDEN_DET, float(n_bins))
@@ -829,8 +893,9 @@ class TestCandidateTable:
                 return arrived * share
 
             want = []
-            for la, na, ea, lb, nb, eb in zip(table.label_a, table.count_a, table.emitted_a,
-                                              table.label_b, table.count_b, table.emitted_b):
+            label_a, emitted_a, label_b, emitted_b = decode_class(table.cls, len(labels))
+            for la, na, ea, lb, nb, eb in zip(label_a, table.count_a, emitted_a,
+                                              label_b, table.count_b, emitted_b):
                 assert (labels[la], labels[lb]) in src.layout.kept
                 n = int(na) + int(nb)
                 want.append(
@@ -889,6 +954,54 @@ class TestCandidateTable:
             assert max(probs) <= bound * (1.0 + 1e-13)
             assert probs[0] == pytest.approx(bound, rel=1e-13)
             assert probs[-1] == pytest.approx(bound, rel=1e-13)
+
+    @pytest.mark.parametrize("src", [SRC, replace(SRC, click_filtering=False), GOLDEN_SRC],
+                             ids=["filtering", "no-filtering", "four-intensity"])
+    def test_class_codes_and_pair_keys(self, src):
+        # the rows' classes decode to exactly the joint rows (l_a, n_a, e_a,
+        # l_b, n_b, e_b) of the kept label pairs (with dark counts every one
+        # weighs more than 0), and the key of every (early, late) pair of
+        # classes holds the group and flag bits that the per-field tally
+        # gives for a pair of clicks of those classes
+        table = oracle._Candidates(src, LINK, DET)
+        labels, layout = src.labels, src.layout
+        n_labels, n_classes = len(labels), 9 * len(labels) ** 2
+        assert table.cls.dtype == np.int16
+        assert np.all((table.cls >= 0) & (table.cls < n_classes))
+        la, ea, lb, eb = decode_class(table.cls, n_labels)
+        got = list(zip(*(f.tolist() for f in (la, table.count_a, ea, lb, table.count_b, eb))))
+
+        def split_rows(intensities, probabilities, eta):
+            label, count, prior, _, lost = oracle._party_rows(intensities, probabilities, labels, eta)
+            return list(zip(*(f.tolist() for f in oracle._emitted_rows(label, count, prior, lost))))
+
+        want = [
+            (l_a, n_a, e_a, l_b, n_b, e_b)
+            for l_a, n_a, e_a, _ in split_rows(src.intensities_a, src.probabilities_a, LINK.eta_a)
+            for l_b, n_b, e_b, _ in split_rows(src.intensities_b, src.probabilities_b, LINK.eta_b)
+            if (labels[l_a], labels[l_b]) in layout.kept
+        ]
+        assert len(set(got)) == len(got) and sorted(got) == sorted(want)
+
+        la, ea, lb, eb = decode_class(np.arange(n_classes), n_labels)
+        early, late = (c.ravel() for c in np.indices((n_classes, n_classes)))
+        tot_code = np.empty((n_labels, n_labels), dtype=np.int64)
+        for code, (l1, l2) in enumerate(layout.totals):
+            i, j = labels.index(l1), labels.index(l2)
+            tot_code[i, j] = tot_code[j, i] = code
+        t_a, t_b = tot_code[la[early], la[late]], tot_code[lb[early], lb[late]]
+        group = t_a * len(layout.totals) + t_b
+        assert all(layout.groups[g] == (layout.totals[i], layout.totals[j])
+                   for g, i, j in set(zip(group.tolist(), t_a.tolist(), t_b.tolist())))
+        o_code = labels.index("o")
+        e_a, e_b = ea[early] + ea[late], eb[early] + eb[late]
+        flags = (
+            ((la[early] != o_code) == (lb[early] != o_code)) * oracle._Z_ERR
+            + (e_a == 0) * oracle._A_VAC + (e_b == 0) * oracle._B_VAC
+            + ((e_a == 1) & (e_b == 1)) * oracle._SINGLE_PAIR
+        )
+        want = (group * 32 + flags).reshape(n_classes, n_classes)
+        assert np.array_equal(oracle._pair_keys(src), want)
 
     def test_empty_without_arrivals_or_darks(self):
         dark_link = ChannelLink(400.0, 400.0, 10.0, clock_hz=1e9, phase_slices=8)

@@ -8,18 +8,12 @@ the ``ChannelLink`` and ``DetectorPair`` that
 ``SourceConfig``.  The count models fold the detector efficiency into each
 arm's transmittance, matching the form of the printed formulas.
 
-Each protocol is written once.  Its bodies take an operations namespace as
-their first argument: :data:`amdiqkd.stats.FLOATS` runs them on plain
-numbers, and ``amdiqkd.batch.COLUMNS`` on numpy columns, one row per
-parameter set, as for the protocol's own decoy chain.  So a body never
-branches on a value: ``where``, ``maximum`` and ``minimum`` stand for the
-branches, and a branch that the result does not use is worked out on
-placeholder values.
-``mdi_key_rate``, ``bb84_key_rate`` and their observables are the one entry
-per protocol: a ``SourceConfig`` or ``Bb84Params`` of floats scores one
-candidate, and one of (B,) columns a batch, on the namespace that
-:func:`amdiqkd.stats.ops_for` picks.  The MDI counts of a batch come from
-(B, 4, 4) tables over all level pairs at once.
+Each protocol is written once, as bodies on an operations namespace (see
+:mod:`amdiqkd.stats`).  ``mdi_key_rate``, ``bb84_key_rate`` and their
+observables are the one entry per protocol: a ``SourceConfig`` or
+``Bb84Params`` of floats scores one candidate, and one of (B,) columns a
+batch.  The MDI counts of a batch come from (B, 4, 4) tables over all level
+pairs at once.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from .channel import (LABEL_ORDER, ChannelLink, DetectorPair, SourceConfig, _rea
                       _require, validate_party)
 from .decoy import _primed_levels, _scan_points
 from .keyrate import _bb84_composition, _composition, _key_length
-from .stats import FLOATS, ops_for
+from .stats import FLOATS, by_pair, ops_for, stacked
 
 __all__ = [
     "MdiObservables",
@@ -118,8 +112,6 @@ def mdi_observables(
                     device,
                 )
         return MdiObservables(n_z=n_z, m_z=m_z, n_x=n_x, m_x=m_x, n_pairs=device[0])
-    from .batch import by_pair, stacked
-
     k_a, k_b = stacked(ints_a, LABEL_ORDER), stacked(ints_b, LABEL_ORDER)
     p_a, p_b = stacked(probs_a, LABEL_ORDER), stacked(probs_b, LABEL_ORDER)
     tables = _mdi_pair_counts(ops, k_a[:, :, None], k_b[:, None, :], p_a[:, :, None],

@@ -24,16 +24,13 @@ The per-group tables (:func:`split_sums`, the counts, the Z error rates and
 group is worked out on its first read, so the chain pays only for the groups
 it reads, and iterating yields every group, in order.
 
-The observables are written once, as bodies that take an operations namespace
-first (see :mod:`amdiqkd.decoy`).  :func:`click_table` and
-:func:`expected_observables` are the one entry for a single candidate and a
-batch: :class:`SourceConfig` holds floats for one candidate or (B,) columns
-for a batch, its pairing window included (checked either way), and the
-bodies run on :data:`amdiqkd.stats.FLOATS` or on numpy columns, one row per
-candidate, with the click table as a {label pair: column} dict.  So a body
-never branches on a value; without kept clicks or pairs, it works on
-placeholder values.  A :class:`ChannelLink` holds only the fibre and timing
-constants, so one link serves every candidate.
+The observables are written once, as bodies on an operations namespace (see
+:mod:`amdiqkd.stats`).  :func:`click_table` and :func:`expected_observables`
+take a :class:`SourceConfig` of floats (one candidate) or of (B,) columns (a
+batch), its pairing window included (checked either way); a batch's click
+table is a {label pair: column} dict.  Without kept clicks or pairs, a body
+works on placeholder values.  A :class:`ChannelLink` holds only the fibre
+and timing constants, so one link serves every candidate.
 
 Every phase average is an exact I0 closed form, accurate to rounding on long
 links.  An event-level Monte Carlo counterpart lives in
@@ -49,7 +46,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .stats import FLOATS, ops_for
+from .stats import FLOATS, by_pair, ops_for, stacked
 
 __all__ = [
     "LABEL_ORDER",
@@ -88,8 +85,8 @@ class DetectorPair:
     def __post_init__(self) -> None:
         if not 0.0 < self.eta_d <= 1.0:
             raise ValueError(f"eta_d must be in (0, 1], got {self.eta_d!r}")
-        if self.dark_rate_hz < 0.0:
-            raise ValueError(f"dark_rate_hz must be >= 0, got {self.dark_rate_hz!r}")
+        if not 0.0 <= self.dark_rate_hz < math.inf:
+            raise ValueError(f"dark_rate_hz must be finite and >= 0, got {self.dark_rate_hz!r}")
 
     def dark_prob(self, clock_hz: float) -> float:
         """Per-time-bin dark count probability at the given clock rate."""
@@ -124,8 +121,13 @@ class ChannelLink:
     def __post_init__(self) -> None:
         if not (0.0 <= self.length_a_km < math.inf and 0.0 <= self.length_b_km < math.inf):
             raise ValueError("fibre lengths must be finite and >= 0")
-        if self.clock_hz <= 0.0:
-            raise ValueError("clock_hz must be positive")
+        if not 0.0 <= self.attenuation_db_per_km < math.inf:
+            raise ValueError(f"attenuation_db_per_km must be finite and >= 0, "
+                             f"got {self.attenuation_db_per_km!r}")
+        if not 0.0 < self.clock_hz < math.inf:
+            raise ValueError(f"clock_hz must be finite and positive, got {self.clock_hz!r}")
+        if not (math.isfinite(self.phase_drift_rad_per_s) and math.isfinite(self.laser_offset_hz)):
+            raise ValueError("phase_drift_rad_per_s and laser_offset_hz must be finite")
         if self.phase_slices < 2 or self.phase_slices % 2:
             raise ValueError("phase_slices must be an even integer >= 2")
         if not 0.0 <= self.interference_error < 0.5:
@@ -464,8 +466,6 @@ def click_table(
     if ops is FLOATS:
         return {(la, lb): pair_gain(ints_a[la], ints_b[lb], link, det)
                 for la in labels for lb in labels}
-    from .batch import by_pair, stacked
-
     k_a, k_b = stacked(ints_a, labels), stacked(ints_b, labels)
     return by_pair(_pair_gain(ops, k_a[:, :, None], k_b[:, None, :], link, det), labels)
 

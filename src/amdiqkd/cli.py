@@ -88,12 +88,14 @@ def _check_keys(data: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
 
 
-def _number(data: dict, key: str, default):
-    """``float(data[key])``, or ``default`` if absent; a bad value is a configuration error."""
-    try:
-        return float(data.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {data[key]!r}") from None
+def _number(value, name: str) -> float:
+    """``float(value)``, where a bool is not a number; a bad value is a configuration error."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def _fmt(value) -> str:
@@ -155,7 +157,8 @@ def _cmd_network(data: dict, out_dir: Path) -> int:
             not isinstance(u, (list, tuple)) or len(u) != 2 for u in users):
         raise ConfigError("users must be a list of [name, arm_km] pairs")
     try:
-        spec = sc.NetworkSpec(users=[(str(n), float(a)) for n, a in users], **data)
+        spec = sc.NetworkSpec(users=[(str(n), _number(a, f"arm of {n}")) for n, a in users],
+                              **data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     return _finish(sc.run_network(spec), out_dir,
@@ -172,10 +175,10 @@ def _cmd_evaluate(data: dict, out_dir: Path) -> int:
     if not isinstance(params, dict):
         raise ConfigError("evaluate needs a 'params' mapping with pinned source settings")
     variant = _variant_from_name(data.get("variant", "filtering"))
-    params = {key: _number(params, key, None) for key in params}
-    l_a = _number(data, "l_a_km", 0.0)
-    l_b = _number(data, "l_b_km", 0.0)
-    n_pulses = _number(data, "n_pulses", 1e12)
+    params = {key: _number(value, key) for key, value in params.items()}
+    l_a = _number(data.get("l_a_km", 0.0), "l_a_km")
+    l_b = _number(data.get("l_b_km", 0.0), "l_b_km")
+    n_pulses = _number(data.get("n_pulses", 1e12), "n_pulses")
     seed = data.get("seed", 0)
     try:
         sc._check_budget_and_seed(1, seed)  # evaluate runs no search, so only the seed counts
@@ -192,13 +195,15 @@ def _cmd_evaluate(data: dict, out_dir: Path) -> int:
 
 def _cmd_optimize(data: dict, out_dir: Path) -> int:
     _check_keys(data, _OPTIMIZE_KEYS, "optimize")
+    l_a = _number(data.get("l_a_km", 0.0), "l_a_km")
+    l_b = _number(data.get("l_b_km", 0.0), "l_b_km")
     try:
         spec = sc.SweepSpec(
             preset=data.get("preset", "fig4"),
-            distances_km=[float(data.get("l_a_km", 0.0)) + float(data.get("l_b_km", 0.0))],
+            distances_km=[l_a + l_b],
             variants=[data.get("variant", "filtering")],
-            n_pulses=float(data.get("n_pulses", 1e12)),
-            delta_km=float(data.get("l_a_km", 0.0)) - float(data.get("l_b_km", 0.0)),
+            n_pulses=_number(data.get("n_pulses", 1e12), "n_pulses"),
+            delta_km=l_a - l_b,
             budget=data.get("budget", 3000),
             seed=data.get("seed", 1),
         )

@@ -20,15 +20,9 @@ probabilities and count tables are mappings keyed by (total_a, total_b)
 that work out a group on its first read (:class:`amdiqkd.channel.GroupValues`),
 so the chain pays only for the groups it reads; iterating yields them all.
 
-Each step is written once.  Its body takes an operations namespace as its
-first argument: :data:`amdiqkd.stats.FLOATS` runs it on plain numbers, and
-``amdiqkd.batch.COLUMNS`` on numpy columns, one row per parameter set.  So a
-body never branches on a value: ``where``, ``maximum`` and ``minimum`` stand
-for the branches, and a branch that the result does not use is worked out on
-placeholder values, never on a zero divisor.  ``estimate`` and
-``double_scan`` are the one entry for a single candidate and a batch: they
-run their body on the namespace that :func:`amdiqkd.stats.ops_for` picks
-from ``m_x``.  ``xbasis_vacuum_errors_lower`` runs its body on floats; the
+Each step is written once, as a body on an operations namespace (see
+:mod:`amdiqkd.stats`).  ``estimate`` and ``double_scan`` are the one entry
+for a single candidate and a batch: they pick the namespace from ``m_x``.  ``xbasis_vacuum_errors_lower`` runs its body on floats; the
 other steps are called as bodies.  ``pairing_probs`` and ``z_key_groups``
 need no namespace and take either source.
 """

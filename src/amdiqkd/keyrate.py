@@ -11,11 +11,9 @@ or (B,) columns (a batch, the optimizer's generations);
 ``SourceConfig.from_params`` reads either, and every number of the report is
 then a float or a (B,) column.  The link is used as given: it holds only the
 fibre and timing constants, which every candidate shares.  The leakage
-and the key length are written once, as bodies that take an operations
-namespace first (see :mod:`amdiqkd.decoy`), and run with the observables and
-the decoy chain on :data:`amdiqkd.stats.FLOATS` or on numpy columns
-(``amdiqkd.batch.COLUMNS``), as :func:`amdiqkd.stats.ops_for` picks.  So each
-row of a batch equals the report of that candidate alone, to rounding.
+and the key length are written once, as bodies on an operations namespace
+(see :mod:`amdiqkd.stats`), so each row of a batch equals the report of that
+candidate alone, to rounding.
 """
 
 from __future__ import annotations

@@ -144,10 +144,15 @@ def _check_variants(variants: Sequence[str], known: Container[str]) -> None:
             raise ValueError(f"variant {v!r} listed twice")
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_budget_and_seed(budget: int, seed: int) -> None:
     """ValueError unless both are integers (a bool is not) and ``budget`` is >= 1."""
     for name, value in (("budget", budget), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not (_is_number(value) and isinstance(value, int)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if not budget >= 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
@@ -178,17 +183,19 @@ class SweepSpec:
         _check_variants(self.variants, (*VARIANTS, *BASELINE_VARIANTS))
         if not self.distances_km:
             raise ValueError("distance list must not be empty")
-        if not all(0.0 <= d < math.inf for d in self.distances_km):
+        if not all(_is_number(d) and 0.0 <= d < math.inf for d in self.distances_km):
             raise ValueError(f"distances must be finite and >= 0, got {self.distances_km!r}")
+        if not _is_number(self.delta_km):
+            raise ValueError(f"delta_km must be a number, got {self.delta_km!r}")
         if not all(abs(self.delta_km) <= d for d in self.distances_km):
             raise ValueError(f"asymmetry delta {self.delta_km!r} exceeds a total distance")
         _check_budget_and_seed(self.budget, self.seed)
         pulses = self.n_pulses
-        if isinstance(pulses, (int, float)):
+        if not isinstance(pulses, (list, tuple)):
             pulses = [pulses]
         elif len(pulses) != len(self.distances_km):
             raise ValueError("per-point n_pulses must match the distance list")
-        if not all(0.0 < n < math.inf for n in pulses):
+        if not all(_is_number(n) and 0.0 < n < math.inf for n in pulses):
             raise ValueError(f"n_pulses must be finite and positive, got {self.n_pulses!r}")
         for path in self.external_rates.values():
             _external_table(path)
@@ -417,12 +424,14 @@ class NetworkSpec:
         if self.preset not in DEVICE_PRESETS:
             raise ValueError(f"unknown device preset {self.preset!r}")
         names = [n for n, _ in self.users]
+        if len(names) < 2:
+            raise ValueError(f"a network needs at least two users, got {len(names)}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate user names")
-        if not all(0.0 <= arm < math.inf for _, arm in self.users):
+        if not all(_is_number(arm) and 0.0 <= arm < math.inf for _, arm in self.users):
             raise ValueError("arm lengths must be finite and >= 0")
         _check_budget_and_seed(self.budget, self.seed)
-        if not 0.0 < self.duration_s < math.inf:
+        if not (_is_number(self.duration_s) and 0.0 < self.duration_s < math.inf):
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s!r}")
         _check_variants(self.variants, VARIANTS)
 

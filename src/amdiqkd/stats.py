@@ -14,12 +14,23 @@ columns or at any precision; ``with_helpers`` binds the bodies to such a
 namespace.  On ``FLOATS`` the checked public functions ``binary_entropy`` and
 ``sampling_correction`` stand in for their bodies; the other formulas have
 one name, their body, and run on floats as ``FLOATS.no_click`` and so on.
-``FLOATS`` and ``amdiqkd.batch.COLUMNS`` are the namespaces the bodies of
-:mod:`amdiqkd.channel`, :mod:`amdiqkd.decoy`, :mod:`amdiqkd.keyrate` and
-:mod:`amdiqkd.baselines` run on; ``ops_for`` picks one of them from a value,
-so each public entry of those modules takes one candidate (floats) or a
-batch ((B,) columns).  ``each`` applies a C-library ``math`` function to
-every element of an array, for the column path and the optimizer's decoding.
+
+The bodies of :mod:`amdiqkd.channel`, :mod:`amdiqkd.decoy`,
+:mod:`amdiqkd.keyrate` and :mod:`amdiqkd.baselines` take one of two such
+namespaces as their first argument: ``FLOATS`` for one candidate (plain
+numbers) and ``COLUMNS`` for a batch (numpy (B,) columns, one row per
+parameter set, the optimizer's generations).  So a body never branches on a
+value: ``where``, ``maximum`` and ``minimum`` stand for the branches, and a
+branch that the result does not use is worked out on placeholder values,
+never on a zero divisor.  ``ops_for`` picks the namespace from a value, so
+each public entry of those modules takes one candidate or a batch.
+``COLUMNS`` calls the C library's exp, log, sin, cos and pow through
+``each`` (which the optimizer's decoding uses too), where numpy's own may
+round differently, so a row of a batch equals the same candidate scored
+alone to rounding, and bit for bit wherever the float sums add left to
+right.  ``stacked`` and ``by_pair`` turn per-label columns into (B, L)
+arrays and (B, L, L) tables back into label-pair columns, for the tables
+that broadcast over all label pairs at once.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ import math
 from functools import lru_cache, partial
 from operator import itemgetter
 from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,8 +51,11 @@ __all__ = [
     "i0m1",
     "with_helpers",
     "FLOATS",
+    "COLUMNS",
     "ops_for",
     "each",
+    "stacked",
+    "by_pair",
 ]
 
 # Error rates are clamped into this open interval before the log in
@@ -224,17 +239,6 @@ FLOATS = with_helpers(
 )
 
 
-def ops_for(value) -> SimpleNamespace:
-    """The namespace of the bodies for ``value``: ``amdiqkd.batch.COLUMNS`` for
-    a numpy array (a batch of candidates, imported on first use), ``FLOATS``
-    for anything else (one candidate)."""
-    if isinstance(value, np.ndarray):
-        from .batch import COLUMNS
-
-        return COLUMNS
-    return FLOATS
-
-
 def each(fn, x):
     """The ``math`` function ``fn`` applied to every element of ``x``; a float
     ``x`` gives ``fn(x)``.
@@ -247,3 +251,71 @@ def each(fn, x):
         return fn(x)
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def i0m1_batch(x: np.ndarray) -> np.ndarray:
+    """``i0m1`` per element: each element's series stops where its scalar one does."""
+    q = 0.25 * x * x
+    term = q
+    total = q.copy()
+    k = 1
+    going = term > 1e-17 * total
+    while going.any():
+        k += 1
+        term = np.where(going, term * (q / (k * k)), term)
+        total = np.where(going, total + term, total)
+        going &= term > 1e-17 * total
+    return total
+
+
+def _min_over(fn, points):
+    """The least of ``fn(*point)`` over ``points`` per row, with all points in
+    one call: each argument stacked to (P, B)."""
+    return fn(*(np.stack(column) for column in zip(*points))).min(axis=0)
+
+
+def _sort_terms(terms):
+    """``sorted(terms)`` by coefficient in every row, stable as sorted() is:
+    the (coefficient, count) columns of each rank in turn."""
+    columns = np.broadcast_arrays(*(v for term in terms for v in term))
+    coefs, counts = np.stack(columns[0::2]), np.stack(columns[1::2])
+    order = np.argsort(coefs, axis=0, kind="stable")
+    return list(zip(np.take_along_axis(coefs, order, axis=0),
+                    np.take_along_axis(counts, order, axis=0)))
+
+
+def _first_max(candidates):
+    """The first of ``candidates`` with the largest first element, per row:
+    the candidates are tuples of columns, and so is the result."""
+    stacks = [np.stack(np.broadcast_arrays(*column)) for column in zip(*candidates)]
+    best = np.argmax(stacks[0], axis=0)[None]  # the first of equal maxima
+    return tuple(np.take_along_axis(column, best, axis=0)[0] for column in stacks)
+
+
+# The operations of FLOATS on numpy columns, with the bodies above bound to
+# them; min_over, sort_terms and first_max work per row.
+COLUMNS = with_helpers(SimpleNamespace(
+    exp=partial(each, math.exp), expm1=partial(each, math.expm1), log=partial(each, math.log),
+    log1p=partial(each, math.log1p), log2=partial(each, math.log2), sin=partial(each, math.sin),
+    cos=partial(each, math.cos), sqrt=np.sqrt, square=partial(each, FLOATS.square),
+    maximum=np.maximum, minimum=np.minimum, where=np.where, count=np.asarray,
+    beta=_beta,
+    i0m1=i0m1_batch, min_over=_min_over, sort_terms=_sort_terms, first_max=_first_max,
+))
+
+
+def ops_for(value) -> SimpleNamespace:
+    """The namespace of the bodies for ``value``: ``COLUMNS`` for a numpy
+    array (a batch of candidates), ``FLOATS`` for anything else (one candidate)."""
+    return COLUMNS if isinstance(value, np.ndarray) else FLOATS
+
+
+def stacked(values: Mapping[str, np.ndarray], labels: Sequence[str]) -> np.ndarray:
+    """The (B,) columns of ``values`` as one (B, L) array in ``labels`` order."""
+    return np.stack([values[l] for l in labels], axis=-1)
+
+
+def by_pair(table: np.ndarray, labels: Sequence[str]) -> dict:
+    """A (B, L, L) table as a {(label_a, label_b): (B,) column} dict."""
+    return {(la, lb): table[:, i, j] for i, la in enumerate(labels)
+            for j, lb in enumerate(labels)}

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 import amdiqkd
 from amdiqkd import channel, scenario
-from amdiqkd.batch import COLUMNS
 from amdiqkd.channel import (
     ChannelLink,
     DetectorPair,
@@ -24,7 +24,7 @@ from amdiqkd.channel import (
     split_sums,
 )
 from amdiqkd.decoy import pairing_probs
-from amdiqkd.stats import FLOATS
+from amdiqkd.stats import COLUMNS, FLOATS
 
 from phase_model import pair_gain_phase
 
@@ -440,6 +440,30 @@ class TestValidation:
     def test_even_phase_slices(self):
         with pytest.raises(ValueError):
             make_link(phase_slices=15)
+
+    # each was accepted: a gain above one, a NaN phase that rejects every
+    # candidate in the oracle, an infinite rate per second
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(partial(make_link, attenuation_db_per_km=-0.16), "attenuation_db_per_km",
+                     id="gain"),
+        pytest.param(partial(make_link, attenuation_db_per_km=math.nan), "attenuation_db_per_km",
+                     id="nan-attenuation"),
+        pytest.param(partial(make_link, attenuation_db_per_km=math.inf), "attenuation_db_per_km",
+                     id="inf-attenuation"),
+        pytest.param(partial(make_link, clock_hz=math.inf), "clock_hz", id="inf-clock"),
+        pytest.param(partial(make_link, clock_hz=math.nan), "clock_hz", id="nan-clock"),
+        pytest.param(partial(make_link, phase_drift_rad_per_s=math.nan), "phase_drift_rad_per_s",
+                     id="nan-drift"),
+        pytest.param(partial(make_link, laser_offset_hz=math.inf), "laser_offset_hz",
+                     id="inf-offset"),
+        pytest.param(partial(DetectorPair, eta_d=0.8, dark_rate_hz=math.nan), "dark_rate_hz",
+                     id="nan-darks"),
+        pytest.param(partial(DetectorPair, eta_d=0.8, dark_rate_hz=math.inf), "dark_rate_hz",
+                     id="inf-darks"),
+    ])
+    def test_unphysical_device_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     # NaN fails every comparison, so the ordering check alone lets it through
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import amdiqkd
+from amdiqkd import stats
 from amdiqkd.cli import main
 
 from golden_rates import GOLDEN, RUNS, assert_rates_match, read_rates
@@ -102,10 +103,11 @@ class TestConfigErrors:
             assert (out / "results.csv").is_file()
 
     # a pulse count that is not finite and positive is rejected before any
-    # output, in the scalar and the per-point form
+    # output, in the scalar and the per-point form; YAML reads 1e12 as text,
+    # which evaluate converts and a sweep blamed on the distance list
     @pytest.mark.parametrize("command, n_pulses", [
         *(("evaluate", n) for n in ("-1", "0", ".nan")),
-        *(("sweep", n) for n in ("-1", "0", ".nan", "[0]")),
+        *(("sweep", n) for n in ("-1", "0", ".nan", "[0]", "1e12")),
     ])
     def test_bad_n_pulses(self, tmp_path, capsys, command, n_pulses):
         source = ["--preset", "evaluate_300km"] if command == "evaluate" else [
@@ -114,7 +116,6 @@ class TestConfigErrors:
         assert main([command, *source, "--set", f"n_pulses={n_pulses}", "--out", str(out)]) == 1
         assert "configuration error: n_pulses must be finite and positive" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
-
 
     # bad geometry, budgets and seeds, rejected before any output; each of
     # these ended in a traceback, or (an infinite distance) in rows and exit code 2
@@ -134,10 +135,23 @@ class TestConfigErrors:
         ("sweep", ["--set", "seed=1.5"]),
         ("network", ["--set", 'seed="x"']),
         ("optimize", ["--set", "budget=20.5"]),
+        # a bool was read as 1, and the run went ahead
+        ("sweep", ["--set", "n_pulses=true"]),
+        ("sweep", ["--set", "distances_km=[true]"]),
+        ("sweep", ["--set", "delta_km=true"]),
+        ("network", ["--set", "duration_s=true"]),
+        ("network", ["--set", "users=[[A, true], [B, 10]]"]),
+        ("evaluate", ["--set", "l_a_km=true"]),
+        ("optimize", ["--set", "l_a_km=true"]),
+        # a network without a pair wrote an empty results.csv and exited 0
+        ("network", ["--set", "users=[[A, 10.0]]"]),
+        ("network", ["--set", "users=[]"]),
     ], ids=["delta-beyond-distance", "nan-delta", "inf-distance", "negative-distance",
             "sweep-budget-0", "negative-arm", "nan-user-arm", "inf-user-arm",
             "network-budget-0", "nan-length", "fractional-budget", "bool-budget",
-            "fractional-seed", "text-seed", "optimize-fractional-budget"])
+            "fractional-seed", "text-seed", "optimize-fractional-budget",
+            "bool-n-pulses", "bool-distance", "bool-delta", "bool-duration", "bool-user-arm",
+            "bool-length", "optimize-bool-length", "one-user", "no-users"])
     def test_bad_geometry_or_budget(self, tmp_path, capsys, command, extra):
         text = {"sweep": FIXTURE_SWEEP, "optimize": FIXTURE_OPTIMIZE,
                 "network": FIXTURE_NETWORK}.get(command)
@@ -339,27 +353,27 @@ class TestEntryPoint:
 
 
     def test_cli_import_leaves_batch_unloaded(self):
-        # the batch forms, the oracle's thread pool and the scenario's process
-        # pool load on first use, so a run that needs none of them (and the
-        # benchmark's setup time) does not pay for them; mpmath serves the tests only
+        # the oracle's thread pool and the scenario's process pool load on
+        # first use, so a run that needs neither (and the benchmark's setup
+        # time) does not pay for them; mpmath serves the tests only
         env = {**os.environ, "PYTHONPATH": str(Path(amdiqkd.__file__).resolve().parents[1])}
         code = ("import sys, amdiqkd.cli; print([m in sys.modules for m in "
-                "('amdiqkd.batch', 'concurrent.futures', 'concurrent.futures.process', "
+                "('concurrent.futures', 'concurrent.futures.process', "
                 "'multiprocessing', 'mpmath')])")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[False, False, False, False, False]"
+        assert result.stdout.strip() == "[False, False, False, False]"
 
-    def test_evaluate_run_leaves_batch_unloaded(self, tmp_path):
-        # one candidate runs on floats: the column namespace is never loaded
-        env = {**os.environ, "PYTHONPATH": str(Path(amdiqkd.__file__).resolve().parents[1])}
-        argv = ["evaluate", "--preset", "evaluate_300km", "--out", str(tmp_path / "o")]
-        code = (f"import sys; from amdiqkd.cli import main; rc = main({argv!r}); "
-                "print(rc, 'amdiqkd.batch' in sys.modules)")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip().splitlines()[-1] == "0 False"
-        assert (tmp_path / "o" / "results.csv").exists()
+    def test_evaluate_run_leaves_batch_unloaded(self, tmp_path, monkeypatch):
+        # one candidate runs on floats: the column namespace is never read
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"a one-candidate run read COLUMNS.{name}")
+
+        monkeypatch.setattr(stats, "COLUMNS", Untouchable())
+        out = tmp_path / "o"
+        assert main(["evaluate", "--preset", "evaluate_300km", "--out", str(out)]) == 0
+        assert (out / "results.csv").exists()
 
 
 class TestExports:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from amdiqkd import decoy
-from amdiqkd.batch import COLUMNS
 from amdiqkd.channel import SourceConfig, click_table, expected_observables
 from amdiqkd.decoy import (
     X_KEY,
@@ -16,7 +15,7 @@ from amdiqkd.decoy import (
     xbasis_vacuum_errors_lower,
     z_key_groups,
 )
-from amdiqkd.stats import FLOATS, chernoff_expected
+from amdiqkd.stats import COLUMNS, FLOATS, chernoff_expected
 
 from test_channel import DET, make_link, make_source
 

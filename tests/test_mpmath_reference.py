@@ -39,6 +39,7 @@ from amdiqkd.channel import (  # noqa: E402
 )
 from amdiqkd.scenario import DEVICE_PRESETS, VARIANTS  # noqa: E402
 from amdiqkd.stats import (  # noqa: E402
+    COLUMNS,
     FLOATS,
     binary_entropy,
     chernoff_expected,
@@ -57,6 +58,12 @@ MP = with_helpers(SimpleNamespace(
     count=mpmath.mpf, beta=lambda eps: -mpmath.log(eps), i0m1=lambda x: mpmath.besseli(0, x) - 1,
     min_over=FLOATS.min_over, sort_terms=FLOATS.sort_terms, first_max=FLOATS.first_max,
 ))
+
+
+def test_fifty_digits_bind_the_same_operations():
+    # the 50-digit chain runs every body the float and column paths run
+    assert set(vars(MP)) == set(vars(FLOATS)) == set(vars(COLUMNS))
+
 
 REL = 1e-12
 DISTANCES_KM = [0.0, 100.0, 300.0, 450.0, 600.0]

@@ -238,9 +238,11 @@ class TestExternalRates:
 
 
 class TestNetwork:
-    def test_single_user_empty(self):
-        spec = NetworkSpec(users=[("A", 100.0)], budget=50, seed=1)
-        assert run_network(spec) == []
+    # a network without a pair ran and gave no rows
+    @pytest.mark.parametrize("users", [[("A", 100.0)], []], ids=["one-user", "no-users"])
+    def test_fewer_than_two_users_rejected(self, users):
+        with pytest.raises(ValueError, match="at least two users"):
+            NetworkSpec(users=users, budget=50, seed=1)
 
     def test_pairs_enumerated(self):
         spec = NetworkSpec(

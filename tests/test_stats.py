@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amdiqkd.stats import (
+    COLUMNS,
     FLOATS,
     _beta,
     binary_entropy,
@@ -125,6 +126,11 @@ class TestChernoffExpected:
     def test_rejects_bad_observed(self, bad):
         with pytest.raises(ValueError):
             chernoff_expected(bad, 1e-10)
+
+
+def test_namespaces_bind_the_same_operations():
+    # a body may call any operation of its namespace, on floats or on columns
+    assert set(vars(FLOATS)) == set(vars(COLUMNS))
 
 
 class TestBoundHelpers:
